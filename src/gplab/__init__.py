@@ -21,5 +21,5 @@ from .algebras import (  # noqa: F401
 )
 from .errors import ConfigError, ResourceLimitError  # noqa: F401
 from .graphs import SimplicialGraph, Walk  # noqa: F401
-from .system import GraphSystem, build_system  # noqa: F401
+from .system import GraphSystem  # noqa: F401
 from .words import CoxeterGroup, NormalForm, Word, coxeter_group  # noqa: F401

@@ -94,12 +94,6 @@ def coo_parts(a):
     return rows, cols, a[rows, cols]
 
 
-def maxabs(a) -> float:
-    if sp.issparse(a):
-        return float(np.max(np.abs(a.data), initial=0.0))
-    return float(np.max(np.abs(a), initial=0.0))
-
-
 def _power_norm(a, start_phase: float) -> float:
     n = a.shape[1]
     v = np.exp(1j * start_phase * np.arange(n)) / np.sqrt(n)

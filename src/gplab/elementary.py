@@ -263,53 +263,6 @@ def rewrite_to_elementary(
     return terms
 
 
-def parse_expression(
-    serialized: Sequence, sys: GraphSystem, name_to_id, elements
-) -> list[Factor]:
-    """Decode the prefix serialization of a generator expression.
-
-    Each factor is ["kind", vertex_name, element_name] for kinds elem,
-    create, diag, annih; ["qproj", vertex_name]; or ["scalar", re, im].
-    Element names resolve through `elements[vertex_id][name]`.
-    """
-    out: list[Factor] = []
-    for k, item in enumerate(serialized):
-        if not isinstance(item, (list, tuple)) or not item:
-            raise ValueError(f"factor {k}: expected a nonempty list")
-        kind = item[0]
-        if kind == "scalar":
-            out.append(Factor("scalar", value=complex(float(item[1]), float(item[2]))))
-            continue
-        if kind not in ("elem", "create", "diag", "annih", "qproj"):
-            raise ValueError(f"factor {k}: unknown kind {kind!r}")
-        v = name_to_id.get(item[1])
-        if v is None:
-            raise ValueError(f"factor {k}: unknown vertex {item[1]!r}")
-        if kind == "qproj":
-            out.append(Factor("qproj", v))
-            continue
-        table = elements.get(v, {})
-        name = item[2]
-        if name not in table:
-            raise ValueError(f"factor {k}: vertex {item[1]!r} has no element named {name!r}")
-        out.append(Factor(kind, v, table[name]))
-    return out
-
-
-def standard_elements(sys: GraphSystem) -> dict:
-    """Per-vertex named elements for serialized expressions: the unit, and
-    the distinguished generator of two-dimensional vertices when present."""
-    from .algebras import hecke_vertex
-
-    out: dict = {}
-    for v, site in sys.sites.items():
-        table = {"1": site.algebra.one()}
-        if site.hecke_q is not None:
-            table["T"] = hecke_vertex(site.hecke_q)[2]
-        out[v] = table
-    return out
-
-
 def factor_matrix(f: Factor, space: TruncatedFock) -> OperatorMatrix:
     if f.kind == "scalar":
         return f.value * identity_op(space)

@@ -9,6 +9,7 @@ over the guarded subspace.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -62,12 +63,12 @@ class TruncatedFock:
         self.n = n
 
         basis: list[FockIndex] = []
-        offsets: dict[Letters, int] = {}
+        spans: dict[Letters, tuple[int, int]] = {}
         for w in self.group.ball_tuples(n):
             sdims = [self.reps[v].dim - 1 for v in w]
             if any(d == 0 for d in sdims):
                 continue
-            offsets[w] = len(basis)
+            spans[w] = (len(basis), math.prod(sdims))
             for slots in itertools.product(*(range(1, d + 1) for d in sdims)):
                 basis.append(FockIndex(w, slots))
             if len(basis) > dim_cap:
@@ -76,10 +77,11 @@ class TruncatedFock:
                 )
         self.basis = basis
         self.dim = len(basis)
-        self._offsets = offsets
+        # word -> (offset, count) of its component's contiguous basis block
+        self._spans = spans
         self._index = {(fi.word, fi.slots): i for i, fi in enumerate(basis)}
         self.lengths = np.array([len(fi.word) for fi in basis], dtype=int)
-        words = sorted(offsets)
+        words = sorted(spans)
         self._word_pos = {w: k for k, w in enumerate(words)}
         self.word_ids = np.array([self._word_pos[fi.word] for fi in basis], dtype=int)
         self._plans: dict = {}
@@ -100,7 +102,7 @@ class TruncatedFock:
         return self.basis[i].word
 
     def words(self) -> list[Letters]:
-        return sorted(self._offsets)
+        return sorted(self._spans)
 
     def subspace(self, sub: SimplicialGraph) -> "TruncatedFock":
         got = self._subspaces.get(sub)
@@ -287,12 +289,38 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool):
     return plan
 
 
-def _side_op(space: TruncatedFock, v: VertexId, x: Element, left: bool) -> OperatorMatrix:
+# Which parts of the plan each operator keeps: (scalar, creation, diagonal,
+# annihilation).
+_PARTS = {
+    "all": (True, True, True, True),
+    "creation": (False, True, False, False),
+    "diagonal": (False, False, True, False),
+    "annihilation": (False, False, False, True),
+}
+
+
+def _side_op(
+    space: TruncatedFock, v: VertexId, x: Element, left: bool, part: str = "all"
+) -> OperatorMatrix:
+    """lambda_v(x) (left) or rho_v(x) (right), whole or one part of it.
+
+    Q_v, the projection onto the words with v on the acting side, splits the
+    operator into four parts, read off the plan with m the GNS matrix of x.
+    Case A columns (Q_v^perp) carry the scalar part m[0,0] on the diagonal
+    and the creation part m[t,0] on the creation targets; case B columns
+    (Q_v) carry the diagonal part m[t,s] on the in-place retargets and the
+    annihilation part m[0,s] on the dropped-letter word.
+
+    Only creation can leave the truncation, so it alone costs a guard level:
+    (guard, up, down) is (N-1, 1, 1) for the whole operator, (N-1, 1, 0) for
+    creation, (N, 0, 0) for diagonal and (N, 0, 1) for annihilation.
+    """
     rep = space.reps.get(v)
     if rep is None:
         raise ValueError(f"unknown vertex {v}")
     if x.algebra != rep.algebra:
         raise ValueError("element does not belong to the vertex algebra")
+    keep_scalar, keep_create, keep_diag, keep_annih = _PARTS[part]
     m = rep.matrix(x)
     dv = rep.dim
     plan = _plan_side(space, v, left)
@@ -303,11 +331,11 @@ def _side_op(space: TruncatedFock, v: VertexId, x: Element, left: bool) -> Opera
         if entry[0] == "A":
             _, _, targets = entry
             c0 = m[0, 0]
-            if c0 != 0.0:
+            if keep_scalar and c0 != 0.0:
                 rows.append(j)
                 cols.append(j)
                 data.append(c0)
-            if targets is not None:
+            if keep_create and targets is not None:
                 for t in range(1, dv):
                     val = m[t, 0]
                     if val != 0.0:
@@ -316,19 +344,21 @@ def _side_op(space: TruncatedFock, v: VertexId, x: Element, left: bool) -> Opera
                         data.append(val)
         else:
             _, s, retarget, drop = entry
-            for t in range(1, dv):
-                val = m[t, s]
-                if val != 0.0:
-                    rows.append(retarget[t - 1])
-                    cols.append(j)
-                    data.append(val)
+            if keep_diag:
+                for t in range(1, dv):
+                    val = m[t, s]
+                    if val != 0.0:
+                        rows.append(retarget[t - 1])
+                        cols.append(j)
+                        data.append(val)
             val = m[0, s]
-            if val != 0.0:
+            if keep_annih and val != 0.0:
                 rows.append(drop)
                 cols.append(j)
                 data.append(val)
     mat = _mat.from_coo(rows, cols, data, space.dim)
-    return OperatorMatrix(space, mat, space.n - 1, 1, 1)
+    guard = space.n - 1 if keep_create else space.n
+    return OperatorMatrix(space, mat, guard, int(keep_create), int(keep_annih))
 
 
 def lambda_op(space: TruncatedFock, v: VertexId, x: Element) -> OperatorMatrix:
@@ -376,14 +406,10 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
         raise ValueError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
     group = space.group
     dvals = np.zeros(space.dim, dtype=complex)
-    for word, off in space._offsets.items():
+    for word, (off, count) in space._spans.items():
         # The vacuum is excluded even from Q_e: the underlying direct sum runs
         # over nontrivial group elements only.
-        keep = word != () and group.leq_tuple(letters, word)
-        if keep:
-            count = 1
-            for vv in word:
-                count *= space.reps[vv].dim - 1
+        if word != () and group.leq_tuple(letters, word):
             dvals[off: off + count] = 1.0
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
@@ -392,11 +418,9 @@ def word_projection(space: TruncatedFock, w) -> OperatorMatrix:
     """Projection p_w onto the single word component (the vacuum for w = e)."""
     letters = _as_letters(space, w)
     dvals = np.zeros(space.dim, dtype=complex)
-    off = space._offsets.get(letters)
-    if off is not None:
-        count = 1
-        for vv in letters:
-            count *= space.reps[vv].dim - 1
+    span = space._spans.get(letters)
+    if span is not None:
+        off, count = span
         dvals[off: off + count] = 1.0
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
@@ -412,30 +436,18 @@ def vacuum_projection(space: TruncatedFock) -> OperatorMatrix:
 
 
 def creation(space: TruncatedFock, v: VertexId, a: Element) -> OperatorMatrix:
-    qv = q_projection(space, (v,))
-    out = qv @ lambda_op(space, v, a) @ (identity_op(space) - qv)
-    out.down = 0  # raises word length by exactly one
-    return out
+    """Q_v lambda_v(a) Q_v^perp; see _side_op."""
+    return _side_op(space, v, a, left=True, part="creation")
 
 
 def diagonal(space: TruncatedFock, v: VertexId, a: Element) -> OperatorMatrix:
-    qv = q_projection(space, (v,))
-    out = qv @ lambda_op(space, v, a) @ qv
-    # preserves every word component; the sandwiched compression is exact on
-    # the whole ball since nothing can overflow it
-    out.up = out.down = 0
-    out.guard = space.n
-    return out
+    """Q_v lambda_v(a) Q_v; see _side_op."""
+    return _side_op(space, v, a, left=True, part="diagonal")
 
 
 def annihilation(space: TruncatedFock, v: VertexId, a: Element) -> OperatorMatrix:
-    qv = q_projection(space, (v,))
-    out = (identity_op(space) - qv) @ lambda_op(space, v, a) @ qv
-    # lowers word length by exactly one; the overflow part of the embedding
-    # is annihilated by the projections, so compression is exact everywhere
-    out.up = 0
-    out.guard = space.n
-    return out
+    """Q_v^perp lambda_v(a) Q_v; see _side_op."""
+    return _side_op(space, v, a, left=True, part="annihilation")
 
 
 def gauge_unitary(space: TruncatedFock, z: Mapping[VertexId, complex]) -> OperatorMatrix:
@@ -596,48 +608,12 @@ def vacuum_eval(x: OperatorMatrix) -> complex:
     return x.entry(0, 0)
 
 
-def export_coo(x: OperatorMatrix, path: str, tol: float = 0.0):
-    """Write the matrix as coordinate-list text: `row col re im` per line,
-    preceded by a `dim guard up down` header line."""
-    rows, cols, data = _mat.coo_parts(x.mat)
-    with open(path, "w") as fh:
-        fh.write(f"# dim={x.space.dim} guard={x.guard} up={x.up} down={x.down}\n")
-        for r, c, v in zip(rows, cols, data):
-            if abs(v) > tol:
-                fh.write(f"{int(r)} {int(c)} {float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def import_coo(space: TruncatedFock, path: str) -> OperatorMatrix:
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[complex] = []
-    guard, up, down = space.n, 0, 0
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                fields = dict(kv.split("=") for kv in line[1:].split())
-                if int(fields.get("dim", space.dim)) != space.dim:
-                    raise ValueError("dimension mismatch")
-                guard = int(fields.get("guard", space.n))
-                up = int(fields.get("up", 0))
-                down = int(fields.get("down", 0))
-                continue
-            r, c, re, im = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            data.append(complex(float(re), float(im)))
-    return OperatorMatrix(space, _mat.from_coo(rows, cols, data, space.dim), guard, up, down)
-
-
 def tail_profile(x: OperatorMatrix) -> list[float]:
     """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1."""
     space = x.space
     e = expectation_diag(x.adjoint() @ x)
     block_norms: dict[Letters, float] = {}
-    for word, off in space._offsets.items():
-        count = 1
-        for vv in word:
-            count *= space.reps[vv].dim - 1
+    for word, (off, count) in space._spans.items():
         idx = np.arange(off, off + count)
         if _mat.is_sparse(e.mat):
             block = e.mat[idx][:, idx].toarray()

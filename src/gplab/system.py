@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .algebras import Element, VertexSite
 from .fock import TruncatedFock
@@ -47,7 +46,3 @@ class GraphSystem:
 
     def restricted(self, sub: SimplicialGraph) -> "GraphSystem":
         return GraphSystem(sub, {v: self.sites[v] for v in sub.vertices}, self.dim_cap)
-
-
-def build_system(graph: SimplicialGraph, sites: Mapping[VertexId, VertexSite]) -> GraphSystem:
-    return GraphSystem(graph, dict(sites))

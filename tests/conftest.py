@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from util import FREE3, K3, PATH3, hecke_system, mixed_system  # noqa: E402
+from util import FREE3, K3, PATH3, mixed_system  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +21,3 @@ def mixed_path3():
 @pytest.fixture(scope="session")
 def mixed_k3():
     return mixed_system(K3, hecke_q=2.0)
-
-
-@pytest.fixture(scope="session")
-def hecke_free3_q2():
-    return hecke_system(FREE3, 2.0)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gplab
 from gplab.cli import main
 from gplab.config import load_config, parse_config
 from gplab.errors import ConfigError
@@ -156,10 +157,13 @@ def test_report_determinism(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # Run from the directory holding the imported package, so the child
+    # process runs the same gplab without relying on PYTHONPATH.
     proc = subprocess.run(
         [sys.executable, "-m", "gplab.cli", "growth", "--config", str(FIXTURES / "hecke_q1_edgeless3.json")],
         capture_output=True,
         text=True,
+        cwd=Path(gplab.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)

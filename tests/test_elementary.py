@@ -186,27 +186,6 @@ def test_rewrite_rejects_unknown_vertex(mixed_free3):
         rewrite_to_elementary([Factor("qproj", 9)], mixed_free3)
 
 
-def test_parse_expression_serialization(hecke_free3_q2):
-    from gplab.elementary import parse_expression, standard_elements
-
-    sysm = hecke_free3_q2
-    name_to_id = {"a": 0, "b": 1, "c": 2}
-    elements = standard_elements(sysm)
-    serialized = [["create", "a", "T"], ["diag", "b", "1"], ["qproj", "c"], ["scalar", 2.0, 0.0]]
-    factors = parse_expression(serialized, sysm, name_to_id, elements)
-    assert [f.kind for f in factors] == ["create", "diag", "qproj", "scalar"]
-    space = sysm.space(3)
-    terms = rewrite_to_elementary(factors, sysm)
-    dev = guarded_deviation(expression_matrix(factors, space), terms_matrix(terms, space))
-    assert dev < 1e-12
-    with pytest.raises(ValueError, match="unknown vertex"):
-        parse_expression([["qproj", "z"]], sysm, name_to_id, elements)
-    with pytest.raises(ValueError, match="no element named"):
-        parse_expression([["diag", "a", "missing"]], sysm, name_to_id, elements)
-    with pytest.raises(ValueError, match="unknown kind"):
-        parse_expression([["frobnicate", "a", "T"]], sysm, name_to_id, elements)
-
-
 def test_rewrite_certificates_diag_heavy_triangle():
     """Diagonal collisions spawn creation/annihilation pairs; directional
     guard bounds must keep those certificates checkable at small depth."""

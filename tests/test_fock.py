@@ -28,7 +28,18 @@ from gplab.fock import (
     vacuum_eval,
     word_projection,
 )
-from util import FREE2, FREE3, K2, K3, PATH3, m2_site
+from gplab.system import GraphSystem
+from util import (
+    FREE2,
+    FREE3,
+    K2,
+    K3,
+    PATH3,
+    m2_site,
+    naive_annihilation,
+    naive_creation,
+    naive_diagonal,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -268,7 +279,7 @@ def test_tail_profile_examples(mixed_free3):
     dense = e.toarray()
     for k in range(space.n):
         vals = [0.0]
-        for word, off in space._offsets.items():
+        for word, (off, _) in space._spans.items():
             if len(word) <= k:
                 continue
             cnt = 1
@@ -392,6 +403,29 @@ def test_traciality_probe_directions():
     assert traciality_probe(nt, depth=3, seed=1, samples=60) > 1e-3
 
 
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_parts_match_triple_product_oracle(mixed_path3, path):
+    """creation, diagonal and annihilation read straight off the lambda plan
+    equal their triple-product definitions entry for entry, with the same
+    guard and movement bounds."""
+    if path == "dense":
+        sysm = mixed_path3
+    else:
+        sysm = GraphSystem(FREE3, {0: m2_site(), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: m2_site()})
+    space = sysm.space(3)
+    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
+    rng = np.random.default_rng(61)
+    pairs = [(creation, naive_creation), (diagonal, naive_diagonal), (annihilation, naive_annihilation)]
+    for v in space.graph.vertices:
+        for center in (True, False):
+            a = sysm.sites[v].random_element(rng, center=center)
+            for fast, naive in pairs:
+                got, want = fast(space, v, a), naive(space, v, a)
+                assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+                assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
+                assert np.array_equal(got.toarray(), want.toarray())
+
+
 def test_offdiagonal_mass(mixed_free3):
     space = mixed_free3.space(3)
     rng = np.random.default_rng(53)
@@ -399,21 +433,6 @@ def test_offdiagonal_mass(mixed_free3):
     assert offdiagonal_mass(dg) == 0.0
     cr = creation(space, 0, mixed_free3.sites[0].random_element(rng))
     assert offdiagonal_mass(cr) > 0.0
-
-
-def test_export_import_coo(mixed_free3, tmp_path):
-    from gplab.fock import export_coo, import_coo, creation
-
-    space = mixed_free3.space(3)
-    rng = np.random.default_rng(59)
-    x = creation(space, 2, mixed_free3.sites[2].random_element(rng))
-    path = tmp_path / "op.coo"
-    export_coo(x, str(path))
-    y = import_coo(space, str(path))
-    assert y.guard == x.guard and y.reach == x.reach
-    assert guarded_deviation(x, y) < 1e-15
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("# dim=")
 
 
 def test_rho_second_case_acts_on_last_leg(hecke_space):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 
 from gplab.algebras import FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
+from gplab.fock import identity_op, lambda_op, q_projection
 from gplab.graphs import SimplicialGraph
 from gplab.system import GraphSystem
 
@@ -124,3 +125,33 @@ def mixed_system(graph: SimplicialGraph, hecke_q: float = 1.0) -> GraphSystem:
 
 def hecke_system(graph: SimplicialGraph, q: float) -> GraphSystem:
     return GraphSystem(graph, {v: site_from_hecke(q) for v in graph.vertices})
+
+
+# -- operator-part oracles --------------------------------------------------------
+# creation, diagonal and annihilation by their definitions as triple products
+# around Q_v, with the movement bounds each part is known to obey.
+
+
+def naive_creation(space, v, a):
+    qv = q_projection(space, (v,))
+    out = qv @ lambda_op(space, v, a) @ (identity_op(space) - qv)
+    out.down = 0  # raises word length by exactly one
+    return out
+
+
+def naive_diagonal(space, v, a):
+    qv = q_projection(space, (v,))
+    out = qv @ lambda_op(space, v, a) @ qv
+    # preserves every word component, so nothing can overflow the ball
+    out.up = out.down = 0
+    out.guard = space.n
+    return out
+
+
+def naive_annihilation(space, v, a):
+    qv = q_projection(space, (v,))
+    out = (identity_op(space) - qv) @ lambda_op(space, v, a) @ qv
+    # lowers word length by exactly one; the projections remove the overflow
+    out.up = 0
+    out.guard = space.n
+    return out
