@@ -75,8 +75,6 @@ def to_dense(a) -> np.ndarray:
 
 
 def entry(a, i: int, j: int) -> complex:
-    if sp.issparse(a):
-        return complex(a[i, j])
     return complex(a[i, j])
 
 

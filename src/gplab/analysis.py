@@ -13,6 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import _mat
 from . import elementary as el
 from . import fock as fk
 from . import growth as gr
@@ -533,7 +534,7 @@ def expectation_checks(
         nx, ne = x.norm(), e.norm()
         worst_contr = max(worst_contr, max(0.0, ne - nx))
         exx = fk.expectation_diag(x.adjoint() @ x)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (exx.toarray() + exx.toarray().conj().T)).min())
+        lam_min = fk.expectation_min_eig(exx)
         worst_pos = max(worst_pos, max(0.0, -lam_min))
         if nx > 1e-8 and exx.norm() <= 1e-12:
             worst_faith = max(worst_faith, nx)
@@ -627,6 +628,13 @@ def conjugation_positivity_checks(
     outside the centralizer that v does not start."""
     space = sysm.space(depth)
     group = sysm.group
+
+    def violation(lhs, rhs) -> float:
+        """How far rhs - lhs is from positive on the common guarded block."""
+        idx = space.cols_upto(min(lhs.guard, rhs.guard))
+        m = _mat.to_dense(_mat.col_select((rhs - lhs).mat, idx))[idx]
+        return max(0.0, -float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()))
+
     worst1 = worst2 = 0.0
     for _ in range(samples):
         v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
@@ -635,13 +643,7 @@ def conjugation_positivity_checks(
         qv = fk.q_projection(space, (v,))
         qperp = fk.identity_op(space) - qv
         omega_aa = sysm.sites[v].state.omega(a @ a.star()).real
-        lhs = lam.adjoint() @ qperp @ lam
-        rhs = omega_aa * qv
-        g = min(lhs.guard, rhs.guard)
-        idx = space.cols_upto(g)
-        m = (rhs - lhs).toarray()[np.ix_(idx, idx)]
-        lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        worst1 = max(worst1, max(0.0, -lam_min))
+        worst1 = max(worst1, violation(lam.adjoint() @ qperp @ lam, omega_aa * qv))
         cands = [w for w in group.ball_tuples(min(2, depth - 2 if depth > 2 else 1))
                  if w and not group.commutes_tuple(w, v) and not group.leq_tuple((v,), w)]
         if cands:
@@ -650,12 +652,7 @@ def conjugation_positivity_checks(
             vw = group.mul_tuple((v,), w)
             if len(vw) <= space.n:
                 lhs2 = lam.adjoint() @ qw @ lam
-                rhs2 = omega_aa * fk.q_projection(space, vw)
-                g2 = min(lhs2.guard, rhs2.guard)
-                idx2 = space.cols_upto(g2)
-                m2 = (rhs2 - lhs2).toarray()[np.ix_(idx2, idx2)]
-                lam_min2 = float(np.linalg.eigvalsh(0.5 * (m2 + m2.conj().T)).min())
-                worst2 = max(worst2, max(0.0, -lam_min2))
+                worst2 = max(worst2, violation(lhs2, omega_aa * fk.q_projection(space, vw)))
     return [
         CheckRecord("conjugation.qperp_dominated", worst1, 1e-9, worst1 <= 1e-9),
         CheckRecord("conjugation.shifted_dominated", worst2, 1e-9, worst2 <= 1e-9),

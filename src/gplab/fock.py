@@ -22,7 +22,6 @@ from .graphs import SimplicialGraph, VertexId
 from .words import Letters, NormalForm, coxeter_group
 
 DEFAULT_DIM_CAP = 20000
-GAUGE_GRID_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -477,28 +476,26 @@ def expectation_diag(x: OperatorMatrix) -> OperatorMatrix:
 def gauge_average(x: OperatorMatrix, m: int) -> OperatorMatrix:
     """Average of U_z x U_z* over the m-th-roots-of-unity grid on the torus.
 
-    For m > 2N the average equals expectation_diag(x) exactly, because the
-    grading frequencies are bounded by the word length.
+    Entry (r, c) picks up z^(k_r - k_c), with k the per-vertex letter counts.
+    The grid average factorises over the vertices, and the average of z^d
+    over the m-th roots of unity is 1 when m divides d and 0 otherwise; so
+    the average keeps exactly the entries whose count differences m divides.
+    For m > 2N that leaves expectation_diag(x), because the differences are
+    bounded by the word length.
     """
     if m < 1:
         raise ValueError("grid order must be >= 1")
     space = x.space
     nv = len(space.graph.vertices)
-    if m**nv > GAUGE_GRID_CAP:
-        raise ResourceLimitError(f"gauge grid of size {m**nv} exceeds cap {GAUGE_GRID_CAP}")
     counts = np.zeros((space.dim, nv), dtype=np.int64)
     vpos = {v: k for k, v in enumerate(space.graph.vertices)}
     for i, fi in enumerate(space.basis):
         for letter in fi.word:
             counts[i, vpos[letter]] += 1
     rows, cols, data = _mat.coo_parts(x.mat)
-    acc = np.zeros(len(data), dtype=complex)
-    for assignment in itertools.product(range(m), repeat=nv):
-        freq = counts @ np.asarray(assignment)
-        d = np.exp(2j * np.pi * freq / m)
-        acc += data * d[rows] * np.conj(d[cols])
-    acc /= float(m**nv)
-    return OperatorMatrix(space, _mat.from_coo(rows, cols, acc, space.dim), x.guard, x.up, x.down)
+    keep = np.all((counts[rows] - counts[cols]) % m == 0, axis=1)
+    mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
+    return OperatorMatrix(space, mat, x.guard, x.up, x.down)
 
 
 # -- subgraph expectation ------------------------------------------------------
@@ -608,18 +605,49 @@ def vacuum_eval(x: OperatorMatrix) -> complex:
     return x.entry(0, 0)
 
 
+def _span_blocks(x: OperatorMatrix):
+    """Yield (word, dense diagonal block) for each word component of x.
+
+    One pass over the nonzero entries scatters those inside a component into
+    a flat buffer holding every block back to back; the blocks are views of
+    it.  Slicing block by block costs a sparse slice per word, which
+    dominates when there are many small blocks.
+    """
+    spans = list(x.space._spans.items())
+    offs = np.array([off for _, (off, _) in spans])
+    counts = np.array([count for _, (_, count) in spans])
+    sizes = counts * counts
+    starts = np.cumsum(sizes) - sizes
+    span_of = np.repeat(np.arange(len(spans)), counts)
+    rows, cols, data = _mat.coo_parts(x.mat)
+    k = span_of[rows]
+    inside = k == span_of[cols]
+    rows, cols, data, k = rows[inside], cols[inside], data[inside], k[inside]
+    buf = np.zeros(int(sizes.sum()), dtype=complex)
+    np.add.at(buf, starts[k] + (rows - offs[k]) * counts[k] + (cols - offs[k]), data)
+    for (word, (_, count)), start in zip(spans, starts):
+        yield word, buf[start: start + count * count].reshape(count, count)
+
+
+def expectation_min_eig(x: OperatorMatrix) -> float:
+    """Smallest eigenvalue of the Hermitian part of E(x) = expectation_diag(x).
+
+    E(x) is block-diagonal over the word components and its diagonal blocks
+    are those of x, so this reads only those blocks and is exact for any x,
+    block-diagonal or not: the spectrum of E(x) is the union of the block
+    spectra.
+    """
+    return min(
+        float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+        for _, block in _span_blocks(x)
+    )
+
+
 def tail_profile(x: OperatorMatrix) -> list[float]:
     """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1."""
     space = x.space
     e = expectation_diag(x.adjoint() @ x)
-    block_norms: dict[Letters, float] = {}
-    for word, (off, count) in space._spans.items():
-        idx = np.arange(off, off + count)
-        if _mat.is_sparse(e.mat):
-            block = e.mat[idx][:, idx].toarray()
-        else:
-            block = e.mat[np.ix_(idx, idx)]
-        block_norms[word] = float(np.linalg.norm(block, 2)) if block.size else 0.0
+    block_norms = {word: float(np.linalg.norm(block, 2)) for word, block in _span_blocks(e)}
     profile = []
     for k in range(space.n):
         vals = [nm for w, nm in block_norms.items() if len(w) > k]

@@ -3,6 +3,7 @@ import pytest
 
 from gplab import _mat
 from gplab.algebras import hecke_parameter, hecke_vertex, site_from_hecke
+from gplab.analysis import _random_truncated_operator
 from gplab.errors import ResourceLimitError
 from gplab.fock import (
     TruncatedFock,
@@ -10,6 +11,7 @@ from gplab.fock import (
     creation,
     diagonal,
     expectation_diag,
+    expectation_min_eig,
     expectation_subgraph,
     gauge_average,
     gauge_unitary,
@@ -39,6 +41,8 @@ from util import (
     naive_annihilation,
     naive_creation,
     naive_diagonal,
+    naive_expectation_min_eig,
+    naive_gauge_average,
 )
 
 RNG = np.random.default_rng(11)
@@ -403,17 +407,24 @@ def test_traciality_probe_directions():
     assert traciality_probe(nt, depth=3, seed=1, samples=60) > 1e-3
 
 
-@pytest.mark.parametrize("path", ["dense", "csr"])
-def test_parts_match_triple_product_oracle(mixed_path3, path):
-    """creation, diagonal and annihilation read straight off the lambda plan
-    equal their triple-product definitions entry for entry, with the same
-    guard and movement bounds."""
+def _oracle_space(mixed_path3, path):
+    """A depth-3 space below DENSE_CUTOFF (mixed PATH3, dim 34) or above it
+    (M2 on FREE3, dim 388), with its system."""
     if path == "dense":
         sysm = mixed_path3
     else:
         sysm = GraphSystem(FREE3, {0: m2_site(), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: m2_site()})
     space = sysm.space(3)
     assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
+    return sysm, space
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_parts_match_triple_product_oracle(mixed_path3, path):
+    """creation, diagonal and annihilation read straight off the lambda plan
+    equal their triple-product definitions entry for entry, with the same
+    guard and movement bounds."""
+    sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(61)
     pairs = [(creation, naive_creation), (diagonal, naive_diagonal), (annihilation, naive_annihilation)]
     for v in space.graph.vertices:
@@ -560,3 +571,50 @@ def test_tensor_split_empty_part_is_identity_check():
     r = tensor_split_check(FREE2, [], [0, 1], {0: site.rep, 1: site.rep}, 3)
     assert r.max_deviation <= 1e-12
     assert r.pair_count == TruncatedFock(FREE2, {0: site.rep, 1: site.rep}, 3).dim
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_expectation_min_eig_matches_dense_oracle(mixed_path3, path):
+    """The blockwise smallest eigenvalue equals that of the whole dense E(x),
+    for x that is not block-diagonal as well as for E(x* x)."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(67)
+    for _ in range(6):
+        x = _random_truncated_operator(sysm, space, rng)
+        for y in (x, expectation_diag(x.adjoint() @ x)):
+            want = naive_expectation_min_eig(y)
+            assert abs(expectation_min_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_expectation_min_eig_finds_negative_deepest_block(mixed_path3, path):
+    """A negative eigenvalue confined to the last, deepest word block of
+    E(x* x) is found, so expectation.positive can still fail."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(71)
+    x = _random_truncated_operator(sysm, space, rng)
+    exx = expectation_diag(x.adjoint() @ x)
+    assert expectation_min_eig(exx) >= -1e-10
+    last = list(space._spans)[-1]
+    assert len(last) == space.n
+    off, count = space._spans[last]
+    block = exx.toarray()[off: off + count, off: off + count]
+    shift = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min()) + 1e-3
+    bad = exx - shift * word_projection(space, last)
+    got = expectation_min_eig(bad)
+    assert abs(got - naive_expectation_min_eig(bad)) < 1e-12
+    assert abs(got + 1e-3) < 1e-12
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_gauge_average_matches_grid_oracle(mixed_path3, path):
+    """The closed-form torus average equals the sum over the whole grid."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(73)
+    for _ in range(3):
+        x = _random_truncated_operator(sysm, space, rng)
+        x = x + creation(space, 0, sysm.sites[0].random_element(rng)).adjoint()
+        for m in (1, 2, 3, 2 * space.n + 1):
+            got, want = gauge_average(x, m), naive_gauge_average(x, m)
+            assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+            assert np.max(np.abs(got.toarray() - want.toarray())) < 1e-13

@@ -5,8 +5,9 @@ import itertools
 
 import numpy as np
 
+from gplab import _mat
 from gplab.algebras import FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
-from gplab.fock import identity_op, lambda_op, q_projection
+from gplab.fock import OperatorMatrix, expectation_diag, identity_op, lambda_op, q_projection
 from gplab.graphs import SimplicialGraph
 from gplab.system import GraphSystem
 
@@ -155,3 +156,31 @@ def naive_annihilation(space, v, a):
     out.up = 0
     out.guard = space.n
     return out
+
+
+# -- conditional-expectation oracles ------------------------------------------------
+
+
+def naive_expectation_min_eig(x) -> float:
+    """Smallest eigenvalue of the Hermitian part of the whole dense E(x)."""
+    e = expectation_diag(x).toarray()
+    return float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
+
+
+def naive_gauge_average(x, m: int):
+    """Average of U_z x U_z* by summing over every point of the m-th-roots
+    grid on the torus."""
+    space = x.space
+    nv = len(space.graph.vertices)
+    counts = np.zeros((space.dim, nv), dtype=np.int64)
+    vpos = {v: k for k, v in enumerate(space.graph.vertices)}
+    for i, fi in enumerate(space.basis):
+        for letter in fi.word:
+            counts[i, vpos[letter]] += 1
+    rows, cols, data = _mat.coo_parts(x.mat)
+    acc = np.zeros(len(data), dtype=complex)
+    for assignment in itertools.product(range(m), repeat=nv):
+        d = np.exp(2j * np.pi * (counts @ np.asarray(assignment)) / m)
+        acc += data * d[rows] * np.conj(d[cols])
+    acc /= float(m**nv)
+    return OperatorMatrix(space, _mat.from_coo(rows, cols, acc, space.dim), x.guard, x.up, x.down)
