@@ -91,6 +91,18 @@ def _parse_element(raw: Any, alg: FiniteDimAlgebra, path: str) -> Element:
         _fail(path, str(exc))
 
 
+def _with_defaults(raw: Mapping[str, Any], block: str, defaults: Mapping[str, Any]) -> dict:
+    """The defaults overridden by the config's `block` object; a key with no
+    default is rejected rather than ignored."""
+    given = raw.get(block, {})
+    if not isinstance(given, dict):
+        _fail(block, "expected an object")
+    for key in given:
+        if key not in defaults:
+            _fail(f"{block}.{key}", f"unknown key; expected one of {sorted(defaults)}")
+    return {**defaults, **given}
+
+
 def load_config(path: str) -> ProblemConfig:
     try:
         with open(path) as fh:
@@ -181,10 +193,8 @@ def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         _fail("seed", "expected a nonnegative integer")
-    caps = dict(DEFAULT_CAPS)
-    caps.update(raw.get("caps", {}))
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(raw.get("tolerances", {}))
+    caps = _with_defaults(raw, "caps", DEFAULT_CAPS)
+    tolerances = _with_defaults(raw, "tolerances", DEFAULT_TOLERANCES)
 
     topofree = raw.get("topofree")
     fault = raw.get("fault_injection")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class TruncatedFock:
         self.group = coxeter_group(graph)
         self.reps = dict(reps)
         self.n = n
+        self.dim_cap = dim_cap
 
         basis: list[FockIndex] = []
         spans: dict[Letters, tuple[int, int]] = {}
@@ -106,7 +107,9 @@ class TruncatedFock:
     def subspace(self, sub: SimplicialGraph) -> "TruncatedFock":
         got = self._subspaces.get(sub)
         if got is None:
-            got = TruncatedFock(sub, {v: self.reps[v] for v in sub.vertices}, self.n)
+            got = TruncatedFock(
+                sub, {v: self.reps[v] for v in sub.vertices}, self.n, dim_cap=self.dim_cap
+            )
             self._subspaces[sub] = got
         return got
 
@@ -244,13 +247,26 @@ def _liftable_back(group, word: Letters, v: VertexId) -> int:
     raise ValueError(f"{v} is not a last letter of {word}")
 
 
-def _plan_side(space: TruncatedFock, v: VertexId, left: bool):
-    """Per-column action plan of lambda_v (left) or rho_v (right).
+class _SidePlan(NamedTuple):
+    """lambda_v or rho_v on the basis, as index arrays; see _plan_side."""
 
-    Case 'A' (letter absent on the acting side): creation targets per slot
-    value, or None beyond the truncation boundary.  Case 'B': the acted slot
-    position, in-place retargets per slot value, and the dropped-letter
-    target.
+    a_cols: np.ndarray  # (nA,) columns of case A
+    a_targets: np.ndarray  # (nA, dv-1) creation target per slot value, -1 beyond N
+    b_cols: np.ndarray  # (nB,) columns of case B
+    b_slot: np.ndarray  # (nB,) value of the acted slot
+    b_retarget: np.ndarray  # (nB, dv-1) in-place retarget per slot value
+    b_drop: np.ndarray  # (nB,) target with the acted letter dropped
+
+
+def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
+    """Action plan of lambda_v (left) or rho_v (right) on the basis columns.
+
+    Case A columns are the words without v on the acting side; a_targets[i,
+    t-1] is the row of the creation target (v, t) joined to column a_cols[i],
+    or -1 when that word leaves the truncation.  Case B columns have v on the
+    acting side: b_slot holds the slot value s there, b_retarget[i, t-1] the
+    row with s replaced by t, and b_drop the row with the letter dropped.
+    Compiled once per (space, vertex, side) and cached in space._plans.
     """
     key = ("lambda" if left else "rho", v)
     got = space._plans.get(key)
@@ -258,22 +274,25 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool):
         return got
     group = space.group
     dv = space.reps[v].dim
-    plan = []
+    a_cols, a_targets = [], []
+    b_cols, b_slot, b_retarget, b_drop = [], [], [], []
+    beyond = [-1] * (dv - 1)
     for j, fi in enumerate(space.basis):
         w, slots = fi.word, fi.slots
         letters_side = group.first_letters_tuple(w) if left else group.last_letters_tuple(w)
         if v in letters_side:
             r = _liftable_front(group, w, v) if left else _liftable_back(group, w, v)
-            s = slots[r]
-            retarget = [
-                space.index_of(w, slots[:r] + (t,) + slots[r + 1:]) for t in range(1, dv)
-            ]
             minus = w[:r] + w[r + 1:]
             canon, perm = group.sort_with_perm(minus)
             mslots = slots[:r] + slots[r + 1:]
-            drop = space.index_of(canon, tuple(mslots[p] for p in perm))
-            plan.append(("B", s, retarget, drop))
+            b_cols.append(j)
+            b_slot.append(slots[r])
+            b_retarget.append(
+                [space.index_of(w, slots[:r] + (t,) + slots[r + 1:]) for t in range(1, dv)]
+            )
+            b_drop.append(space.index_of(canon, tuple(mslots[p] for p in perm)))
         else:
+            a_cols.append(j)
             if len(w) + 1 <= space.n and dv > 1:
                 ext = ((v,) + w) if left else (w + (v,))
                 canon, perm = group.sort_with_perm(ext)
@@ -281,9 +300,17 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool):
                 for t in range(1, dv):
                     src = ((t,) + slots) if left else (slots + (t,))
                     targets.append(space.index_of(canon, tuple(src[p] for p in perm)))
-                plan.append(("A", j, targets))
+                a_targets.append(targets)
             else:
-                plan.append(("A", j, None))
+                a_targets.append(beyond)
+    plan = _SidePlan(
+        np.array(a_cols, dtype=np.intp),
+        np.array(a_targets, dtype=np.intp).reshape(len(a_cols), dv - 1),
+        np.array(b_cols, dtype=np.intp),
+        np.array(b_slot, dtype=np.intp),
+        np.array(b_retarget, dtype=np.intp).reshape(len(b_cols), dv - 1),
+        np.array(b_drop, dtype=np.intp),
+    )
     space._plans[key] = plan
     return plan
 
@@ -308,7 +335,8 @@ def _side_op(
     Case A columns (Q_v^perp) carry the scalar part m[0,0] on the diagonal
     and the creation part m[t,0] on the creation targets; case B columns
     (Q_v) carry the diagonal part m[t,s] on the in-place retargets and the
-    annihilation part m[0,s] on the dropped-letter word.
+    annihilation part m[0,s] on the dropped-letter word.  Each kept part is
+    one gather from m; zero entries and targets beyond N are left out.
 
     Only creation can leave the truncation, so it alone costs a guard level:
     (guard, up, down) is (N-1, 1, 1) for the whole operator, (N-1, 1, 0) for
@@ -323,39 +351,26 @@ def _side_op(
     m = rep.matrix(x)
     dv = rep.dim
     plan = _plan_side(space, v, left)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[complex] = []
-    for j, entry in enumerate(plan):
-        if entry[0] == "A":
-            _, _, targets = entry
-            c0 = m[0, 0]
-            if keep_scalar and c0 != 0.0:
-                rows.append(j)
-                cols.append(j)
-                data.append(c0)
-            if keep_create and targets is not None:
-                for t in range(1, dv):
-                    val = m[t, 0]
-                    if val != 0.0:
-                        rows.append(targets[t - 1])
-                        cols.append(j)
-                        data.append(val)
-        else:
-            _, s, retarget, drop = entry
-            if keep_diag:
-                for t in range(1, dv):
-                    val = m[t, s]
-                    if val != 0.0:
-                        rows.append(retarget[t - 1])
-                        cols.append(j)
-                        data.append(val)
-            val = m[0, s]
-            if keep_annih and val != 0.0:
-                rows.append(drop)
-                cols.append(j)
-                data.append(val)
-    mat = _mat.from_coo(rows, cols, data, space.dim)
+    rows, cols, data = [], [], []
+    if keep_scalar:
+        rows.append(plan.a_cols)
+        cols.append(plan.a_cols)
+        data.append(np.full(len(plan.a_cols), m[0, 0], dtype=complex))
+    if keep_create:
+        rows.append(plan.a_targets.ravel())
+        cols.append(np.repeat(plan.a_cols, dv - 1))
+        data.append(np.tile(m[1:, 0], len(plan.a_cols)))
+    if keep_diag:
+        rows.append(plan.b_retarget.ravel())
+        cols.append(np.repeat(plan.b_cols, dv - 1))
+        data.append(m[1:, plan.b_slot].T.ravel())
+    if keep_annih:
+        rows.append(plan.b_drop)
+        cols.append(plan.b_cols)
+        data.append(m[0, plan.b_slot])
+    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+    keep = (data != 0.0) & (rows >= 0)
+    mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
     guard = space.n - 1 if keep_create else space.n
     return OperatorMatrix(space, mat, guard, int(keep_create), int(keep_annih))
 
@@ -391,7 +406,7 @@ def _as_letters(space: TruncatedFock, w) -> Letters:
         if w.group.graph != space.graph:
             raise ValueError("normal form over a different graph")
         return w.letters
-    return space.group.canonical_tuple(space.group.reduce_tuple(tuple(w)))
+    return space.group.reduce_tuple(tuple(w))
 
 
 def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
@@ -399,17 +414,26 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
 
     The empty word's projection omits the vacuum line: it is 1 minus the
     vacuum projection, matching the sum over nontrivial group elements.
+
+    The 0/1 diagonal is built once per (space, canonical word) and cached,
+    read-only, in space._plans under ("q", letters); every call returns a
+    new matrix made from it, so writing into one leaves the cache intact.
     """
     letters = _as_letters(space, w)
     if len(letters) > space.n:
         raise ValueError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
-    group = space.group
-    dvals = np.zeros(space.dim, dtype=complex)
-    for word, (off, count) in space._spans.items():
-        # The vacuum is excluded even from Q_e: the underlying direct sum runs
-        # over nontrivial group elements only.
-        if word != () and group.leq_tuple(letters, word):
-            dvals[off: off + count] = 1.0
+    key = ("q", letters)
+    dvals = space._plans.get(key)
+    if dvals is None:
+        group = space.group
+        dvals = np.zeros(space.dim)
+        for word, (off, count) in space._spans.items():
+            # The vacuum is excluded even from Q_e: the underlying direct sum
+            # runs over nontrivial group elements only.
+            if word != () and group.leq_tuple(letters, word):
+                dvals[off: off + count] = 1.0
+        dvals.flags.writeable = False
+        space._plans[key] = dvals
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
 

@@ -121,7 +121,8 @@ def identification_check(space: TruncatedFock, depth: Optional[int] = None) -> I
         if w == ():
             diag = np.ones(space.dim)
         else:
-            diag = np.real(np.asarray(q_projection(space, w).toarray().diagonal()))
+            # copied: a dense diagonal() is a view that keeps the matrix alive
+            diag = q_projection(space, w).mat.diagonal().real.copy()
         qcache[w] = diag
     for v in ball:
         eta_idx = space.index_of(v, tuple(1 for _ in v))

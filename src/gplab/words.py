@@ -89,13 +89,17 @@ class CoxeterGroup:
                 break
         w.append(s)
 
-    def reduce_tuple(self, letters: Sequence[VertexId]) -> Letters:
+    def _reduce_word(self, letters: Sequence[VertexId]) -> list[VertexId]:
+        """A reduced word for the product of `letters`, not canonicalised."""
         acc: list[VertexId] = []
         for s in letters:
             if s not in self._vset:
                 raise ValueError(f"unknown vertex letter {s}")
             self._rmul_gen(acc, s)
-        return self.canonical_tuple(tuple(acc))
+        return acc
+
+    def reduce_tuple(self, letters: Sequence[VertexId]) -> Letters:
+        return self.canonical_tuple(tuple(self._reduce_word(letters)))
 
     def canonical_tuple(self, reduced: Letters) -> Letters:
         return self.sort_with_perm(reduced)[0]
@@ -151,10 +155,14 @@ class CoxeterGroup:
         return self.canonical_tuple(tuple(reversed(w)))
 
     def leq_tuple(self, v: Letters, w: Letters) -> bool:
-        """v <= w in the right weak order: w starts in v."""
+        """v <= w in the right weak order: w starts in v.
+
+        Holds exactly when |v^-1 w| = |w| - |v|, which needs only the reduced
+        length of v^-1 w, so the reduced word is not canonicalised.
+        """
         if len(v) > len(w):
             return False
-        return len(self.reduce_tuple(tuple(reversed(v)) + w)) == len(w) - len(v)
+        return len(self._reduce_word(tuple(reversed(v)) + w)) == len(w) - len(v)
 
     def commutes_tuple(self, w: Letters, v: VertexId) -> bool:
         return self.mul_tuple(w, (v,)) == self.mul_tuple((v,), w)

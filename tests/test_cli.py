@@ -116,6 +116,21 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["growth", "--config", str(nf)]) == 2
 
 
+@pytest.mark.parametrize(
+    "block,known,typo", [("caps", "fock_dim", "fock_dimension"), ("tolerances", "identity", "identities")]
+)
+def test_unknown_cap_or_tolerance_key_exits_two(tmp_path, block, known, typo):
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    cfg[block] = {known: 1000}
+    assert getattr(parse_config(cfg), block)[known] == 1000
+    cfg[block] = {known: 1000, typo: 1000}
+    with pytest.raises(ConfigError, match=rf"{block}\.{typo}"):
+        parse_config(cfg)
+    f = tmp_path / "unknown.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["growth", "--config", str(f)]) == 2
+
+
 def test_resource_cap_exit_code(tmp_path):
     cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
     cfg["truncation"] = 13  # beyond the ball depth cap

@@ -6,7 +6,9 @@ from gplab.algebras import hecke_parameter, hecke_vertex, site_from_hecke
 from gplab.analysis import _random_truncated_operator
 from gplab.errors import ResourceLimitError
 from gplab.fock import (
+    _PARTS,
     TruncatedFock,
+    _side_op,
     annihilation,
     creation,
     diagonal,
@@ -31,6 +33,7 @@ from gplab.fock import (
     word_projection,
 )
 from gplab.system import GraphSystem
+from gplab.words import CoxeterGroup
 from util import (
     FREE2,
     FREE3,
@@ -43,6 +46,8 @@ from util import (
     naive_diagonal,
     naive_expectation_min_eig,
     naive_gauge_average,
+    naive_q_projection,
+    naive_side_op,
 )
 
 RNG = np.random.default_rng(11)
@@ -69,6 +74,20 @@ def test_dim_cap():
     site = site_from_hecke(1.0)
     with pytest.raises(ResourceLimitError):
         TruncatedFock(FREE3, {v: site.rep for v in FREE3.vertices}, 3, dim_cap=5)
+
+
+def test_subspace_keeps_dim_cap():
+    """A subgraph space is built under its parent's cap.  Dropping the edge
+    of K2 frees the group, so the FREE2 space outgrows the K2 one (7 > 4 at
+    depth 3) and a cap of 5 that the parent meets is exceeded below it."""
+    site = site_from_hecke(1.0)
+    reps = {v: site.rep for v in K2.vertices}
+    space = TruncatedFock(K2, reps, 3, dim_cap=5)
+    assert space.dim == 4
+    with pytest.raises(ResourceLimitError):
+        space.subspace(FREE2)
+    roomy = TruncatedFock(K2, reps, 3, dim_cap=7)
+    assert roomy.subspace(FREE2).dim_cap == 7
 
 
 def test_lambda_hecke_cases(hecke_space):
@@ -618,3 +637,80 @@ def test_gauge_average_matches_grid_oracle(mixed_path3, path):
             got, want = gauge_average(x, m), naive_gauge_average(x, m)
             assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
             assert np.max(np.abs(got.toarray() - want.toarray())) < 1e-13
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_side_op_matches_list_plan_oracle(mixed_path3, path):
+    """lambda and rho, whole and each part, gathered from the plan's index
+    arrays equal the column-by-column walk of the list plan entry for entry,
+    with the same guard and movement bounds."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(67)
+    for v in space.graph.vertices:
+        for center in (True, False):
+            a = sysm.sites[v].random_element(rng, center=center)
+            for left in (True, False):
+                for part in _PARTS:
+                    got = _side_op(space, v, a, left, part)
+                    want = naive_side_op(space, v, a, left, part)
+                    assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+                    assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
+                    if _mat.is_sparse(got.mat):  # no explicit zeros stored
+                        assert got.mat.nnz == want.mat.nnz
+                    assert np.array_equal(got.toarray(), want.toarray())
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_q_projection_matches_oracle(mixed_path3, path):
+    """The cached Q_w equals the uncached canonical-reduction oracle for
+    every ball word, on the first call and on a repeat."""
+    _, space = _oracle_space(mixed_path3, path)
+    for w in space.group.ball_tuples(space.n):
+        want = naive_q_projection(space, w).toarray()
+        for _ in range(2):
+            got = q_projection(space, w)
+            assert (got.guard, got.up, got.down) == (space.n, 0, 0)
+            assert np.array_equal(got.toarray(), want)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    count = [0]
+    fn = getattr(CoxeterGroup, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(CoxeterGroup, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_q_projection_cache_counts(mixed_path3, path, monkeypatch):
+    """A repeated Q_w runs no weak-order test, the weak-order test runs no
+    canonical sort, and writing into a returned matrix does not reach the
+    cache."""
+    sysm, parent = _oracle_space(mixed_path3, path)
+    space = TruncatedFock(sysm.graph, sysm.reps(), parent.n)  # empty caches
+    leq = _count_calls(monkeypatch, "leq_tuple")
+    sort = _count_calls(monkeypatch, "sort_with_perm")
+    w = (space.graph.vertices[1],)
+    first = q_projection(space, w)
+    assert leq[0] == len(space.words()) - 1  # every word but the vacuum
+    leq[0] = 0
+    q_projection(space, w)
+    assert leq[0] == 0
+
+    sort[0] = 0
+    words = space.words()
+    for v in words:
+        for u in words:
+            space.group.leq_tuple(v, u)
+    assert sort[0] == 0
+
+    want = naive_q_projection(space, w).toarray()
+    if _mat.is_sparse(first.mat):
+        first.mat.data[:] = 5.0
+    else:
+        first.mat[:] = 5.0
+    assert np.array_equal(q_projection(space, w).toarray(), want)

@@ -7,7 +7,7 @@ import numpy as np
 
 from gplab import _mat
 from gplab.algebras import FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
-from gplab.fock import OperatorMatrix, expectation_diag, identity_op, lambda_op, q_projection
+from gplab.fock import _PARTS, OperatorMatrix, expectation_diag, identity_op, lambda_op, q_projection
 from gplab.graphs import SimplicialGraph
 from gplab.system import GraphSystem
 
@@ -156,6 +156,98 @@ def naive_annihilation(space, v, a):
     out.up = 0
     out.guard = space.n
     return out
+
+
+# -- lambda/rho and Q_w oracles -------------------------------------------------------
+# The action plan as a list of per-column tuples, walked one column at a time,
+# and Q_w decided word by word through the canonical reduce_tuple, uncached.
+
+
+def _liftable(group, word, v, left: bool) -> int:
+    """Position of the occurrence of v that moves to the acting end."""
+    order = range(len(word)) if left else range(len(word) - 1, -1, -1)
+    for i in order:
+        rest = word[:i] if left else word[i + 1:]
+        if word[i] == v and all(u in group._adj[v] for u in rest):
+            return i
+    raise ValueError(f"{v} is not on the acting side of {word}")
+
+
+def naive_plan_side(space, v, left: bool) -> list:
+    """Per column: ("A", j, creation targets or None beyond N) or
+    ("B", acted slot value, in-place retargets, dropped-letter target)."""
+    group = space.group
+    dv = space.reps[v].dim
+    plan = []
+    for j, fi in enumerate(space.basis):
+        w, slots = fi.word, fi.slots
+        letters_side = group.first_letters_tuple(w) if left else group.last_letters_tuple(w)
+        if v in letters_side:
+            r = _liftable(group, w, v, left)
+            retarget = [space.index_of(w, slots[:r] + (t,) + slots[r + 1:]) for t in range(1, dv)]
+            canon, perm = group.sort_with_perm(w[:r] + w[r + 1:])
+            mslots = slots[:r] + slots[r + 1:]
+            drop = space.index_of(canon, tuple(mslots[p] for p in perm))
+            plan.append(("B", slots[r], retarget, drop))
+        elif len(w) + 1 <= space.n and dv > 1:
+            canon, perm = group.sort_with_perm(((v,) + w) if left else (w + (v,)))
+            targets = []
+            for t in range(1, dv):
+                src = ((t,) + slots) if left else (slots + (t,))
+                targets.append(space.index_of(canon, tuple(src[p] for p in perm)))
+            plan.append(("A", j, targets))
+        else:
+            plan.append(("A", j, None))
+    return plan
+
+
+def naive_side_op(space, v, x, left: bool, part: str = "all"):
+    """lambda_v(x) or rho_v(x), or one part of it, entry by entry from the
+    list plan."""
+    keep_scalar, keep_create, keep_diag, keep_annih = _PARTS[part]
+    rep = space.reps[v]
+    m = rep.matrix(x)
+    dv = rep.dim
+    rows, cols, data = [], [], []
+
+    def put(r, c, val):
+        if val != 0.0:
+            rows.append(r)
+            cols.append(c)
+            data.append(val)
+
+    for j, entry in enumerate(naive_plan_side(space, v, left)):
+        if entry[0] == "A":
+            targets = entry[2]
+            if keep_scalar:
+                put(j, j, m[0, 0])
+            if keep_create and targets is not None:
+                for t in range(1, dv):
+                    put(targets[t - 1], j, m[t, 0])
+        else:
+            _, s, retarget, drop = entry
+            if keep_diag:
+                for t in range(1, dv):
+                    put(retarget[t - 1], j, m[t, s])
+            if keep_annih:
+                put(drop, j, m[0, s])
+    mat = _mat.from_coo(rows, cols, data, space.dim)
+    guard = space.n - 1 if keep_create else space.n
+    return OperatorMatrix(space, mat, guard, int(keep_create), int(keep_annih))
+
+
+def naive_q_projection(space, w):
+    """Q_w with w <= u decided as |w^-1 u| = |u| - |w| through the canonical
+    reduce_tuple, rebuilt on every call."""
+    group = space.group
+    letters = group.reduce_tuple(tuple(w))
+    dvals = np.zeros(space.dim, dtype=complex)
+    for i, fi in enumerate(space.basis):
+        u = fi.word
+        if u != () and len(letters) <= len(u):
+            if len(group.reduce_tuple(tuple(reversed(letters)) + u)) == len(u) - len(letters):
+                dvals[i] = 1.0
+    return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
 
 # -- conditional-expectation oracles ------------------------------------------------
