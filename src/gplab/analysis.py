@@ -531,13 +531,16 @@ def expectation_checks(
         x = _random_truncated_operator(sysm, space, rng)
         e = fk.expectation_diag(x)
         worst_idem = max(worst_idem, fk.guarded_deviation(fk.expectation_diag(e), e))
-        nx, ne = x.norm(), e.norm()
-        worst_contr = max(worst_contr, max(0.0, ne - nx))
         exx = fk.expectation_diag(x.adjoint() @ x)
+        # sqrt||E(x*x)|| = max_w ||x p_w|| <= ||x||, so ||E(x)|| below it
+        # certifies contractivity without the norm of the unstructured x
+        nexx = exx.norm()
+        worst_contr = max(worst_contr, max(0.0, e.norm() - np.sqrt(nexx)))
         lam_min = fk.expectation_min_eig(exx)
         worst_pos = max(worst_pos, max(0.0, -lam_min))
-        if nx > 1e-8 and exx.norm() <= 1e-12:
-            worst_faith = max(worst_faith, nx)
+        fro = float(np.linalg.norm(_mat.coo_parts(x.mat)[2]))
+        if fro > 1e-8 and nexx <= 1e-12:
+            worst_faith = max(worst_faith, fro)
         worst_avg = max(worst_avg, fk.guarded_deviation(fk.gauge_average(x, 2 * depth + 1), fk.expectation_diag(x)))
     records.append(CheckRecord("expectation.idempotent", worst_idem, 1e-10, worst_idem <= 1e-10))
     records.append(CheckRecord("expectation.contractive", worst_contr, 1e-10, worst_contr <= 1e-10))
@@ -584,14 +587,23 @@ def gauge_covariance_checks(
     return [CheckRecord("gauge.covariance_of_elementary_terms", worst, 1e-12, worst <= 1e-12)]
 
 
-def _random_elementary_factors(sysm: GraphSystem, rng, max_len: int = 4) -> list[el.Factor]:
+def _random_elementary_factors(
+    sysm: GraphSystem, rng, max_len: int = 4, budget: int = 2, scalar: bool = False
+) -> list[el.Factor]:
+    """A random word of at most `max_len` factors with at most `budget`
+    moving ones (create, annih, elem); `scalar` also draws scalar factors."""
     n = int(rng.integers(1, max_len + 1))
     out = []
     moving = 0
     for _ in range(n):
         v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
-        kinds = ["diag", "qproj"] + (["create", "annih", "elem"] if moving < 2 else [])
+        kinds = ["diag", "qproj"] + (["scalar"] if scalar else []) + (
+            ["create", "annih", "elem"] if moving < budget else []
+        )
         k = kinds[int(rng.integers(0, len(kinds)))]
+        if k == "scalar":
+            out.append(el.Factor("scalar", value=complex(rng.standard_normal(), rng.standard_normal())))
+            continue
         if k in ("create", "annih", "elem"):
             moving += 1
         if k == "qproj":
@@ -665,24 +677,8 @@ def rewrite_certificate_checks(
 ) -> list[CheckRecord]:
     space = sysm.space(depth)
     worst = 0.0
-    budget = max(1, depth - 1)
     for _ in range(samples):
-        n = int(rng.integers(1, max_len + 1))
-        factors = []
-        moving = 0
-        for _ in range(n):
-            v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
-            kinds = ["diag", "qproj", "scalar"] + (["create", "annih", "elem"] if moving < budget else [])
-            k = kinds[int(rng.integers(0, len(kinds)))]
-            if k == "scalar":
-                factors.append(el.Factor("scalar", value=complex(rng.standard_normal(), rng.standard_normal())))
-                continue
-            if k in ("create", "annih", "elem"):
-                moving += 1
-            if k == "qproj":
-                factors.append(el.Factor("qproj", v))
-            else:
-                factors.append(el.Factor(k, v, sysm.sites[v].random_element(rng, center=(k != "diag"))))
+        factors = _random_elementary_factors(sysm, rng, max_len, budget=max(1, depth - 1), scalar=True)
         terms = el.rewrite_to_elementary(factors, sysm)
         lhs = el.expression_matrix(factors, space)
         rhs = el.terms_matrix(terms, space)
@@ -760,7 +756,7 @@ def tensor_split_checks(sysm: GraphSystem, depth: int) -> list[CheckRecord]:
         return [CheckRecord("tensor.split", "n/a", None, True, "complement connected; no join to split")]
     part1 = parts[0].vertices
     part2 = tuple(v for v in sysm.graph.vertices if v not in set(part1))
-    rep = fk.tensor_split_check(sysm.graph, part1, part2, sysm.reps(), min(depth, 4))
+    rep = fk.tensor_split_check(sysm.graph, part1, part2, sysm.reps(), min(depth, 4), dim_cap=sysm.dim_cap)
     return [CheckRecord("tensor.split", rep.max_deviation, 1e-12, rep.max_deviation <= 1e-12)]
 
 

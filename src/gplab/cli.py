@@ -89,7 +89,7 @@ def run_tensor_split(cfg: ProblemConfig, depth: int) -> tuple[dict, bool]:
         raise ConfigError("graph is not a nontrivial join; tensor-split needs a disconnected complement")
     part1 = parts[0].vertices
     part2 = tuple(v for v in graph.vertices if v not in set(part1))
-    report = fk.tensor_split_check(graph, part1, part2, cfg.system.reps(), depth)
+    report = fk.tensor_split_check(graph, part1, part2, cfg.system.reps(), depth, dim_cap=cfg.system.dim_cap)
     ok = report.max_deviation <= 1e-12
     return (
         {

@@ -23,15 +23,11 @@ SCHEMA_VERSION = 1
 
 DEFAULT_CAPS = {
     "fock_dim": 20000,
-    "ball_elements": 1000000,
-    "expression_length": 12,
     "check_seconds": 60,
 }
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-9,
-    "expectation": 1e-10,
-    "gauge": 1e-12,
     "classification": 1e-8,
 }
 

@@ -696,10 +696,12 @@ def tensor_split_check(
     reps: Mapping[VertexId, GnsRep],
     n: int,
     elements: Optional[Mapping[VertexId, Sequence[Element]]] = None,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TensorSplitReport:
     """Verify the join-decomposition unitary: the depth-n Fock basis is a
     permutation of pairs of factor bases with total length <= n, and the
-    generators act in Kronecker form through it."""
+    generators act in Kronecker form through it.  The depth-n space is
+    built under `dim_cap`."""
     p1, p2 = tuple(part1), tuple(part2)
     if set(p1) | set(p2) != set(graph.vertices) or set(p1) & set(p2):
         raise ValueError("parts must partition the vertex set")
@@ -708,7 +710,7 @@ def tensor_split_check(
             if not graph.adjacent(u, v):
                 raise ValueError(f"({u},{v}) missing: not a join decomposition")
     g1, g2 = graph.induced(p1), graph.induced(p2)
-    space = TruncatedFock(graph, reps, n)
+    space = TruncatedFock(graph, reps, n, dim_cap=dim_cap)
     f1 = space.subspace(g1)
     f2 = space.subspace(g2)
     group = space.group

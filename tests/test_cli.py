@@ -8,7 +8,8 @@ import pytest
 import gplab
 from gplab.cli import main
 from gplab.config import load_config, parse_config
-from gplab.errors import ConfigError
+from gplab.analysis import tensor_split_checks
+from gplab.errors import ConfigError, ResourceLimitError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,7 +118,16 @@ def test_config_error_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "block,known,typo", [("caps", "fock_dim", "fock_dimension"), ("tolerances", "identity", "identities")]
+    "block,known,typo",
+    [
+        ("caps", "fock_dim", "fock_dimension"),
+        ("tolerances", "identity", "identities"),
+        # keys that no code reads are rejected like typos
+        ("caps", "fock_dim", "ball_elements"),
+        ("caps", "fock_dim", "expression_length"),
+        ("tolerances", "identity", "expectation"),
+        ("tolerances", "identity", "gauge"),
+    ],
 )
 def test_unknown_cap_or_tolerance_key_exits_two(tmp_path, block, known, typo):
     cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
@@ -137,6 +147,20 @@ def test_resource_cap_exit_code(tmp_path):
     f = tmp_path / "deep.json"
     f.write_text(json.dumps(cfg))
     assert main(["check-identities", "--config", str(f)]) == 3
+
+
+def test_tensor_split_respects_fock_dim_cap(tmp_path):
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    cfg["graph"]["edges"] = [["a", "b"], ["a", "c"], ["b", "c"]]  # K3: a join
+    cfg["truncation"] = 3  # dim 8
+    f = tmp_path / "k3.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["tensor-split", "--config", str(f), "--out", str(tmp_path / "r.json")]) == 0
+    cfg["caps"] = {"fock_dim": 5}
+    f.write_text(json.dumps(cfg))
+    assert main(["tensor-split", "--config", str(f)]) == 3
+    with pytest.raises(ResourceLimitError):
+        tensor_split_checks(parse_config(cfg).system, 3)
 
 
 def test_config_validation_messages():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gplab import _mat
 from gplab.algebras import hecke_parameter, hecke_vertex, site_from_hecke
@@ -46,6 +47,7 @@ from util import (
     naive_diagonal,
     naive_expectation_min_eig,
     naive_gauge_average,
+    naive_norm2,
     naive_q_projection,
     naive_side_op,
 )
@@ -387,17 +389,51 @@ def test_guard_arithmetic(mixed_free3):
         _ = cr @ identity_op(other)
 
 
-def test_operator_norm_power_iteration_cross_check():
+def _shuffled(m, rng):
+    return sp.csr_matrix(m)[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])].tocsr()
+
+
+def test_operator_norm_matches_dense_svd_oracle():
+    """norm2 of a CSR matrix is the exact largest singular value: a lambda
+    product, matrices with no nonzero entry, one long connected component,
+    and direct sums of 1x1, kx1, 1xk and kxk blocks."""
     site = m2_site()
     space = TruncatedFock(FREE3, {v: site.rep for v in FREE3.vertices}, 3)
     assert space.dim >= 256  # sparse path
     rng = np.random.default_rng(43)
     x = lambda_op(space, 0, site.random_element(rng, center=False))
     y = lambda_op(space, 1, site.random_element(rng, center=False))
-    m = (x @ y).mat
-    assert _mat.is_sparse(m)
-    dense = np.linalg.norm(m.toarray(), 2)
-    assert abs(_mat.norm2(m) - dense) < 1e-8 * max(1.0, dense)
+    inputs = [(x @ y).mat]
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    inputs.append(sp.csr_matrix((300, 300), dtype=complex))
+    inputs.append(sp.csr_matrix((np.zeros(4, dtype=complex), ([0, 5, 9, 299], [3, 3, 7, 0])), shape=(300, 300)))
+    n = 300  # a bidiagonal chain: one component of diameter 2n - 1
+    inputs.append(_shuffled(sp.diags([cplx(n), cplx(n - 1)], [0, 1]), rng))
+    for _ in range(5):
+        blocks = [10.0 ** rng.uniform(-3, 1) * cplx(*shape)
+                  for k in (2, 3, 5) for shape in [(1, 1), (k, 1), (1, k), (k, k)] for _ in range(2)]
+        inputs.append(_shuffled(sp.block_diag(blocks), rng))
+    for m in inputs:
+        assert _mat.is_sparse(m)
+        want = naive_norm2(m)
+        assert abs(_mat.norm2(m) - want) <= 1e-12 * want
+
+
+def test_operator_norm_reads_tiny_diagonals_above_tolerance():
+    """Sparse diagonals of dim >= 256 whose top singular value sits just
+    above the 1e-9 identity tolerance all read above it: a norm that reads
+    low would let such a deviation pass."""
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        n = int(rng.integers(256, 1024))
+        top = 1e-9 * (1.0 + 10.0 ** rng.uniform(-6, -3))
+        mag = top * rng.uniform(0.95, 1.0, n) * (rng.random(n) < 0.5)
+        mag[rng.integers(n)] = top
+        m = sp.diags(mag * np.exp(2j * np.pi * rng.random(n)), format="csr")
+        assert _mat.norm2(m) > 1e-9
 
 
 def test_conjugation_domination(mixed_free3):
@@ -603,6 +639,23 @@ def test_expectation_min_eig_matches_dense_oracle(mixed_path3, path):
         for y in (x, expectation_diag(x.adjoint() @ x)):
             want = naive_expectation_min_eig(y)
             assert abs(expectation_min_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_expectation_norm_chain_against_oracle(mixed_path3, path):
+    """||E(x)|| <= sqrt||E(x* x)|| <= ||x||, each norm as the oracle reads it:
+    expectation.contractive compares the first two, so its PASS bounds
+    ||E(x)|| by ||x||."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(73)
+    for _ in range(8):
+        x = _random_truncated_operator(sysm, space, rng)
+        e, exx = expectation_diag(x), expectation_diag(x.adjoint() @ x)
+        ne, nexx = e.norm(), exx.norm()
+        assert abs(ne - naive_norm2(e.mat)) <= 1e-12 * ne
+        assert abs(nexx - naive_norm2(exx.mat)) <= 1e-12 * nexx
+        assert ne <= np.sqrt(nexx) * (1 + 1e-12)
+        assert np.sqrt(nexx) <= naive_norm2(x.mat) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])

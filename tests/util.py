@@ -250,6 +250,15 @@ def naive_q_projection(space, w):
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
 
+# -- operator-norm oracle ----------------------------------------------------------
+
+
+def naive_norm2(a) -> float:
+    """Largest singular value from one SVD of the whole matrix, densified."""
+    d = _mat.to_dense(a)
+    return float(np.linalg.svd(d, compute_uv=False).max()) if d.size else 0.0
+
+
 # -- conditional-expectation oracles ------------------------------------------------
 
 
