@@ -347,9 +347,9 @@ def traciality_probe(sysm: GraphSystem, depth: int = 4, seed: int = 0, samples: 
         wy = words[int(rng.integers(0, len(words)))]
         if len(wx) + len(wy) > depth:
             continue
-        x = fk.reduced_operator(space, wx, [sysm.sites[v].random_element(rng) for v in wx])
-        y = fk.reduced_operator(space, wy, [sysm.sites[v].random_element(rng) for v in wy])
-        val = abs(fk.vacuum_eval(x @ y) - fk.vacuum_eval(y @ x))
+        x_row, x_col = fk.vacuum_vectors(space, wx, [sysm.sites[v].random_element(rng) for v in wx])
+        y_row, y_col = fk.vacuum_vectors(space, wy, [sysm.sites[v].random_element(rng) for v in wy])
+        val = abs(x_row @ y_col - y_row @ x_col)
         worst = max(worst, val)
     return worst
 
@@ -531,7 +531,7 @@ def expectation_checks(
         x = _random_truncated_operator(sysm, space, rng)
         e = fk.expectation_diag(x)
         worst_idem = max(worst_idem, fk.guarded_deviation(fk.expectation_diag(e), e))
-        exx = fk.expectation_diag(x.adjoint() @ x)
+        exx = fk.expectation_gram(x)
         # sqrt||E(x*x)|| = max_w ||x p_w|| <= ||x||, so ||E(x)|| below it
         # certifies contractivity without the norm of the unstructured x
         nexx = exx.norm()

@@ -14,7 +14,6 @@ import time
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import analysis as an
@@ -40,7 +39,6 @@ def _versions() -> dict:
     return {
         "gplab": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

@@ -105,8 +105,10 @@ class TruncatedFock:
         return sorted(self._spans)
 
     def subspace(self, sub: SimplicialGraph) -> "TruncatedFock":
+        """The space of an induced subgraph, built under this space's cap."""
         got = self._subspaces.get(sub)
         if got is None:
+            _check_induced(self.graph, sub)
             got = TruncatedFock(
                 sub, {v: self.reps[v] for v in sub.vertices}, self.n, dim_cap=self.dim_cap
             )
@@ -385,19 +387,6 @@ def rho_op(space: TruncatedFock, v: VertexId, x: Element) -> OperatorMatrix:
     return _side_op(space, v, x, left=False)
 
 
-def reduced_operator(
-    space: TruncatedFock, letters: Sequence[VertexId], elements: Sequence[Element]
-) -> OperatorMatrix:
-    """Product lambda_{v1}(a1) ... lambda_{vn}(an) for centered a_i along a
-    reduced word."""
-    if len(letters) != len(elements):
-        raise ValueError("one element per letter")
-    out = identity_op(space)
-    for v, a in zip(letters, elements):
-        out = out @ lambda_op(space, v, a)
-    return out
-
-
 # -- projections and gauge ----------------------------------------------------
 
 
@@ -568,21 +557,12 @@ def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: Operator
     compress by the subgraph Fock inclusion, then act on the head legs only."""
     if x.space is not space:
         raise ValueError("operator lives on a different space")
-    _check_induced(space.graph, sub)
     sub_space = space.subspace(sub)
     group = space.group
     emb = np.array(
         [space.index_of(fi.word, fi.slots) for fi in sub_space.basis], dtype=int
     )
-    dense_x = None
-    if _mat.is_sparse(x.mat):
-        y0 = x.mat[emb][:, emb].tocoo()
-        y_rows, y_cols, y_data = y0.row, y0.col, y0.data
-    else:
-        dense_x = x.mat
-        y = dense_x[np.ix_(emb, emb)]
-        y_rows, y_cols = np.nonzero(y)
-        y_data = y[y_rows, y_cols]
+    y_rows, y_cols, y_data = _mat.principal_parts(x.mat, emb)
 
     plan = _head_tail_plan(space, sub)
     by_head: dict[int, list[tuple[int, tuple]]] = {}
@@ -629,6 +609,35 @@ def vacuum_eval(x: OperatorMatrix) -> complex:
     return x.entry(0, 0)
 
 
+def vacuum_vectors(
+    space: TruncatedFock, letters: Sequence[VertexId], elements: Sequence[Element]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vacuum row <Omega| x and column x |Omega> of the compressed
+    product x = lambda_{v1}(a1) ... lambda_{vn}(an).
+
+    Each is a chain of vector products through the factors, so x is never
+    formed; the vacuum entry of a product xy is row(x) @ column(y).
+    """
+    if len(letters) != len(elements):
+        raise ValueError("one element per letter")
+    factors = [lambda_op(space, v, a).mat for v, a in zip(letters, elements)]
+    row = np.zeros(space.dim, dtype=complex)
+    row[0] = 1.0
+    col = row.copy()
+    for f in factors:
+        row = _mat.vecmat(row, f)
+    for f in reversed(factors):
+        col = _mat.matvec(f, col)
+    return row, col
+
+
+def expectation_gram(x: OperatorMatrix) -> OperatorMatrix:
+    """E(x* x) = expectation_diag(x.adjoint() @ x), forming only the entries
+    inside the word blocks; the guard is that of x.adjoint() @ x."""
+    space = x.space
+    return OperatorMatrix(space, _mat.gram_blocks(x.mat, space.word_ids), x.guard - x.reach, 0, 0)
+
+
 def _span_blocks(x: OperatorMatrix):
     """Yield (word, dense diagonal block) for each word component of x.
 
@@ -653,6 +662,21 @@ def _span_blocks(x: OperatorMatrix):
         yield word, buf[start: start + count * count].reshape(count, count)
 
 
+def _min_eig(block: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part; a 1x1 block is its real
+    part, read without LAPACK."""
+    if block.shape[0] == 1:
+        return float(block[0, 0].real)
+    return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+
+
+def _norm(block: np.ndarray) -> float:
+    """Operator norm; a 1x1 block is its absolute value."""
+    if block.shape[0] == 1:
+        return float(abs(block[0, 0]))
+    return float(np.linalg.norm(block, 2))
+
+
 def expectation_min_eig(x: OperatorMatrix) -> float:
     """Smallest eigenvalue of the Hermitian part of E(x) = expectation_diag(x).
 
@@ -661,17 +685,13 @@ def expectation_min_eig(x: OperatorMatrix) -> float:
     block-diagonal or not: the spectrum of E(x) is the union of the block
     spectra.
     """
-    return min(
-        float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
-        for _, block in _span_blocks(x)
-    )
+    return min(_min_eig(block) for _, block in _span_blocks(x))
 
 
 def tail_profile(x: OperatorMatrix) -> list[float]:
     """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1."""
     space = x.space
-    e = expectation_diag(x.adjoint() @ x)
-    block_norms = {word: float(np.linalg.norm(block, 2)) for word, block in _span_blocks(e)}
+    block_norms = {word: _norm(block) for word, block in _span_blocks(expectation_gram(x))}
     profile = []
     for k in range(space.n):
         vals = [nm for w, nm in block_norms.items() if len(w) > k]

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _mat
 from .fock import TruncatedFock, identity_op, q_projection
 from .graphs import VertexId, Walk
 from .words import CoxeterGroup, Letters, NormalForm
@@ -121,8 +122,7 @@ def identification_check(space: TruncatedFock, depth: Optional[int] = None) -> I
         if w == ():
             diag = np.ones(space.dim)
         else:
-            # copied: a dense diagonal() is a view that keeps the matrix alive
-            diag = q_projection(space, w).mat.diagonal().real.copy()
+            diag = _mat.diagonal(q_projection(space, w).mat).real
         qcache[w] = diag
     for v in ball:
         eta_idx = space.index_of(v, tuple(1 for _ in v))

@@ -207,3 +207,25 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["command"] == "growth"
+
+
+def test_report_all_loads_no_scipy(tmp_path):
+    """The whole report runs on numpy alone: a child process that runs
+    report-all on the M2 fixture never imports a scipy module."""
+    out = tmp_path / "report.json"
+    code = (
+        "import json, sys\n"
+        "from gplab.cli import main\n"
+        "rc = main(['report-all', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(FIXTURES / "m2_trace_edgeless3.json"), str(out)],
+        capture_output=True,
+        text=True,
+        cwd=Path(gplab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0 and loaded == []
+    assert "scipy" not in json.loads(out.read_text())["versions"]

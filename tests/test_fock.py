@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gplab import _mat
 from gplab.algebras import hecke_parameter, hecke_vertex, site_from_hecke
@@ -14,6 +13,7 @@ from gplab.fock import (
     creation,
     diagonal,
     expectation_diag,
+    expectation_gram,
     expectation_min_eig,
     expectation_subgraph,
     gauge_average,
@@ -25,12 +25,12 @@ from gplab.fock import (
     level_projection,
     offdiagonal_mass,
     q_projection,
-    reduced_operator,
     rho_op,
     tail_profile,
     tensor_split_check,
     vacuum_projection,
     vacuum_eval,
+    vacuum_vectors,
     word_projection,
 )
 from gplab.system import GraphSystem
@@ -45,10 +45,12 @@ from util import (
     naive_annihilation,
     naive_creation,
     naive_diagonal,
+    naive_expectation_gram,
     naive_expectation_min_eig,
     naive_gauge_average,
     naive_norm2,
     naive_q_projection,
+    naive_reduced_operator,
     naive_side_op,
 )
 
@@ -79,17 +81,22 @@ def test_dim_cap():
 
 
 def test_subspace_keeps_dim_cap():
-    """A subgraph space is built under its parent's cap.  Dropping the edge
-    of K2 frees the group, so the FREE2 space outgrows the K2 one (7 > 4 at
-    depth 3) and a cap of 5 that the parent meets is exceeded below it."""
+    """A subgraph space is built under its parent's cap, not the default."""
     site = site_from_hecke(1.0)
-    reps = {v: site.rep for v in K2.vertices}
-    space = TruncatedFock(K2, reps, 3, dim_cap=5)
-    assert space.dim == 4
-    with pytest.raises(ResourceLimitError):
+    space = TruncatedFock(K3, {v: site.rep for v in K3.vertices}, 3, dim_cap=9)
+    sub = space.subspace(K3.induced([0, 1]))
+    assert sub.dim_cap == 9 and sub.dim == 4
+
+
+def test_subspace_rejects_graph_that_is_not_induced():
+    """FREE2 has K2's vertices but not its edge: its space (dim 7 at depth 3)
+    is no subspace of the K2 one (dim 4)."""
+    site = site_from_hecke(1.0)
+    space = TruncatedFock(K2, {v: site.rep for v in K2.vertices}, 3)
+    with pytest.raises(ValueError):
         space.subspace(FREE2)
-    roomy = TruncatedFock(K2, reps, 3, dim_cap=7)
-    assert roomy.subspace(FREE2).dim_cap == 7
+    with pytest.raises(ValueError):
+        space.subspace(K3)
 
 
 def test_lambda_hecke_cases(hecke_space):
@@ -281,7 +288,7 @@ def test_vacuum_eval_examples(mixed_free3):
     space = mixed_free3.space(3)
     assert vacuum_eval(identity_op(space)) == 1.0
     rng = np.random.default_rng(29)
-    x = reduced_operator(space, (0, 1), [mixed_free3.sites[0].random_element(rng), mixed_free3.sites[1].random_element(rng)])
+    x = naive_reduced_operator(space, (0, 1), [mixed_free3.sites[0].random_element(rng), mixed_free3.sites[1].random_element(rng)])
     assert abs(vacuum_eval(x)) < 1e-14
     assert abs(vacuum_eval(diagonal(space, 0, mixed_free3.sites[0].random_element(rng)))) < 1e-14
 
@@ -389,8 +396,20 @@ def test_guard_arithmetic(mixed_free3):
         _ = cr @ identity_op(other)
 
 
-def _shuffled(m, rng):
-    return sp.csr_matrix(m)[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])].tocsr()
+def _shuffled_csr(m: np.ndarray, rng) -> _mat.CSR:
+    """m with rows and columns shuffled, as a CSR value."""
+    m = m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])]
+    rows, cols = np.nonzero(m)
+    return _mat._csr(rows, cols, m[rows, cols], m.shape)
+
+
+def _block_diag(blocks) -> np.ndarray:
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r: r + b.shape[0], c: c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def test_operator_norm_matches_dense_svd_oracle():
@@ -408,14 +427,16 @@ def test_operator_norm_matches_dense_svd_oracle():
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    inputs.append(sp.csr_matrix((300, 300), dtype=complex))
-    inputs.append(sp.csr_matrix((np.zeros(4, dtype=complex), ([0, 5, 9, 299], [3, 3, 7, 0])), shape=(300, 300)))
+    inputs.append(_mat.zeros(300))
+    # stored entries that are all zero, which no helper builds
+    indptr = np.searchsorted([0, 5, 9, 299], np.arange(301))  # entries in rows 0, 5, 9, 299
+    inputs.append(_mat.CSR(indptr, np.array([3, 3, 7, 0]), np.zeros(4, dtype=complex), (300, 300)))
     n = 300  # a bidiagonal chain: one component of diameter 2n - 1
-    inputs.append(_shuffled(sp.diags([cplx(n), cplx(n - 1)], [0, 1]), rng))
+    inputs.append(_shuffled_csr(np.diag(cplx(n)) + np.diag(cplx(n - 1), 1), rng))
     for _ in range(5):
         blocks = [10.0 ** rng.uniform(-3, 1) * cplx(*shape)
                   for k in (2, 3, 5) for shape in [(1, 1), (k, 1), (1, k), (k, k)] for _ in range(2)]
-        inputs.append(_shuffled(sp.block_diag(blocks), rng))
+        inputs.append(_shuffled_csr(_block_diag(blocks), rng))
     for m in inputs:
         assert _mat.is_sparse(m)
         want = naive_norm2(m)
@@ -432,7 +453,8 @@ def test_operator_norm_reads_tiny_diagonals_above_tolerance():
         top = 1e-9 * (1.0 + 10.0 ** rng.uniform(-6, -3))
         mag = top * rng.uniform(0.95, 1.0, n) * (rng.random(n) < 0.5)
         mag[rng.integers(n)] = top
-        m = sp.diags(mag * np.exp(2j * np.pi * rng.random(n)), format="csr")
+        m = _mat.diag(mag * np.exp(2j * np.pi * rng.random(n)))
+        assert _mat.is_sparse(m)
         assert _mat.norm2(m) > 1e-9
 
 
@@ -642,6 +664,80 @@ def test_expectation_min_eig_matches_dense_oracle(mixed_path3, path):
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
+def test_expectation_gram_matches_full_product_oracle(mixed_path3, path):
+    """E(x* x) formed block by block equals the word blocks of the whole
+    product x* x, with the same guard and movement bounds."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(79)
+    for _ in range(8):
+        x = _random_truncated_operator(sysm, space, rng)
+        got, want = expectation_gram(x), naive_expectation_gram(x)
+        assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+        assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
+        w = want.toarray()
+        assert np.max(np.abs(got.toarray() - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_vacuum_vectors_match_reduced_operator_oracle(mixed_path3, path):
+    """The vacuum row and column chains equal row and column 0 of the formed
+    reduced operator, and row(x) @ column(y) is omega(xy) read off x @ y."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(83)
+    words = [w for w in space.group.ball_tuples(space.n) if w]
+    for _ in range(12):
+        wx = words[int(rng.integers(0, len(words)))]
+        wy = words[int(rng.integers(0, len(words)))]
+        ax = [sysm.sites[v].random_element(rng, center=bool(rng.integers(0, 2))) for v in wx]
+        ay = [sysm.sites[v].random_element(rng) for v in wy]
+        x, y = naive_reduced_operator(space, wx, ax), naive_reduced_operator(space, wy, ay)
+        x_row, x_col = vacuum_vectors(space, wx, ax)
+        y_row, y_col = vacuum_vectors(space, wy, ay)
+        dx = x.toarray()
+        assert np.max(np.abs(x_row - dx[0])) < 1e-13
+        assert np.max(np.abs(x_col - dx[:, 0])) < 1e-13
+        assert abs(x_row @ y_col - vacuum_eval(x @ y)) < 1e-13
+        assert abs(y_row @ x_col - vacuum_eval(y @ x)) < 1e-13
+    with pytest.raises(ValueError):
+        vacuum_vectors(space, (0, 1), ax[:1])
+
+
+def test_unit_blocks_skip_lapack(monkeypatch):
+    """On Hecke q=1 every word block is 1x1: its smallest eigenvalue is the
+    real part of the entry and its norm the absolute value, read without
+    LAPACK, and both agree with the dense oracles."""
+    sysm = GraphSystem(FREE3, {v: site_from_hecke(1.0) for v in FREE3.vertices})
+    space = sysm.space(4)
+    assert all(count == 1 for _, count in space._spans.values())
+    rng = np.random.default_rng(89)
+    xs = [_random_truncated_operator(sysm, space, rng) for _ in range(6)]
+    last = list(space._spans)[-1]
+    exx = expectation_gram(xs[0])
+    off, _ = space._spans[last]
+    bad = exx - (exx.entry(off, off).real + 1e-3) * word_projection(space, last)
+    want_eig = [naive_expectation_min_eig(x) for x in xs + [bad]]
+    want_tail = []
+    for x in xs:
+        d = np.abs(naive_expectation_gram(x).toarray().diagonal())
+        want_tail.append([max(d[space.lengths > k], default=0.0) for k in range(space.n)])
+    calls = [0]
+    for name in ("eigvalsh", "norm", "svd"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[0] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    got_eig = [expectation_min_eig(x) for x in xs + [bad]]
+    got_tail = [tail_profile(x) for x in xs]
+    assert calls[0] == 0
+    assert np.allclose(got_eig, want_eig, rtol=0, atol=1e-13)
+    assert abs(got_eig[-1] + 1e-3) < 1e-13
+    assert np.allclose(got_tail, want_tail, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
 def test_expectation_norm_chain_against_oracle(mixed_path3, path):
     """||E(x)|| <= sqrt||E(x* x)|| <= ||x||, each norm as the oracle reads it:
     expectation.contractive compares the first two, so its PASS bounds
@@ -709,7 +805,7 @@ def test_side_op_matches_list_plan_oracle(mixed_path3, path):
                     assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
                     assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
                     if _mat.is_sparse(got.mat):  # no explicit zeros stored
-                        assert got.mat.nnz == want.mat.nnz
+                        assert len(got.mat.data) == len(want.mat.data)
                     assert np.array_equal(got.toarray(), want.toarray())
 
 

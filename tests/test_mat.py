@@ -1,0 +1,198 @@
+"""The matrix helpers of gplab._mat, CSR and dense, against dense oracles.
+
+Entries are drawn from a few dyadic values, so every sum and product the
+helpers form is exact and results can be compared entry for entry.  Random
+coordinate lists repeat coordinates, hold explicit zeros and cancel.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gplab import _mat
+from util import naive_from_coo, naive_gram_blocks, naive_mul, naive_norm2
+
+VALUES = (0.0, 1.0, -1.0, 2.5, 1j, -0.5j, 0.25 + 2j, -3.0)
+MAX_DIM = 6
+
+
+@st.composite
+def coo(draw, nr=None, nc=None):
+    """(rows, cols, data, shape) with nr x nc drawn unless given."""
+    nr = draw(st.integers(0, MAX_DIM)) if nr is None else nr
+    nc = draw(st.integers(0, MAX_DIM)) if nc is None else nc
+    n = draw(st.integers(0, 3 * nr * nc)) if nr and nc else 0
+    rows = draw(st.lists(st.integers(0, max(nr - 1, 0)), min_size=n, max_size=n))
+    cols = draw(st.lists(st.integers(0, max(nc - 1, 0)), min_size=n, max_size=n))
+    data = draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n))
+    return rows, cols, data, (nr, nc)
+
+
+def _kinds(rows, cols, data, shape):
+    """The same matrix as a dense array and as a CSR value."""
+    return naive_from_coo(rows, cols, data, shape), _mat._csr(rows, cols, data, shape)
+
+
+def _assert_canonical(m):
+    """Row pointers, sorted distinct columns per row, no stored zeros."""
+    assert _mat.is_sparse(m)
+    nr, nc = m.shape
+    assert len(m.indptr) == nr + 1 and m.indptr[0] == 0 and m.indptr[-1] == len(m.indices) == len(m.data)
+    assert np.all(np.diff(m.indptr) >= 0)
+    assert np.all((m.indices >= 0) & (m.indices < max(nc, 1)))
+    for i in range(nr):
+        assert np.all(np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0)
+    assert np.all(m.data != 0)
+
+
+def _dense(m) -> np.ndarray:
+    if _mat.is_sparse(m):
+        _assert_canonical(m)
+    return _mat.to_dense(m)
+
+
+@settings(deadline=None)
+@given(coo())
+def test_csr_from_coo_sums_duplicates_and_drops_zeros(t):
+    want, got = _kinds(*t)
+    assert np.array_equal(_dense(got), want)
+    rows, cols, data = _mat.coo_parts(got)
+    assert np.array_equal(naive_from_coo(rows, cols, data, t[3]), want)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_from_coo_picks_kind_by_dimension(data):
+    dim = data.draw(st.sampled_from([_mat.DENSE_CUTOFF - 1, _mat.DENSE_CUTOFF]))
+    rows, cols, vals, _ = data.draw(coo(MAX_DIM, MAX_DIM))
+    rows = [r * (dim // MAX_DIM) for r in rows]  # spread over the whole dimension
+    got = _mat.from_coo(rows, cols, vals, dim)
+    assert _mat.is_sparse(got) == (dim >= _mat.DENSE_CUTOFF)
+    assert np.array_equal(_dense(got), naive_from_coo(rows, cols, vals, (dim, dim)))
+
+
+@pytest.mark.parametrize("dim", [0, 3, _mat.DENSE_CUTOFF - 1, _mat.DENSE_CUTOFF, _mat.DENSE_CUTOFF + 5])
+def test_zeros_eye_diag(dim):
+    rng = np.random.default_rng(dim)
+    vec = rng.choice(np.array(VALUES), dim)
+    for got, want in ((_mat.zeros(dim), np.zeros((dim, dim))), (_mat.eye(dim), np.eye(dim)), (_mat.diag(vec), np.diag(vec))):
+        assert _mat.is_sparse(got) == (dim >= _mat.DENSE_CUTOFF)
+        assert (got.data if _mat.is_sparse(got) else got).dtype == complex
+        assert np.array_equal(_dense(got), want)
+
+
+def test_diag_copies_its_vector():
+    vec = np.ones(_mat.DENSE_CUTOFF, dtype=complex)
+    m = _mat.diag(vec)
+    m.data[:] = 5.0
+    assert np.all(vec == 1.0)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_mul(data):
+    nr, k, nc = (data.draw(st.integers(0, MAX_DIM)) for _ in range(3))
+    da, sa = _kinds(*data.draw(coo(nr, k)))
+    db, sb = _kinds(*data.draw(coo(k, nc)))
+    want = naive_mul(da, db)
+    assert np.array_equal(_dense(_mat.mul(sa, sb)), want)
+    assert np.array_equal(_mat.mul(da, db), want)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_add_sub_scale(data):
+    a = data.draw(coo())
+    b = data.draw(coo(*a[3]))
+    s = data.draw(st.sampled_from(VALUES))
+    da, sa = _kinds(*a)
+    db, sb = _kinds(*b)
+    for got, dense_got, want in (
+        (_mat.add(sa, sb), _mat.add(da, db), da + db),
+        (_mat.sub(sa, sb), _mat.sub(da, db), da - db),
+        (_mat.sub(sa, sa), _mat.sub(da, da), np.zeros(a[3])),
+    ):
+        assert np.array_equal(_dense(got), want)
+        assert np.array_equal(dense_got, want)
+    scaled = _mat.scale(sa, s)
+    assert np.array_equal(_mat.to_dense(scaled), da * s)
+    assert np.array_equal(_mat.scale(da, s), da * s)
+
+
+@settings(deadline=None)
+@given(coo())
+def test_adjoint_to_dense_entry_coo_parts(t):
+    da, sa = _kinds(*t)
+    assert np.array_equal(_dense(_mat.adjoint(sa)), da.conj().T)
+    assert np.array_equal(_mat.adjoint(da), da.conj().T)
+    assert np.array_equal(_mat.to_dense(da), da)
+    for m in (da, sa):
+        for i in range(t[3][0]):
+            for j in range(t[3][1]):
+                assert _mat.entry(m, i, j) == da[i, j]
+        rows, cols, vals = _mat.coo_parts(m)
+        assert np.array_equal(naive_from_coo(rows, cols, vals, t[3]), da)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_col_select_any_distinct_columns(data):
+    t = data.draw(coo())
+    nc = t[3][1]
+    idx = data.draw(st.permutations(range(nc)))[: data.draw(st.integers(0, nc))]
+    da, sa = _kinds(*t)
+    want = da[:, idx]
+    got = _mat.col_select(sa, np.array(idx, dtype=int))
+    assert got.shape == want.shape
+    assert np.array_equal(_dense(got), want)
+    assert np.array_equal(_mat.col_select(da, np.array(idx, dtype=int)), want)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_diagonal_and_principal_parts(data):
+    n = data.draw(st.integers(0, MAX_DIM))
+    t = data.draw(coo(n, n))
+    idx = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    da, sa = _kinds(*t)
+    for m in (da, sa):
+        d = _mat.diagonal(m)
+        assert np.array_equal(d, np.diagonal(da))
+        d[:] = 7.0  # a new vector, not a view
+        assert np.array_equal(_mat.to_dense(m), da)
+        rows, cols, vals = _mat.principal_parts(m, np.array(idx, dtype=int))
+        assert np.array_equal(naive_from_coo(rows, cols, vals, (len(idx), len(idx))), da[np.ix_(idx, idx)])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_matvec_vecmat(data):
+    t = data.draw(coo())
+    nr, nc = t[3]
+    u = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=nr, max_size=nr)), dtype=complex)
+    v = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=nc, max_size=nc)), dtype=complex)
+    da, sa = _kinds(*t)
+    for m in (da, sa):
+        assert np.array_equal(_mat.matvec(m, v), naive_mul(da, v[:, None])[:, 0])
+        assert np.array_equal(_mat.vecmat(u, m), naive_mul(u[None, :], da)[0])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_gram_blocks(data):
+    t = data.draw(coo(nc=data.draw(st.integers(1, MAX_DIM))))
+    nc = t[3][1]
+    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=nc, max_size=nc)))
+    da, sa = _kinds(*t)
+    want = naive_gram_blocks(da, labels)
+    assert np.array_equal(_dense(_mat.gram_blocks(sa, labels)), want)
+    assert np.array_equal(_mat.gram_blocks(da, labels), want)
+
+
+@settings(deadline=None)
+@given(coo())
+def test_norm2(t):
+    da, sa = _kinds(*t)
+    want = naive_norm2(da)
+    for m in (da, sa):
+        assert abs(_mat.norm2(m) - want) <= 1e-12 * max(want, 1.0)

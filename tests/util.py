@@ -250,6 +250,48 @@ def naive_q_projection(space, w):
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
 
+# -- matrix-helper oracles ----------------------------------------------------------
+# Dense numpy stand-ins for the CSR helpers of gplab._mat, entry by entry.
+
+
+def naive_from_coo(rows, cols, data, shape) -> np.ndarray:
+    """Dense matrix summing each coordinate triple in turn."""
+    out = np.zeros(shape, dtype=complex)
+    for r, c, d in zip(rows, cols, data):
+        out[r, c] += d
+    return out
+
+
+def naive_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product by the defining triple sum."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            out[i, j] = sum(a[i, k] * b[k, j] for k in range(a.shape[1]))
+    return out
+
+
+def naive_gram_blocks(a: np.ndarray, labels) -> np.ndarray:
+    """a* a with the entries between differently labelled columns zeroed."""
+    g = naive_mul(a.conj().T, a)
+    for r in range(g.shape[0]):
+        for c in range(g.shape[1]):
+            if labels[r] != labels[c]:
+                g[r, c] = 0.0
+    return g
+
+
+# -- reduced-operator oracle -------------------------------------------------------
+
+
+def naive_reduced_operator(space, letters, elements) -> OperatorMatrix:
+    """Product lambda_{v1}(a1) ... lambda_{vn}(an), formed as a matrix."""
+    out = identity_op(space)
+    for v, a in zip(letters, elements):
+        out = out @ lambda_op(space, v, a)
+    return out
+
+
 # -- operator-norm oracle ----------------------------------------------------------
 
 
@@ -260,6 +302,11 @@ def naive_norm2(a) -> float:
 
 
 # -- conditional-expectation oracles ------------------------------------------------
+
+
+def naive_expectation_gram(x):
+    """E(x* x) from the whole product x* x, then its word blocks."""
+    return expectation_diag(x.adjoint() @ x)
 
 
 def naive_expectation_min_eig(x) -> float:
