@@ -35,10 +35,6 @@ class CSR(NamedTuple):
     shape: tuple[int, int]
 
 
-def is_sparse(a) -> bool:
-    return isinstance(a, CSR)
-
-
 def _rows(a: CSR) -> np.ndarray:
     """Row index of each stored entry."""
     return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))

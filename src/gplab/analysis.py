@@ -7,6 +7,8 @@ a negative structural claim.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -552,18 +554,18 @@ def expectation_checks(
 
 def _random_truncated_operator(sysm: GraphSystem, space, rng) -> fk.OperatorMatrix:
     """A random short product of lambda operators plus projections."""
-    out = fk.identity_op(space)
+    mats = []
     n = int(rng.integers(1, 4))
     for _ in range(n):
         v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            out = out @ fk.lambda_op(space, v, sysm.sites[v].random_element(rng, center=False))
+            mats.append(fk.lambda_op(space, v, sysm.sites[v].random_element(rng, center=False)))
         elif kind == 1:
-            out = out @ fk.creation(space, v, sysm.sites[v].random_element(rng))
+            mats.append(fk.creation(space, v, sysm.sites[v].random_element(rng)))
         else:
-            out = out @ fk.diagonal(space, v, sysm.sites[v].random_element(rng, center=False))
-    return out
+            mats.append(fk.diagonal(space, v, sysm.sites[v].random_element(rng, center=False)))
+    return functools.reduce(operator.matmul, mats)
 
 
 def gauge_covariance_checks(

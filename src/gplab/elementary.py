@@ -9,6 +9,8 @@ subspace), which the test suite exercises heavily.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -280,21 +282,20 @@ def factor_matrix(f: Factor, space: TruncatedFock) -> OperatorMatrix:
 
 
 def expression_matrix(factors: Sequence[Factor], space: TruncatedFock) -> OperatorMatrix:
-    out = identity_op(space)
-    for f in factors:
-        out = out @ factor_matrix(f, space)
-    return out
+    mats = [factor_matrix(f, space) for f in factors]
+    return functools.reduce(operator.matmul, mats) if mats else identity_op(space)
 
 
 def term_matrix(term: ElementaryTerm, space: TruncatedFock, coeff: complex = 1.0) -> OperatorMatrix:
-    out = coeff * identity_op(space)
-    for v, a in term.creation:
-        out = out @ creation(space, v, a)
-    for v, c in term.diag:
-        out = out @ diagonal(space, v, c)
-    for v, b in reversed(term.annihilation):
-        out = out @ creation(space, v, b).adjoint()
-    return out
+    mats = (
+        [creation(space, v, a) for v, a in term.creation]
+        + [diagonal(space, v, c) for v, c in term.diag]
+        + [creation(space, v, b).adjoint() for v, b in reversed(term.annihilation)]
+    )
+    if not mats:
+        return coeff * identity_op(space)
+    mats[0] = coeff * mats[0]
+    return functools.reduce(operator.matmul, mats)
 
 
 def terms_matrix(terms: Terms, space: TruncatedFock) -> OperatorMatrix:

@@ -1,5 +1,11 @@
 """The truncated graph-product Fock space and its concrete operators.
 
+The space sums, over the reduced words w of length <= N, the tensor products
+of the letters' reduced GNS spaces, so its basis is one block per word: the
+blocks in ball order (by length, then lexicographic), the slots s_p >= 1 of
+a block in row-major order.  The vector (w, s) sits at offset(w) + sum_p
+(s_p - 1) * stride_w[p], and every basis map is compiled once per word block.
+
 Every operator here is the compression P_N T P_N of its infinite counterpart
 to the basis of word length <= N.  A guard level accompanies each matrix:
 the largest k such that the matrix agrees with the untruncated operator on
@@ -8,7 +14,6 @@ over the guarded subspace.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -24,25 +29,9 @@ from .words import Letters, NormalForm, coxeter_group
 DEFAULT_DIM_CAP = 20000
 
 
-@dataclass(frozen=True)
-class FockIndex:
-    """A basis vector: a normal-form word plus one basis slot per letter.
-
-    Slot k indexes the orthonormal basis of the k-th letter's reduced GNS
-    space, hence is >= 1 (slot 0 is the cyclic vector, excluded).  The empty
-    word with no slots denotes the vacuum.
-    """
-
-    word: Letters
-    slots: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.word) != len(self.slots):
-            raise ValueError("one slot per letter required")
-
-
 class TruncatedFock:
-    """Orthonormal basis of the graph-product Hilbert space up to depth N."""
+    """Orthonormal basis of the graph-product Hilbert space up to depth N,
+    one block per word; see the module docstring for the index formula."""
 
     def __init__(
         self,
@@ -62,34 +51,49 @@ class TruncatedFock:
         self.n = n
         self.dim_cap = dim_cap
 
-        basis: list[FockIndex] = []
+        # word -> (offset, count) of its component's contiguous basis block;
+        # a word with a letter whose reduced space is zero has no block
         spans: dict[Letters, tuple[int, int]] = {}
+        dim = 0
         for w in self.group.ball_tuples(n):
-            sdims = [self.reps[v].dim - 1 for v in w]
-            if any(d == 0 for d in sdims):
+            count = math.prod(self.reps[v].dim - 1 for v in w)
+            if count == 0:
                 continue
-            spans[w] = (len(basis), math.prod(sdims))
-            for slots in itertools.product(*(range(1, d + 1) for d in sdims)):
-                basis.append(FockIndex(w, slots))
-            if len(basis) > dim_cap:
+            spans[w] = (dim, count)
+            dim += count
+            if dim > dim_cap:
                 raise ResourceLimitError(
                     f"Fock dimension exceeds cap {dim_cap} at depth {n}"
                 )
-        self.basis = basis
-        self.dim = len(basis)
-        # word -> (offset, count) of its component's contiguous basis block
+        self.dim = dim
         self._spans = spans
-        self._index = {(fi.word, fi.slots): i for i, fi in enumerate(basis)}
-        self.lengths = np.array([len(fi.word) for fi in basis], dtype=int)
-        words = sorted(spans)
-        self._word_pos = {w: k for k, w in enumerate(words)}
-        self.word_ids = np.array([self._word_pos[fi.word] for fi in basis], dtype=int)
+        dims = {w: tuple(self.reps[v].dim - 1 for v in w) for w in spans}
+        # word -> row-major stride of each slot in its block
+        self._strides = {w: tuple(math.prod(d[p + 1:]) for p in range(len(w))) for w, d in dims.items()}
+        counts = [count for _, count in spans.values()]
+        self.word_ids = np.repeat(np.arange(len(spans)), counts)
+        self.lengths = np.repeat([len(w) for w in spans], counts)
+        # (dim, N) digits: slot - 1 of each vector per position, 0 past its word
+        pad = [(1,) * (n - len(w)) for w in spans]
+        strides = np.array([st + p for st, p in zip(self._strides.values(), pad)], dtype=np.intp)
+        sizes = np.array([d + p for d, p in zip(dims.values(), pad)], dtype=np.intp)
+        local = np.arange(dim) - np.repeat([off for off, _ in spans.values()], counts)
+        per_word = (len(spans), n)  # also for N = 0
+        blocks = self.word_ids
+        self._digits = local[:, None] // strides.reshape(per_word)[blocks] % sizes.reshape(per_word)[blocks]
         self._plans: dict = {}
         self._subspaces: dict[SimplicialGraph, "TruncatedFock"] = {}
         self._cols_upto: dict[int, np.ndarray] = {}
 
     def index_of(self, word: Letters, slots: tuple[int, ...]) -> Optional[int]:
-        return self._index.get((word, slots))
+        """Flat index of the basis vector (word, slots), or None if there is
+        no such vector."""
+        span = self._spans.get(word)
+        if span is None or len(slots) != len(word):
+            return None
+        if not all(1 <= s < self.reps[v].dim for v, s in zip(word, slots)):
+            return None
+        return span[0] + sum((s - 1) * st for s, st in zip(slots, self._strides[word]))
 
     def cols_upto(self, k: int) -> np.ndarray:
         got = self._cols_upto.get(k)
@@ -97,12 +101,6 @@ class TruncatedFock:
             got = np.where(self.lengths <= k)[0]
             self._cols_upto[k] = got
         return got
-
-    def word_of(self, i: int) -> Letters:
-        return self.basis[i].word
-
-    def words(self) -> list[Letters]:
-        return sorted(self._spans)
 
     def subspace(self, sub: SimplicialGraph) -> "TruncatedFock":
         """The space of an induced subgraph, built under this space's cap."""
@@ -114,6 +112,41 @@ class TruncatedFock:
             )
             self._subspaces[sub] = got
         return got
+
+
+class _WordMaps(NamedTuple):
+    """One compiled basis map per source word block (see _word_map): the
+    vector with digit row d in block k goes to offsets[k] + d . rows[k]."""
+
+    offsets: np.ndarray  # (words,) -1 where the block's map has no target
+    rows: np.ndarray  # (words, width)
+
+    @staticmethod
+    def of(maps: Sequence[Optional[tuple[int, Sequence[int]]]], width: int) -> "_WordMaps":
+        maps = [(-1, [0] * width) if m is None else m for m in maps]
+        rows = np.array([row for _, row in maps], dtype=np.intp).reshape(len(maps), width)
+        return _WordMaps(np.array([off for off, _ in maps], dtype=np.intp), rows)
+
+    def apply(self, blocks: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """Targets of the vectors in word blocks `blocks`, -1 for none."""
+        out = self.offsets[blocks] + (digits * self.rows[blocks]).sum(axis=1)
+        return np.where(self.offsets[blocks] >= 0, out, -1)
+
+
+def _word_map(space: TruncatedFock, word: Letters, src: Sequence[int], width: int) -> tuple[int, list[int]]:
+    """(offset, row) of a basis map into `space` for a whole word block.
+
+    `word` is reduced and its k-th letter takes its digit (slot - 1) from
+    column src[k] of the source digit row d; the target, offset + d . row,
+    lies in the block of word's canonical form.  One canonical sort per
+    block, however many vectors it holds.
+    """
+    canon, perm = space.group.sort_with_perm(word)
+    strides = space._strides[canon]
+    row = [0] * width
+    for k, p in enumerate(perm):
+        row[src[p]] = strides[k]
+    return space._spans[canon][0], row
 
 
 class OperatorMatrix:
@@ -234,19 +267,12 @@ def offdiagonal_mass(a: OperatorMatrix) -> float:
 # -- lambda and rho ---------------------------------------------------------
 
 
-def _liftable_front(group, word: Letters, v: VertexId) -> int:
-    for i, letter in enumerate(word):
-        if letter == v and all(word[j] in group._adj[v] for j in range(i)):
+def _liftable(group, word: Letters, v: VertexId, left: bool) -> int:
+    """Position of the occurrence of v that moves to the acting end of word."""
+    for i in range(len(word)) if left else range(len(word) - 1, -1, -1):
+        if word[i] == v and all(u in group._adj[v] for u in (word[:i] if left else word[i + 1:])):
             return i
-    raise ValueError(f"{v} is not a first letter of {word}")
-
-
-def _liftable_back(group, word: Letters, v: VertexId) -> int:
-    n = len(word)
-    for i in range(n - 1, -1, -1):
-        if word[i] == v and all(word[j] in group._adj[v] for j in range(i + 1, n)):
-            return i
-    raise ValueError(f"{v} is not a last letter of {word}")
+    raise ValueError(f"{v} is not on the acting side of {word}")
 
 
 class _SidePlan(NamedTuple):
@@ -268,7 +294,10 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
     or -1 when that word leaves the truncation.  Case B columns have v on the
     acting side: b_slot holds the slot value s there, b_retarget[i, t-1] the
     row with s replaced by t, and b_drop the row with the letter dropped.
-    Compiled once per (space, vertex, side) and cached in space._plans.
+
+    Each word block compiles the map of its new slot t (read from digit
+    column N: the creation target, or the acted slot rewritten in place) and
+    its drop map once.  Cached per (space, vertex, side) in space._plans.
     """
     key = ("lambda" if left else "rho", v)
     got = space._plans.get(key)
@@ -276,42 +305,36 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
         return got
     group = space.group
     dv = space.reps[v].dim
-    a_cols, a_targets = [], []
-    b_cols, b_slot, b_retarget, b_drop = [], [], [], []
-    beyond = [-1] * (dv - 1)
-    for j, fi in enumerate(space.basis):
-        w, slots = fi.word, fi.slots
-        letters_side = group.first_letters_tuple(w) if left else group.last_letters_tuple(w)
-        if v in letters_side:
-            r = _liftable_front(group, w, v) if left else _liftable_back(group, w, v)
-            minus = w[:r] + w[r + 1:]
-            canon, perm = group.sort_with_perm(minus)
-            mslots = slots[:r] + slots[r + 1:]
-            b_cols.append(j)
-            b_slot.append(slots[r])
-            b_retarget.append(
-                [space.index_of(w, slots[:r] + (t,) + slots[r + 1:]) for t in range(1, dv)]
-            )
-            b_drop.append(space.index_of(canon, tuple(mslots[p] for p in perm)))
+    n = space.n
+    acted, moved, drop = [], [], []
+    for w in space._spans:
+        if v in (group.first_letters_tuple(w) if left else group.last_letters_tuple(w)):
+            r = _liftable(group, w, v, left)
+            row = [*space._strides[w], *[0] * (n + 1 - len(w))]
+            row[r], row[n] = 0, row[r]
+            rest = [p for p in range(len(w)) if p != r]
+            acted.append(r)
+            moved.append((space._spans[w][0], row))
+            drop.append(_word_map(space, tuple(w[p] for p in rest), rest, n))
         else:
-            a_cols.append(j)
-            if len(w) + 1 <= space.n and dv > 1:
-                ext = ((v,) + w) if left else (w + (v,))
-                canon, perm = group.sort_with_perm(ext)
-                targets = []
-                for t in range(1, dv):
-                    src = ((t,) + slots) if left else (slots + (t,))
-                    targets.append(space.index_of(canon, tuple(src[p] for p in perm)))
-                a_targets.append(targets)
-            else:
-                a_targets.append(beyond)
+            ext = ((v,) + w, [n, *range(len(w))]) if left else (w + (v,), [*range(len(w)), n])
+            acted.append(-1)
+            moved.append(_word_map(space, *ext, n + 1) if len(w) < n and dv > 1 else None)
+            drop.append(None)
+    wid, digits = space.word_ids, space._digits
+    acted = np.array(acted, dtype=np.intp)[wid]
+    a_cols, b_cols = np.flatnonzero(acted < 0), np.flatnonzero(acted >= 0)
+    moved = _WordMaps.of(moved, n + 1)
+    base = moved.apply(wid, np.pad(digits, ((0, 0), (0, 1))))  # new slot t = 1
+    new = base[:, None] + np.arange(dv - 1) * moved.rows[wid, n][:, None]
+    new[base < 0] = -1
     plan = _SidePlan(
-        np.array(a_cols, dtype=np.intp),
-        np.array(a_targets, dtype=np.intp).reshape(len(a_cols), dv - 1),
-        np.array(b_cols, dtype=np.intp),
-        np.array(b_slot, dtype=np.intp),
-        np.array(b_retarget, dtype=np.intp).reshape(len(b_cols), dv - 1),
-        np.array(b_drop, dtype=np.intp),
+        a_cols,
+        new[a_cols],
+        b_cols,
+        digits[b_cols, acted[b_cols]] + 1,
+        new[b_cols],
+        _WordMaps.of(drop, n).apply(wid[b_cols], digits[b_cols]),
     )
     space._plans[key] = plan
     return plan
@@ -437,16 +460,6 @@ def word_projection(space: TruncatedFock, w) -> OperatorMatrix:
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
 
-def level_projection(space: TruncatedFock, k: int) -> OperatorMatrix:
-    """P_k: projection onto word lengths <= k."""
-    dvals = (space.lengths <= k).astype(complex)
-    return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
-
-
-def vacuum_projection(space: TruncatedFock) -> OperatorMatrix:
-    return word_projection(space, ())
-
-
 def creation(space: TruncatedFock, v: VertexId, a: Element) -> OperatorMatrix:
     """Q_v lambda_v(a) Q_v^perp; see _side_op."""
     return _side_op(space, v, a, left=True, part="creation")
@@ -466,12 +479,13 @@ def gauge_unitary(space: TruncatedFock, z: Mapping[VertexId, complex]) -> Operat
     for v in space.graph.vertices:
         if abs(abs(z[v]) - 1.0) > 1e-12:
             raise ValueError(f"gauge parameter at vertex {v} is not unimodular")
-    dvals = np.ones(space.dim, dtype=complex)
-    for i, fi in enumerate(space.basis):
+    per_word = []
+    for w in space._spans:
         val = 1.0 + 0j
-        for letter in fi.word:
+        for letter in w:
             val *= z[letter]
-        dvals[i] = val
+        per_word.append(val)
+    dvals = np.array(per_word, dtype=complex)[space.word_ids]
     return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
 
 
@@ -499,12 +513,10 @@ def gauge_average(x: OperatorMatrix, m: int) -> OperatorMatrix:
     if m < 1:
         raise ValueError("grid order must be >= 1")
     space = x.space
-    nv = len(space.graph.vertices)
-    counts = np.zeros((space.dim, nv), dtype=np.int64)
-    vpos = {v: k for k, v in enumerate(space.graph.vertices)}
-    for i, fi in enumerate(space.basis):
-        for letter in fi.word:
-            counts[i, vpos[letter]] += 1
+    verts = space.graph.vertices
+    # letter counts per word block, read per column through word_ids
+    counts = np.array([[w.count(v) for v in verts] for w in space._spans], dtype=np.int64)
+    counts = counts.reshape(len(space._spans), len(verts))[space.word_ids]
     rows, cols, data = _mat.coo_parts(x.mat)
     keep = np.all((counts[rows] - counts[cols]) % m == 0, axis=1)
     mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
@@ -522,7 +534,15 @@ def _check_induced(graph: SimplicialGraph, sub: SimplicialGraph):
 
 
 def _head_tail_plan(space: TruncatedFock, sub: SimplicialGraph):
-    """Factor each basis word as (head in the subgroup) * (minimal coset tail)."""
+    """Factor each basis word as (head in the subgroup) * (minimal coset tail).
+
+    The head peels off the front, smallest first, every letter of the
+    subgroup that can come first; the tail keeps the other letters in order.
+    Returns emb, the column of each subgraph-space vector (its word blocks
+    are blocks here, slot for slot); head, the subgraph-space index of each
+    column's head, from one head map per word block; and per word block the
+    tail letters and their positions.
+    """
     key = ("headtail", sub)
     got = space._plans.get(key)
     if got is not None:
@@ -530,83 +550,71 @@ def _head_tail_plan(space: TruncatedFock, sub: SimplicialGraph):
     group = space.group
     subset = set(sub.vertices)
     sub_space = space.subspace(sub)
-    plan = []
-    for fi in space.basis:
-        rem = list(zip(fi.word, fi.slots))
-        head: list[tuple[VertexId, int]] = []
+    heads, tails = [], []
+    for w in space._spans:
+        rem = list(range(len(w)))
+        head: list[int] = []
         while True:
-            word_now = tuple(p[0] for p in rem)
+            word_now = tuple(w[p] for p in rem)
             first = [s for s in group.first_letters_tuple(word_now) if s in subset]
             if not first:
                 break
-            s = min(first)
-            r = _liftable_front(group, word_now, s)
-            head.append(rem.pop(r))
-        hl = tuple(p[0] for p in head)
-        hs = tuple(p[1] for p in head)
-        canon, perm = group.sort_with_perm(hl)
-        head_idx = sub_space.index_of(canon, tuple(hs[p] for p in perm))
-        tail = (tuple(p[0] for p in rem), tuple(p[1] for p in rem))
-        plan.append((head_idx, tail))
+            head.append(rem.pop(_liftable(group, word_now, min(first), True)))
+        heads.append(_word_map(sub_space, tuple(w[p] for p in head), head, space.n))
+        tails.append((tuple(w[p] for p in rem), tuple(rem)))
+    shift = [space._spans[u][0] - off for u, (off, _) in sub_space._spans.items()]
+    plan = (
+        np.arange(sub_space.dim) + np.array(shift, dtype=np.intp)[sub_space.word_ids],
+        _WordMaps.of(heads, space.n).apply(space.word_ids, space._digits),
+        tails,
+    )
     space._plans[key] = plan
     return plan
 
 
 def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: OperatorMatrix) -> OperatorMatrix:
     """Conditional expectation onto the operators of an induced subgraph:
-    compress by the subgraph Fock inclusion, then act on the head legs only."""
+    compress by the subgraph Fock inclusion, then act on the head legs only.
+
+    Entry (r0, c0) of the compression y goes to every column j whose head is
+    c0, in the row of head r0 followed by j's tail.  That row is one map per
+    (word of r0, word of j) pair, reading r0's digits in columns 0..N-1 and
+    j's in columns N..2N-1; a pair longer than N has no row.
+    """
     if x.space is not space:
         raise ValueError("operator lives on a different space")
     sub_space = space.subspace(sub)
-    group = space.group
-    emb = np.array(
-        [space.index_of(fi.word, fi.slots) for fi in sub_space.basis], dtype=int
-    )
+    emb, head, tails = _head_tail_plan(space, sub)
     y_rows, y_cols, y_data = _mat.principal_parts(x.mat, emb)
 
-    plan = _head_tail_plan(space, sub)
-    by_head: dict[int, list[tuple[int, tuple]]] = {}
-    for j, (head_idx, tail) in enumerate(plan):
-        by_head.setdefault(head_idx, []).append((j, tail))
+    # the columns with head c0, ascending, for each entry of y in turn
+    order = np.argsort(head, kind="stable")
+    per_head = np.bincount(head, minlength=sub_space.dim)
+    counts = per_head[y_cols]
+    first = (np.cumsum(per_head) - per_head)[y_cols] - (np.cumsum(counts) - counts)
+    cols = order[np.arange(int(counts.sum())) + np.repeat(first, counts)]
+    heads = np.repeat(y_rows, counts)
+    data = np.repeat(y_data, counts)
 
-    merge_cache: dict[tuple[int, tuple], Optional[int]] = {}
-
-    def merge(i0: int, tail) -> Optional[int]:
-        key = (i0, tail)
-        got = merge_cache.get(key, "missing")
-        if got != "missing":
-            return got
-        hfi = sub_space.basis[i0]
-        letters = hfi.word + tail[0]
-        slots = hfi.slots + tail[1]
-        if len(letters) > space.n:
-            target = None
-        else:
-            canon, perm = group.sort_with_perm(letters)
-            target = space.index_of(canon, tuple(slots[p] for p in perm))
-        merge_cache[key] = target
-        return target
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[complex] = []
-    for r0, c0, val in zip(y_rows, y_cols, y_data):
-        for j, tail in by_head.get(int(c0), ()):
-            target = merge(int(r0), tail)
-            if target is not None:
-                rows.append(target)
-                cols.append(j)
-                data.append(val)
+    n = space.n
+    nwords = len(space._spans)
+    pairs, pair_of = np.unique(sub_space.word_ids[heads] * nwords + space.word_ids[cols], return_inverse=True)
+    sub_words = list(sub_space._spans)
+    maps = []
+    for key in pairs.tolist():
+        head_word, (tail_word, tail_pos) = sub_words[key // nwords], tails[key % nwords]
+        src = [*range(len(head_word)), *(n + p for p in tail_pos)]
+        fits = len(head_word) + len(tail_word) <= n
+        maps.append(_word_map(space, head_word + tail_word, src, 2 * n) if fits else None)
+    digits = np.hstack((sub_space._digits[heads], space._digits[cols]))
+    rows = _WordMaps.of(maps, 2 * n).apply(pair_of.ravel(), digits)
+    keep = rows >= 0
     guard = min(x.guard, space.n - x.up)
-    return OperatorMatrix(space, _mat.from_coo(rows, cols, data, space.dim), guard, x.up, x.down)
+    mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
+    return OperatorMatrix(space, mat, guard, x.up, x.down)
 
 
 # -- functionals ---------------------------------------------------------------
-
-
-def vacuum_eval(x: OperatorMatrix) -> complex:
-    """The vacuum state <Omega, x Omega>."""
-    return x.entry(0, 0)
 
 
 def vacuum_vectors(
@@ -651,10 +659,10 @@ def _span_blocks(x: OperatorMatrix):
     counts = np.array([count for _, (_, count) in spans])
     sizes = counts * counts
     starts = np.cumsum(sizes) - sizes
-    span_of = np.repeat(np.arange(len(spans)), counts)
+    wid = x.space.word_ids
     rows, cols, data = _mat.coo_parts(x.mat)
-    k = span_of[rows]
-    inside = k == span_of[cols]
+    k = wid[rows]
+    inside = k == wid[cols]
     rows, cols, data, k = rows[inside], cols[inside], data[inside], k[inside]
     buf = np.zeros(int(sizes.sum()), dtype=complex)
     np.add.at(buf, starts[k] + (rows - offs[k]) * counts[k] + (cols - offs[k]), data)
@@ -702,6 +710,24 @@ def tail_profile(x: OperatorMatrix) -> list[float]:
 # -- tensor split ---------------------------------------------------------------
 
 
+def _tensor_pairs(space: TruncatedFock, f1: TruncatedFock, f2: TruncatedFock) -> np.ndarray:
+    """The join-decomposition unitary as a (f1.dim, f2.dim) table: entry
+    (i1, i2) is the column whose letters in f1's graph, in order, give the
+    vector i1 of f1 and whose other letters give i2 of f2, or -1 where no
+    column does.  Each word block compiles one map into each factor."""
+    s1 = set(f1.graph.vertices)
+    maps1, maps2 = [], []
+    for w in space._spans:
+        for fsub, maps, first in ((f1, maps1, True), (f2, maps2, False)):
+            pos = [p for p, letter in enumerate(w) if (letter in s1) == first]
+            maps.append(_word_map(fsub, tuple(w[p] for p in pos), pos, space.n))
+    i1 = _WordMaps.of(maps1, space.n).apply(space.word_ids, space._digits)
+    i2 = _WordMaps.of(maps2, space.n).apply(space.word_ids, space._digits)
+    table = np.full((f1.dim, f2.dim), -1, dtype=np.intp)
+    table[i1, i2] = np.arange(space.dim)
+    return table
+
+
 @dataclass
 class TensorSplitReport:
     max_deviation: float
@@ -733,57 +759,19 @@ def tensor_split_check(
     space = TruncatedFock(graph, reps, n, dim_cap=dim_cap)
     f1 = space.subspace(g1)
     f2 = space.subspace(g2)
-    group = space.group
-
-    pair_of: list[tuple[int, int]] = []
-    pair_index: dict[tuple[int, int], int] = {}
-    s1, s2 = set(p1), set(p2)
-    for j, fi in enumerate(space.basis):
-        padded = list(zip(fi.word, fi.slots))
-        seq1 = [(l, s) for l, s in padded if l in s1]
-        seq2 = [(l, s) for l, s in padded if l in s2]
-
-        def canon_index(seq, fsub):
-            letters = tuple(p[0] for p in seq)
-            slots = tuple(p[1] for p in seq)
-            cl, perm = group.sort_with_perm(letters)
-            return fsub.index_of(cl, tuple(slots[p] for p in perm))
-
-        i1, i2 = canon_index(seq1, f1), canon_index(seq2, f2)
-        pair_of.append((i1, i2))
-        pair_index[(i1, i2)] = j
-    expected_pairs = sum(
-        1
-        for i1 in range(f1.dim)
-        for i2 in range(f2.dim)
-        if f1.lengths[i1] + f2.lengths[i2] <= n
-    )
-    if len(pair_index) != space.dim or expected_pairs != space.dim:
+    s1 = set(p1)
+    pairs = _tensor_pairs(space, f1, f2)
+    expected_pairs = np.count_nonzero(f1.lengths[:, None] + f2.lengths[None, :] <= n)
+    if np.count_nonzero(pairs >= 0) != space.dim or expected_pairs != space.dim:
         raise ValueError("basis does not biject onto restricted pairs")
 
     def kron_expected(a: OperatorMatrix, on_first: bool) -> OperatorMatrix:
         rows, cols, data = _mat.coo_parts(a.mat)
-        out_r: list[int] = []
-        out_c: list[int] = []
-        out_d: list[complex] = []
-        for r, c, val in zip(rows, cols, data):
-            if on_first:
-                for i2 in range(f2.dim):
-                    src = pair_index.get((int(c), i2))
-                    dst = pair_index.get((int(r), i2))
-                    if src is not None and dst is not None:
-                        out_r.append(dst)
-                        out_c.append(src)
-                        out_d.append(val)
-            else:
-                for i1 in range(f1.dim):
-                    src = pair_index.get((i1, int(c)))
-                    dst = pair_index.get((i1, int(r)))
-                    if src is not None and dst is not None:
-                        out_r.append(dst)
-                        out_c.append(src)
-                        out_d.append(val)
-        return OperatorMatrix(space, _mat.from_coo(out_r, out_c, out_d, space.dim), a.guard, a.up, a.down)
+        table = pairs if on_first else pairs.T
+        src, dst = table[cols], table[rows]
+        keep = (src >= 0) & (dst >= 0)
+        vals = np.broadcast_to(data[:, None], keep.shape)[keep]
+        return OperatorMatrix(space, _mat.from_coo(dst[keep], src[keep], vals, space.dim), a.guard, a.up, a.down)
 
     checks: list[tuple[str, float]] = []
     for v in graph.vertices:

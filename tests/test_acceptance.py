@@ -56,6 +56,7 @@ from util import (
     hecke_system,
     m2_site,
     mixed_system,
+    naive_basis,
     occurrence_permutation,
     shuffle_class,
 )
@@ -276,7 +277,7 @@ def test_criterion_07_hecke_identification_exact():
         g = space.group
         _, _, t = hecke_vertex(q)
         p = hecke_parameter(q)
-        words = [fi.word for fi in space.basis]
+        words = [w for w, _ in naive_basis(space)]
         widx = {w: i for i, w in enumerate(words)}
         for s in FREE3.vertices:
             lam = lambda_op(space, s, t).toarray()

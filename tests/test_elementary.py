@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
+from gplab import _mat
 from gplab.algebras import hecke_vertex
 from gplab.elementary import (
+    IDENTITY_TERM,
     ElementaryTerm,
     Factor,
     expression_matrix,
+    factor_matrix,
     rewrite_to_elementary,
     signature,
     term_matrix,
     terms_matrix,
 )
 from gplab.errors import ResourceLimitError
-from gplab.fock import guarded_deviation, guarded_norm, offdiagonal_mass
+from gplab.fock import creation, diagonal, guarded_deviation, guarded_norm, identity_op, offdiagonal_mass
+from gplab.system import GraphSystem
 
-from util import FREE3
+from util import FREE3, m2_site
 
 RNG = np.random.default_rng(101)
 
@@ -222,3 +226,47 @@ def test_rewrite_certificates_diag_heavy_triangle():
         rhs = terms_matrix(terms, space)
         assert min(lhs.guard, rhs.guard) >= 0
         assert guarded_deviation(lhs, rhs) < 1e-9
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_operator_chains_start_from_first_factor(mixed_free3, path, monkeypatch):
+    """expression_matrix and term_matrix multiply len(factors) - 1 times,
+    with no product by the identity first, and equal the chains started from
+    the identity: exactly for expressions, to rounding for terms, whose
+    coefficient now scales the first factor."""
+    sysm = mixed_free3 if path == "dense" else GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
+    space = sysm.space(3)
+    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
+    calls = [0]
+    mul = _mat.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(_mat, "mul", counted)
+    rng = np.random.default_rng(107)
+    for _ in range(6):
+        factors = sample_expression(sysm, rng, max_len=5)
+        want = identity_op(space)
+        for f in factors:
+            want = want @ factor_matrix(f, space)
+        calls[0] = 0
+        got = expression_matrix(factors, space)
+        assert calls[0] == len(factors) - 1
+        assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+        assert np.array_equal(got.toarray(), want.toarray())
+        for coeff, term in rewrite_to_elementary(factors, sysm) + [(0.5 - 2j, IDENTITY_TERM)]:
+            want = coeff * identity_op(space)
+            for v, a in term.creation:
+                want = want @ creation(space, v, a)
+            for v, c in term.diag:
+                want = want @ diagonal(space, v, c)
+            for v, b in reversed(term.annihilation):
+                want = want @ creation(space, v, b).adjoint()
+            calls[0] = 0
+            got = term_matrix(term, space, coeff)
+            assert calls[0] == max(len(term.creation) + len(term.diag) + len(term.annihilation) - 1, 0)
+            assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+            w = want.toarray()
+            assert np.max(np.abs(got.toarray() - w), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(w), initial=0.0))

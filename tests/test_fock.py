@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gplab import _mat
+from gplab import _mat, fock
 from gplab.algebras import hecke_parameter, hecke_vertex, site_from_hecke
 from gplab.analysis import _random_truncated_operator
 from gplab.errors import ResourceLimitError
@@ -22,14 +22,11 @@ from gplab.fock import (
     guarded_norm,
     identity_op,
     lambda_op,
-    level_projection,
     offdiagonal_mass,
     q_projection,
     rho_op,
     tail_profile,
     tensor_split_check,
-    vacuum_projection,
-    vacuum_eval,
     vacuum_vectors,
     word_projection,
 )
@@ -43,15 +40,21 @@ from util import (
     PATH3,
     m2_site,
     naive_annihilation,
+    naive_basis,
     naive_creation,
     naive_diagonal,
+    naive_expectation_subgraph,
     naive_expectation_gram,
     naive_expectation_min_eig,
     naive_gauge_average,
+    naive_gauge_unitary,
+    naive_letter_counts,
     naive_norm2,
+    naive_plan_side,
     naive_q_projection,
     naive_reduced_operator,
     naive_side_op,
+    naive_tensor_pairs,
 )
 
 RNG = np.random.default_rng(11)
@@ -71,7 +74,7 @@ def test_build_dimensions():
     g1 = FREE3.induced([0])
     m2 = m2_site()
     assert TruncatedFock(g1, {0: m2.rep}, 1).dim == 4  # 1 + (4 - 1)
-    assert TruncatedFock(FREE3, reps3, 2).basis[0].word == ()
+    assert naive_basis(TruncatedFock(FREE3, reps3, 2))[0][0] == ()
 
 
 def test_dim_cap():
@@ -207,7 +210,7 @@ def test_q_projection_examples(hecke_space):
 def test_q_projection_empty_word(hecke_space):
     space = hecke_space
     qe = q_projection(space, ())
-    expected = identity_op(space) - vacuum_projection(space)
+    expected = identity_op(space) - word_projection(space, ())
     assert guarded_deviation(qe, expected) == 0.0
 
 
@@ -216,8 +219,8 @@ def test_gauge_examples(hecke_space):
     assert guarded_deviation(gauge_unitary(space, {v: 1.0 for v in FREE3.vertices}), identity_op(space)) == 0.0
     u = gauge_unitary(space, {0: -1.0, 1: 1.0, 2: 1.0})
     diag = np.real(u.toarray().diagonal())
-    for i, fi in enumerate(space.basis):
-        assert diag[i] == (-1.0) ** fi.word.count(0)
+    for i, (w, _) in enumerate(naive_basis(space)):
+        assert diag[i] == (-1.0) ** w.count(0)
     with pytest.raises(ValueError):
         gauge_unitary(space, {0: 2.0, 1: 1.0, 2: 1.0})
     _, _, t = hecke_vertex(2.0)
@@ -286,11 +289,11 @@ def test_expectation_subgraph_idempotent(mixed_path3):
 
 def test_vacuum_eval_examples(mixed_free3):
     space = mixed_free3.space(3)
-    assert vacuum_eval(identity_op(space)) == 1.0
+    assert identity_op(space).entry(0, 0) == 1.0
     rng = np.random.default_rng(29)
     x = naive_reduced_operator(space, (0, 1), [mixed_free3.sites[0].random_element(rng), mixed_free3.sites[1].random_element(rng)])
-    assert abs(vacuum_eval(x)) < 1e-14
-    assert abs(vacuum_eval(diagonal(space, 0, mixed_free3.sites[0].random_element(rng)))) < 1e-14
+    assert abs(x.entry(0, 0)) < 1e-14
+    assert abs(diagonal(space, 0, mixed_free3.sites[0].random_element(rng)).entry(0, 0)) < 1e-14
 
 
 def test_tail_profile_examples(mixed_free3):
@@ -324,9 +327,6 @@ def test_tail_profile_examples(mixed_free3):
 
 def test_level_and_word_projections(mixed_free3):
     space = mixed_free3.space(3)
-    p2 = level_projection(space, 2)
-    diag = np.real(p2.toarray().diagonal())
-    assert all((space.lengths <= 2) == (diag > 0.5))
     pw = word_projection(space, (0,))
     assert np.real(pw.toarray().diagonal()).sum() == space.reps[0].dim - 1
 
@@ -438,7 +438,7 @@ def test_operator_norm_matches_dense_svd_oracle():
                   for k in (2, 3, 5) for shape in [(1, 1), (k, 1), (1, k), (k, k)] for _ in range(2)]
         inputs.append(_shuffled_csr(_block_diag(blocks), rng))
     for m in inputs:
-        assert _mat.is_sparse(m)
+        assert isinstance(m, _mat.CSR)
         want = naive_norm2(m)
         assert abs(_mat.norm2(m) - want) <= 1e-12 * want
 
@@ -454,7 +454,7 @@ def test_operator_norm_reads_tiny_diagonals_above_tolerance():
         mag = top * rng.uniform(0.95, 1.0, n) * (rng.random(n) < 0.5)
         mag[rng.integers(n)] = top
         m = _mat.diag(mag * np.exp(2j * np.pi * rng.random(n)))
-        assert _mat.is_sparse(m)
+        assert isinstance(m, _mat.CSR)
         assert _mat.norm2(m) > 1e-9
 
 
@@ -510,7 +510,7 @@ def test_parts_match_triple_product_oracle(mixed_path3, path):
             for fast, naive in pairs:
                 got, want = fast(space, v, a), naive(space, v, a)
                 assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-                assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
+                assert isinstance(got.mat, _mat.CSR) == isinstance(want.mat, _mat.CSR)
                 assert np.array_equal(got.toarray(), want.toarray())
 
 
@@ -612,16 +612,16 @@ def test_vacuum_moments_factor_freely(mixed_free3):
         x = site.random_element(rng, center=False)
         y = site.random_element(rng, center=False)
         lx, ly = lambda_op(space, v, x), lambda_op(space, v, y)
-        assert abs(vacuum_eval(lx @ ly) - site.omega(x @ y)) < 1e-12
+        assert abs((lx @ ly).entry(0, 0) - site.omega(x @ y)) < 1e-12
         for u in FREE3.vertices:
             if u == v:
                 continue
             a = mixed_free3.sites[u].random_element(rng)  # centered
             b = site.random_element(rng)
             la, lb = lambda_op(space, u, a), lambda_op(space, v, b)
-            assert abs(vacuum_eval(la @ lb)) < 1e-12
+            assert abs((la @ lb).entry(0, 0)) < 1e-12
             # alternating centered words of length 3 also vanish
-            assert abs(vacuum_eval(la @ lb @ la)) < 1e-12
+            assert abs((la @ lb @ la).entry(0, 0)) < 1e-12
 
 
 def test_expectation_subgraph_module_property(mixed_path3):
@@ -673,7 +673,7 @@ def test_expectation_gram_matches_full_product_oracle(mixed_path3, path):
         x = _random_truncated_operator(sysm, space, rng)
         got, want = expectation_gram(x), naive_expectation_gram(x)
         assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-        assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
+        assert isinstance(got.mat, _mat.CSR) == isinstance(want.mat, _mat.CSR)
         w = want.toarray()
         assert np.max(np.abs(got.toarray() - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
 
@@ -696,8 +696,8 @@ def test_vacuum_vectors_match_reduced_operator_oracle(mixed_path3, path):
         dx = x.toarray()
         assert np.max(np.abs(x_row - dx[0])) < 1e-13
         assert np.max(np.abs(x_col - dx[:, 0])) < 1e-13
-        assert abs(x_row @ y_col - vacuum_eval(x @ y)) < 1e-13
-        assert abs(y_row @ x_col - vacuum_eval(y @ x)) < 1e-13
+        assert abs(x_row @ y_col - (x @ y).entry(0, 0)) < 1e-13
+        assert abs(y_row @ x_col - (y @ x).entry(0, 0)) < 1e-13
     with pytest.raises(ValueError):
         vacuum_vectors(space, (0, 1), ax[:1])
 
@@ -803,8 +803,8 @@ def test_side_op_matches_list_plan_oracle(mixed_path3, path):
                     got = _side_op(space, v, a, left, part)
                     want = naive_side_op(space, v, a, left, part)
                     assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-                    assert _mat.is_sparse(got.mat) == _mat.is_sparse(want.mat)
-                    if _mat.is_sparse(got.mat):  # no explicit zeros stored
+                    assert isinstance(got.mat, _mat.CSR) == isinstance(want.mat, _mat.CSR)
+                    if isinstance(got.mat, _mat.CSR):  # no explicit zeros stored
                         assert len(got.mat.data) == len(want.mat.data)
                     assert np.array_equal(got.toarray(), want.toarray())
 
@@ -845,21 +845,121 @@ def test_q_projection_cache_counts(mixed_path3, path, monkeypatch):
     sort = _count_calls(monkeypatch, "sort_with_perm")
     w = (space.graph.vertices[1],)
     first = q_projection(space, w)
-    assert leq[0] == len(space.words()) - 1  # every word but the vacuum
+    assert leq[0] == len(space._spans) - 1  # every word but the vacuum
     leq[0] = 0
     q_projection(space, w)
     assert leq[0] == 0
 
     sort[0] = 0
-    words = space.words()
+    words = list(space._spans)
     for v in words:
         for u in words:
             space.group.leq_tuple(v, u)
     assert sort[0] == 0
 
     want = naive_q_projection(space, w).toarray()
-    if _mat.is_sparse(first.mat):
+    if isinstance(first.mat, _mat.CSR):
         first.mat.data[:] = 5.0
     else:
         first.mat[:] = 5.0
     assert np.array_equal(q_projection(space, w).toarray(), want)
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_word_blocks_match_naive_basis(mixed_path3, path):
+    """Every vector of the per-vector enumeration sits in its word's block
+    at the index formula's position, with its length and word id."""
+    _, space = _oracle_space(mixed_path3, path)
+    basis = naive_basis(space)
+    assert space.dim == len(basis) == len(space.lengths) == len(space.word_ids)
+    words = list(space._spans)
+    assert words == list(dict.fromkeys(w for w, _ in basis))
+    for i, (w, slots) in enumerate(basis):
+        off, count = space._spans[w]
+        assert off <= i < off + count
+        assert space.lengths[i] == len(w)
+        assert words[space.word_ids[i]] == w
+        assert space.index_of(w, slots) == i
+    # no vector for a short slot tuple, a slot out of range, or a missing word
+    w, slots = basis[-1]
+    assert space.index_of(w, slots[:-1]) is None
+    assert space.index_of(w, slots[:-1] + (space.reps[w[-1]].dim,)) is None
+    assert space.index_of(w, slots[:-1] + (0,)) is None
+    assert space.index_of(w + w[-1:], slots + (1,)) is None
+
+
+def _plan_arrays(plan: list, dv: int) -> tuple:
+    """naive_plan_side's list plan as the index arrays of fock._SidePlan."""
+    a = [e for e in plan if e[0] == "A"]
+    b = [(j, e) for j, e in enumerate(plan) if e[0] == "B"]
+    return (
+        np.array([e[1] for e in a], dtype=np.intp),
+        np.array([e[2] if e[2] is not None else [-1] * (dv - 1) for e in a], dtype=np.intp).reshape(len(a), dv - 1),
+        np.array([j for j, _ in b], dtype=np.intp),
+        np.array([e[1] for _, e in b], dtype=np.intp),
+        np.array([e[2] for _, e in b], dtype=np.intp).reshape(len(b), dv - 1),
+        np.array([e[3] for _, e in b], dtype=np.intp),
+    )
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_word_maps_match_per_vector_oracles(mixed_path3, path):
+    """The maps compiled per word block equal their per-vector oracles
+    exactly: the lambda/rho plans, the gauge unitary, the gauge average's
+    letter counts and the subgraph expectation."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    verts = space.graph.vertices
+    for v in verts:
+        for left in (True, False):
+            got = fock._plan_side(space, v, left)
+            want = _plan_arrays(naive_plan_side(space, v, left), space.reps[v].dim)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+    z = {v: np.exp(1j * (0.7 + v)) for v in verts}
+    assert np.array_equal(gauge_unitary(space, z).toarray(), naive_gauge_unitary(space, z).toarray())
+    counts = naive_letter_counts(space)
+    rng = np.random.default_rng(97)
+    subs = [space.graph.induced(verts[:-1]), space.graph.induced([verts[0], verts[2]]), space.graph]
+    for _ in range(3):
+        x = _random_truncated_operator(sysm, space, rng)
+        x = x + creation(space, verts[0], sysm.sites[verts[0]].random_element(rng)).adjoint()
+        dense = x.toarray()
+        for m in (1, 2, 3, 2 * space.n + 1):
+            keep = np.all((counts[:, None, :] - counts[None, :, :]) % m == 0, axis=2)
+            assert np.array_equal(gauge_average(x, m).toarray(), np.where(keep, dense, 0))
+        for sub in subs:
+            got, want = expectation_subgraph(space, sub, x), naive_expectation_subgraph(space, sub, x)
+            assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+            assert np.array_equal(got.toarray(), want.toarray())
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_tensor_pairs_match_per_vector_oracle(path):
+    """The pair table of a join, compiled per word block, equals the
+    per-vector one, and the split check passes on it, for a join space below
+    DENSE_CUTOFF (Hecke and M2 on PATH3 = {1} * {0, 2}, dim 34 at depth 3)
+    and above it (M2 on PATH3, dim 478 at depth 4)."""
+    if path == "dense":
+        sysm, n = GraphSystem(PATH3, {0: site_from_hecke(1.0), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: site_from_hecke(2.0)}), 3
+    else:
+        sysm, n = GraphSystem(PATH3, {v: m2_site() for v in PATH3.vertices}), 4
+    space = sysm.space(n)
+    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
+    f1, f2 = space.subspace(PATH3.induced([1])), space.subspace(PATH3.induced([0, 2]))
+    got = fock._tensor_pairs(space, f1, f2)
+    assert np.array_equal(got, naive_tensor_pairs(space, f1, f2))
+    assert tensor_split_check(PATH3, [1], [0, 2], sysm.reps(), n).max_deviation <= 1e-12
+
+
+def test_plans_compile_one_sort_per_word_block(monkeypatch):
+    """Compiling every lambda and rho plan of M2 on FREE3 at depth 3 (dim
+    388, 22 word blocks) runs at most one canonical sort per word block and
+    plan, however many vectors the blocks hold."""
+    sysm = GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
+    space = sysm.space(3)
+    sort = _count_calls(monkeypatch, "sort_with_perm")
+    for v in FREE3.vertices:
+        for left in (True, False):
+            fock._plan_side(space, v, left)
+    assert 0 < sort[0] <= len(space._spans) * len(FREE3.vertices) * 2
+    assert space.dim > len(space._spans) * len(FREE3.vertices) * 2

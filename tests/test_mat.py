@@ -35,7 +35,7 @@ def _kinds(rows, cols, data, shape):
 
 def _assert_canonical(m):
     """Row pointers, sorted distinct columns per row, no stored zeros."""
-    assert _mat.is_sparse(m)
+    assert isinstance(m, _mat.CSR)
     nr, nc = m.shape
     assert len(m.indptr) == nr + 1 and m.indptr[0] == 0 and m.indptr[-1] == len(m.indices) == len(m.data)
     assert np.all(np.diff(m.indptr) >= 0)
@@ -46,7 +46,7 @@ def _assert_canonical(m):
 
 
 def _dense(m) -> np.ndarray:
-    if _mat.is_sparse(m):
+    if isinstance(m, _mat.CSR):
         _assert_canonical(m)
     return _mat.to_dense(m)
 
@@ -67,7 +67,7 @@ def test_from_coo_picks_kind_by_dimension(data):
     rows, cols, vals, _ = data.draw(coo(MAX_DIM, MAX_DIM))
     rows = [r * (dim // MAX_DIM) for r in rows]  # spread over the whole dimension
     got = _mat.from_coo(rows, cols, vals, dim)
-    assert _mat.is_sparse(got) == (dim >= _mat.DENSE_CUTOFF)
+    assert isinstance(got, _mat.CSR) == (dim >= _mat.DENSE_CUTOFF)
     assert np.array_equal(_dense(got), naive_from_coo(rows, cols, vals, (dim, dim)))
 
 
@@ -76,8 +76,8 @@ def test_zeros_eye_diag(dim):
     rng = np.random.default_rng(dim)
     vec = rng.choice(np.array(VALUES), dim)
     for got, want in ((_mat.zeros(dim), np.zeros((dim, dim))), (_mat.eye(dim), np.eye(dim)), (_mat.diag(vec), np.diag(vec))):
-        assert _mat.is_sparse(got) == (dim >= _mat.DENSE_CUTOFF)
-        assert (got.data if _mat.is_sparse(got) else got).dtype == complex
+        assert isinstance(got, _mat.CSR) == (dim >= _mat.DENSE_CUTOFF)
+        assert (got.data if isinstance(got, _mat.CSR) else got).dtype == complex
         assert np.array_equal(_dense(got), want)
 
 

@@ -1,0 +1,71 @@
+"""Every public module-level function of gplab.fock and gplab._mat is
+reached from the package itself, not only from tests, or is one of the few
+named entry points below.
+
+The package sources are parsed, not imported.  A function counts as reached
+when some module of src/gplab names it outside its own definition: by its
+bare name inside its home module or after `from .<home> import <name>`, or
+as an attribute of a name bound to the home module (`from . import fock as
+fk`, then `fk.<name>`).
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gplab"
+CHECKED = ("fock", "_mat")
+# Public although the package never calls them: the annihilation part of
+# lambda_v and the word projection p_w are built only by callers outside it
+# (the tests, and the benchmark's trace of annihilation).
+ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}, "_mat": set()}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _public_functions(tree: ast.Module) -> list[str]:
+    return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+
+
+def _references(module: str, tree: ast.Module, home: str, own: str) -> bool:
+    """Whether `module` names home.own outside the definition of home.own."""
+    module_aliases = set()  # names bound to the home module
+    name_aliases = {own} if module == home else set()  # names bound to home.own
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name == home:
+                    module_aliases.add(alias.asname or alias.name)
+                elif node.module == home and alias.name == own:
+                    name_aliases.add(alias.asname or alias.name)
+
+    def visit(node: ast.AST) -> bool:
+        if module == home and isinstance(node, ast.FunctionDef) and node.name == own and node in tree.body:
+            return False
+        if isinstance(node, ast.Name) and node.id in name_aliases and isinstance(node.ctx, ast.Load):
+            return True
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == own
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+        ):
+            return True
+        return any(visit(child) for child in ast.iter_child_nodes(node))
+
+    return visit(tree)
+
+
+@pytest.mark.parametrize("home", CHECKED)
+def test_public_functions_are_reached_from_the_package(home):
+    trees = _trees()
+    unreached = [
+        name
+        for name in _public_functions(trees[home])
+        if not any(_references(module, tree, home, name) for module, tree in trees.items())
+    ]
+    assert sorted(set(unreached) - ENTRY_POINTS[home]) == []
+    # an entry point that the package comes to call leaves the list
+    assert sorted(ENTRY_POINTS[home] - set(unreached)) == []

@@ -158,6 +158,27 @@ def naive_annihilation(space, v, a):
     return out
 
 
+# -- basis oracle --------------------------------------------------------------------
+# The basis one vector at a time, enumerated as the space's definition reads.
+
+
+def naive_basis(space) -> list[tuple[tuple, tuple]]:
+    """Every basis vector as (word, slots), in basis order: the ball words in
+    order, each with its slot tuples in itertools.product order; words with a
+    letter whose reduced space is zero are skipped."""
+    out = []
+    for w in space.group.ball_tuples(space.n):
+        sdims = [space.reps[v].dim - 1 for v in w]
+        for slots in itertools.product(*(range(1, d + 1) for d in sdims)):
+            out.append((w, slots))
+    return out
+
+
+def naive_index(space) -> dict:
+    """(word, slots) -> position in naive_basis."""
+    return {b: i for i, b in enumerate(naive_basis(space))}
+
+
 # -- lambda/rho and Q_w oracles -------------------------------------------------------
 # The action plan as a list of per-column tuples, walked one column at a time,
 # and Q_w decided word by word through the canonical reduce_tuple, uncached.
@@ -178,23 +199,23 @@ def naive_plan_side(space, v, left: bool) -> list:
     ("B", acted slot value, in-place retargets, dropped-letter target)."""
     group = space.group
     dv = space.reps[v].dim
+    index = naive_index(space)
     plan = []
-    for j, fi in enumerate(space.basis):
-        w, slots = fi.word, fi.slots
+    for j, (w, slots) in enumerate(naive_basis(space)):
         letters_side = group.first_letters_tuple(w) if left else group.last_letters_tuple(w)
         if v in letters_side:
             r = _liftable(group, w, v, left)
-            retarget = [space.index_of(w, slots[:r] + (t,) + slots[r + 1:]) for t in range(1, dv)]
+            retarget = [index[(w, slots[:r] + (t,) + slots[r + 1:])] for t in range(1, dv)]
             canon, perm = group.sort_with_perm(w[:r] + w[r + 1:])
             mslots = slots[:r] + slots[r + 1:]
-            drop = space.index_of(canon, tuple(mslots[p] for p in perm))
+            drop = index[(canon, tuple(mslots[p] for p in perm))]
             plan.append(("B", slots[r], retarget, drop))
         elif len(w) + 1 <= space.n and dv > 1:
             canon, perm = group.sort_with_perm(((v,) + w) if left else (w + (v,)))
             targets = []
             for t in range(1, dv):
                 src = ((t,) + slots) if left else (slots + (t,))
-                targets.append(space.index_of(canon, tuple(src[p] for p in perm)))
+                targets.append(index[(canon, tuple(src[p] for p in perm))])
             plan.append(("A", j, targets))
         else:
             plan.append(("A", j, None))
@@ -242,8 +263,7 @@ def naive_q_projection(space, w):
     group = space.group
     letters = group.reduce_tuple(tuple(w))
     dvals = np.zeros(space.dim, dtype=complex)
-    for i, fi in enumerate(space.basis):
-        u = fi.word
+    for i, (u, _) in enumerate(naive_basis(space)):
         if u != () and len(letters) <= len(u):
             if len(group.reduce_tuple(tuple(reversed(letters)) + u)) == len(u) - len(letters):
                 dvals[i] = 1.0
@@ -315,16 +335,22 @@ def naive_expectation_min_eig(x) -> float:
     return float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
 
 
+def naive_letter_counts(space) -> np.ndarray:
+    """(dim, |V|): how often each vertex occurs in each basis vector's word."""
+    vpos = {v: k for k, v in enumerate(space.graph.vertices)}
+    counts = np.zeros((space.dim, len(vpos)), dtype=np.int64)
+    for i, (w, _) in enumerate(naive_basis(space)):
+        for letter in w:
+            counts[i, vpos[letter]] += 1
+    return counts
+
+
 def naive_gauge_average(x, m: int):
     """Average of U_z x U_z* by summing over every point of the m-th-roots
     grid on the torus."""
     space = x.space
     nv = len(space.graph.vertices)
-    counts = np.zeros((space.dim, nv), dtype=np.int64)
-    vpos = {v: k for k, v in enumerate(space.graph.vertices)}
-    for i, fi in enumerate(space.basis):
-        for letter in fi.word:
-            counts[i, vpos[letter]] += 1
+    counts = naive_letter_counts(space)
     rows, cols, data = _mat.coo_parts(x.mat)
     acc = np.zeros(len(data), dtype=complex)
     for assignment in itertools.product(range(m), repeat=nv):
@@ -332,3 +358,77 @@ def naive_gauge_average(x, m: int):
         acc += data * d[rows] * np.conj(d[cols])
     acc /= float(m**nv)
     return OperatorMatrix(space, _mat.from_coo(rows, cols, acc, space.dim), x.guard, x.up, x.down)
+
+
+def naive_gauge_unitary(space, z) -> OperatorMatrix:
+    """U_z with the product of z over each basis vector's letters, one vector
+    at a time."""
+    dvals = np.ones(space.dim, dtype=complex)
+    for i, (w, _) in enumerate(naive_basis(space)):
+        val = 1.0 + 0j
+        for letter in w:
+            val *= z[letter]
+        dvals[i] = val
+    return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
+
+
+# -- subgraph-expectation and tensor-split oracles -------------------------------------
+# The head/tail factorisation and the factor pairs, one basis vector at a time.
+
+
+def naive_expectation_subgraph(space, sub, x) -> OperatorMatrix:
+    """E_sub(x): each column's word is peeled into (head in the subgroup) *
+    (tail) vector by vector, and each entry of x on the subgraph space is
+    sent to the merged head-and-tail rows entry by entry."""
+    group = space.group
+    subset = set(sub.vertices)
+    sub_space = space.subspace(sub)
+    index, sub_index = naive_index(space), naive_index(sub_space)
+    sub_basis = naive_basis(sub_space)
+    emb = np.array([index[b] for b in sub_basis], dtype=int)
+    y_rows, y_cols, y_data = _mat.principal_parts(x.mat, emb)
+    by_head: dict = {}
+    for j, (w, slots) in enumerate(naive_basis(space)):
+        rem = list(zip(w, slots))
+        head = []
+        while True:
+            word_now = tuple(p[0] for p in rem)
+            first = [s for s in group.first_letters_tuple(word_now) if s in subset]
+            if not first:
+                break
+            head.append(rem.pop(_liftable(group, word_now, min(first), True)))
+        canon, perm = group.sort_with_perm(tuple(p[0] for p in head))
+        head_idx = sub_index[(canon, tuple(head[p][1] for p in perm))]
+        by_head.setdefault(head_idx, []).append((j, rem))
+    rows, cols, data = [], [], []
+    for r0, c0, val in zip(y_rows, y_cols, y_data):
+        hw, hs = sub_basis[int(r0)]
+        for j, tail in by_head.get(int(c0), ()):
+            letters = hw + tuple(p[0] for p in tail)
+            if len(letters) > space.n:
+                continue
+            slots = hs + tuple(p[1] for p in tail)
+            canon, perm = group.sort_with_perm(letters)
+            rows.append(index[(canon, tuple(slots[p] for p in perm))])
+            cols.append(j)
+            data.append(val)
+    guard = min(x.guard, space.n - x.up)
+    return OperatorMatrix(space, _mat.from_coo(rows, cols, data, space.dim), guard, x.up, x.down)
+
+
+def naive_tensor_pairs(space, f1, f2) -> np.ndarray:
+    """(f1.dim, f2.dim) table of the column whose letters in f1's graph give
+    the f1 vector and whose others give the f2 vector, -1 where none does;
+    filled one basis vector at a time."""
+    group = space.group
+    s1 = set(f1.graph.vertices)
+    index1, index2 = naive_index(f1), naive_index(f2)
+    table = np.full((f1.dim, f2.dim), -1, dtype=np.intp)
+    for j, (w, slots) in enumerate(naive_basis(space)):
+        split = []
+        for keep, index in ((True, index1), (False, index2)):
+            seq = [(letter, s) for letter, s in zip(w, slots) if (letter in s1) == keep]
+            canon, perm = group.sort_with_perm(tuple(p[0] for p in seq))
+            split.append(index[(canon, tuple(seq[p][1] for p in perm))])
+        table[split[0], split[1]] = j
+    return table
