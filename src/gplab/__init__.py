@@ -22,4 +22,4 @@ from .algebras import (  # noqa: F401
 from .errors import ConfigError, ResourceLimitError  # noqa: F401
 from .graphs import SimplicialGraph, Walk  # noqa: F401
 from .system import GraphSystem  # noqa: F401
-from .words import CoxeterGroup, NormalForm, Word, coxeter_group  # noqa: F401
+from .words import CoxeterGroup, coxeter_group  # noqa: F401

@@ -239,23 +239,12 @@ def optimal_q(a: Element, st: StateSpec) -> float:
     return max(lam, 0.0) / denom
 
 
-def _sign_diag_candidates(alg: FiniteDimAlgebra):
-    slots = sum(alg.blocks)
-    for signs in itertools.product((1.0, -1.0), repeat=slots):
-        mats = []
-        off = 0
-        for d in alg.blocks:
-            mats.append(np.diag(np.array(signs[off: off + d], dtype=complex)))
-            off += d
-        yield mats
-
-
 def _perm_sign_candidates(alg: FiniteDimAlgebra):
+    """Signed permutation matrices per block.  The identity permutations
+    come first, so the first 2**slots candidates are the sign diagonals."""
     perms_per_block = [list(itertools.permutations(range(d))) for d in alg.blocks]
     slots = sum(alg.blocks)
     for choice in itertools.product(*perms_per_block):
-        if all(p == tuple(range(len(p))) for p in choice):
-            continue  # identity permutations are the sign-diagonal family
         for signs in itertools.product((1.0, -1.0), repeat=slots):
             mats = []
             off = 0
@@ -291,9 +280,7 @@ def centered_unitary_search(
     """
     if not st.is_faithful():
         raise ValueError("state must be faithful")
-    stream = itertools.chain(
-        _sign_diag_candidates(alg), _perm_sign_candidates(alg), _phase_candidates(alg)
-    )
+    stream = itertools.chain(_perm_sign_candidates(alg), _phase_candidates(alg))
     for mats in itertools.islice(stream, UNITARY_SEARCH_CAP):
         u = Element(alg, tuple(mats))
         if abs(st.omega(u)) <= tol:

@@ -510,9 +510,9 @@ def main_identity_checks(
         w = ball[int(rng.integers(0, len(ball)))]
         cr = fk.creation(space, u, a)
         lhs = fk.q_projection(space, w) @ cr
-        rhs = cr @ lat.apply_symbolic(space, lat.act_on_q(group, u, group.element(w)))
+        rhs = cr @ lat.apply_symbolic(space, lat.act_on_q(group, u, w))
         lhs2 = fk.q_projection(space, w) @ cr.adjoint()
-        rhs2 = cr.adjoint() @ lat.apply_symbolic(space, lat.act_on_q(group, u, group.element(w)))
+        rhs2 = cr.adjoint() @ lat.apply_symbolic(space, lat.act_on_q(group, u, w))
         return max(dev(lhs, rhs), dev(lhs2, rhs2))
 
     # the action identity couples Q_e to the unital picture; restrict to
@@ -625,7 +625,7 @@ def diagonality_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator, 
             sig = el.signature(t, sysm)
             m = el.term_matrix(t, space, coeff)
             off = fk.offdiagonal_mass(m)
-            if sig.is_identity():
+            if not sig:
                 worst_diag = max(worst_diag, off)
             elif fk.guarded_norm(m) > 1e-8 and off <= 1e-12:
                 mismatches += 1
@@ -778,7 +778,7 @@ def lattice_checks(sysm: GraphSystem, depth: int) -> list[CheckRecord]:
     short = group.ball_tuples(1)
     for u in short:
         for w in short:
-            check = lat.lattice_product(group, group.element(u), group.element(w), 4)
+            check = lat.lattice_product(group, u, w, 4)
             worst = max(worst, check.max_deviation)
     records.append(CheckRecord("lattice.projection_products", worst, 0.0, worst == 0.0))
     return records

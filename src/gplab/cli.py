@@ -102,18 +102,12 @@ def run_tensor_split(cfg: ProblemConfig, depth: int) -> tuple[dict, bool]:
 
 
 def run_topofree(cfg: ProblemConfig) -> tuple[dict, bool]:
-    group = cfg.system.group
-    spec = cfg.topofree or {}
-    w = group.element([cfg.name_to_id[nm] for nm in spec.get("w", [])])
-    exclusions = [
-        group.element([cfg.name_to_id[nm] for nm in xs])
-        for xs in spec.get("exclusions", [[nm] for nm in [cfg.names[v] for v in cfg.system.graph.vertices[:1]]])
-    ]
-    l_max = int(spec.get("L_max", 4))
-    radius = int(spec.get("search_radius", 6))
-    rep = lat.topofree_witness(group, w, exclusions, l_max, radius)
+    spec = cfg.topofree
+    rep = lat.topofree_witness(
+        cfg.system.group, spec["w"], spec["exclusions"], spec["L_max"], spec["search_radius"]
+    )
     result = {
-        "w": [cfg.names[x] for x in w.letters],
+        "w": [cfg.names[x] for x in spec["w"]],
         "witness_v": [cfg.names[x] for x in rep.v],
         "walk": [cfg.names[x] for x in rep.walk.steps],
         "conclusive": rep.conclusive,
@@ -168,7 +162,7 @@ def execute(cmd: str, cfg: ProblemConfig, depth: int, seed: int, strict: bool, c
         v = an.nuclearity_exactness_report(cfg.system, cfg.names)
         verdicts.append(v)
         ok &= _verdict_ok(v, strict)
-    if cmd == "witness-topofree" or (cmd == "report-all" and cfg.topofree is not None):
+    if cmd == "witness-topofree" or (cmd == "report-all" and "topofree" in cfg.echo):
         result, conclusive = run_topofree(cfg)
         results["topofree"] = result
         if strict:
@@ -206,6 +200,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.tolerances["identity"] = args.tolerance
         seed = args.seed if args.seed is not None else cfg.seed
         depth = args.depth if args.depth is not None else cfg.truncation
+        if depth < 0:
+            raise ConfigError("--depth: expected a nonnegative integer")
         results, ok = execute(args.command, cfg, depth, seed, args.strict, args.csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,9 @@ import numpy as np
 from .algebras import Element, FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
 from .errors import ConfigError
 from .graphs import SimplicialGraph, VertexId
+from .lattice import DEFAULT_WITNESS_RADIUS
 from .system import GraphSystem
+from .words import CoxeterGroup, Letters
 
 SCHEMA_VERSION = 1
 
@@ -43,7 +45,7 @@ class ProblemConfig:
     tolerances: dict[str, float]
     witnesses: dict[VertexId, Element] = field(default_factory=dict)
     unitary_witnesses: dict[VertexId, Element] = field(default_factory=dict)
-    topofree: Optional[dict] = None
+    topofree: dict = field(default_factory=dict)  # parsed, defaults filled in; echo keeps the raw block
     fault_injection: Optional[str] = None
     echo: dict = field(default_factory=dict)
 
@@ -97,6 +99,39 @@ def _with_defaults(raw: Mapping[str, Any], block: str, defaults: Mapping[str, An
         if key not in defaults:
             _fail(f"{block}.{key}", f"unknown key; expected one of {sorted(defaults)}")
     return {**defaults, **given}
+
+
+def _nonnegative_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        _fail(path, "expected a nonnegative integer")
+    return value
+
+
+def _parse_topofree(raw: Mapping[str, Any], vnames: list[str], group: CoxeterGroup) -> dict:
+    """The topofree block with its defaults, each word mapped from vertex
+    names to its canonical letter tuple."""
+    spec = _with_defaults(
+        raw,
+        "topofree",
+        {"w": [], "exclusions": [[vnames[0]]], "L_max": 4, "search_radius": DEFAULT_WITNESS_RADIUS},
+    )
+
+    def word(names: Any, path: str) -> Letters:
+        if not isinstance(names, list):
+            _fail(path, "expected a list of vertex names")
+        for nm in names:
+            if not isinstance(nm, str) or nm not in vnames:
+                _fail(path, f"unknown vertex {nm!r}")
+        return group.reduce_tuple([vnames.index(nm) for nm in names])
+
+    if not isinstance(spec["exclusions"], list):
+        _fail("topofree.exclusions", "expected a list of words")
+    return {
+        "w": word(spec["w"], "topofree.w"),
+        "exclusions": [word(x, f"topofree.exclusions[{i}]") for i, x in enumerate(spec["exclusions"])],
+        "L_max": _nonnegative_int(spec["L_max"], "topofree.L_max"),
+        "search_radius": _nonnegative_int(spec["search_radius"], "topofree.search_radius"),
+    }
 
 
 def load_config(path: str) -> ProblemConfig:
@@ -183,21 +218,17 @@ def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
             if "unitary" in wraw:
                 unitary_witnesses[vid] = _parse_element(wraw["unitary"], alg, f"{path}.witnesses.unitary")
 
-    truncation = raw.get("truncation", 4)
-    if not isinstance(truncation, int) or truncation < 0:
-        _fail("truncation", "expected a nonnegative integer")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        _fail("seed", "expected a nonnegative integer")
+    truncation = _nonnegative_int(raw.get("truncation", 4), "truncation")
+    seed = _nonnegative_int(raw.get("seed", 0), "seed")
     caps = _with_defaults(raw, "caps", DEFAULT_CAPS)
     tolerances = _with_defaults(raw, "tolerances", DEFAULT_TOLERANCES)
 
-    topofree = raw.get("topofree")
     fault = raw.get("fault_injection")
     if fault is not None and fault not in ("rewrite", "identities"):
         _fail("fault_injection", "expected 'rewrite' or 'identities'")
 
     system = GraphSystem(graph, sites, dim_cap=int(caps["fock_dim"]))
+    topofree = _parse_topofree(raw, vnames, system.group)
     return ProblemConfig(
         system=system,
         names=names,

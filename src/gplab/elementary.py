@@ -27,7 +27,7 @@ from .fock import (
 )
 from .graphs import VertexId
 from .system import GraphSystem
-from .words import Letters, NormalForm
+from .words import Letters
 
 EXPRESSION_LENGTH_CAP = 12
 TERM_COUNT_CAP = 4096
@@ -76,7 +76,7 @@ class Factor:
     value: complex = 1.0
 
 
-def signature(term: ElementaryTerm, sys: GraphSystem) -> NormalForm:
+def signature(term: ElementaryTerm, sys: GraphSystem) -> Letters:
     """The group element (u_1...u_k)(v_1...v_l)^{-1} attached to the term."""
     g = sys.group
     create = term.creation_word()
@@ -84,7 +84,7 @@ def signature(term: ElementaryTerm, sys: GraphSystem) -> NormalForm:
     for w in (create, annih):
         if len(g.reduce_tuple(w)) != len(w):
             raise ValueError(f"index word {w} is not reduced")
-    return NormalForm(g.mul_tuple(create, g.inv_tuple(annih)), g)
+    return g.mul_tuple(create, g.inv_tuple(annih))
 
 
 def _canon_entries(sys: GraphSystem, entries: Sequence[Entry]) -> tuple[Entry, ...]:

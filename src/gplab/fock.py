@@ -24,7 +24,7 @@ from . import _mat
 from .algebras import Element, GnsRep
 from .errors import ResourceLimitError
 from .graphs import SimplicialGraph, VertexId
-from .words import Letters, NormalForm, coxeter_group
+from .words import Letters, coxeter_group
 
 DEFAULT_DIM_CAP = 20000
 
@@ -413,14 +413,6 @@ def rho_op(space: TruncatedFock, v: VertexId, x: Element) -> OperatorMatrix:
 # -- projections and gauge ----------------------------------------------------
 
 
-def _as_letters(space: TruncatedFock, w) -> Letters:
-    if isinstance(w, NormalForm):
-        if w.group.graph != space.graph:
-            raise ValueError("normal form over a different graph")
-        return w.letters
-    return space.group.reduce_tuple(tuple(w))
-
-
 def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
     """Projection onto the components indexed by words starting with w.
 
@@ -431,7 +423,7 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
     read-only, in space._plans under ("q", letters); every call returns a
     new matrix made from it, so writing into one leaves the cache intact.
     """
-    letters = _as_letters(space, w)
+    letters = space.group.reduce_tuple(w)
     if len(letters) > space.n:
         raise ValueError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
     key = ("q", letters)
@@ -451,7 +443,7 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
 
 def word_projection(space: TruncatedFock, w) -> OperatorMatrix:
     """Projection p_w onto the single word component (the vacuum for w = e)."""
-    letters = _as_letters(space, w)
+    letters = space.group.reduce_tuple(w)
     dvals = np.zeros(space.dim, dtype=complex)
     span = space._spans.get(letters)
     if span is not None:

@@ -52,16 +52,6 @@ def inverse_growth_eval(graph: SimplicialGraph, q: Mapping[VertexId, float]) -> 
     return total
 
 
-def inverse_growth_eval_exact(graph: SimplicialGraph, q: Mapping[VertexId, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for clique in graph.cliques():
-        term = Fraction(1)
-        for s in clique:
-            term *= -q[s] / (1 + q[s])
-        total += term
-    return total
-
-
 def growth_coefficients(graph: SimplicialGraph, depth: int) -> list[int]:
     """Taylor coefficients of 1/f along the equal-parameter ray, exactly.
 

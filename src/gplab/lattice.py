@@ -17,7 +17,7 @@ import numpy as np
 from . import _mat
 from .fock import TruncatedFock, identity_op, q_projection
 from .graphs import VertexId, Walk
-from .words import CoxeterGroup, Letters, NormalForm
+from .words import CoxeterGroup, Letters
 
 DEFAULT_WITNESS_RADIUS = 6
 
@@ -50,33 +50,32 @@ class LatticeCheck:
     conclusive: bool
 
 
-def lattice_product(group: CoxeterGroup, u: NormalForm, w: NormalForm, depth: int) -> LatticeCheck:
+def lattice_product(group: CoxeterGroup, u: Letters, w: Letters, depth: int) -> LatticeCheck:
     """Verify P_u P_w = P_{u v w} (or 0 without a common upper bound) on the
-    depth-ball.  Marked inconclusive rather than passed when the ball is too
-    small to contain witnesses."""
-    ut, wt = u.letters, w.letters
-    conclusive = 2 * max(len(ut), len(wt)) <= depth
-    pu = lattice_projection(group, depth, ut)
-    pw = lattice_projection(group, depth, wt)
-    j = group.join_tuple(ut, wt)
+    depth-ball, for canonical words u and w.  Marked inconclusive rather than
+    passed when the ball is too small to contain witnesses."""
+    conclusive = 2 * max(len(u), len(w)) <= depth
+    pu = lattice_projection(group, depth, u)
+    pw = lattice_projection(group, depth, w)
+    j = group.join_tuple(u, w)
     pj = lattice_projection(group, depth, j) if j is not None else np.zeros_like(pu)
     dev = float(np.max(np.abs(pu * pw - pj), initial=0.0))
-    return LatticeCheck(ut, wt, j, dev, conclusive)
+    return LatticeCheck(u, w, j, dev, conclusive)
 
 
-def act_on_q(group: CoxeterGroup, v: VertexId, w: NormalForm) -> QSymbolic:
+def act_on_q(group: CoxeterGroup, v: VertexId, w: Letters) -> QSymbolic:
     """The generator action on word projections, by centralizer trichotomy:
     outside the centralizer the index shifts; inside it, the projection is
-    fixed or picks up a correction according to whether v starts w."""
-    wt = w.letters
-    vw = group.mul_tuple((v,), wt)
-    in_centralizer = group.commutes_tuple(wt, v)
-    starts = group.leq_tuple((v,), wt)
+    fixed or picks up a correction according to whether v starts the
+    canonical word w."""
+    vw = group.mul_tuple((v,), w)
+    in_centralizer = group.commutes_tuple(w, v)
+    starts = group.leq_tuple((v,), w)
     if not in_centralizer:
         return QSymbolic(((1, vw),))
     if starts:
-        return QSymbolic(((1, vw), (-1, wt)))
-    return QSymbolic(((1, wt),))
+        return QSymbolic(((1, vw), (-1, w)))
+    return QSymbolic(((1, w),))
 
 
 def apply_symbolic(space: TruncatedFock, sym: QSymbolic):
@@ -144,20 +143,17 @@ class WitnessReport:
     message: str = ""
 
 
-def _walk_word(walk: Walk) -> Letters:
-    return tuple(walk.steps)
-
-
 def topofree_witness(
     group: CoxeterGroup,
-    w: NormalForm,
-    exclusions: Sequence[NormalForm],
+    w: Letters,
+    exclusions: Sequence[Letters],
     l_max: int,
     search_radius: int = DEFAULT_WITNESS_RADIUS,
 ) -> WitnessReport:
     """Search for v and a closed covering walk of the complement such that
     w v (walk)^L is length-additive and is not a prefix of x w v (walk)^L for
-    any excluded x and 1 <= L <= l_max.
+    any excluded x and 1 <= L <= l_max.  w and the exclusions are canonical
+    words.
 
     Candidates v run through the ball by (length, lex); the walk is the
     canonical closed covering walk of the complement, rotated so its final
@@ -169,20 +165,19 @@ def topofree_witness(
     comp = graph.complement()
     if not comp.is_connected():
         raise ValueError("complement must be connected")
-    xs = [x.letters for x in exclusions if x.letters]
+    xs = [x for x in exclusions if x]
     base_walk = comp.closed_covering_walk()
-    wt = w.letters
 
     rotations = [base_walk.rotate(k) for k in range(len(base_walk.steps))]
     for v in group.ball_tuples(search_radius):
-        wv = group.mul_tuple(wt, v)
-        if len(wv) != len(wt) + len(v):
+        wv = group.mul_tuple(w, v)
+        if len(wv) != len(w) + len(v):
             continue
         ends = group.last_letters_tuple(wv)
         ordered = [r for r in rotations if r.steps[-1] in ends]
         ordered += [r for r in rotations if r.steps[-1] not in ends]
         for walk in ordered:
-            g = _walk_word(walk)
+            g = walk.steps
             checks = []
             ok = True
             power: Letters = ()

@@ -1,16 +1,16 @@
 """Right-angled Coxeter group combinatorics: reduction, canonical normal forms,
 weak order, joins and meets, and ball enumeration.
 
-A group element is represented by its canonical normal form: the
-lexicographically least reduced word under the graph's vertex order.  All
-internal routines work on plain letter tuples; `NormalForm` is the thin
-public wrapper.
+A group element is a canonical letter tuple: the lexicographically least
+reduced word under the graph's vertex order.  Every routine takes and
+returns plain letter tuples: `reduce_tuple` maps any word to its canonical
+tuple, and the other methods take reduced words and return group elements
+as canonical tuples.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import SimplicialGraph, VertexId
@@ -19,51 +19,6 @@ Letters = tuple[VertexId, ...]
 
 BALL_DEPTH_CAP = 12
 BALL_SIZE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class Word:
-    """An unreduced word over the vertex alphabet."""
-
-    letters: Letters
-
-    @staticmethod
-    def of(letters: Iterable[VertexId]) -> "Word":
-        return Word(tuple(letters))
-
-
-class NormalForm:
-    """Canonical reduced word; equality is sequence comparison over one host."""
-
-    __slots__ = ("letters", "group")
-
-    def __init__(self, letters: Letters, group: "CoxeterGroup"):
-        self.letters = letters
-        self.group = group
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NormalForm)
-            and self.letters == other.letters
-            and self.group.graph == other.group.graph
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.group.graph))
-
-    def __repr__(self) -> str:
-        return f"NormalForm{self.letters!r}"
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-
-def _check_same_host(u: NormalForm, v: NormalForm):
-    if u.group.graph != v.group.graph:
-        raise ValueError("normal forms live over different host graphs")
 
 
 class CoxeterGroup:
@@ -76,7 +31,7 @@ class CoxeterGroup:
         self._down_cache: dict[Letters, frozenset[Letters]] = {(): frozenset({()})}
         self._spheres: list[list[Letters]] = [[()]]
 
-    # -- tuple-level core -------------------------------------------------
+    # -- reduction, normal forms and weak order ----------------------------
 
     def _rmul_gen(self, w: list[VertexId], s: VertexId):
         """Right-multiply a reduced word by a generator, in place."""
@@ -281,65 +236,13 @@ class CoxeterGroup:
         self.ball_tuples(n)
         return [len(s) for s in self._spheres[: n + 1]]
 
-    # -- public wrapper API -------------------------------------------------
-
-    @property
-    def identity(self) -> NormalForm:
-        return NormalForm((), self)
-
-    def word(self, letters: Iterable[VertexId]) -> Word:
-        return Word.of(letters)
-
-    def reduce(self, w: Word | Sequence[VertexId]) -> NormalForm:
-        letters = w.letters if isinstance(w, Word) else tuple(w)
-        return NormalForm(self.reduce_tuple(letters), self)
-
-    def element(self, letters: Iterable[VertexId]) -> NormalForm:
-        return self.reduce(Word.of(letters))
-
-    def multiply(self, u: NormalForm, v: NormalForm) -> NormalForm:
-        _check_same_host(u, v)
-        return NormalForm(self.mul_tuple(u.letters, v.letters), self)
-
-    def inverse(self, w: NormalForm) -> NormalForm:
-        return NormalForm(self.inv_tuple(w.letters), self)
-
-    def starts_with(self, v: NormalForm, w: NormalForm) -> bool:
-        _check_same_host(v, w)
-        return self.leq_tuple(v.letters, w.letters)
-
-    def ends_with(self, v: NormalForm, w: NormalForm) -> bool:
-        """v <=_L w: w has a reduced expression ending in v."""
-        _check_same_host(v, w)
-        return self.leq_tuple(self.inv_tuple(v.letters), self.inv_tuple(w.letters))
-
-    def first_letters(self, w: NormalForm) -> frozenset[VertexId]:
-        return frozenset(self.first_letters_tuple(w.letters))
-
-    def last_letters(self, w: NormalForm) -> frozenset[VertexId]:
-        return frozenset(self.last_letters_tuple(w.letters))
-
-    def join(self, v: NormalForm, w: NormalForm) -> Optional[NormalForm]:
-        _check_same_host(v, w)
-        j = self.join_tuple(v.letters, w.letters)
-        return None if j is None else NormalForm(j, self)
-
-    def meet(self, v: NormalForm, w: NormalForm) -> NormalForm:
-        _check_same_host(v, w)
-        return NormalForm(self.meet_tuple(v.letters, w.letters), self)
-
-    def commutes_with(self, w: NormalForm, v: VertexId) -> bool:
-        return self.commutes_tuple(w.letters, v)
-
-    def ball(self, n: int) -> list[NormalForm]:
-        return [NormalForm(t, self) for t in self.ball_tuples(n)]
-
 
 _group_cache: dict[SimplicialGraph, CoxeterGroup] = {}
 
 
 def coxeter_group(graph: SimplicialGraph) -> CoxeterGroup:
-    """Group engine for a graph; cached so normal forms share one host."""
+    """Group engine for a graph; cached so its down-set and sphere caches are
+    shared by every caller."""
     group = _group_cache.get(graph)
     if group is None:
         group = CoxeterGroup(graph)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gplab.algebras import (
+    _perm_sign_candidates,
     Element,
     FiniteDimAlgebra,
     StateSpec,
@@ -127,6 +130,19 @@ def test_optimal_q_rejects_bad_witnesses():
         optimal_q(site.algebra.zero(), site.state)
     with pytest.raises(ValueError):
         optimal_q(site.algebra.one(), site.state)
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 2)])
+def test_signed_permutations_start_with_sign_diagonals(blocks):
+    """The identity permutations lead the signed-permutation family, so the
+    search tries every sign diagonal first, in product((1, -1)) order."""
+    alg = FiniteDimAlgebra(blocks)
+    slots = sum(blocks)
+    head = list(itertools.islice(_perm_sign_candidates(alg), 2**slots))
+    for mats, signs in zip(head, itertools.product((1, -1), repeat=slots), strict=True):
+        offs = np.cumsum((0,) + blocks)
+        for m, lo, hi in zip(mats, offs[:-1], offs[1:], strict=True):
+            assert np.array_equal(m, np.diag(np.array(signs[lo:hi], dtype=complex)))
 
 
 def test_centered_unitary_search_examples():

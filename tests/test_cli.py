@@ -10,6 +10,7 @@ from gplab.cli import main
 from gplab.config import load_config, parse_config
 from gplab.analysis import tensor_split_checks
 from gplab.errors import ConfigError, ResourceLimitError
+from gplab.lattice import DEFAULT_WITNESS_RADIUS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,6 +96,50 @@ def test_topofree_command(tmp_path):
     assert code == 0
     t = report["results"]["topofree"]
     assert t["conclusive"] and len(t["checks"]) == 4
+
+
+@pytest.mark.parametrize(
+    "patch,path",
+    [
+        ({"w": ["zz"]}, r"topofree\.w"),
+        ([{"w": []}], r"topofree"),
+        ({"L_max": "x"}, r"topofree\.L_max"),
+        ({"Lmax": 9}, r"topofree\.Lmax"),
+    ],
+    ids=["unknown_vertex", "list_block", "string_L_max", "misspelt_key"],
+)
+def test_malformed_topofree_block_exits_two(tmp_path, patch, path):
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    cfg["topofree"] = {**cfg["topofree"], **patch} if isinstance(patch, dict) else patch
+    with pytest.raises(ConfigError, match=path):
+        parse_config(cfg)
+    f = tmp_path / "topofree.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["witness-topofree", "--config", str(f)]) == 2
+
+
+def test_topofree_block_parsed_to_canonical_words():
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    assert parse_config(cfg).topofree == {
+        "w": (),
+        "exclusions": [(0,), (1,)],
+        "L_max": 4,
+        "search_radius": DEFAULT_WITNESS_RADIUS,
+    }
+    cfg["topofree"] = {"w": ["b", "a", "a"], "exclusions": [["c", "b", "b"]], "L_max": 2, "search_radius": 3}
+    assert parse_config(cfg).topofree == {"w": (1,), "exclusions": [(2,)], "L_max": 2, "search_radius": 3}
+    del cfg["topofree"]  # witness-topofree still runs, on the defaults
+    assert parse_config(cfg).topofree == {
+        "w": (),
+        "exclusions": [(0,)],
+        "L_max": 4,
+        "search_radius": DEFAULT_WITNESS_RADIUS,
+    }
+
+
+def test_negative_depth_override_exits_two():
+    cfg = str(FIXTURES / "hecke_q1_edgeless3.json")
+    assert main(["check-identities", "--config", cfg, "--depth", "-1"]) == 2
 
 
 def test_join_decomposition_recursion_in_simplicity(tmp_path):

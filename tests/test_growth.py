@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from gplab.growth import (
     critical_t,
     growth_coefficients,
     inverse_growth_eval,
-    inverse_growth_eval_exact,
     partial_sum_ratios,
     sphere_counts,
 )
@@ -32,12 +29,6 @@ def test_inverse_growth_examples():
     for z in (0.25, 1.0):
         got = inverse_growth_eval(K2, {0: z, 1: z})
         assert abs(got - 1.0 / (1 + z) ** 2) < 1e-12
-
-
-def test_inverse_growth_exact_rational():
-    q = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    val = inverse_growth_eval_exact(FREE2, q)
-    assert val == Fraction(1, 3)  # (1 - 1/2)/(1 + 1/2)
 
 
 def test_inverse_growth_requires_positive_parameters():

@@ -23,19 +23,19 @@ def test_lattice_p_e_is_identity():
 
 def test_lattice_product_examples():
     g = coxeter_group(FREE3)
-    a, b = g.element([0]), g.element([1])
+    a, b = g.reduce_tuple([0]), g.reduce_tuple([1])
     rec = lattice_product(g, a, a, 6)
     assert rec.max_deviation == 0.0 and rec.join == (0,)
     rec = lattice_product(g, a, b, 6)
     assert rec.max_deviation == 0.0 and rec.join is None
     ge = coxeter_group(K2)
-    rec = lattice_product(ge, ge.element([0]), ge.element([1]), 6)
+    rec = lattice_product(ge, ge.reduce_tuple([0]), ge.reduce_tuple([1]), 6)
     assert rec.max_deviation == 0.0 and rec.join == (0, 1)
 
 
 def test_lattice_product_inconclusive_depth():
     g = coxeter_group(FREE3)
-    w = g.element([0, 1, 0])
+    w = g.reduce_tuple([0, 1, 0])
     rec = lattice_product(g, w, w, 4)
     assert not rec.conclusive
 
@@ -43,7 +43,7 @@ def test_lattice_product_inconclusive_depth():
 def test_lattice_product_exhaustive_short_words():
     for graph in (FREE3, PATH3, K3, CYC4):
         g = coxeter_group(graph)
-        short = [w for w in g.ball(2)]
+        short = g.ball_tuples(2)
         for u in short:
             for w in short:
                 rec = lattice_product(g, u, w, 6)
@@ -64,14 +64,14 @@ def test_lattice_commutativity_ball4():
 def test_act_on_q_cases():
     g = coxeter_group(FREE3)
     # (1) w outside the centralizer
-    sym = act_on_q(g, 0, g.element([1]))
+    sym = act_on_q(g, 0, g.reduce_tuple([1]))
     assert sym.terms == ((1, (0, 1)),)
     # (2) w = v
-    sym = act_on_q(g, 0, g.element([0]))
+    sym = act_on_q(g, 0, g.reduce_tuple([0]))
     assert sym.terms == ((1, ()), (-1, (0,)))
     # (3) w in the centralizer, v not a prefix
     gp = coxeter_group(PATH3)
-    sym = act_on_q(gp, 0, gp.element([1]))
+    sym = act_on_q(gp, 0, gp.reduce_tuple([1]))
     assert sym.terms == ((1, (1,)),)
 
 
@@ -80,16 +80,15 @@ def test_act_on_q_involution_and_trichotomy():
         g = coxeter_group(graph)
         for v in graph.vertices:
             for w in g.ball_tuples(5):
-                nf = g.element(w)
                 in_c = g.commutes_tuple(w, v)
                 starts = g.leq_tuple((v,), w)
                 cases = [not in_c, in_c and starts, in_c and not starts]
                 assert sum(cases) == 1  # exhaustive and mutually exclusive
                 if len(w) <= 4:
-                    sym = act_on_q(g, v, nf)
+                    sym = act_on_q(g, v, w)
                     acc: dict = {}
                     for c, lw in sym.terms:
-                        for c2, lw2 in act_on_q(g, v, g.element(lw)).terms:
+                        for c2, lw2 in act_on_q(g, v, lw).terms:
                             acc[lw2] = acc.get(lw2, 0) + c * c2
                     acc = {k: val for k, val in acc.items() if val != 0}
                     assert acc == {w: 1}
@@ -109,7 +108,7 @@ def test_act_on_q_matches_hecke_conjugation_at_q_one():
             if not w:
                 continue
             lhs = lam @ q_projection(space, w) @ lam
-            rhs = apply_symbolic(space, act_on_q(g, v, g.element(w)))
+            rhs = apply_symbolic(space, act_on_q(g, v, w))
             assert guarded_deviation(lhs, rhs) < 1e-12
 
 
@@ -129,7 +128,7 @@ def test_identification_check():
 
 def test_topofree_witness_example():
     g = coxeter_group(FREE3)
-    rep = topofree_witness(g, g.identity, [g.element([0])], 4)
+    rep = topofree_witness(g, (), [g.reduce_tuple([0])], 4)
     assert rep.conclusive
     assert rep.walk.covers(FREE3.complement())
     assert rep.walk.is_closed(FREE3.complement())
@@ -141,27 +140,27 @@ def test_topofree_witness_example():
 
 def test_topofree_witness_nontrivial_w_and_s():
     g = coxeter_group(FREE3)
-    w = g.element([0, 1])
-    exclusions = [g.element([0]), g.element([1, 0]), g.element([2])]
+    w = g.reduce_tuple([0, 1])
+    exclusions = [g.reduce_tuple([0]), g.reduce_tuple([1, 0]), g.reduce_tuple([2])]
     rep = topofree_witness(g, w, exclusions, 3)
     assert rep.conclusive
-    wv = g.multiply(w, g.element(rep.v))
+    wv = g.mul_tuple(w, rep.v)
     assert len(wv) == len(w) + len(rep.v)
     # independently re-verify every certificate with the order oracle
     gower = tuple(rep.walk.steps)
     power = ()
     for ell in range(1, 4):
         power = power + gower
-        lhs = g.mul_tuple(wv.letters, power)
+        lhs = g.mul_tuple(wv, power)
         assert len(lhs) == len(wv) + len(power)
         for x in exclusions:
-            assert not g.leq_tuple(lhs, g.mul_tuple(x.letters, lhs))
+            assert not g.leq_tuple(lhs, g.mul_tuple(x, lhs))
 
 
 def test_topofree_hypothesis_errors():
     gk = coxeter_group(K3)  # complement disconnected
     with pytest.raises(ValueError):
-        topofree_witness(gk, gk.identity, [gk.element([0])], 2)
+        topofree_witness(gk, (), [gk.reduce_tuple([0])], 2)
     g2 = coxeter_group(K2)
     with pytest.raises(ValueError):
-        topofree_witness(g2, g2.identity, [g2.element([0])], 2)
+        topofree_witness(g2, (), [g2.reduce_tuple([0])], 2)

@@ -1,12 +1,13 @@
-"""Every public module-level function of gplab.fock and gplab._mat is
-reached from the package itself, not only from tests, or is one of the few
-named entry points below.
+"""Every public module-level function of gplab, and every public method of
+CoxeterGroup, is reached from the package itself, not only from tests, or
+is one of the few named entry points below.
 
 The package sources are parsed, not imported.  A function counts as reached
 when some module of src/gplab names it outside its own definition: by its
 bare name inside its home module or after `from .<home> import <name>`, or
 as an attribute of a name bound to the home module (`from . import fock as
-fk`, then `fk.<name>`).
+fk`, then `fk.<name>`).  A CoxeterGroup method counts as reached when any
+module reads an attribute of that name outside the method's own definition.
 """
 import ast
 from pathlib import Path
@@ -14,19 +15,22 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gplab"
-CHECKED = ("fock", "_mat")
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 # Public although the package never calls them: the annihilation part of
 # lambda_v and the word projection p_w are built only by callers outside it
 # (the tests, and the benchmark's trace of annihilation).
-ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}, "_mat": set()}
+ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}}
+# The meet of the weak order (checked by acceptance criterion 1) and the
+# brute-force join oracle that pins join_tuple.
+GROUP_ENTRY_POINTS = {"meet_tuple", "join_via_ball"}
 
 
 def _trees() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _public_functions(tree: ast.Module) -> list[str]:
-    return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+def _public_functions(body: list[ast.stmt]) -> list[ast.FunctionDef]:
+    return [n for n in body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
 
 
 def _references(module: str, tree: ast.Module, home: str, own: str) -> bool:
@@ -58,14 +62,38 @@ def _references(module: str, tree: ast.Module, home: str, own: str) -> bool:
     return visit(tree)
 
 
-@pytest.mark.parametrize("home", CHECKED)
+def _reads_attribute(tree: ast.AST, name: str, skip: ast.FunctionDef) -> bool:
+    """Whether `tree` reads an attribute `name` outside the definition `skip`."""
+    if tree is skip:
+        return False
+    if isinstance(tree, ast.Attribute) and tree.attr == name:
+        return True
+    return any(_reads_attribute(child, name, skip) for child in ast.iter_child_nodes(tree))
+
+
+def _assert_unreached_are(unreached: list[str], entry_points: set[str]):
+    assert sorted(set(unreached) - entry_points) == []
+    # an entry point that the package comes to call leaves the list
+    assert sorted(entry_points - set(unreached)) == []
+
+
+@pytest.mark.parametrize("home", MODULES)
 def test_public_functions_are_reached_from_the_package(home):
     trees = _trees()
     unreached = [
-        name
-        for name in _public_functions(trees[home])
-        if not any(_references(module, tree, home, name) for module, tree in trees.items())
+        fn.name
+        for fn in _public_functions(trees[home].body)
+        if not any(_references(module, tree, home, fn.name) for module, tree in trees.items())
     ]
-    assert sorted(set(unreached) - ENTRY_POINTS[home]) == []
-    # an entry point that the package comes to call leaves the list
-    assert sorted(ENTRY_POINTS[home] - set(unreached)) == []
+    _assert_unreached_are(unreached, ENTRY_POINTS.get(home, set()))
+
+
+def test_coxeter_group_methods_are_reached_from_the_package():
+    trees = _trees()
+    (cls,) = [n for n in trees["words"].body if isinstance(n, ast.ClassDef) and n.name == "CoxeterGroup"]
+    unreached = [
+        fn.name
+        for fn in _public_functions(cls.body)
+        if not any(_reads_attribute(tree, fn.name, fn) for tree in trees.values())
+    ]
+    _assert_unreached_are(unreached, GROUP_ENTRY_POINTS)
