@@ -73,6 +73,17 @@ def from_coo(rows, cols, data, dim: int):
     return _csr(rows, cols, data, (dim, dim))
 
 
+def from_csr(indptr, indices, data, dim: int):
+    """The matrix of entries already in CSR form (sorted, distinct columns
+    per row, no zeros), taken as they are: no sort and no summing."""
+    if dim < DENSE_CUTOFF:
+        out = np.zeros((dim, dim), dtype=complex)
+        # distinct positions: the same 0 + x per entry as from_coo's np.add.at
+        out[np.repeat(np.arange(dim), np.diff(indptr)), indices] += data
+        return out
+    return CSR(indptr, indices, data, (dim, dim))
+
+
 def zeros(dim: int):
     if dim < DENSE_CUTOFF:
         return np.zeros((dim, dim), dtype=complex)

@@ -202,6 +202,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         depth = args.depth if args.depth is not None else cfg.truncation
         if depth < 0:
             raise ConfigError("--depth: expected a nonnegative integer")
+        if seed < 0:
+            raise ConfigError("--seed: expected a nonnegative integer")
         results, ok = execute(args.command, cfg, depth, seed, args.strict, args.csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

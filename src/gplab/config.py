@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -101,9 +102,15 @@ def _with_defaults(raw: Mapping[str, Any], block: str, defaults: Mapping[str, An
     return {**defaults, **given}
 
 
-def _nonnegative_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        _fail(path, "expected a nonnegative integer")
+def _nonnegative_int(value: Any, path: str, positive: bool = False) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < int(positive):
+        _fail(path, f"expected a {'positive' if positive else 'nonnegative'} integer")
+    return value
+
+
+def _positive_number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+        _fail(path, "expected a finite positive number")
     return value
 
 
@@ -221,7 +228,11 @@ def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
     truncation = _nonnegative_int(raw.get("truncation", 4), "truncation")
     seed = _nonnegative_int(raw.get("seed", 0), "seed")
     caps = _with_defaults(raw, "caps", DEFAULT_CAPS)
+    for key, value in caps.items():
+        _nonnegative_int(value, f"caps.{key}", positive=True)
     tolerances = _with_defaults(raw, "tolerances", DEFAULT_TOLERANCES)
+    for key, value in tolerances.items():
+        _positive_number(value, f"tolerances.{key}")
 
     fault = raw.get("fault_injection")
     if fault is not None and fault not in ("rewrite", "identities"):

@@ -11,6 +11,13 @@ to the basis of word length <= N.  A guard level accompanies each matrix:
 the largest k such that the matrix agrees with the untruncated operator on
 vectors supported in word length <= k.  Identity checks only ever quantify
 over the guarded subspace.
+
+What an operator's matrix depends on only through the space is compiled
+once per space, on first use, and cached in space._plans: the sparsity
+pattern of lambda_v and rho_v, whose entries each name the entry of the GNS
+matrix their value is read from (_side_pattern), the 0/1 diagonal of each
+Q_w, read off the up-set of w in the weak order, and the subgraph
+expectation's maps.  Building an operator is then a gather.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import _mat
 from .algebras import Element, GnsRep
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ShallowTruncationError
 from .graphs import SimplicialGraph, VertexId
 from .words import Letters, coxeter_group
 
@@ -96,6 +103,11 @@ class TruncatedFock:
         return span[0] + sum((s - 1) * st for s, st in zip(slots, self._strides[word]))
 
     def cols_upto(self, k: int) -> np.ndarray:
+        """The columns of word length <= k, the guarded columns of guard k.
+        A negative guard has none: ShallowTruncationError, so that no check
+        reads a number off an empty set of columns."""
+        if k < 0:
+            raise ShallowTruncationError(f"no guarded column: guard {k} at truncation depth {self.n}")
         got = self._cols_upto.get(k)
         if got is None:
             got = np.where(self.lengths <= k)[0]
@@ -237,18 +249,18 @@ def zero_op(space: TruncatedFock) -> OperatorMatrix:
 
 
 def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Operator-norm distance restricted to columns inside the common guard."""
+    """Operator-norm distance restricted to columns inside the common guard;
+    ShallowTruncationError when the guard is negative."""
     a._same_space(b)
-    g = min(a.guard, b.guard)
-    if g < 0:
-        raise ValueError("empty guard; operators carry no exact columns")
-    idx = a.space.cols_upto(g)
+    idx = a.space.cols_upto(min(a.guard, b.guard))
     diff = _mat.sub(a.mat, b.mat)
     return _mat.norm2(_mat.col_select(diff, idx))
 
 
 def guarded_norm(a: OperatorMatrix) -> float:
-    idx = a.space.cols_upto(max(a.guard, 0))
+    """Operator norm restricted to the guarded columns;
+    ShallowTruncationError when the guard is negative."""
+    idx = a.space.cols_upto(a.guard)
     return _mat.norm2(_mat.col_select(a.mat, idx))
 
 
@@ -268,11 +280,17 @@ def offdiagonal_mass(a: OperatorMatrix) -> float:
 
 
 def _liftable(group, word: Letters, v: VertexId, left: bool) -> int:
-    """Position of the occurrence of v that moves to the acting end of word."""
+    """Position of the occurrence of v that moves to the acting end of word
+    (the front for left, the back for right), or -1 when v is not on that
+    side: the first v met from that end, if every letter passed commutes
+    with v."""
+    near = group._adj[v]
     for i in range(len(word)) if left else range(len(word) - 1, -1, -1):
-        if word[i] == v and all(u in group._adj[v] for u in (word[:i] if left else word[i + 1:])):
+        if word[i] == v:
             return i
-    raise ValueError(f"{v} is not on the acting side of {word}")
+        if word[i] not in near:
+            return -1
+    return -1
 
 
 class _SidePlan(NamedTuple):
@@ -297,19 +315,16 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
 
     Each word block compiles the map of its new slot t (read from digit
     column N: the creation target, or the acted slot rewritten in place) and
-    its drop map once.  Cached per (space, vertex, side) in space._plans.
+    its drop map once.  _side_pattern compiles the plan into the cached
+    sparsity pattern and drops it.
     """
-    key = ("lambda" if left else "rho", v)
-    got = space._plans.get(key)
-    if got is not None:
-        return got
     group = space.group
     dv = space.reps[v].dim
     n = space.n
     acted, moved, drop = [], [], []
     for w in space._spans:
-        if v in (group.first_letters_tuple(w) if left else group.last_letters_tuple(w)):
-            r = _liftable(group, w, v, left)
+        r = _liftable(group, w, v, left)
+        if r >= 0:
             row = [*space._strides[w], *[0] * (n + 1 - len(w))]
             row[r], row[n] = 0, row[r]
             rest = [p for p in range(len(w)) if p != r]
@@ -328,7 +343,7 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
     base = moved.apply(wid, np.pad(digits, ((0, 0), (0, 1))))  # new slot t = 1
     new = base[:, None] + np.arange(dv - 1) * moved.rows[wid, n][:, None]
     new[base < 0] = -1
-    plan = _SidePlan(
+    return _SidePlan(
         a_cols,
         new[a_cols],
         b_cols,
@@ -336,12 +351,61 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
         new[b_cols],
         _WordMaps.of(drop, n).apply(wid[b_cols], digits[b_cols]),
     )
-    space._plans[key] = plan
-    return plan
 
 
-# Which parts of the plan each operator keeps: (scalar, creation, diagonal,
-# annihilation).
+class _SidePattern(NamedTuple):
+    """The stored entries of lambda_v or rho_v, for every x at once; see
+    _side_pattern.  Read-only: every operator built from it shares indptr
+    and indices when it drops no entry."""
+
+    indptr: np.ndarray  # (dim+1,) CSR row pointer
+    indices: np.ndarray  # column of each entry, in CSR order
+    src: np.ndarray  # flat index t*dv + s of the entry's value m[t, s]
+
+
+def _side_pattern(space: TruncatedFock, v: VertexId, left: bool) -> _SidePattern:
+    """Sparsity pattern of lambda_v (left) or rho_v (right), compiled from
+    _plan_side once per (space, vertex, side) and cached in space._plans.
+
+    Entry e of the operator of x holds m.ravel()[src[e]], m the GNS matrix
+    of x: m[0,0] on case A's diagonal, m[t,0] on its creation targets, m[t,s]
+    on case B's retargets and m[0,s] on its dropped-letter rows.  So an
+    entry's part is the quadrant of m that src points into.  Targets beyond
+    N are left out, and the entries are sorted once, by (row, column); the
+    positions are distinct, since every column is case A or case B and each
+    of its targets is a different basis vector.
+    """
+    key = ("lambda" if left else "rho", v)
+    got = space._plans.get(key)
+    if got is not None:
+        return got
+    plan = _plan_side(space, v, left)
+    dv = space.reps[v].dim
+    t = np.arange(1, dv) * dv
+    na = len(plan.a_cols)
+    rows = np.concatenate((plan.a_cols, plan.a_targets.ravel(), plan.b_retarget.ravel(), plan.b_drop))
+    cols = np.concatenate((plan.a_cols, np.repeat(plan.a_cols, dv - 1), np.repeat(plan.b_cols, dv - 1), plan.b_cols))
+    src = np.concatenate((
+        np.zeros(na, dtype=np.intp),
+        np.tile(t, na),
+        (t + plan.b_slot[:, None]).ravel(),
+        plan.b_slot,
+    ))
+    inside = rows >= 0
+    rows, cols, src = rows[inside], cols[inside], src[inside]
+    order = np.argsort(rows * space.dim + cols)
+    indptr = np.zeros(space.dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
+    pattern = _SidePattern(indptr, cols[order], src[order].astype(np.min_scalar_type(dv * dv)))
+    for arr in pattern:
+        arr.flags.writeable = False
+    space._plans[key] = pattern
+    return pattern
+
+
+# The quadrants of the GNS matrix m that hold each part, and which parts each
+# operator keeps: (scalar, creation, diagonal, annihilation).
+_QUADRANTS = (np.s_[:1, :1], np.s_[1:, :1], np.s_[1:, 1:], np.s_[:1, 1:])
 _PARTS = {
     "all": (True, True, True, True),
     "creation": (False, True, False, False),
@@ -356,12 +420,17 @@ def _side_op(
     """lambda_v(x) (left) or rho_v(x) (right), whole or one part of it.
 
     Q_v, the projection onto the words with v on the acting side, splits the
-    operator into four parts, read off the plan with m the GNS matrix of x.
+    operator into four parts, one per quadrant of m, the GNS matrix of x.
     Case A columns (Q_v^perp) carry the scalar part m[0,0] on the diagonal
     and the creation part m[t,0] on the creation targets; case B columns
     (Q_v) carry the diagonal part m[t,s] on the in-place retargets and the
-    annihilation part m[0,s] on the dropped-letter word.  Each kept part is
-    one gather from m; zero entries and targets beyond N are left out.
+    annihilation part m[0,s] on the dropped-letter word.
+
+    The positions come from the compiled pattern (_side_pattern), so a call
+    is one gather: the quadrants of m outside the kept parts are zeroed, the
+    values are read as m.ravel()[src], and one mask drops the zero entries.
+    The pattern's CSR row pointer is recounted only when an entry was
+    dropped; nothing is sorted.
 
     Only creation can leave the truncation, so it alone costs a guard level:
     (guard, up, down) is (N-1, 1, 1) for the whole operator, (N-1, 1, 0) for
@@ -372,30 +441,23 @@ def _side_op(
         raise ValueError(f"unknown vertex {v}")
     if x.algebra != rep.algebra:
         raise ValueError("element does not belong to the vertex algebra")
-    keep_scalar, keep_create, keep_diag, keep_annih = _PARTS[part]
+    _, keep_create, _, keep_annih = _PARTS[part]
     m = rep.matrix(x)
-    dv = rep.dim
-    plan = _plan_side(space, v, left)
-    rows, cols, data = [], [], []
-    if keep_scalar:
-        rows.append(plan.a_cols)
-        cols.append(plan.a_cols)
-        data.append(np.full(len(plan.a_cols), m[0, 0], dtype=complex))
-    if keep_create:
-        rows.append(plan.a_targets.ravel())
-        cols.append(np.repeat(plan.a_cols, dv - 1))
-        data.append(np.tile(m[1:, 0], len(plan.a_cols)))
-    if keep_diag:
-        rows.append(plan.b_retarget.ravel())
-        cols.append(np.repeat(plan.b_cols, dv - 1))
-        data.append(m[1:, plan.b_slot].T.ravel())
-    if keep_annih:
-        rows.append(plan.b_drop)
-        cols.append(plan.b_cols)
-        data.append(m[0, plan.b_slot])
-    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
-    keep = (data != 0.0) & (rows >= 0)
-    mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
+    if part != "all":
+        kept = np.zeros_like(m)
+        for keep, quadrant in zip(_PARTS[part], _QUADRANTS):
+            if keep:
+                kept[quadrant] = m[quadrant]
+        m = kept
+    pattern = _side_pattern(space, v, left)
+    data = m.ravel()[pattern.src]
+    nonzero = data != 0.0
+    if nonzero.all():
+        indptr, indices = pattern.indptr, pattern.indices
+    else:
+        indptr = np.concatenate(([0], np.cumsum(nonzero)))[pattern.indptr]
+        indices, data = pattern.indices[nonzero], data[nonzero]
+    mat = _mat.from_csr(indptr, indices, data, space.dim)
     guard = space.n - 1 if keep_create else space.n
     return OperatorMatrix(space, mat, guard, int(keep_create), int(keep_annih))
 
@@ -419,22 +481,26 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
     The empty word's projection omits the vacuum line: it is 1 minus the
     vacuum projection, matching the sum over nontrivial group elements.
 
-    The 0/1 diagonal is built once per (space, canonical word) and cached,
-    read-only, in space._plans under ("q", letters); every call returns a
-    new matrix made from it, so writing into one leaves the cache intact.
+    The words starting with w are the up-set of w in the right weak order,
+    read off the covers that the ball enumeration records (CoxeterGroup.
+    up_set), so no word of the space is tested against w.  The 0/1 diagonal
+    is built once per (space, canonical word) and cached, read-only, in
+    space._plans under ("q", letters); every call returns a new matrix made
+    from it, so writing into one leaves the cache intact.
     """
     letters = space.group.reduce_tuple(w)
     if len(letters) > space.n:
-        raise ValueError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
+        raise ShallowTruncationError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
     key = ("q", letters)
     dvals = space._plans.get(key)
     if dvals is None:
-        group = space.group
         dvals = np.zeros(space.dim)
-        for word, (off, count) in space._spans.items():
+        for word in space.group.up_set(letters, space.n):
+            span = space._spans.get(word)
             # The vacuum is excluded even from Q_e: the underlying direct sum
             # runs over nontrivial group elements only.
-            if word != () and group.leq_tuple(letters, word):
+            if span is not None and word != ():
+                off, count = span
                 dvals[off: off + count] = 1.0
         dvals.flags.writeable = False
         space._plans[key] = dvals
@@ -571,7 +637,9 @@ def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: Operator
     Entry (r0, c0) of the compression y goes to every column j whose head is
     c0, in the row of head r0 followed by j's tail.  That row is one map per
     (word of r0, word of j) pair, reading r0's digits in columns 0..N-1 and
-    j's in columns N..2N-1; a pair longer than N has no row.
+    j's in columns N..2N-1; a pair longer than N has no row.  The maps are
+    compiled as pairs first occur and cached per (space, subgraph) in
+    space._plans under ("merge", sub).
     """
     if x.space is not space:
         raise ValueError("operator lives on a different space")
@@ -592,12 +660,15 @@ def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: Operator
     nwords = len(space._spans)
     pairs, pair_of = np.unique(sub_space.word_ids[heads] * nwords + space.word_ids[cols], return_inverse=True)
     sub_words = list(sub_space._spans)
-    maps = []
-    for key in pairs.tolist():
-        head_word, (tail_word, tail_pos) = sub_words[key // nwords], tails[key % nwords]
-        src = [*range(len(head_word)), *(n + p for p in tail_pos)]
-        fits = len(head_word) + len(tail_word) <= n
-        maps.append(_word_map(space, head_word + tail_word, src, 2 * n) if fits else None)
+    merges = space._plans.setdefault(("merge", sub), {})
+    keys = pairs.tolist()
+    for key in keys:
+        if key not in merges:
+            head_word, (tail_word, tail_pos) = sub_words[key // nwords], tails[key % nwords]
+            src = [*range(len(head_word)), *(n + p for p in tail_pos)]
+            fits = len(head_word) + len(tail_word) <= n
+            merges[key] = _word_map(space, head_word + tail_word, src, 2 * n) if fits else None
+    maps = [merges[key] for key in keys]
     digits = np.hstack((sub_space._digits[heads], space._digits[cols]))
     rows = _WordMaps.of(maps, 2 * n).apply(pair_of.ravel(), digits)
     keep = rows >= 0

@@ -30,6 +30,9 @@ class CoxeterGroup:
         self._adj = {v: graph.neighbors(v) for v in graph.vertices}
         self._down_cache: dict[Letters, frozenset[Letters]] = {(): frozenset({()})}
         self._spheres: list[list[Letters]] = [[()]]
+        # w -> its covers, the w s with |w s| = |w| + 1, for every w of the
+        # spheres below the outermost one enumerated
+        self._covers: dict[Letters, tuple[Letters, ...]] = {}
 
     # -- reduction, normal forms and weak order ----------------------------
 
@@ -73,14 +76,15 @@ class CoxeterGroup:
         while remaining:
             best_pos = -1
             best_letter = None
-            seen: list[VertexId] = []
+            seen: set[VertexId] = set()
             for pos in remaining:
                 letter = reduced[pos]
-                if all(p in self._adj[letter] for p in seen):
-                    if best_letter is None or letter < best_letter:
-                        best_letter = letter
-                        best_pos = pos
-                seen.append(letter)
+                # a letter can come first when it commutes with every letter
+                # left before it; test that only for a smaller letter
+                if (best_letter is None or letter < best_letter) and self._adj[letter].issuperset(seen):
+                    best_letter = letter
+                    best_pos = pos
+                seen.add(letter)
             out_letters.append(reduced[best_pos])
             out_perm.append(best_pos)
             remaining.remove(best_pos)
@@ -220,10 +224,9 @@ class CoxeterGroup:
             k = len(self._spheres)
             nxt: set[Letters] = set()
             for w in prev:
-                for s in self.graph.vertices:
-                    u = self.mul_tuple(w, (s,))
-                    if len(u) == k:
-                        nxt.add(u)
+                covers = [u for u in (self.mul_tuple(w, (s,)) for s in self.graph.vertices) if len(u) == k]
+                self._covers[w] = tuple(covers)
+                nxt.update(covers)
             self._spheres.append(sorted(nxt))
             if sum(len(s) for s in self._spheres) > BALL_SIZE_CAP:
                 raise ResourceLimitError(f"ball size exceeds {BALL_SIZE_CAP} elements")
@@ -235,6 +238,21 @@ class CoxeterGroup:
     def sphere_sizes(self, n: int) -> list[int]:
         self.ball_tuples(n)
         return [len(s) for s in self._spheres[: n + 1]]
+
+    def up_set(self, w: Letters, n: int) -> set[Letters]:
+        """All u >= w in the right weak order with |u| <= n, for a canonical w.
+
+        The right weak order is generated by its covers u < u s, |u s| = |u|
+        + 1, so the up-set is what the covers that the ball enumeration
+        records reach from w, one length at a time; no weak-order test runs.
+        """
+        self.ball_tuples(n)
+        out = {w} if len(w) <= n else set()
+        layer = out
+        for _ in range(len(w), n):
+            layer = {u for x in layer for u in self._covers[x]}
+            out |= layer
+        return out
 
 
 _group_cache: dict[SimplicialGraph, CoxeterGroup] = {}

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from gplab import words
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from util import FREE3, K3, PATH3, mixed_system  # noqa: E402
@@ -21,3 +23,12 @@ def mixed_path3():
 @pytest.fixture(scope="session")
 def mixed_k3():
     return mixed_system(K3, hecke_q=2.0)
+
+
+@pytest.fixture
+def fresh_group(monkeypatch):
+    """Empty the process-wide CoxeterGroup cache for one test, so that every
+    space the test builds gets a new group with no spheres, covers or
+    down-sets from tests that ran before; call counts then do not depend on
+    the test order.  The cache is restored afterwards."""
+    monkeypatch.setattr(words, "_group_cache", {})

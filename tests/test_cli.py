@@ -274,3 +274,54 @@ def test_report_all_loads_no_scipy(tmp_path):
     rc, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0 and loaded == []
     assert "scipy" not in json.loads(out.read_text())["versions"]
+
+
+def test_negative_seed_override_exits_two():
+    cfg = str(FIXTURES / "hecke_q1_edgeless3.json")
+    assert main(["check-identities", "--config", cfg, "--depth", "3", "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "block,key,value",
+    [
+        ("caps", "fock_dim", "x"),
+        ("caps", "fock_dim", 0),
+        ("caps", "fock_dim", -5),
+        ("caps", "fock_dim", 2.5),
+        ("caps", "fock_dim", True),
+        ("caps", "check_seconds", None),
+        ("tolerances", "identity", "x"),
+        ("tolerances", "identity", 0),
+        ("tolerances", "identity", -1e-9),
+        ("tolerances", "identity", float("nan")),
+        ("tolerances", "identity", float("inf")),
+        ("tolerances", "classification", False),
+        ("tolerances", "classification", [1e-8]),
+    ],
+)
+def test_bad_cap_or_tolerance_value_exits_two(tmp_path, block, key, value):
+    """Caps are positive integers and tolerances finite positive numbers;
+    any other value exits 2 with its key path named."""
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    cfg[block] = {key: value}
+    with pytest.raises(ConfigError, match=rf"{block}\.{key}"):
+        parse_config(cfg)
+    f = tmp_path / "bad_value.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["growth", "--config", str(f)]) == 2
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_shallow_depths_report_without_guard_as_na(tmp_path, fixture, depth):
+    """At depths 0-2 check-identities runs to a report: a check whose
+    operators carry no guarded column is n/a with a reason, never a number."""
+    out = tmp_path / "r.json"
+    code, report = run_cli(["check-identities", "--config", str(FIXTURES / f"{fixture}.json"), "--depth", str(depth)], out)
+    checks = report["results"]["identities"]["checks"]
+    assert code == (0 if report["results"]["identities"]["passed"] else 1)
+    na = [c for c in checks if c["value"] == "n/a"]
+    assert na and all(c["passed"] and c["skipped"] for c in na)
+    assert any("no guarded column" in c["skipped"] for c in na)
+    if depth == 0:  # every operator built from lambda has guard -1
+        assert {c["name"] for c in na} >= {"creation.same_vertex_product_zero", "expectation.idempotent"}

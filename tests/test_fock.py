@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gplab import _mat, fock
-from gplab.algebras import hecke_parameter, hecke_vertex, site_from_hecke
+from gplab.algebras import FiniteDimAlgebra, StateSpec, hecke_parameter, hecke_vertex, site_from_hecke, site_from_state
 from gplab.analysis import _random_truncated_operator
 from gplab.errors import ResourceLimitError
 from gplab.fock import (
@@ -38,6 +38,7 @@ from util import (
     K2,
     K3,
     PATH3,
+    c2_site,
     m2_site,
     naive_annihilation,
     naive_basis,
@@ -835,20 +836,20 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
-def test_q_projection_cache_counts(mixed_path3, path, monkeypatch):
-    """A repeated Q_w runs no weak-order test, the weak-order test runs no
-    canonical sort, and writing into a returned matrix does not reach the
-    cache."""
+def test_q_projection_cache_counts(mixed_path3, path, monkeypatch, fresh_group):
+    """Q_w is built from one up-set walk and a repeat walks nothing; neither
+    runs a weak-order test, the weak-order test runs no canonical sort, and
+    writing into a returned matrix does not reach the cache."""
     sysm, parent = _oracle_space(mixed_path3, path)
     space = TruncatedFock(sysm.graph, sysm.reps(), parent.n)  # empty caches
     leq = _count_calls(monkeypatch, "leq_tuple")
     sort = _count_calls(monkeypatch, "sort_with_perm")
+    up = _count_calls(monkeypatch, "up_set")
     w = (space.graph.vertices[1],)
     first = q_projection(space, w)
-    assert leq[0] == len(space._spans) - 1  # every word but the vacuum
-    leq[0] = 0
+    assert (leq[0], up[0]) == (0, 1)
     q_projection(space, w)
-    assert leq[0] == 0
+    assert (leq[0], up[0]) == (0, 1)
 
     sort[0] = 0
     words = list(space._spans)
@@ -863,6 +864,134 @@ def test_q_projection_cache_counts(mixed_path3, path, monkeypatch):
     else:
         first.mat[:] = 5.0
     assert np.array_equal(q_projection(space, w).toarray(), want)
+
+
+def _zero_letter_system(graph, zero: bool) -> GraphSystem:
+    """M2, Hecke and a third vertex on `graph`: Hecke again, or (zero) a
+    one-dimensional algebra, whose reduced space is zero, so that no word
+    holding its letter has a basis block."""
+    one_dim = FiniteDimAlgebra((1,))
+    third = site_from_state(one_dim, StateSpec.build(one_dim, [np.eye(1)])) if zero else site_from_hecke(1.0)
+    return GraphSystem(graph, {0: m2_site(), 1: site_from_hecke(2.0), 2: third})
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("zero", [False, True], ids=["all_letters", "zero_letter"])
+@pytest.mark.parametrize("graph", [PATH3, K3, FREE3], ids=["path3", "k3", "edgeless3"])
+def test_q_projection_up_set_matches_oracle(graph, zero, depth, fresh_group):
+    """The Q_w mask built from the weak-order up-set equals the word-by-word
+    canonical-reduction oracle for every ball word, including the words
+    holding a letter whose reduced space is zero."""
+    space = _zero_letter_system(graph, zero).space(depth)
+    ball = space.group.ball_tuples(depth)
+    assert (zero and depth > 0) == (len(space._spans) < len(ball))
+    for w in ball:
+        got = q_projection(space, w)
+        assert np.array_equal(got.toarray(), naive_q_projection(space, w).toarray())
+        # the up-set itself: exactly the ball words that start with w
+        assert space.group.up_set(w, depth) == {u for u in ball if space.group.leq_tuple(w, u)}
+
+
+def _exact_zero_elements(site) -> list:
+    """The unit, its adjoint and the matrix units: GNS matrices with exact
+    zeros, some with m[0,0] == 0; the adjoint's conjugation gives the unit's
+    entries -0.0 imaginary parts, which a Hecke GNS matrix keeps."""
+    one = site.algebra.one()
+    return [one, one.star()] + site.algebra.basis()
+
+
+def _bits(mat) -> tuple:
+    """A matrix as bytes, signed zeros included, CSR arrays with their dtypes."""
+    if isinstance(mat, _mat.CSR):
+        return tuple((a.dtype.str, a.tobytes()) for a in mat[:3]) + (mat.shape,)
+    return (mat.dtype.str, mat.shape, mat.tobytes())
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_side_op_exact_zeros_bit_equal_to_oracle(mixed_path3, path):
+    """lambda and rho, whole and each part, of elements whose GNS matrix has
+    exact zeros are bit-equal to the entry-by-entry oracle, and a CSR result
+    stores no zero."""
+    if path == "dense":
+        sysm = GraphSystem(PATH3, {0: site_from_hecke(2.0), 1: c2_site(0.3), 2: m2_site()})
+        space = sysm.space(3)
+    else:
+        sysm, space = _oracle_space(mixed_path3, path)
+    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
+    with_zero_m00 = 0
+    for v in space.graph.vertices:
+        for a in _exact_zero_elements(sysm.sites[v]):
+            with_zero_m00 += sysm.sites[v].rep.matrix(a)[0, 0] == 0
+            for left in (True, False):
+                for part in _PARTS:
+                    got = _side_op(space, v, a, left, part)
+                    want = naive_side_op(space, v, a, left, part)
+                    assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
+                    assert _bits(got.mat) == _bits(want.mat)
+                    if isinstance(got.mat, _mat.CSR):
+                        assert np.all(got.mat.data != 0)
+    assert with_zero_m00 > 0
+
+
+def _count_group_calls(monkeypatch) -> list[int]:
+    """Count the calls of every CoxeterGroup method, private ones too."""
+    count = [0]
+    for name, fn in list(vars(CoxeterGroup).items()):
+        if callable(fn) and not name.startswith("__"):
+            def counted(*args, _fn=fn, **kwargs):
+                count[0] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(CoxeterGroup, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_compiled_side_ops_call_no_sort_and_no_group(mixed_path3, path, monkeypatch, fresh_group):
+    """Once a vertex's patterns are compiled, building lambda, rho, creation
+    and diagonal runs no CSR sort (_mat._csr) and no word-engine method."""
+    sysm, parent = _oracle_space(mixed_path3, path)
+    space = TruncatedFock(sysm.graph, sysm.reps(), parent.n)  # empty caches
+    rng = np.random.default_rng(5)
+    builders = (lambda_op, rho_op, creation, diagonal)
+    for v in space.graph.vertices:
+        for build in builders:
+            build(space, v, sysm.sites[v].random_element(rng))
+    csr = [0]
+    sort_fn = _mat._csr
+
+    def counted_csr(*args, **kwargs):
+        csr[0] += 1
+        return sort_fn(*args, **kwargs)
+
+    monkeypatch.setattr(_mat, "_csr", counted_csr)
+    group = _count_group_calls(monkeypatch)
+    for v in space.graph.vertices:
+        for build in builders:
+            for center in (True, False):
+                build(space, v, sysm.sites[v].random_element(rng, center=center))
+    assert (csr[0], group[0]) == (0, 0)
+
+
+def test_expectation_subgraph_merge_maps_cached(mixed_path3, monkeypatch, fresh_group):
+    """A second subgraph expectation on the same (space, subgraph) compiles
+    no merge map again: it runs no canonical sort, and gives the same
+    matrix."""
+    space = TruncatedFock(PATH3, mixed_path3.reps(), 4)  # empty caches
+    sub = PATH3.induced([0, 1])
+    rng = np.random.default_rng(7)
+    x = lambda_op(space, 0, mixed_path3.sites[0].random_element(rng, center=False)) @ lambda_op(
+        space, 1, mixed_path3.sites[1].random_element(rng, center=False)
+    )
+    fock._head_tail_plan(space, sub)
+    sort = _count_calls(monkeypatch, "sort_with_perm")
+    first = expectation_subgraph(space, sub, x)
+    assert sort[0] > 0  # the merge maps, the head/tail plan being compiled
+    sort[0] = 0
+    again = expectation_subgraph(space, sub, x)
+    assert sort[0] == 0
+    assert np.array_equal(again.toarray(), first.toarray())
+    assert np.array_equal(first.toarray(), naive_expectation_subgraph(space, sub, x).toarray())
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -951,7 +1080,7 @@ def test_tensor_pairs_match_per_vector_oracle(path):
     assert tensor_split_check(PATH3, [1], [0, 2], sysm.reps(), n).max_deviation <= 1e-12
 
 
-def test_plans_compile_one_sort_per_word_block(monkeypatch):
+def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
     """Compiling every lambda and rho plan of M2 on FREE3 at depth 3 (dim
     388, 22 word blocks) runs at most one canonical sort per word block and
     plan, however many vectors the blocks hold."""

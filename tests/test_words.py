@@ -274,3 +274,19 @@ def test_join_result_is_actual_least_upper_bound():
             if j is None:
                 continue
             assert g.leq_tuple(u, j) and g.leq_tuple(w, j)
+
+
+@pytest.mark.parametrize("graphs,length", [(list(all_graphs(3)), 6), ([CYC4], 5)], ids=["all3", "cyc4"])
+def test_sort_with_perm_is_least_word_of_shuffle_class(graphs, length):
+    """The canonical rearrangement of every reduced word is the
+    lexicographically least word of its shuffle class, and perm is the
+    occurrence permutation onto it."""
+    for graph in graphs:
+        g = coxeter_group(graph)
+        for n in range(length + 1):
+            for word in itertools.product(graph.vertices, repeat=n):
+                if len(g._reduce_word(word)) != n:
+                    continue
+                canon, perm = g.sort_with_perm(word)
+                assert canon == min(shuffle_class(g, word))
+                assert perm == occurrence_permutation(word, canon)
