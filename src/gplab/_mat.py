@@ -11,9 +11,16 @@ products cost tens of times more.
 
 The CSR product is Gustavson's row merge (ACM TOMS 4, 1978) written in
 numpy: every entry of A is expanded over the matching row of B, and the
-(row, column) keys are sorted and summed.  `norm2` is exact on both kinds:
-a CSR matrix is split into the connected components of its nonzero
-pattern, whose dense blocks go to LAPACK.
+(row, column) keys are sorted and summed.
+
+Spectra and norms come from one component split (`_split`): the entries
+are scattered into one dense block per connected component of their
+nonzero pattern, and each distinct block shape takes one batched LAPACK
+call.  `norm2` and `block_norms` split along the row/column graph (row i
+joined to column j when a[i, j] != 0), and `hermitian_min_eig` along the
+index graph, with rows and columns on the same nodes; the last two read a
+1x1 block without LAPACK.  All three are exact, with no iteration and no
+size threshold; the cost grows with the largest component.
 """
 from __future__ import annotations
 
@@ -200,7 +207,13 @@ def col_select(a, idx):
         return a[:, idx]
     cols = _positions(a.shape[1], idx)[a.indices]
     keep = cols >= 0
-    return _csr(_rows(a)[keep], cols[keep], a.data[keep], (a.shape[0], len(idx)))
+    shape = (a.shape[0], len(idx))
+    if np.all(np.diff(idx) > 0):
+        # ascending idx keeps each row's columns in order: no sort
+        kept = np.zeros(len(keep) + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept[1:])
+        return CSR(kept[a.indptr], cols[keep], a.data[keep], shape)
+    return _csr(_rows(a)[keep], cols[keep], a.data[keep], shape)
 
 
 def coo_parts(a):
@@ -280,7 +293,9 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
         pu, pv = parent[u], parent[v]
         cut = pu != pv
         if not cut.any():
-            return np.unique(parent, return_inverse=True)[1].ravel()
+            # every node points at its root, the smallest node of its
+            # component: number the roots in increasing order
+            return (np.cumsum(parent == np.arange(n)) - 1)[parent]
         np.minimum.at(parent, np.maximum(pu[cut], pv[cut]), np.minimum(pu[cut], pv[cut]))
         while True:
             up = parent[parent]
@@ -289,15 +304,57 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             parent = up
 
 
+def _compress(labels: np.ndarray):
+    """The distinct labels in increasing order, and each item's position
+    among them: np.unique(labels, return_inverse=True) by counting, not by
+    sorting."""
+    seen = np.zeros(int(labels.max()) + 1, dtype=bool)
+    seen[labels] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[labels]
+
+
+def _split(ri, ci, data, rcomp, ccomp):
+    """Scatter the entries (ri[e], ci[e]) -> data[e] into one dense block per
+    connected component, and yield, for each distinct block shape (h, w),
+    the components of that shape in increasing order and their blocks as
+    one (count, h, w) stack.
+
+    rcomp[i] is the component of row node i and ccomp[j] that of column node
+    j, in range(k); an entry's row and column lie in one component.  A
+    block's rows are its component's row nodes in increasing order, and its
+    columns likewise."""
+    k = int(max(rcomp.max(), ccomp.max())) + 1
+    rloc, nrows = _rank_within(rcomp, k)
+    cloc, ncols = (rloc, nrows) if ccomp is rcomp else _rank_within(ccomp, k)
+    wide = int(ncols.max()) + 1
+    shapes, shape_of = np.unique(nrows * wide + ncols, return_inverse=True)
+    slot, per_shape = _rank_within(shape_of, len(shapes))
+    ec = rcomp[ri]
+    eshape = shape_of[ec]
+    for g, shape in enumerate(shapes):
+        sel = eshape == g
+        blocks = np.zeros((per_shape[g], shape // wide, shape % wide), dtype=complex)
+        np.add.at(blocks, (slot[ec[sel]], rloc[ri[sel]], cloc[ci[sel]]), data[sel])
+        yield np.flatnonzero(shape_of == g), blocks
+
+
+def _bipartite_split(rows, cols, data):
+    """The distinct rows, the component of each, and `_split` along the
+    row/column graph of the (nonempty) entries."""
+    urows, ri = _compress(rows)
+    ucols, ci = _compress(cols)
+    nr = len(urows)
+    comp = _components(ri, ci + nr, nr + len(ucols))
+    return urows, comp[:nr], _split(ri, ci, data, comp[:nr], comp[nr:])
+
+
 def norm2(a) -> float:
     """Exact operator 2-norm, the largest singular value.
 
     Dense input goes to LAPACK whole.  A CSR matrix is a direct sum of the
-    blocks that the connected components of its row/column graph (row i
-    joined to column j when a[i, j] != 0) pick out, so its norm is the
-    largest block norm: each component is scattered into a dense block and
-    each distinct block shape takes one batched SVD.  No iteration and no
-    size threshold; the cost grows with the largest component."""
+    blocks that the connected components of its row/column graph pick out,
+    so its norm is the largest block norm, one batched SVD per block
+    shape."""
     if not isinstance(a, CSR):
         if a.size == 0:
             return 0.0
@@ -305,23 +362,51 @@ def norm2(a) -> float:
     keep = a.data != 0
     if not keep.any():
         return 0.0
-    data = a.data[keep]
-    urows, ri = np.unique(_rows(a)[keep], return_inverse=True)
-    ucols, ci = np.unique(a.indices[keep], return_inverse=True)
-    nr = len(urows)
-    comp = _components(ri, ci + nr, nr + len(ucols))
-    k = int(comp.max()) + 1
-    rloc, nrows = _rank_within(comp[:nr], k)
-    cloc, ncols = _rank_within(comp[nr:], k)
-    shapes, shape_of = np.unique(np.stack([nrows, ncols], axis=1), axis=0, return_inverse=True)
-    shape_of = shape_of.ravel()
-    slot, per_shape = _rank_within(shape_of, len(shapes))
-    ec = comp[ri]
-    eshape = shape_of[ec]
-    best = 0.0
-    for g, (h, w) in enumerate(shapes):
-        sel = eshape == g
-        blocks = np.zeros((per_shape[g], h, w), dtype=complex)
-        np.add.at(blocks, (slot[ec[sel]], rloc[ri[sel]], cloc[ci[sel]]), data[sel])
-        best = max(best, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
-    return best
+    _, _, stacks = _bipartite_split(_rows(a)[keep], a.indices[keep], a.data[keep])
+    return max(float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()) for _, blocks in stacks)
+
+
+def block_norms(rows, cols, data) -> tuple[np.ndarray, np.ndarray]:
+    """The operator norm of each connected component of the row/column graph
+    of the entries (rows[e], cols[e]) -> data[e], and one row of each
+    component.  A 1x1 component is its absolute value, read without LAPACK;
+    a larger one takes its share of one batched SVD per block shape."""
+    if not len(data):
+        return np.zeros(0), np.zeros(0, dtype=np.intp)
+    urows, rcomp, stacks = _bipartite_split(rows, cols, data)
+    norms = np.zeros(int(rcomp.max()) + 1)
+    for comps, blocks in stacks:
+        if blocks.shape[1:] == (1, 1):
+            norms[comps] = np.abs(blocks[:, 0, 0])
+        else:
+            norms[comps] = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    first = np.empty(len(norms), dtype=np.intp)
+    first[rcomp] = urows
+    return norms, first
+
+
+def hermitian_min_eig(rows, cols, data, n: int) -> float:
+    """Smallest eigenvalue of the Hermitian part of the n x n matrix with the
+    entries (rows[e], cols[e]) -> data[e].
+
+    The matrix is a direct sum over the connected components of its index
+    graph (i joined to j when entry (i, j) is stored), with rows and columns
+    on the same n nodes, so its spectrum is the union of the block spectra,
+    and 0 joins it exactly when some index carries no entry: the zero matrix
+    gives 0.0, and a positive definite matrix with an entry in every row
+    its positive minimum.  A 1x1 block is its real part, read without
+    LAPACK; larger blocks take one batched eigvalsh per block size."""
+    if not len(data):
+        return 0.0
+    m = len(rows)
+    nodes, both = _compress(np.concatenate((rows, cols)))
+    ri, ci = both[:m], both[m:]
+    comp = _components(ri, ci, len(nodes))
+    low = 0.0 if len(nodes) < n else np.inf
+    for _, blocks in _split(ri, ci, data, comp, comp):
+        if blocks.shape[1] == 1:
+            low = min(low, float(blocks[:, 0, 0].real.min()))
+        else:
+            herm = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+            low = min(low, float(np.linalg.eigvalsh(herm)[:, 0].min()))
+    return low

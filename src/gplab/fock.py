@@ -709,65 +709,32 @@ def expectation_gram(x: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(space, _mat.gram_blocks(x.mat, space.word_ids), x.guard - x.reach, 0, 0)
 
 
-def _span_blocks(x: OperatorMatrix):
-    """Yield (word, dense diagonal block) for each word component of x.
-
-    One pass over the nonzero entries scatters those inside a component into
-    a flat buffer holding every block back to back; the blocks are views of
-    it.  Slicing block by block costs a sparse slice per word, which
-    dominates when there are many small blocks.
-    """
-    spans = list(x.space._spans.items())
-    offs = np.array([off for _, (off, _) in spans])
-    counts = np.array([count for _, (_, count) in spans])
-    sizes = counts * counts
-    starts = np.cumsum(sizes) - sizes
-    wid = x.space.word_ids
-    rows, cols, data = _mat.coo_parts(x.mat)
-    k = wid[rows]
-    inside = k == wid[cols]
-    rows, cols, data, k = rows[inside], cols[inside], data[inside], k[inside]
-    buf = np.zeros(int(sizes.sum()), dtype=complex)
-    np.add.at(buf, starts[k] + (rows - offs[k]) * counts[k] + (cols - offs[k]), data)
-    for (word, (_, count)), start in zip(spans, starts):
-        yield word, buf[start: start + count * count].reshape(count, count)
-
-
-def _min_eig(block: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part; a 1x1 block is its real
-    part, read without LAPACK."""
-    if block.shape[0] == 1:
-        return float(block[0, 0].real)
-    return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
-
-
-def _norm(block: np.ndarray) -> float:
-    """Operator norm; a 1x1 block is its absolute value."""
-    if block.shape[0] == 1:
-        return float(abs(block[0, 0]))
-    return float(np.linalg.norm(block, 2))
-
-
 def expectation_min_eig(x: OperatorMatrix) -> float:
     """Smallest eigenvalue of the Hermitian part of E(x) = expectation_diag(x).
 
-    E(x) is block-diagonal over the word components and its diagonal blocks
-    are those of x, so this reads only those blocks and is exact for any x,
-    block-diagonal or not: the spectrum of E(x) is the union of the block
-    spectra.
+    E(x) keeps the entries of x inside the word blocks, so this drops the
+    others and reads the spectrum off the connected components of what is
+    left (`_mat.hermitian_min_eig`); it is exact for any x, block-diagonal
+    or not.  No word block is formed: the components of E(x* x) are mostly
+    far smaller (sizes 1 and 3 within the 81-vector word blocks of M2 at
+    depth 4).
     """
-    return min(_min_eig(block) for _, block in _span_blocks(x))
+    wid = x.space.word_ids
+    rows, cols, data = _mat.coo_parts(x.mat)
+    inside = wid[rows] == wid[cols]
+    return _mat.hermitian_min_eig(rows[inside], cols[inside], data[inside], x.space.dim)
 
 
 def tail_profile(x: OperatorMatrix) -> list[float]:
-    """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1."""
+    """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1.
+
+    E(x* x) is the direct sum of the connected components of its nonzero
+    pattern, and each lies inside one word block, so the norm for k is the
+    largest norm of a component whose word is longer than k."""
     space = x.space
-    block_norms = {word: _norm(block) for word, block in _span_blocks(expectation_gram(x))}
-    profile = []
-    for k in range(space.n):
-        vals = [nm for w, nm in block_norms.items() if len(w) > k]
-        profile.append(max(vals, default=0.0))
-    return profile
+    norms, rows = _mat.block_norms(*_mat.coo_parts(expectation_gram(x).mat))
+    lengths = space.lengths[rows]
+    return [float(norms[lengths > k].max(initial=0.0)) for k in range(space.n)]
 
 
 # -- tensor split ---------------------------------------------------------------

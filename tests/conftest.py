@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gplab import words
@@ -32,3 +33,21 @@ def fresh_group(monkeypatch):
     down-sets from tests that ran before; call counts then do not depend on
     the test order.  The cache is restored afterwards."""
     monkeypatch.setattr(words, "_group_cache", {})
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Record (name, shape of the first argument) of every call of
+    np.linalg.eigvalsh, svd and norm made during one test, in call order; the
+    functions still run.  A test clears the list before the part it
+    measures."""
+    calls: list[tuple[str, tuple]] = []
+    for name in ("eigvalsh", "svd", "norm"):
+        fn = getattr(np.linalg, name)
+
+        def recorded(a, *args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls

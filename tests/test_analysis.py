@@ -11,15 +11,17 @@ from gplab.analysis import (
     CRIT_TRACE_NONE,
     CRIT_TRACE_UNIQUE,
     CRIT_UNITARY_SIMPLE,
+    _positivity_violation,
     find_witness,
     identity_suite,
     nuclearity_exactness_report,
     simplicity_report,
     trace_report,
 )
+from gplab import fock as fk
 from gplab.system import GraphSystem
 
-from util import FREE3, PATH3, hecke_system, m2_site, mixed_system
+from util import FREE3, PATH3, hecke_system, m2_site, mixed_system, naive_hermitian_min_eig
 
 
 def m2_trace_system():
@@ -192,3 +194,29 @@ def test_nuclearity_single_vertex_graph():
     k1 = SimplicialGraph.build([0], [])
     v = nuclearity_exactness_report(GraphSystem(k1, {0: m2_site()}))
     assert v.result == ESTABLISHED
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_positivity_violation_matches_guarded_block_oracle(depth):
+    """The conjugation checks' violation, read off the components of the
+    guarded principal block, equals minus the smallest eigenvalue of the
+    whole dense block's Hermitian part (or 0), for dominated pairs and for
+    pairs whose right side is cut to a quarter, which violate."""
+    sysm = m2_trace_system()
+    space = sysm.space(depth)
+    rng = np.random.default_rng(107)
+    qperp = fk.identity_op(space) - fk.q_projection(space, (0,))
+    found = 0.0
+    for v in FREE3.vertices:
+        a = sysm.sites[v].random_element(rng)
+        lam = fk.lambda_op(space, v, a)
+        lhs = lam.adjoint() @ qperp @ lam
+        omega = sysm.sites[v].state.omega(a @ a.star()).real
+        for rhs in (omega * fk.q_projection(space, (v,)), 0.25 * omega * fk.q_projection(space, (v,)), fk.zero_op(space)):
+            idx = space.cols_upto(min(lhs.guard, rhs.guard))
+            block = (rhs - lhs).toarray()[np.ix_(idx, idx)]
+            want = max(0.0, -naive_hermitian_min_eig(block))
+            got = _positivity_violation(lhs, rhs)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+            found = max(found, got)
+    assert found > 1e-3

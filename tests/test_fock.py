@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gplab import _mat, fock
 from gplab.algebras import FiniteDimAlgebra, StateSpec, hecke_parameter, hecke_vertex, site_from_hecke, site_from_state
-from gplab.analysis import _random_truncated_operator
+from gplab.analysis import _random_truncated_operator, expectation_checks
+from gplab.config import load_config
 from gplab.errors import ResourceLimitError
 from gplab.fock import (
     _PARTS,
@@ -29,6 +32,7 @@ from gplab.fock import (
     tensor_split_check,
     vacuum_vectors,
     word_projection,
+    zero_op,
 )
 from gplab.system import GraphSystem
 from gplab.words import CoxeterGroup
@@ -42,6 +46,7 @@ from util import (
     m2_site,
     naive_annihilation,
     naive_basis,
+    naive_components,
     naive_creation,
     naive_diagonal,
     naive_expectation_subgraph,
@@ -55,6 +60,7 @@ from util import (
     naive_q_projection,
     naive_reduced_operator,
     naive_side_op,
+    naive_tail_profile,
     naive_tensor_pairs,
 )
 
@@ -703,7 +709,7 @@ def test_vacuum_vectors_match_reduced_operator_oracle(mixed_path3, path):
         vacuum_vectors(space, (0, 1), ax[:1])
 
 
-def test_unit_blocks_skip_lapack(monkeypatch):
+def test_unit_blocks_skip_lapack(lapack_calls):
     """On Hecke q=1 every word block is 1x1: its smallest eigenvalue is the
     real part of the entry and its norm the absolute value, read without
     LAPACK, and both agree with the dense oracles."""
@@ -721,18 +727,10 @@ def test_unit_blocks_skip_lapack(monkeypatch):
     for x in xs:
         d = np.abs(naive_expectation_gram(x).toarray().diagonal())
         want_tail.append([max(d[space.lengths > k], default=0.0) for k in range(space.n)])
-    calls = [0]
-    for name in ("eigvalsh", "norm", "svd"):
-        fn = getattr(np.linalg, name)
-
-        def counted(*args, _fn=fn, **kwargs):
-            calls[0] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    lapack_calls.clear()
     got_eig = [expectation_min_eig(x) for x in xs + [bad]]
     got_tail = [tail_profile(x) for x in xs]
-    assert calls[0] == 0
+    assert len(lapack_calls) == 0
     assert np.allclose(got_eig, want_eig, rtol=0, atol=1e-13)
     assert abs(got_eig[-1] + 1e-3) < 1e-13
     assert np.allclose(got_tail, want_tail, rtol=0, atol=1e-13)
@@ -773,6 +771,97 @@ def test_expectation_min_eig_finds_negative_deepest_block(mixed_path3, path):
     got = expectation_min_eig(bad)
     assert abs(got - naive_expectation_min_eig(bad)) < 1e-12
     assert abs(got + 1e-3) < 1e-12
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_expectation_min_eig_identity_zero_and_shifted_component(mixed_path3, path):
+    """0 joins the spectrum only where an index carries no entry: the
+    identity gives 1.0, the zero operator and the identity with one word
+    block cut out 0.0.  A size-3 component of E(x* x) shifted below zero gives
+    its negative minimum; each agrees with the dense oracle."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    one = identity_op(space)
+    cut = one - word_projection(space, list(space._spans)[-1])
+    assert expectation_min_eig(one) == 1.0
+    assert expectation_min_eig(zero_op(space)) == 0.0
+    assert expectation_min_eig(cut) == 0.0
+    assert [naive_expectation_min_eig(y) for y in (one, zero_op(space), cut)] == [1.0, 0.0, 0.0]
+    rng = np.random.default_rng(97)
+    for _ in range(50):
+        exx = expectation_gram(_random_truncated_operator(sysm, space, rng))
+        idx = next((r for r, _ in naive_components(exx.mat, square=True) if len(r) == 3), None)
+        if idx is not None:
+            break
+    assert idx is not None
+    assert expectation_min_eig(exx) >= -1e-10
+    block = exx.toarray()[np.ix_(idx, idx)]
+    shift = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min()) + 1e-3
+    mask = np.zeros(space.dim)
+    mask[idx] = 1.0
+    bad = exx - shift * fock.OperatorMatrix(space, _mat.diag(mask), space.n, 0, 0)
+    got = expectation_min_eig(bad)
+    assert abs(got - naive_expectation_min_eig(bad)) < 1e-12
+    assert abs(got + 1e-3) < 1e-12
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_tail_profile_matches_per_word_dense_oracle(depth):
+    """Tail norms taken per component of E(x* x) equal the norms of its
+    whole dense word blocks, on M2 at depth 3 (dim 388) and 4 (dim 2332)."""
+    sysm = GraphSystem(FREE3, {0: m2_site(), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: m2_site()})
+    space = sysm.space(depth)
+    rng = np.random.default_rng(101 + depth)
+    xs = [_random_truncated_operator(sysm, space, rng) for _ in range(6)]
+    xs.append(lambda_op(space, 1, sysm.sites[1].random_element(rng)))
+    for x in xs:
+        got, want = tail_profile(x), naive_tail_profile(x)
+        assert len(got) == len(want) == depth
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _largest_side(a, square: bool) -> int:
+    return max((max(len(r), len(c)) for r, c in naive_components(a, square)), default=0)
+
+
+def test_lapack_sees_only_components(lapack_calls, monkeypatch):
+    """expectation_checks and tail_profile on m2_trace_edgeless3 at depth 3
+    (dim 388) call LAPACK only from the component split, each time on
+    blocks no larger than the largest connected component of the matrix
+    the split was given (union-find oracle), never on a whole word block
+    that splits further."""
+    sysm = load_config(str(Path(__file__).parent / "fixtures" / "m2_trace_edgeless3.json")).system
+    space = sysm.space(3)
+    seen = []  # (largest component side, LAPACK calls made inside the split)
+
+    def split(name, to_matrix, square):
+        fn = getattr(_mat, name)
+
+        def wrapped(*args):
+            start = len(lapack_calls)
+            out = fn(*args)
+            seen.append((_largest_side(to_matrix(*args), square), lapack_calls[start:]))
+            del lapack_calls[start:]
+            return out
+
+        monkeypatch.setattr(_mat, name, wrapped)
+
+    def from_parts(rows, cols, data, n=None):
+        n = n if n is not None else int(max(rows.max(initial=-1), cols.max(initial=-1))) + 1
+        return _mat.from_coo(rows, cols, data, n)
+
+    split("norm2", lambda a: a, False)
+    split("block_norms", from_parts, False)
+    split("hermitian_min_eig", from_parts, True)
+    lapack_calls.clear()
+    expectation_checks(sysm, 3, np.random.default_rng(3))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        tail_profile(_random_truncated_operator(sysm, space, rng))
+    # outside the split only vector norms run, which are no LAPACK calls
+    assert all(name == "norm" and len(shape) == 1 for name, shape in lapack_calls)
+    assert any(calls for _, calls in seen)
+    for largest, calls in seen:
+        assert all(max(shape[-2:]) <= largest for _, shape in calls)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gplab import _mat
-from util import naive_from_coo, naive_gram_blocks, naive_mul, naive_norm2
+from util import (
+    naive_components,
+    naive_from_coo,
+    naive_gram_blocks,
+    naive_hermitian_min_eig,
+    naive_mul,
+    naive_norm2,
+)
 
 VALUES = (0.0, 1.0, -1.0, 2.5, 1j, -0.5j, 0.25 + 2j, -3.0)
 MAX_DIM = 6
@@ -150,6 +157,25 @@ def test_col_select_any_distinct_columns(data):
 
 @settings(deadline=None)
 @given(st.data())
+def test_col_select_ascending_columns_skip_the_sort(data):
+    """For ascending idx the result is built without a sort and is
+    array-equal, field by field, to the sorted `_csr` result."""
+    t = data.draw(coo())
+    nc = t[3][1]
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=nc))), dtype=int)
+    _, sa = _kinds(*t)
+    got = _mat.col_select(sa, idx)
+    _assert_canonical(got)
+    cols = _mat._positions(nc, idx)[sa.indices]
+    keep = cols >= 0
+    want = _mat._csr(_mat._rows(sa)[keep], cols[keep], sa.data[keep], (t[3][0], len(idx)))
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@settings(deadline=None)
+@given(st.data())
 def test_diagonal_and_principal_parts(data):
     n = data.draw(st.integers(0, MAX_DIM))
     t = data.draw(coo(n, n))
@@ -196,3 +222,49 @@ def test_norm2(t):
     want = naive_norm2(da)
     for m in (da, sa):
         assert abs(_mat.norm2(m) - want) <= 1e-12 * max(want, 1.0)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_hermitian_min_eig(data):
+    """Against eigvalsh of the whole dense Hermitian part: indices that carry
+    no entry add 0, and a matrix stored in full adds none."""
+    n = data.draw(st.integers(0, MAX_DIM))
+    rows, cols, vals, _ = data.draw(coo(n, n))
+    shift = data.draw(st.sampled_from([0.0, 0.5, -0.5]))
+    if data.draw(st.booleans()):  # every index carries an entry
+        rows, cols, vals = rows + list(range(n)), cols + list(range(n)), vals + [shift] * n
+    a = naive_from_coo(rows, cols, vals, (n, n))
+    want = naive_hermitian_min_eig(a) if n else 0.0
+    for m in (a, _mat._csr(rows, cols, vals, (n, n))):
+        r, c, d = _mat.coo_parts(m)
+        assert abs(_mat.hermitian_min_eig(r, c, d, n) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_hermitian_min_eig_examples():
+    eye = np.arange(4)
+    assert _mat.hermitian_min_eig(eye, eye, np.ones(4, dtype=complex), 4) == 1.0
+    assert _mat.hermitian_min_eig(eye, eye, np.ones(4, dtype=complex), 5) == 0.0
+    assert _mat.hermitian_min_eig(eye[:0], eye[:0], np.zeros(0, dtype=complex), 3) == 0.0
+    # a 2x2 component whose Hermitian part is [[1, 2], [2, 1]], eigenvalues -1 and 3
+    got = _mat.hermitian_min_eig(np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1, 4, 1], dtype=complex), 2)
+    assert abs(got + 1.0) < 1e-14
+
+
+@settings(deadline=None)
+@given(coo())
+def test_block_norms(t):
+    """One norm per component of the row/column graph, with a row of it,
+    against SVDs of the dense blocks the union-find oracle picks out."""
+    da, sa = _kinds(*t)
+    rows, cols, vals = _mat.coo_parts(sa)
+    norms, first = _mat.block_norms(rows, cols, vals)
+    comps = naive_components(da, square=False)
+    assert len(norms) == len(first) == len(comps)
+    want = {
+        frozenset(r): float(np.linalg.svd(da[np.ix_(r, c)], compute_uv=False).max()) for r, c in comps
+    }
+    for nm, row in zip(norms, first):
+        block = next(r for r in want if row in r)
+        assert abs(nm - want[block]) <= 1e-12 * max(1.0, want[block])
+    assert {next(r for r in want if row in r) for row in first} == set(want)

@@ -335,6 +335,41 @@ def naive_expectation_min_eig(x) -> float:
     return float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
 
 
+def naive_tail_profile(x) -> list[float]:
+    """Per-word tail norms: one SVD of each dense word block of the whole
+    product's E(x* x), then the largest over the words longer than k."""
+    space = x.space
+    e = naive_expectation_gram(x).toarray()
+    norms = {
+        w: float(np.linalg.svd(e[off: off + c, off: off + c], compute_uv=False).max())
+        for w, (off, c) in space._spans.items()
+    }
+    return [max((nm for w, nm in norms.items() if len(w) > k), default=0.0) for k in range(space.n)]
+
+
+def naive_hermitian_min_eig(a: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of a dense square matrix."""
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
+
+
+def naive_components(a, square: bool) -> list[tuple[list[int], list[int]]]:
+    """The (rows, columns) of each connected component of a's nonzero
+    pattern, by union-find: over the index graph (row i and column i one
+    node) when `square`, else over the row/column graph."""
+    rows, cols = np.nonzero(_mat.to_dense(a))
+    col_side = "r" if square else "c"
+    uf = UnionFind([("r", int(i)) for i in rows] + [(col_side, int(j)) for j in cols])
+    for i, j in zip(rows, cols):
+        uf.union(("r", int(i)), (col_side, int(j)))
+    comps: dict = {}
+    for side, k in uf.parent:
+        got = comps.setdefault(uf.find((side, k)), (set(), set()))
+        got[0 if side == "r" else 1].add(k)
+        if square:
+            got[1].add(k)
+    return [(sorted(r), sorted(c)) for r, c in comps.values()]
+
+
 def naive_letter_counts(space) -> np.ndarray:
     """(dim, |V|): how often each vertex occurs in each basis vector's word."""
     vpos = {v: k for k, v in enumerate(space.graph.vertices)}
