@@ -216,6 +216,20 @@ def col_select(a, idx):
     return _csr(_rows(a)[keep], cols[keep], a.data[keep], shape)
 
 
+def cut(a, keep: np.ndarray):
+    """The columns where the boolean mask keep holds, the others emptied.  A
+    dense matrix is returned as it is: its callers only read the kept
+    columns, and a dense product costs the same either way."""
+    if not isinstance(a, CSR):
+        return a
+    kept = keep[a.indices]
+    if kept.all():
+        return a
+    ptr = np.zeros(len(kept) + 1, dtype=np.intp)
+    np.cumsum(kept, out=ptr[1:])
+    return CSR(ptr[a.indptr], a.indices[kept], a.data[kept], a.shape)
+
+
 def coo_parts(a):
     if isinstance(a, CSR):
         return _rows(a), a.indices, a.data

@@ -164,17 +164,23 @@ class GnsRep:
     `matrix(x)` is the dim x dim matrix of left multiplication in the chosen
     orthonormal basis; columns of matrix(x) at index 0 are the coordinates of
     the vector x.xi.
+
+    The representation is linear, so it is compiled once: `images` holds, as
+    columns of one (dim**2, k) array, the flattened matrices of k algebra
+    elements spanning the algebra, and `coords(x)` gives the k coefficients
+    of x in them.  A call is then one matrix-vector product.
     """
 
-    def __init__(self, algebra: FiniteDimAlgebra, state: StateSpec, dim: int, matrix_fn):
+    def __init__(self, algebra: FiniteDimAlgebra, state: StateSpec, dim: int, images: np.ndarray, coords):
         self.algebra = algebra
         self.state = state
         self.dim = dim
         self.cyclic_index = 0
-        self._matrix_fn = matrix_fn
+        self._images = images
+        self._coords = coords
 
     def matrix(self, x: Element) -> np.ndarray:
-        return self._matrix_fn(x)
+        return (self._images @ self._coords(x)).reshape(self.dim, self.dim)
 
     def vector(self, x: Element) -> np.ndarray:
         return self.matrix(x)[:, self.cyclic_index]
@@ -225,7 +231,14 @@ def gns(alg: FiniteDimAlgebra, st: StateSpec) -> GnsRep:
             off += d * d
         return uh @ big @ u
 
-    return GnsRep(alg, st, dim, matrix_fn)
+    # the images of the matrix units, whose coefficients are the entries
+    images = np.stack([matrix_fn(b).ravel() for b in alg.basis()], axis=1)
+    return GnsRep(alg, st, dim, images, _entries)
+
+
+def _entries(x: Element) -> np.ndarray:
+    """The coefficients of x in the matrix units of FiniteDimAlgebra.basis()."""
+    return np.concatenate([a.ravel() for a in x.mats])
 
 
 def optimal_q(a: Element, st: StateSpec) -> float:
@@ -332,23 +345,24 @@ def hecke_vertex(q: float) -> tuple[FiniteDimAlgebra, StateSpec, Element]:
 def hecke_gns(q: float) -> GnsRep:
     """GNS representation of the Hecke vertex in the canonical basis (xi, T xi).
 
-    In this basis the generator acts as [[0, 1], [1, p]]; entries of matrix(x)
-    come from the coefficients of x = alpha 1 + beta T, so they are exact
-    whenever alpha, beta and p are exactly representable.
+    In this basis the generator acts as [[0, 1], [1, p]]; matrix(x) is
+    compiled on the basis (1, T) and read from the coefficients of x = alpha
+    1 + beta T, so its entries are exact whenever alpha, beta and p are
+    exactly representable.
     """
     alg, st, t = hecke_vertex(q)
     p = hecke_parameter(q)
     t1 = t.mats[0][0, 0].real
     t2 = t.mats[1][0, 0].real
 
-    def matrix_fn(x: Element) -> np.ndarray:
+    def coords(x: Element) -> np.ndarray:
         x1 = complex(x.mats[0][0, 0])
         x2 = complex(x.mats[1][0, 0])
         beta = (x1 - x2) / (t1 - t2)
-        alpha = x1 - beta * t1
-        return np.array([[alpha, beta], [beta, alpha + beta * p]], dtype=complex)
+        return np.array([x1 - beta * t1, beta])
 
-    return GnsRep(alg, st, 2, matrix_fn)
+    images = np.array([[1, 0], [0, 1], [0, 1], [1, p]], dtype=complex)
+    return GnsRep(alg, st, 2, images, coords)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,14 @@ class Verdict:
     children: list["Verdict"] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        # A claim cannot rest on evidence that failed, whichever pipeline
+        # assembled it.
+        failed = [e.name for e in self.evidence if not e.passed]
+        if self.result == ESTABLISHED and failed:
+            self.result = INCONCLUSIVE
+            self.notes = self.notes + [f"not established: failed evidence {', '.join(failed)}"]
+
     def to_json(self) -> dict:
         out = {
             "statement": self.statement,
@@ -684,9 +692,11 @@ def diagonality_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator, 
 
 def _positivity_violation(lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> float:
     """How far rhs - lhs is from positive on the common guarded block: minus
-    the smallest eigenvalue of its Hermitian part there, or 0."""
-    idx = lhs.space.cols_upto(min(lhs.guard, rhs.guard))
-    rows, cols, data = _mat.principal_parts((rhs - lhs).mat, idx)
+    the smallest eigenvalue of its Hermitian part there, or 0.  The block is
+    read off the difference's cut at the guard."""
+    guard = min(lhs.guard, rhs.guard)
+    idx = lhs.space.cols_upto(guard)
+    rows, cols, data = _mat.principal_parts((rhs - lhs).cols(guard), idx)
     return max(0.0, -_mat.hermitian_min_eig(rows, cols, data, len(idx)))
 
 

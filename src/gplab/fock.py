@@ -12,12 +12,22 @@ the largest k such that the matrix agrees with the untruncated operator on
 vectors supported in word length <= k.  Identity checks only ever quantify
 over the guarded subspace.
 
+So a check reads only the guarded columns, and an operator is evaluated
+only on the columns it is read on.  Its `cols(k)` is exact on the columns
+of word length <= k and, like the operator, zero outside its word-length
+band (see OperatorMatrix); products, sums, scalars and adjoints are
+evaluated lazily, each reading its operands at the cuts that their bands
+reach, and `.mat` is the cut at N.  The guarded readers (guarded_deviation,
+guarded_norm, the positivity check's guarded block and the vacuum vector
+chains) ask for cuts; every other reader reads `.mat`.
+
 What an operator's matrix depends on only through the space is compiled
 once per space, on first use, and cached in space._plans: the sparsity
-pattern of lambda_v and rho_v, whose entries each name the entry of the GNS
-matrix their value is read from (_side_pattern), the 0/1 diagonal of each
-Q_w, read off the up-set of w in the weak order, and the subgraph
-expectation's maps.  Building an operator is then a gather.
+pattern of each part of lambda_v and rho_v on the columns of each cut,
+whose entries each name the entry of the GNS matrix their value is read
+from (_side_pattern), the 0/1 diagonal of each Q_w, read off the up-set of
+w in the weak order, and the subgraph expectation's maps.  Evaluating an
+operator on a cut is then a gather.
 """
 from __future__ import annotations
 
@@ -163,23 +173,110 @@ def _word_map(space: TruncatedFock, word: Letters, src: Sequence[int], width: in
 
 class OperatorMatrix:
     """A compressed operator with its guard level and directional movement
-    bounds.
+    bounds, evaluated only on the columns a reader asks for.
 
     `up` and `down` bound how far the operator can raise or lower word
-    length; matrices stay banded accordingly even beyond the guard, which is
-    what makes the adjoint and product guard rules below sound.  Composition
-    only spends guard on upward movement: lowering first never leaves the
-    truncation.
+    length: every entry (i, j) has |j| - down <= |i| <= |j| + up, even
+    beyond the guard, which is what makes the adjoint and product guard
+    rules below sound.  Composition only spends guard on upward movement:
+    lowering first never leaves the truncation.
+
+    `cols(k)` is the one evaluation path.  It returns a dim x dim matrix
+    that equals the operator on every column of word length <= k and, like
+    the operator, is zero outside the (up, down) band; the columns past k
+    hold whatever the evaluation left there (none, for a CSR matrix built
+    here), and only the readers of guarded columns ask for a cut.  `.mat` is
+    `cols(N)`.  The band is what makes a cut exact: column j of AB needs A
+    only on the columns B reaches from j, and column j of A* is row j of A,
+    which lies in the columns up to |j| + down.
+
+    A product, sum, scalar multiple or adjoint records its operands and is
+    evaluated on first read (_evaluate).  Each cut read through `cols` is
+    kept, and so is each cut of an operand of two or more operators, and a
+    smaller cut is read off any larger one already kept.  The cuts of an
+    operand of one operator are used once and dropped, so a chain holds no
+    more matrices at a time than its eager evaluation would.
     """
 
-    __slots__ = ("space", "mat", "guard", "up", "down")
+    __slots__ = ("space", "guard", "up", "down", "_eval", "_cuts", "_uses")
 
     def __init__(self, space: TruncatedFock, mat, guard: int, up: int, down: int):
         self.space = space
-        self.mat = mat
         self.guard = guard
         self.up = up
         self.down = down
+        self._eval = None
+        self._cuts = {space.n: mat}
+        self._uses = 0
+
+    @classmethod
+    def _lazy(cls, space: TruncatedFock, fn, operands, guard: int, up: int, down: int) -> "OperatorMatrix":
+        """The operator whose cut k is fn(k, *mats), mats[i] the cut
+        k + shift of the i-th (operand, shift) pair, at most N."""
+        op = cls.__new__(cls)
+        op.space, op.guard, op.up, op.down = space, guard, up, down
+        op._eval = (fn, operands)
+        op._cuts = {}
+        op._uses = 0
+        for operand, _ in operands:
+            operand._uses += 1
+        return op
+
+    @property
+    def mat(self):
+        return self.cols(self.space.n)
+
+    def cols(self, k: int):
+        """The matrix, exact on the columns of word length <= k; see the
+        class docstring."""
+        k = min(k, self.space.n)
+        got = self._kept(k)
+        if got is None:
+            got = self._evaluate(k)
+            self._keep(k, got)
+        return got
+
+    def _keep(self, k: int, mat) -> None:
+        self._cuts[k] = mat
+        if k == self.space.n:  # every later cut is read off this one
+            self._eval = None
+
+    def _kept(self, k: int):
+        """Cut k if it is kept or can be read off a larger kept cut, else
+        None."""
+        got = self._cuts.get(k)
+        if got is None:
+            larger = [c for c in self._cuts if c > k]
+            if larger:
+                got = self._cuts[k] = _mat.cut(self._cuts[min(larger)], self.space.lengths <= k)
+        return got
+
+    def _evaluate(self, k: int):
+        """Cut k, from the operands' cuts, walked in post-order on an
+        explicit stack so that a long chain of sums does not recurse.  An
+        operator with no kept cut is evaluated from its own operands, and
+        keeps the cut if it is an operand of more than one."""
+        n = self.space.n
+        mats: list = []
+        todo = [(self, k, False)]
+        while todo:
+            op, c, expanded = todo.pop()
+            if expanded:
+                fn, operands = op._eval
+                split = len(mats) - len(operands)
+                args = mats[split:]
+                del mats[split:]
+                mats.append(fn(c, *args))
+                if op._uses > 1:
+                    op._keep(c, mats[-1])
+                continue
+            got = op._kept(c)
+            if got is not None:
+                mats.append(got)
+                continue
+            todo.append((op, c, True))
+            todo.extend((child, min(c + shift, n), False) for child, shift in reversed(op._eval[1]))
+        return mats[0]
 
     @property
     def reach(self) -> int:
@@ -191,34 +288,36 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._same_space(other)
-        guard = min(other.guard, self.guard - other.up)
-        return OperatorMatrix(
+        return OperatorMatrix._lazy(
             self.space,
-            _mat.mul(self.mat, other.mat),
-            guard,
+            lambda k, a, b: _mat.mul(a, b),
+            ((self, other.up), (other, 0)),
+            min(other.guard, self.guard - other.up),
             self.up + other.up,
             self.down + other.down,
         )
 
-    def _combine(self, other: "OperatorMatrix", mat) -> "OperatorMatrix":
-        return OperatorMatrix(
+    def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
+        self._same_space(other)
+        return OperatorMatrix._lazy(
             self.space,
-            mat,
+            lambda k, a, b: op(a, b),
+            ((self, 0), (other, 0)),
             min(self.guard, other.guard),
             max(self.up, other.up),
             max(self.down, other.down),
         )
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._same_space(other)
-        return self._combine(other, _mat.add(self.mat, other.mat))
+        return self._combine(other, _mat.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._same_space(other)
-        return self._combine(other, _mat.sub(self.mat, other.mat))
+        return self._combine(other, _mat.sub)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, _mat.scale(self.mat, scalar), self.guard, self.up, self.down)
+        return OperatorMatrix._lazy(
+            self.space, lambda k, a: _mat.scale(a, scalar), ((self, 0),), self.guard, self.up, self.down
+        )
 
     __rmul__ = __mul__
 
@@ -226,8 +325,15 @@ class OperatorMatrix:
         return self * (-1.0)
 
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.space, _mat.adjoint(self.mat), self.guard - self.down, self.down, self.up
+        lengths = self.space.lengths
+        return OperatorMatrix._lazy(
+            self.space,
+            # the rows of length <= k, whole, become the columns of the cut
+            lambda k, a: _mat.cut(_mat.adjoint(a), lengths <= k),
+            ((self, self.down),),
+            self.guard - self.down,
+            self.down,
+            self.up,
         )
 
     def norm(self) -> float:
@@ -249,19 +355,21 @@ def zero_op(space: TruncatedFock) -> OperatorMatrix:
 
 
 def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Operator-norm distance restricted to columns inside the common guard;
-    ShallowTruncationError when the guard is negative."""
+    """Operator-norm distance restricted to columns inside the common guard,
+    read off both operators' cuts at that guard; ShallowTruncationError when
+    the guard is negative."""
     a._same_space(b)
-    idx = a.space.cols_upto(min(a.guard, b.guard))
-    diff = _mat.sub(a.mat, b.mat)
+    guard = min(a.guard, b.guard)
+    idx = a.space.cols_upto(guard)
+    diff = _mat.sub(a.cols(guard), b.cols(guard))
     return _mat.norm2(_mat.col_select(diff, idx))
 
 
 def guarded_norm(a: OperatorMatrix) -> float:
-    """Operator norm restricted to the guarded columns;
-    ShallowTruncationError when the guard is negative."""
+    """Operator norm restricted to the guarded columns, read off the cut at
+    the guard; ShallowTruncationError when the guard is negative."""
     idx = a.space.cols_upto(a.guard)
-    return _mat.norm2(_mat.col_select(a.mat, idx))
+    return _mat.norm2(_mat.col_select(a.cols(a.guard), idx))
 
 
 def offdiagonal_mass(a: OperatorMatrix) -> float:
@@ -363,55 +471,67 @@ class _SidePattern(NamedTuple):
     src: np.ndarray  # flat index t*dv + s of the entry's value m[t, s]
 
 
-def _side_pattern(space: TruncatedFock, v: VertexId, left: bool) -> _SidePattern:
-    """Sparsity pattern of lambda_v (left) or rho_v (right), compiled from
-    _plan_side once per (space, vertex, side) and cached in space._plans.
-
-    Entry e of the operator of x holds m.ravel()[src[e]], m the GNS matrix
-    of x: m[0,0] on case A's diagonal, m[t,0] on its creation targets, m[t,s]
-    on case B's retargets and m[0,s] on its dropped-letter rows.  So an
-    entry's part is the quadrant of m that src points into.  Targets beyond
-    N are left out, and the entries are sorted once, by (row, column); the
-    positions are distinct, since every column is case A or case B and each
-    of its targets is a different basis vector.
-    """
-    key = ("lambda" if left else "rho", v)
-    got = space._plans.get(key)
-    if got is not None:
-        return got
-    plan = _plan_side(space, v, left)
-    dv = space.reps[v].dim
-    t = np.arange(1, dv) * dv
-    na = len(plan.a_cols)
-    rows = np.concatenate((plan.a_cols, plan.a_targets.ravel(), plan.b_retarget.ravel(), plan.b_drop))
-    cols = np.concatenate((plan.a_cols, np.repeat(plan.a_cols, dv - 1), np.repeat(plan.b_cols, dv - 1), plan.b_cols))
-    src = np.concatenate((
-        np.zeros(na, dtype=np.intp),
-        np.tile(t, na),
-        (t + plan.b_slot[:, None]).ravel(),
-        plan.b_slot,
-    ))
-    inside = rows >= 0
-    rows, cols, src = rows[inside], cols[inside], src[inside]
-    order = np.argsort(rows * space.dim + cols)
-    indptr = np.zeros(space.dim + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
-    pattern = _SidePattern(indptr, cols[order], src[order].astype(np.min_scalar_type(dv * dv)))
-    for arr in pattern:
-        arr.flags.writeable = False
-    space._plans[key] = pattern
-    return pattern
-
-
-# The quadrants of the GNS matrix m that hold each part, and which parts each
-# operator keeps: (scalar, creation, diagonal, annihilation).
-_QUADRANTS = (np.s_[:1, :1], np.s_[1:, :1], np.s_[1:, 1:], np.s_[:1, 1:])
+# Which parts each operator keeps: (scalar, creation, diagonal, annihilation),
+# the quadrants m[0,0], m[1:,0], m[1:,1:] and m[0,1:] of the GNS matrix m.
 _PARTS = {
     "all": (True, True, True, True),
     "creation": (False, True, False, False),
     "diagonal": (False, False, True, False),
     "annihilation": (False, False, False, True),
 }
+
+
+def _side_pattern(space: TruncatedFock, v: VertexId, left: bool, part: str, cut: int) -> _SidePattern:
+    """Sparsity pattern of one part of lambda_v (left) or rho_v (right) on
+    the columns of word length <= cut (cut <= N), compiled once per (space,
+    vertex, side, part, cut) and cached in space._plans.
+
+    Entry e of the operator of x holds m.ravel()[src[e]], m the GNS matrix
+    of x: m[0,0] on case A's diagonal, m[t,0] on its creation targets, m[t,s]
+    on case B's retargets and m[0,s] on its dropped-letter rows.  So an
+    entry's part is the quadrant of m that src points into.  The whole
+    pattern is compiled from _plan_side: targets beyond N are left out, and
+    the entries are sorted once, by (row, column); the positions are
+    distinct, since every column is case A or case B and each of its targets
+    is a different basis vector.  A part or a cut keeps a subset of its
+    entries, still in CSR order.
+    """
+    key = ("lambda" if left else "rho", v, part, cut)
+    got = space._plans.get(key)
+    if got is not None:
+        return got
+    dv = space.reps[v].dim
+    if part == "all" and cut == space.n:
+        plan = _plan_side(space, v, left)
+        t = np.arange(1, dv) * dv
+        na = len(plan.a_cols)
+        rows = np.concatenate((plan.a_cols, plan.a_targets.ravel(), plan.b_retarget.ravel(), plan.b_drop))
+        cols = np.concatenate((plan.a_cols, np.repeat(plan.a_cols, dv - 1), np.repeat(plan.b_cols, dv - 1), plan.b_cols))
+        src = np.concatenate((
+            np.zeros(na, dtype=np.intp),
+            np.tile(t, na),
+            (t + plan.b_slot[:, None]).ravel(),
+            plan.b_slot,
+        ))
+        inside = rows >= 0
+        rows, cols, src = rows[inside], cols[inside], src[inside]
+        order = np.argsort(rows * space.dim + cols)
+        indptr = np.zeros(space.dim + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
+        pattern = _SidePattern(indptr, cols[order], src[order].astype(np.min_scalar_type(dv * dv)))
+    else:
+        whole = _side_pattern(space, v, left, "all", space.n)
+        # quadrant of each entry's source m[t, s], in _PARTS order
+        t, s = whole.src // dv > 0, whole.src % dv > 0
+        keep = np.array(_PARTS[part])[np.where(s, np.where(t, 2, 3), t.astype(np.intp))]
+        keep &= space.lengths[whole.indices] <= cut
+        kept = np.zeros(len(keep) + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept[1:])
+        pattern = _SidePattern(kept[whole.indptr], whole.indices[keep], whole.src[keep])
+    for arr in pattern:
+        arr.flags.writeable = False
+    space._plans[key] = pattern
+    return pattern
 
 
 def _side_op(
@@ -426,11 +546,10 @@ def _side_op(
     (Q_v) carry the diagonal part m[t,s] on the in-place retargets and the
     annihilation part m[0,s] on the dropped-letter word.
 
-    The positions come from the compiled pattern (_side_pattern), so a call
-    is one gather: the quadrants of m outside the kept parts are zeroed, the
-    values are read as m.ravel()[src], and one mask drops the zero entries.
-    The pattern's CSR row pointer is recounted only when an entry was
-    dropped; nothing is sorted.
+    A cut is one gather from the compiled pattern of its part and cut
+    (_side_pattern): the values are read as m.ravel()[src], and one mask
+    drops the zero entries.  The pattern's CSR row pointer is recounted
+    only when an entry was dropped; nothing is sorted.
 
     Only creation can leave the truncation, so it alone costs a guard level:
     (guard, up, down) is (N-1, 1, 1) for the whole operator, (N-1, 1, 0) for
@@ -442,24 +561,21 @@ def _side_op(
     if x.algebra != rep.algebra:
         raise ValueError("element does not belong to the vertex algebra")
     _, keep_create, _, keep_annih = _PARTS[part]
-    m = rep.matrix(x)
-    if part != "all":
-        kept = np.zeros_like(m)
-        for keep, quadrant in zip(_PARTS[part], _QUADRANTS):
-            if keep:
-                kept[quadrant] = m[quadrant]
-        m = kept
-    pattern = _side_pattern(space, v, left)
-    data = m.ravel()[pattern.src]
-    nonzero = data != 0.0
-    if nonzero.all():
-        indptr, indices = pattern.indptr, pattern.indices
-    else:
-        indptr = np.concatenate(([0], np.cumsum(nonzero)))[pattern.indptr]
-        indices, data = pattern.indices[nonzero], data[nonzero]
-    mat = _mat.from_csr(indptr, indices, data, space.dim)
+    m = rep.matrix(x).ravel()
+
+    def evaluate(k: int):
+        pattern = _side_pattern(space, v, left, part, k)
+        data = m[pattern.src]
+        nonzero = data != 0.0
+        if nonzero.all():
+            indptr, indices = pattern.indptr, pattern.indices
+        else:
+            indptr = np.concatenate(([0], np.cumsum(nonzero)))[pattern.indptr]
+            indices, data = pattern.indices[nonzero], data[nonzero]
+        return _mat.from_csr(indptr, indices, data, space.dim)
+
     guard = space.n - 1 if keep_create else space.n
-    return OperatorMatrix(space, mat, guard, int(keep_create), int(keep_annih))
+    return OperatorMatrix._lazy(space, evaluate, (), guard, int(keep_create), int(keep_annih))
 
 
 def lambda_op(space: TruncatedFock, v: VertexId, x: Element) -> OperatorMatrix:
@@ -687,18 +803,26 @@ def vacuum_vectors(
     product x = lambda_{v1}(a1) ... lambda_{vn}(an).
 
     Each is a chain of vector products through the factors, so x is never
-    formed; the vacuum entry of a product xy is row(x) @ column(y).
+    formed; the vacuum entry of a product xy is row(x) @ column(y).  A
+    vector that has passed j factors lies in word length <= j, so the next
+    factor is read at the cut the chain has reached: its columns up to j
+    for the column chain, and up to j + down, which holds the whole rows up
+    to j, for the row chain.
     """
     if len(letters) != len(elements):
         raise ValueError("one element per letter")
-    factors = [lambda_op(space, v, a).mat for v, a in zip(letters, elements)]
+    factors = [lambda_op(space, v, a) for v, a in zip(letters, elements)]
     row = np.zeros(space.dim, dtype=complex)
     row[0] = 1.0
     col = row.copy()
+    reach = 0
     for f in factors:
-        row = _mat.vecmat(row, f)
+        row = _mat.vecmat(row, f.cols(reach + f.down))
+        reach += f.down
+    reach = 0
     for f in reversed(factors):
-        col = _mat.matvec(f, col)
+        col = _mat.matvec(f.cols(reach), col)
+        reach += f.up
     return row, col
 
 

@@ -18,7 +18,7 @@ from gplab.algebras import (
     optimal_q,
 )
 
-from util import c2_site, m2_site
+from util import c2_site, m2_site, naive_gns_matrix, naive_hecke_matrix
 
 RNG = np.random.default_rng(42)
 
@@ -205,3 +205,33 @@ def test_hecke_gns_matches_generic_gns():
         assert np.array_equal(h.matrix(t), np.array([[0, 1], [1, p]], dtype=complex))
         for x in (t, alg.one(), t @ t):
             assert np.max(np.abs(h.matrix(x) - g.matrix(x))) < 1e-12
+
+
+@pytest.mark.parametrize("blocks, density", [
+    ((2,), [np.eye(2) * 0.5]),
+    ((2,), [np.array([[0.6, 0.1], [0.1, 0.4]])]),
+    ((1, 1), [np.array([[0.3]]), np.array([[0.7]])]),
+    ((2, 1), [np.array([[0.4, 0.1j], [-0.1j, 0.3]]), np.array([[0.3]])]),
+    ((3,), [np.diag([0.5, 0.3, 0.2])]),
+])
+def test_compiled_gns_matches_defining_formula(blocks, density):
+    """matrix(x), one product with the images of the matrix units, agrees
+    with the Kronecker formula to 1e-14 on the basis, the unit and random
+    elements."""
+    alg = FiniteDimAlgebra(blocks)
+    st = StateSpec.build(alg, density)
+    rep = gns(alg, st)
+    rng = np.random.default_rng(5)
+    for x in alg.basis() + [alg.one()] + [_random_element(alg, rng) for _ in range(6)]:
+        want = naive_gns_matrix(alg, st, x)
+        assert np.max(np.abs(rep.matrix(x) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("q", [0.25, 1.0, 2.0, 3.0])
+def test_compiled_hecke_gns_matches_defining_formula(q):
+    alg, _, t = hecke_vertex(q)
+    rep = hecke_gns(q)
+    rng = np.random.default_rng(7)
+    for x in alg.basis() + [alg.one(), t, t @ t] + [_random_element(alg, rng) for _ in range(6)]:
+        want = naive_hecke_matrix(q, x)
+        assert np.max(np.abs(rep.matrix(x) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))

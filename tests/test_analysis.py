@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from gplab.analysis import (
     simplicity_report,
     trace_report,
 )
+from gplab import analysis as an
 from gplab import fock as fk
+from gplab.config import load_config
 from gplab.system import GraphSystem
 
 from util import FREE3, PATH3, hecke_system, m2_site, mixed_system, naive_hermitian_min_eig
@@ -220,3 +224,55 @@ def test_positivity_violation_matches_guarded_block_oracle(depth):
             assert abs(got - want) <= 1e-12 * max(1.0, want)
             found = max(found, got)
     assert found > 1e-3
+
+
+# -- evidence-gated verdicts ---------------------------------------------------------
+# A verdict whose evidence holds a failed record is Inconclusive, naming the
+# record, in every pipeline.
+
+
+def _m2_fixture():
+    return load_config(Path(__file__).parent / "fixtures" / "m2_trace_edgeless3.json")
+
+
+def _fail_record(monkeypatch, name: str):
+    """Every evidence record called `name` comes out failed, as if its check
+    had failed."""
+    real = an.CheckRecord
+
+    def record(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        if rec.name == name:
+            rec.passed = False
+        return rec
+
+    monkeypatch.setattr(an, "CheckRecord", record)
+
+
+def _assert_gated(verdict, name: str):
+    assert verdict.result == INCONCLUSIVE
+    assert [e.name for e in verdict.evidence if not e.passed] == [name]
+    assert any(name in note for note in verdict.notes)
+
+
+def test_trace_with_failed_probe_is_not_established(monkeypatch):
+    cfg = _m2_fixture()
+    args = (cfg.system, cfg.unitary_witnesses, cfg.names, 3, 1)
+    assert trace_report(*args).result == ESTABLISHED
+    monkeypatch.setattr(an, "traciality_probe", lambda *a, **k: 1.0)
+    _assert_gated(trace_report(*args), "vacuum_trace_probe_max_violation")
+
+
+def test_simplicity_with_failed_evidence_is_not_established(monkeypatch):
+    cfg = _m2_fixture()
+    args = (cfg.system, {**cfg.witnesses, **cfg.unitary_witnesses}, cfg.names, cfg.tolerances["classification"], 1, 3)
+    assert simplicity_report(*args).result == ESTABLISHED
+    _fail_record(monkeypatch, "complement_connected")
+    _assert_gated(simplicity_report(*args), "complement_connected")
+
+
+def test_nuclearity_with_failed_evidence_is_not_established(monkeypatch):
+    cfg = _m2_fixture()
+    assert nuclearity_exactness_report(cfg.system, cfg.names).result == ESTABLISHED
+    _fail_record(monkeypatch, "faithful[a]")
+    _assert_gated(nuclearity_exactness_report(cfg.system, cfg.names), "faithful[a]")

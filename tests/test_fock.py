@@ -1181,3 +1181,146 @@ def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
             fock._plan_side(space, v, left)
     assert 0 < sort[0] <= len(space._spans) * len(FREE3.vertices) * 2
     assert space.dim > len(space._spans) * len(FREE3.vertices) * 2
+
+
+# -- cut and depth-lift oracles ----------------------------------------------------------
+# Random expressions over every builder, with adjoints, sums and scalars,
+# rebuilt from a seed so that each evaluation starts from nothing memoized.
+
+_LEAVES = ("lambda", "rho", "creation", "diagonal", "annihilation", "q", "identity", "gauge")
+_WRAPPERS = ("expectation_diag", "gauge_average", "expectation_subgraph")
+
+
+def _random_expression(sysm, space, seed: int, radius: int):
+    """A random expression of 1-4 factors.  A factor is a leaf of every
+    builder, the adjoint of one, or (at the top level) expectation_diag,
+    gauge_average or expectation_subgraph of a shorter expression; the whole
+    may be summed with a second one, scaled and taken adjoint.  Every random
+    draw is made whatever its outcome, and Q_w takes w from the ball of
+    `radius`, so one seed builds the same expression on every space of the
+    system whose depth is at least the radius."""
+    rng = np.random.default_rng(seed)
+    verts = space.graph.vertices
+    words = space.group.ball_tuples(radius)
+    subs = [space.graph.induced(verts[:-1]), space.graph.induced(verts[1:])]
+
+    def leaf():
+        kind = _LEAVES[int(rng.integers(len(_LEAVES)))]
+        v = verts[int(rng.integers(len(verts)))]
+        x = sysm.sites[v].random_element(rng, center=bool(rng.integers(2)))
+        w = words[int(rng.integers(len(words)))]
+        z = {u: np.exp(2j * np.pi * rng.random()) for u in verts}
+        return {
+            "lambda": lambda: lambda_op(space, v, x),
+            "rho": lambda: rho_op(space, v, x),
+            "creation": lambda: creation(space, v, x),
+            "diagonal": lambda: diagonal(space, v, x),
+            "annihilation": lambda: annihilation(space, v, x),
+            "q": lambda: q_projection(space, w),
+            "identity": lambda: identity_op(space),
+            "gauge": lambda: gauge_unitary(space, z),
+        }[kind]()
+
+    def factor(nest: bool):
+        pick = int(rng.integers(5))
+        if pick == 0 and nest:
+            inner = product(False)
+            kind = _WRAPPERS[int(rng.integers(len(_WRAPPERS)))]
+            m, sub = int(rng.integers(1, 4)), subs[int(rng.integers(len(subs)))]
+            if kind == "expectation_diag":
+                return expectation_diag(inner)
+            if kind == "gauge_average":
+                return gauge_average(inner, m)
+            return expectation_subgraph(space, sub, inner)
+        op = leaf()
+        return op.adjoint() if pick == 1 else op
+
+    def product(nest: bool):
+        op = factor(nest)
+        for _ in range(int(rng.integers(0, 4 if nest else 2))):
+            op = op @ factor(nest)
+        return op
+
+    op = product(True)
+    if rng.integers(3) == 0:
+        op = op + product(False)
+    if rng.integers(3) == 0:
+        op = op - complex(rng.standard_normal(), rng.standard_normal()) * product(False)
+    if rng.integers(3) == 0:
+        op = op.adjoint()
+    return op
+
+
+def _columns_bits(mat, idx) -> bytes:
+    """The columns idx of a matrix, dense, as bytes: signed zeros count."""
+    return np.ascontiguousarray(_mat.to_dense(mat)[:, idx]).tobytes()
+
+
+def _outside_band(space, mat, up: int, down: int) -> int:
+    """Number of stored nonzero entries (i, j) with |i| - |j| outside
+    [-down, up]."""
+    rows, cols, data = _mat.coo_parts(mat)
+    step = space.lengths[rows] - space.lengths[cols]
+    return int(np.count_nonzero((data != 0) & ((step > up) | (step < -down))))
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_cuts_equal_the_matrix_on_their_columns(mixed_path3, path):
+    """cols(k), evaluated from nothing memoized or read off the whole
+    matrix, equals .mat bit for bit on the columns of length <= k, for every
+    k in 0..N, and neither stores an entry outside the (up, down) band."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    n = space.n
+    for seed in range(40):
+        full = _random_expression(sysm, space, seed, n)
+        assert _outside_band(space, full.mat, full.up, full.down) == 0
+        for k in range(n + 1):
+            idx = space.cols_upto(k)
+            cut = _random_expression(sysm, space, seed, n).cols(k)
+            assert _columns_bits(cut, idx) == _columns_bits(full.mat, idx), (seed, k)
+            assert _outside_band(space, cut, full.up, full.down) == 0
+            assert _columns_bits(full.cols(k), idx) == _columns_bits(full.mat, idx)
+
+
+@pytest.mark.parametrize("fixture, depth", [
+    ("m2_trace_edgeless3", 2),
+    ("hecke_inside_edgeless3", 3),
+    ("join_path3_hecke", 3),
+])
+def test_guarded_columns_survive_a_depth_lift(fixture, depth):
+    """Each guarded column at depth N equals the same column at depth N + 2,
+    whose rows past the depth-N basis hold nothing: the guard marks columns
+    on which the truncation changed nothing."""
+    sysm = load_config(Path(__file__).parent / "fixtures" / f"{fixture}.json").system
+    shallow, deep = sysm.space(depth), sysm.space(depth + 2)
+    # the depth-N basis is a prefix of the deeper one
+    assert list(shallow._spans.items()) == list(deep._spans.items())[: len(shallow._spans)]
+    checked = 0
+    for seed in range(30):
+        small = _random_expression(sysm, shallow, seed, depth)
+        big = _random_expression(sysm, deep, seed, depth)
+        if small.guard < 0:
+            continue
+        idx = shallow.cols_upto(small.guard)
+        want = big.toarray()[:, idx]
+        assert not np.any(want[shallow.dim:]), seed
+        got = small.toarray()[:, idx]
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.max(np.abs(got - want[: shallow.dim]), initial=0.0) <= 1e-12 * scale, seed
+        checked += 1
+    assert checked >= 20
+
+
+def test_long_chains_evaluate_without_recursion(mixed_path3):
+    """A left-deep chain of thousands of sums or products, as terms_matrix
+    builds under its term cap, is evaluated on an explicit stack, whole or
+    on a cut."""
+    space = mixed_path3.space(2)
+    q = q_projection(space, (space.graph.vertices[0],))
+    total, power = zero_op(space), identity_op(space)
+    for _ in range(3000):
+        total, power = total + q, power @ q
+    assert np.array_equal(total.toarray(), 3000 * q.toarray())
+    idx = space.cols_upto(1)
+    assert np.array_equal(_mat.to_dense(power.cols(1))[:, idx], q.toarray()[:, idx])
+    assert np.array_equal(power.toarray(), q.toarray())

@@ -6,7 +6,15 @@ import itertools
 import numpy as np
 
 from gplab import _mat
-from gplab.algebras import FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
+from gplab.algebras import (
+    FiniteDimAlgebra,
+    StateSpec,
+    _householder_with_first_column,
+    hecke_parameter,
+    hecke_vertex,
+    site_from_hecke,
+    site_from_state,
+)
 from gplab.fock import _PARTS, OperatorMatrix, expectation_diag, identity_op, lambda_op, q_projection
 from gplab.graphs import SimplicialGraph
 from gplab.system import GraphSystem
@@ -126,6 +134,35 @@ def mixed_system(graph: SimplicialGraph, hecke_q: float = 1.0) -> GraphSystem:
 
 def hecke_system(graph: SimplicialGraph, q: float) -> GraphSystem:
     return GraphSystem(graph, {v: site_from_hecke(q) for v in graph.vertices})
+
+
+# -- GNS oracles ----------------------------------------------------------------------
+# The GNS matrices by their defining formulas, rebuilt on every call.
+
+
+def naive_gns_matrix(alg: FiniteDimAlgebra, st: StateSpec, x) -> np.ndarray:
+    """Left multiplication by x in the Cholesky coordinates a -> vec_F(a L),
+    rotated so that the image of 1 is basis vector 0: the blockwise
+    Kronecker product of x, conjugated by the Householder unitary."""
+    chol = [np.linalg.cholesky(rho) for rho in st.densities]
+    xi = np.concatenate([L.flatten(order="F") for L in chol])
+    u = _householder_with_first_column(xi)
+    big = np.zeros((alg.dim, alg.dim), dtype=complex)
+    off = 0
+    for d, a in zip(alg.blocks, x.mats):
+        big[off: off + d * d, off: off + d * d] = np.kron(np.eye(d), a)
+        off += d * d
+    return u.conj().T @ big @ u
+
+
+def naive_hecke_matrix(q: float, x) -> np.ndarray:
+    """[[alpha, beta], [beta, alpha + beta p]] for x = alpha 1 + beta T."""
+    _, _, t = hecke_vertex(q)
+    t1, t2 = t.mats[0][0, 0].real, t.mats[1][0, 0].real
+    x1, x2 = complex(x.mats[0][0, 0]), complex(x.mats[1][0, 0])
+    beta = (x1 - x2) / (t1 - t2)
+    alpha = x1 - beta * t1
+    return np.array([[alpha, beta], [beta, alpha + beta * hecke_parameter(q)]], dtype=complex)
 
 
 # -- operator-part oracles --------------------------------------------------------
