@@ -16,11 +16,16 @@ numpy: every entry of A is expanded over the matching row of B, and the
 Spectra and norms come from one component split (`_split`): the entries
 are scattered into one dense block per connected component of their
 nonzero pattern, and each distinct block shape takes one batched LAPACK
-call.  `norm2` and `block_norms` split along the row/column graph (row i
-joined to column j when a[i, j] != 0), and `hermitian_min_eig` along the
-index graph, with rows and columns on the same nodes; the last two read a
-1x1 block without LAPACK.  All three are exact, with no iteration and no
-size threshold; the cost grows with the largest component.
+call.  `block_norms` splits along the row/column graph (row i joined to
+column j when a[i, j] != 0), and a CSR `norm2` is the largest of its
+block norms; `hermitian_min_eig` splits along the index graph, with rows
+and columns on the same nodes.  Trivial structure takes no LAPACK call
+and, where the whole matrix is trivial, no split: a matrix with at most
+one entry per row and per column is read as its moduli, a diagonal one as
+its real diagonal, a 1x1 block as its modulus or real part, and a
+one-row or one-column block as its Frobenius norm.  All three are exact,
+with no iteration and no size threshold; the cost grows with the largest
+component.
 """
 from __future__ import annotations
 
@@ -201,19 +206,29 @@ def _positions(n: int, idx) -> np.ndarray:
     return pos
 
 
-def col_select(a, idx):
-    """The columns idx (distinct), in that order."""
+def head_cols(a, m: int):
+    """The first m columns of a dense matrix, as a view.  A CSR matrix is
+    returned whole: its norm bounds that of its first m columns from above,
+    and equals it when no entry lies past them, as for every guarded cut
+    (the columns of word length <= k come first in the basis, and a cut at
+    k holds no entry in a later column)."""
     if not isinstance(a, CSR):
-        return a[:, idx]
-    cols = _positions(a.shape[1], idx)[a.indices]
-    keep = cols >= 0
-    shape = (a.shape[0], len(idx))
-    if np.all(np.diff(idx) > 0):
-        # ascending idx keeps each row's columns in order: no sort
-        kept = np.zeros(len(keep) + 1, dtype=np.intp)
-        np.cumsum(keep, out=kept[1:])
-        return CSR(kept[a.indptr], cols[keep], a.data[keep], shape)
-    return _csr(_rows(a)[keep], cols[keep], a.data[keep], shape)
+        return a[:, :m]
+    return a
+
+
+def same(a, b) -> bool:
+    """Whether a and b are stored alike: the same dense array, or the same
+    shape and the same three CSR arrays.  Matrices stored alike are equal;
+    equal matrices need not be stored alike (a CSR value may hold zeros)."""
+    if not isinstance(a, CSR):
+        return np.array_equal(a, b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
 
 
 def cut(a, keep: np.ndarray):
@@ -341,15 +356,19 @@ def _split(ri, ci, data, rcomp, ccomp):
     rloc, nrows = _rank_within(rcomp, k)
     cloc, ncols = (rloc, nrows) if ccomp is rcomp else _rank_within(ccomp, k)
     wide = int(ncols.max()) + 1
-    shapes, shape_of = np.unique(nrows * wide + ncols, return_inverse=True)
+    shapes, shape_of = _compress(nrows * wide + ncols)
     slot, per_shape = _rank_within(shape_of, len(shapes))
     ec = rcomp[ri]
     eshape = shape_of[ec]
     for g, shape in enumerate(shapes):
         sel = eshape == g
-        blocks = np.zeros((per_shape[g], shape // wide, shape % wide), dtype=complex)
-        np.add.at(blocks, (slot[ec[sel]], rloc[ri[sel]], cloc[ci[sel]]), data[sel])
-        yield np.flatnonzero(shape_of == g), blocks
+        h, w = divmod(int(shape), wide)
+        size = int(per_shape[g]) * h * w
+        flat = (slot[ec[sel]] * h + rloc[ri[sel]]) * w + cloc[ci[sel]]
+        blocks = np.empty(size, dtype=complex)
+        blocks.real = np.bincount(flat, data[sel].real, size)
+        blocks.imag = np.bincount(flat, data[sel].imag, size)
+        yield np.flatnonzero(shape_of == g), blocks.reshape(-1, h, w)
 
 
 def _bipartite_split(rows, cols, data):
@@ -367,8 +386,8 @@ def norm2(a) -> float:
 
     Dense input goes to LAPACK whole.  A CSR matrix is a direct sum of the
     blocks that the connected components of its row/column graph pick out,
-    so its norm is the largest block norm, one batched SVD per block
-    shape."""
+    so its norm is the largest of its `block_norms`, its stored zeros
+    dropped first."""
     if not isinstance(a, CSR):
         if a.size == 0:
             return 0.0
@@ -376,22 +395,35 @@ def norm2(a) -> float:
     keep = a.data != 0
     if not keep.any():
         return 0.0
-    _, _, stacks = _bipartite_split(_rows(a)[keep], a.indices[keep], a.data[keep])
-    return max(float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()) for _, blocks in stacks)
+    return float(block_norms(_rows(a)[keep], a.indices[keep], a.data[keep])[0].max())
+
+
+def _distinct(labels: np.ndarray) -> bool:
+    return int(np.bincount(labels).max()) <= 1
 
 
 def block_norms(rows, cols, data) -> tuple[np.ndarray, np.ndarray]:
     """The operator norm of each connected component of the row/column graph
     of the entries (rows[e], cols[e]) -> data[e], and one row of each
-    component.  A 1x1 component is its absolute value, read without LAPACK;
-    a larger one takes its share of one batched SVD per block shape."""
+    component.
+
+    Only a component with two rows and two columns or more takes LAPACK,
+    its share of one batched SVD per block shape.  A matrix with at most
+    one entry per row and per column has 1x1 components only and is read
+    without a split: each entry is a component, its norm the modulus.  A
+    1x1 block is its modulus, and a one-row or one-column block its
+    Frobenius norm."""
     if not len(data):
         return np.zeros(0), np.zeros(0, dtype=np.intp)
+    if _distinct(rows) and _distinct(cols):
+        return np.abs(data), np.asarray(rows, dtype=np.intp)
     urows, rcomp, stacks = _bipartite_split(rows, cols, data)
     norms = np.zeros(int(rcomp.max()) + 1)
     for comps, blocks in stacks:
         if blocks.shape[1:] == (1, 1):
             norms[comps] = np.abs(blocks[:, 0, 0])
+        elif 1 in blocks.shape[1:]:
+            norms[comps] = np.sqrt((blocks.real**2 + blocks.imag**2).sum(axis=(1, 2)))
         else:
             norms[comps] = np.linalg.svd(blocks, compute_uv=False)[:, 0]
     first = np.empty(len(norms), dtype=np.intp)
@@ -408,10 +440,15 @@ def hermitian_min_eig(rows, cols, data, n: int) -> float:
     on the same n nodes, so its spectrum is the union of the block spectra,
     and 0 joins it exactly when some index carries no entry: the zero matrix
     gives 0.0, and a positive definite matrix with an entry in every row
-    its positive minimum.  A 1x1 block is its real part, read without
-    LAPACK; larger blocks take one batched eigvalsh per block size."""
+    its positive minimum.  A matrix whose entries all lie on the diagonal is
+    read without a split, as the least of its real diagonal; a 1x1 block is
+    its real part, read without LAPACK; larger blocks take one batched
+    eigvalsh per block size."""
     if not len(data):
         return 0.0
+    if np.array_equal(rows, cols):
+        # an index with no entry sums to 0 here, as 0 joins the spectrum
+        return float(np.bincount(rows, np.real(data), n).min())
     m = len(rows)
     nodes, both = _compress(np.concatenate((rows, cols)))
     ri, ci = both[:m], both[m:]

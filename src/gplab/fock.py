@@ -19,7 +19,12 @@ band (see OperatorMatrix); products, sums, scalars and adjoints are
 evaluated lazily, each reading its operands at the cuts that their bands
 reach, and `.mat` is the cut at N.  The guarded readers (guarded_deviation,
 guarded_norm, the positivity check's guarded block and the vacuum vector
-chains) ask for cuts; every other reader reads `.mat`.
+chains) ask for cuts; every other reader reads `.mat`.  The basis lists
+words by length, so the columns of word length <= k are the first ones,
+and a CSR cut at k holds no entry past them: guarded_deviation and
+guarded_norm read a CSR cut whole, with no column re-indexing, and slice
+the guarded columns off a dense one; guarded_deviation returns 0.0 with no
+subtraction when both cuts are stored alike.
 
 What an operator's matrix depends on only through the space is compiled
 once per space, on first use, and cached in space._plans: the sparsity
@@ -357,19 +362,23 @@ def zero_op(space: TruncatedFock) -> OperatorMatrix:
 def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Operator-norm distance restricted to columns inside the common guard,
     read off both operators' cuts at that guard; ShallowTruncationError when
-    the guard is negative."""
+    the guard is negative.  Cuts stored alike give exactly 0.0 with no
+    subtraction; a CSR cut is read whole, as it holds no entry past the
+    guarded columns (`_mat.head_cols`)."""
     a._same_space(b)
     guard = min(a.guard, b.guard)
-    idx = a.space.cols_upto(guard)
-    diff = _mat.sub(a.cols(guard), b.cols(guard))
-    return _mat.norm2(_mat.col_select(diff, idx))
+    m = len(a.space.cols_upto(guard))
+    x, y = _mat.head_cols(a.cols(guard), m), _mat.head_cols(b.cols(guard), m)
+    if _mat.same(x, y):
+        return 0.0
+    return _mat.norm2(_mat.sub(x, y))
 
 
 def guarded_norm(a: OperatorMatrix) -> float:
     """Operator norm restricted to the guarded columns, read off the cut at
     the guard; ShallowTruncationError when the guard is negative."""
-    idx = a.space.cols_upto(a.guard)
-    return _mat.norm2(_mat.col_select(a.cols(a.guard), idx))
+    m = len(a.space.cols_upto(a.guard))
+    return _mat.norm2(_mat.head_cols(a.cols(a.guard), m))
 
 
 def offdiagonal_mass(a: OperatorMatrix) -> float:

@@ -7,7 +7,7 @@ from gplab import _mat, fock
 from gplab.algebras import FiniteDimAlgebra, StateSpec, hecke_parameter, hecke_vertex, site_from_hecke, site_from_state
 from gplab.analysis import _random_truncated_operator, expectation_checks
 from gplab.config import load_config
-from gplab.errors import ResourceLimitError
+from gplab.errors import ResourceLimitError, ShallowTruncationError
 from gplab.fock import (
     _PARTS,
     TruncatedFock,
@@ -54,6 +54,7 @@ from util import (
     naive_expectation_min_eig,
     naive_gauge_average,
     naive_gauge_unitary,
+    naive_guarded_deviation,
     naive_letter_counts,
     naive_norm2,
     naive_plan_side,
@@ -1309,6 +1310,72 @@ def test_guarded_columns_survive_a_depth_lift(fixture, depth):
         assert np.max(np.abs(got - want[: shallow.dim]), initial=0.0) <= 1e-12 * scale, seed
         checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_guarded_cuts_need_no_reindex(mixed_path3, path):
+    """What lets a guarded CSR cut be read whole: the guarded columns of
+    every guard k are the first ones, cols_upto(k) == arange(m), and a CSR
+    cut at k, evaluated from nothing memoized, stores no entry, not even a
+    zero, in a column of word length > k."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    n = space.n
+    for k in range(n + 1):
+        idx = space.cols_upto(k)
+        assert np.array_equal(idx, np.arange(len(idx)))
+    for seed in range(40):
+        for k in range(n + 1):
+            cut = _random_expression(sysm, space, seed, n).cols(k)
+            if isinstance(cut, _mat.CSR):
+                assert np.all(space.lengths[cut.indices] <= k), (seed, k)
+            else:
+                assert path == "dense"
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_guarded_deviation_and_norm_against_oracle(mixed_path3, path, monkeypatch):
+    """guarded_deviation and guarded_norm against the dense oracle that
+    selects the guarded columns before subtracting, on pairs of random
+    expressions.  Equal operands give exactly 0.0: stored alike with no
+    subtraction and no norm, stored otherwise through the norm.  Operands
+    one guarded entry apart by 1e-13 do not give 0, and a negative guard
+    raises even for equal operands."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    n = space.n
+    checked = 0
+    for seed in range(30):
+        x = _random_expression(sysm, space, seed, n)
+        y = _random_expression(sysm, space, seed + 1000, n)
+        if x.guard < 0:
+            with pytest.raises(ShallowTruncationError):
+                guarded_norm(x)
+            with pytest.raises(ShallowTruncationError):
+                guarded_deviation(x, _random_expression(sysm, space, seed, n))
+            continue
+        checked += 1
+        want = naive_guarded_deviation(x, zero_op(space))
+        assert abs(guarded_norm(x) - want) <= 1e-12 * want
+        if y.guard >= 0:
+            want = naive_guarded_deviation(x, y)
+            assert abs(guarded_deviation(x, y) - want) <= 1e-12 * want
+        assert guarded_deviation(x * 0.0, zero_op(space)) == 0.0
+        j = int(space.cols_upto(x.guard)[-1])
+        bump = fock.OperatorMatrix(space, _mat.from_coo([j], [j], [1e-13], space.dim), n, 0, 0)
+        got = guarded_deviation(x, x + bump)
+        assert got > 0.0
+        assert abs(got - naive_guarded_deviation(x, x + bump)) <= 1e-12 * got
+        twin = _random_expression(sysm, space, seed, n)
+        with monkeypatch.context() as m:
+            m.setattr(_mat, "sub", None)
+            m.setattr(_mat, "norm2", None)
+            assert guarded_deviation(x, twin) == 0.0
+            assert guarded_deviation(x, x) == 0.0
+    assert checked >= 10
+    neg = fock.OperatorMatrix(space, _mat.eye(space.dim), -1, 0, 0)
+    for call in (lambda: guarded_deviation(neg, neg), lambda: guarded_deviation(identity_op(space), neg),
+                 lambda: guarded_norm(neg)):
+        with pytest.raises(ShallowTruncationError):
+            call()
 
 
 def test_long_chains_evaluate_without_recursion(mixed_path3):

@@ -143,39 +143,6 @@ def test_adjoint_to_dense_entry_coo_parts(t):
 
 @settings(deadline=None)
 @given(st.data())
-def test_col_select_any_distinct_columns(data):
-    t = data.draw(coo())
-    nc = t[3][1]
-    idx = data.draw(st.permutations(range(nc)))[: data.draw(st.integers(0, nc))]
-    da, sa = _kinds(*t)
-    want = da[:, idx]
-    got = _mat.col_select(sa, np.array(idx, dtype=int))
-    assert got.shape == want.shape
-    assert np.array_equal(_dense(got), want)
-    assert np.array_equal(_mat.col_select(da, np.array(idx, dtype=int)), want)
-
-
-@settings(deadline=None)
-@given(st.data())
-def test_col_select_ascending_columns_skip_the_sort(data):
-    """For ascending idx the result is built without a sort and is
-    array-equal, field by field, to the sorted `_csr` result."""
-    t = data.draw(coo())
-    nc = t[3][1]
-    idx = np.array(sorted(data.draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=nc))), dtype=int)
-    _, sa = _kinds(*t)
-    got = _mat.col_select(sa, idx)
-    _assert_canonical(got)
-    cols = _mat._positions(nc, idx)[sa.indices]
-    keep = cols >= 0
-    want = _mat._csr(_mat._rows(sa)[keep], cols[keep], sa.data[keep], (t[3][0], len(idx)))
-    assert got.shape == want.shape
-    for field in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
-
-
-@settings(deadline=None)
-@given(st.data())
 def test_diagonal_and_principal_parts(data):
     n = data.draw(st.integers(0, MAX_DIM))
     t = data.draw(coo(n, n))
@@ -268,3 +235,114 @@ def test_block_norms(t):
         block = next(r for r in want if row in r)
         assert abs(nm - want[block]) <= 1e-12 * max(1.0, want[block])
     assert {next(r for r in want if row in r) for row in first} == set(want)
+
+
+# -- trivial structures read without LAPACK -------------------------------------------
+
+
+def _cplx(rng, *shape) -> np.ndarray:
+    """Random complex entries with magnitudes spread over four decades."""
+    return 10.0 ** rng.uniform(-3, 1, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+
+def _monomial(dim: int, rng, zeros: bool) -> _mat.CSR:
+    """A dim x dim permutation matrix times phases and magnitudes, with some
+    rows left empty and, if `zeros`, some entries stored as 0."""
+    has = rng.random(dim) < 0.8
+    data = _cplx(rng, int(has.sum()))
+    if zeros:
+        data[rng.random(len(data)) < 0.2] = 0.0
+    indptr = np.zeros(dim + 1, dtype=np.intp)
+    np.cumsum(has, out=indptr[1:])
+    return _mat.CSR(indptr, rng.permutation(dim)[has], data, (dim, dim))
+
+
+def _direct_sum(shapes, dim: int, rng) -> _mat.CSR:
+    """Random blocks of the given shapes down the diagonal of a dim x dim
+    zero matrix, rows and columns then shuffled."""
+    out = np.zeros((dim, dim), dtype=complex)
+    r = c = 0
+    for h, w in shapes:
+        out[r: r + h, c: c + w] = _cplx(rng, h, w)
+        r, c = r + h, c + w
+    out = out[rng.permutation(dim)][:, rng.permutation(dim)]
+    rows, cols = np.nonzero(out)
+    return _mat._csr(rows, cols, out[rows, cols], out.shape)
+
+
+def _check_block_norms(m: _mat.CSR):
+    """block_norms of m's stored entries against SVDs of the dense blocks
+    that the union-find oracle picks out; a row that stores only zeros is a
+    component of norm 0."""
+    dense = _mat.to_dense(m)
+    want = {frozenset(r): naive_norm2(dense[np.ix_(r, c)]) for r, c in naive_components(dense, square=False)}
+    norms, first = _mat.block_norms(*_mat.coo_parts(m))
+    found = set()
+    for nm, row in zip(norms, first):
+        block = next((r for r in want if row in r), None)
+        if block is None:
+            assert nm == 0.0 and not dense[row].any()
+            continue
+        found.add(block)
+        assert abs(nm - want[block]) <= 1e-12 * want[block]
+    assert found == set(want)
+
+
+def _svd_calls(lapack_calls, fn, *args):
+    lapack_calls.clear()
+    out = fn(*args)
+    return out, [shape for name, shape in lapack_calls if name == "svd"]
+
+
+@pytest.mark.parametrize("dim", [1, 5, _mat.DENSE_CUTOFF, 700])
+def test_monomial_norms_skip_lapack(dim, lapack_calls):
+    """A matrix with at most one entry per row and per column, stored zeros
+    included, has the norm of its largest entry and one 1x1 component per
+    entry, read with no SVD."""
+    rng = np.random.default_rng(dim)
+    for trial in range(6):
+        m = _monomial(dim, rng, zeros=trial % 2 == 1)
+        want = naive_norm2(m)
+        got, svd = _svd_calls(lapack_calls, _mat.norm2, m)
+        assert svd == []
+        assert abs(got - want) <= 1e-12 * want
+        _, svd = _svd_calls(lapack_calls, _mat.block_norms, *_mat.coo_parts(m))
+        assert svd == []
+        _check_block_norms(m)
+
+
+@pytest.mark.parametrize("square_sides", [(), (2,), (2, 3, 5), (4, 4)])
+def test_direct_sum_norms_take_one_svd_per_square_shape(square_sides, lapack_calls):
+    """Direct sums of 1x1, kx1 and 1xk blocks, and of kxk blocks for the
+    given sides, inside a 300 x 300 matrix: norm2 and block_norms agree with
+    the dense oracle to 1e-12, read the 1x1 and vector blocks with no SVD,
+    and make one batched SVD per distinct square shape."""
+    rng = np.random.default_rng(sum(square_sides) + 17)
+    shapes = [s for k in (2, 3, 5) for s in [(1, 1), (k, 1), (1, k)] for _ in range(2)]
+    shapes += [(k, k) for k in square_sides]
+    for _ in range(4):
+        m = _direct_sum([shapes[i] for i in rng.permutation(len(shapes))], 300, rng)
+        want = naive_norm2(m)
+        got, svd = _svd_calls(lapack_calls, _mat.norm2, m)
+        assert abs(got - want) <= 1e-12 * want
+        assert sorted(svd) == sorted((square_sides.count(k), k, k) for k in set(square_sides))
+        _, svd = _svd_calls(lapack_calls, _mat.block_norms, *_mat.coo_parts(m))
+        assert len(svd) == len(set(square_sides))
+        _check_block_norms(m)
+
+
+@pytest.mark.parametrize("n", [4, 300])
+def test_diagonal_min_eig_skips_lapack(n, lapack_calls):
+    """Entries all on the diagonal, repeated ones summed: the least real
+    part, 0 joining it where an index carries no entry, with no LAPACK
+    call."""
+    rng = np.random.default_rng(n)
+    for every in (True, False):
+        idx = np.arange(n) if every else rng.choice(n, n // 2, replace=False)
+        idx = np.concatenate((idx, idx[: len(idx) // 3]))
+        vals = _cplx(rng, len(idx)) + 0.5
+        want = naive_hermitian_min_eig(naive_from_coo(idx, idx, vals, (n, n)))
+        lapack_calls.clear()
+        got = _mat.hermitian_min_eig(idx, idx, vals, n)
+        assert lapack_calls == []
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -358,6 +358,14 @@ def naive_norm2(a) -> float:
     return float(np.linalg.svd(d, compute_uv=False).max()) if d.size else 0.0
 
 
+def naive_guarded_deviation(a, b) -> float:
+    """||a - b|| on the columns of the common guard: both densified, the
+    guarded columns selected, subtracted, then one dense 2-norm."""
+    idx = a.space.cols_upto(min(a.guard, b.guard))
+    diff = a.toarray()[:, idx] - b.toarray()[:, idx]
+    return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
+
+
 # -- conditional-expectation oracles ------------------------------------------------
 
 
