@@ -1,9 +1,13 @@
 """Finite-dimensional C*-algebras with faithful states and their GNS
 representations.
 
-An algebra is a direct sum of full matrix blocks; elements are per-block
-complex matrices.  Inner products are linear in the second argument
-throughout, so the state reads omega(x) = <xi, x xi>.
+An algebra is a direct sum of full matrix blocks M_{d_1} + ... + M_{d_k};
+an element is one block-diagonal complex matrix of size D = d_1 + ... +
+d_k, so that a sum, a scalar multiple, a product or an adjoint is one numpy
+operation.  The entries off the blocks are zeros of either sign, on which
+no result depends: coordinates are the coefficients in the matrix units,
+read as one gather.  Inner products are linear in the second argument throughout,
+so the state reads omega(x) = <xi, x xi>.
 """
 from __future__ import annotations
 
@@ -20,68 +24,87 @@ PHASE_GRID = 16
 
 @dataclass(frozen=True)
 class FiniteDimAlgebra:
+    """The algebra with the given block sizes.
+
+    Compiled once, outside the compared fields: `_slices`, the block slices
+    of the D x D matrix; `_units`, the flat positions of the matrix units in
+    basis() order; `_one`, the unit, one read-only matrix that every one()
+    shares; `_draws`, where VertexSite.random_element reads the real and
+    the imaginary part of each matrix-unit coefficient in its draw.
+    """
+
     blocks: tuple[int, ...]
 
     def __post_init__(self):
         if not self.blocks or any(d < 1 for d in self.blocks):
             raise ValueError("block sizes must be positive integers")
+        offs = list(itertools.accumulate(self.blocks, initial=0))
+        size = offs[-1]
+        slices = tuple(slice(lo, hi) for lo, hi in zip(offs, offs[1:]))
+        units, re, im = [], [], []
+        for s in slices:  # block b's draw is its d*d real parts, then its d*d imaginary parts
+            n, d2 = len(units), (s.stop - s.start) ** 2
+            units += [r * size + c for r in range(s.start, s.stop) for c in range(s.start, s.stop)]
+            re += range(2 * n, 2 * n + d2)
+            im += range(2 * n + d2, 2 * n + 2 * d2)
+        object.__setattr__(self, "_slices", slices)
+        compiled = {"_units": np.array(units), "_one": np.eye(size, dtype=complex), "_draws": np.array([re, im])}
+        for name, value in compiled.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return sum(d * d for d in self.blocks)
+        return len(self._units)
 
     def element(self, mats: Sequence[np.ndarray]) -> "Element":
+        """The element with the given per-block matrices."""
         if len(mats) != len(self.blocks):
             raise ValueError("wrong number of blocks")
-        out = []
-        for d, m in zip(self.blocks, mats):
+        out = np.zeros(self._one.shape, dtype=complex)
+        for d, sl, m in zip(self.blocks, self._slices, mats):
             a = np.asarray(m, dtype=complex)
             if a.shape != (d, d):
                 raise ValueError(f"block of shape {a.shape}, expected ({d},{d})")
-            out.append(a)
-        return Element(self, tuple(out))
-
-    def zero(self) -> "Element":
-        return Element(self, tuple(np.zeros((d, d), dtype=complex) for d in self.blocks))
+            out[sl, sl] = a
+        return Element(self, out)
 
     def one(self) -> "Element":
-        return Element(self, tuple(np.eye(d, dtype=complex) for d in self.blocks))
+        return Element(self, self._one)
 
     def basis(self) -> list["Element"]:
         """Matrix units blockwise, in (block, row, col) order."""
-        out = []
-        for i, d in enumerate(self.blocks):
-            for r in range(d):
-                for c in range(d):
-                    mats = [np.zeros((dd, dd), dtype=complex) for dd in self.blocks]
-                    mats[i][r, c] = 1.0
-                    out.append(Element(self, tuple(mats)))
-        return out
+        rows = np.eye(self._one.size, dtype=complex)[self._units]
+        return [Element(self, r.reshape(self._one.shape)) for r in rows]
 
 
 class Element:
-    """An algebra element; block matrices are treated as immutable."""
+    """An algebra element: `mat`, one block-diagonal D x D complex matrix.
 
-    __slots__ = ("algebra", "mats")
+    No operation writes into an operand's matrix, which may be read-only
+    (the algebra's shared unit is); each returns a new one.
+    """
 
-    def __init__(self, algebra: FiniteDimAlgebra, mats: tuple[np.ndarray, ...]):
+    __slots__ = ("algebra", "mat")
+
+    def __init__(self, algebra: FiniteDimAlgebra, mat: np.ndarray):
         self.algebra = algebra
-        self.mats = mats
+        self.mat = mat
 
     def _binary(self, other: "Element"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("elements from different algebras")
 
     def __add__(self, other: "Element") -> "Element":
         self._binary(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.mats, other.mats)))
+        return Element(self.algebra, self.mat + other.mat)
 
     def __sub__(self, other: "Element") -> "Element":
         self._binary(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.mats, other.mats)))
+        return Element(self.algebra, self.mat - other.mat)
 
     def __mul__(self, scalar: complex) -> "Element":
-        return Element(self.algebra, tuple(scalar * a for a in self.mats))
+        return Element(self.algebra, scalar * self.mat)
 
     __rmul__ = __mul__
 
@@ -90,20 +113,25 @@ class Element:
 
     def __matmul__(self, other: "Element") -> "Element":
         self._binary(other)
-        return Element(self.algebra, tuple(a @ b for a, b in zip(self.mats, other.mats)))
+        return Element(self.algebra, self.mat @ other.mat)
 
     def star(self) -> "Element":
-        return Element(self.algebra, tuple(a.conj().T for a in self.mats))
+        return Element(self.algebra, self.mat.conj().T)
+
+    def coeffs(self) -> np.ndarray:
+        """The coefficients in the matrix units of basis(), in that order."""
+        return self.mat.take(self.algebra._units)
 
     def norm(self) -> float:
-        return max(np.linalg.norm(a, 2) for a in self.mats)
+        """The largest block norm: the whole matrix has the blocks' singular values."""
+        return np.linalg.norm(self.mat, 2)
 
     def is_zero(self, tol: float = 1e-13) -> bool:
-        return all(np.max(np.abs(a), initial=0.0) <= tol for a in self.mats)
+        return bool(np.abs(self.mat).max() <= tol)
 
     def min_eig(self) -> float:
         """Smallest eigenvalue across blocks (element assumed self-adjoint)."""
-        return min(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min() for a in self.mats)
+        return np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().T))[0]
 
     def isclose(self, other: "Element", tol: float = 1e-10) -> bool:
         return (self - other).norm() <= tol
@@ -114,7 +142,12 @@ class Element:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A state given by per-block density matrices with total trace one."""
+    """A state given by per-block density matrices with total trace one.
+
+    omega(x) = sum_b tr(rho_b x_b) is compiled once into `_weights`, the
+    entries of the transposed densities in matrix-unit order, so that a
+    call is one dot product with x.coeffs().
+    """
 
     algebra: FiniteDimAlgebra
     densities: tuple[np.ndarray, ...]
@@ -133,42 +166,40 @@ class StateSpec:
             total += float(np.trace(rho).real)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"densities must have total trace 1, got {total}")
+        object.__setattr__(self, "_weights", np.concatenate([rho.T.ravel() for rho in self.densities]))
 
     @staticmethod
     def build(algebra: FiniteDimAlgebra, densities: Sequence[np.ndarray]) -> "StateSpec":
         return StateSpec(algebra, tuple(np.asarray(r, dtype=complex) for r in densities))
 
     def omega(self, x: Element) -> complex:
-        return complex(sum(np.trace(rho @ a) for rho, a in zip(self.densities, x.mats)))
+        return complex(self._weights @ x.coeffs())
 
     def is_faithful(self, tol: float = PSD_TOL) -> bool:
         return all(np.linalg.eigvalsh(rho).min() > tol for rho in self.densities)
 
     def is_tracial(self, tol: float = 1e-10) -> bool:
         basis = self.algebra.basis()
-        for a in basis:
-            for b in basis:
-                if abs(self.omega(a @ b) - self.omega(b @ a)) > tol:
-                    return False
-        return True
+        return all(abs(self.omega(a @ b) - self.omega(b @ a)) <= tol for a in basis for b in basis)
 
 
 def centered(a: Element, st: StateSpec) -> Element:
     """x minus omega(x) times the unit."""
-    return a - st.omega(a) * a.algebra.one()
+    return Element(a.algebra, a.mat - st.omega(a) * a.algebra._one)
 
 
 class GnsRep:
     """A concrete GNS representation with the cyclic vector as basis vector 0.
 
     `matrix(x)` is the dim x dim matrix of left multiplication in the chosen
-    orthonormal basis; columns of matrix(x) at index 0 are the coordinates of
-    the vector x.xi.
+    orthonormal basis; its column 0 holds the coordinates of the vector
+    x.xi.
 
     The representation is linear, so it is compiled once: `images` holds, as
     columns of one (dim**2, k) array, the flattened matrices of k algebra
     elements spanning the algebra, and `coords(x)` gives the k coefficients
-    of x in them.  A call is then one matrix-vector product.
+    of x in them (for gns, the matrix units and x.coeffs(), one gather).  A
+    call is then one matrix-vector product.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra, state: StateSpec, dim: int, images: np.ndarray, coords):
@@ -181,9 +212,6 @@ class GnsRep:
 
     def matrix(self, x: Element) -> np.ndarray:
         return (self._images @ self._coords(x)).reshape(self.dim, self.dim)
-
-    def vector(self, x: Element) -> np.ndarray:
-        return self.matrix(x)[:, self.cyclic_index]
 
 
 def _householder_with_first_column(target: np.ndarray) -> np.ndarray:
@@ -204,41 +232,22 @@ def gns(alg: FiniteDimAlgebra, st: StateSpec) -> GnsRep:
     """GNS representation from a faithful state.
 
     The Hilbert space is the algebra with <a,b> = omega(a* b); coordinates
-    come from the blockwise Cholesky factors of the densities, rotated so the
-    cyclic vector (the image of 1) sits at basis position 0.
+    come from the blockwise Cholesky factors L_b of the densities, a |->
+    vec_F(a_b L_b), isometric since tr(rho a* b) = <aL, bL>_HS; they are
+    rotated so the cyclic vector (the image of 1) sits at basis position 0.
     """
     if st.algebra != alg:
         raise ValueError("state is for a different algebra")
     if not st.is_faithful():
         bad = [i for i, rho in enumerate(st.densities) if np.linalg.eigvalsh(rho).min() <= PSD_TOL]
         raise ValueError(f"state is not faithful (singular density blocks {bad})")
-    chol = [np.linalg.cholesky(rho) for rho in st.densities]
-    dim = alg.dim
-
-    def coords(x: Element) -> np.ndarray:
-        # block a |-> vec_F(a L); isometric since tr(rho a* b) = <aL, bL>_HS
-        return np.concatenate([(a @ L).flatten(order="F") for a, L in zip(x.mats, chol)])
-
-    xi = coords(alg.one())
+    xi = np.concatenate([np.linalg.cholesky(rho).flatten(order="F") for rho in st.densities])
     u = _householder_with_first_column(xi)
-    uh = u.conj().T
-
-    def matrix_fn(x: Element) -> np.ndarray:
-        big = np.zeros((dim, dim), dtype=complex)
-        off = 0
-        for d, a in zip(alg.blocks, x.mats):
-            big[off: off + d * d, off: off + d * d] = np.kron(np.eye(d), a)
-            off += d * d
-        return uh @ big @ u
-
-    # the images of the matrix units, whose coefficients are the entries
-    images = np.stack([matrix_fn(b).ravel() for b in alg.basis()], axis=1)
-    return GnsRep(alg, st, dim, images, _entries)
-
-
-def _entries(x: Element) -> np.ndarray:
-    """The coefficients of x in the matrix units of FiniteDimAlgebra.basis()."""
-    return np.concatenate([a.ravel() for a in x.mats])
+    # x acts as kron(1, x) on vec_F of D x D matrices, where the coordinates,
+    # vec_F of each block, sit at the flat positions _units.
+    grid = np.ix_(alg._units, alg._units)
+    images = np.stack([(u.conj().T @ np.kron(alg._one, b.mat)[grid] @ u).ravel() for b in alg.basis()], axis=1)
+    return GnsRep(alg, st, alg.dim, images, Element.coeffs)
 
 
 def optimal_q(a: Element, st: StateSpec) -> float:
@@ -253,33 +262,24 @@ def optimal_q(a: Element, st: StateSpec) -> float:
 
 
 def _perm_sign_candidates(alg: FiniteDimAlgebra):
-    """Signed permutation matrices per block.  The identity permutations
+    """Block-diagonal signed permutation matrices.  The identity permutations
     come first, so the first 2**slots candidates are the sign diagonals."""
-    perms_per_block = [list(itertools.permutations(range(d))) for d in alg.blocks]
     slots = sum(alg.blocks)
+    perms_per_block = [
+        [s.start + np.array(p) for p in itertools.permutations(range(s.stop - s.start))] for s in alg._slices
+    ]
     for choice in itertools.product(*perms_per_block):
+        rows = np.concatenate(choice)  # column j has its entry in row rows[j]
         for signs in itertools.product((1.0, -1.0), repeat=slots):
-            mats = []
-            off = 0
-            for d, perm in zip(alg.blocks, choice):
-                m = np.zeros((d, d), dtype=complex)
-                for col, row in enumerate(perm):
-                    m[row, col] = signs[off + col]
-                mats.append(m)
-                off += d
-            yield mats
+            m = np.zeros((slots, slots), dtype=complex)
+            m[rows, np.arange(slots)] = signs
+            yield m
 
 
 def _phase_candidates(alg: FiniteDimAlgebra):
-    slots = sum(alg.blocks)
     phases = np.exp(2j * np.pi * np.arange(PHASE_GRID) / PHASE_GRID)
-    for pick in itertools.product(range(PHASE_GRID), repeat=slots):
-        mats = []
-        off = 0
-        for d in alg.blocks:
-            mats.append(np.diag(phases[list(pick[off: off + d])]))
-            off += d
-        yield mats
+    for pick in itertools.product(range(PHASE_GRID), repeat=sum(alg.blocks)):
+        yield np.diag(phases[list(pick)])
 
 
 def centered_unitary_search(
@@ -294,8 +294,8 @@ def centered_unitary_search(
     if not st.is_faithful():
         raise ValueError("state must be faithful")
     stream = itertools.chain(_perm_sign_candidates(alg), _phase_candidates(alg))
-    for mats in itertools.islice(stream, UNITARY_SEARCH_CAP):
-        u = Element(alg, tuple(mats))
+    for m in itertools.islice(stream, UNITARY_SEARCH_CAP):
+        u = Element(alg, m)
         if abs(st.omega(u)) <= tol:
             basis = alg.basis()
             central = all(
@@ -352,12 +352,10 @@ def hecke_gns(q: float) -> GnsRep:
     """
     alg, st, t = hecke_vertex(q)
     p = hecke_parameter(q)
-    t1 = t.mats[0][0, 0].real
-    t2 = t.mats[1][0, 0].real
+    t1, t2 = t.mat[0, 0].real, t.mat[1, 1].real
 
     def coords(x: Element) -> np.ndarray:
-        x1 = complex(x.mats[0][0, 0])
-        x2 = complex(x.mats[1][0, 0])
+        x1, x2 = complex(x.mat[0, 0]), complex(x.mat[1, 1])
         beta = (x1 - x2) / (t1 - t2)
         return np.array([x1 - beta * t1, beta])
 
@@ -381,11 +379,13 @@ class VertexSite:
         return centered(x, self.state)
 
     def random_element(self, rng: np.random.Generator, center: bool = True) -> Element:
-        mats = tuple(
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for d in self.algebra.blocks
-        )
-        x = Element(self.algebra, mats)
+        """Standard complex Gaussian matrix-unit coefficients, read from one
+        draw as from a d x d real and a d x d imaginary draw per block."""
+        alg = self.algebra
+        z = rng.standard_normal(2 * alg.dim)
+        mat = np.zeros(alg._one.shape, dtype=complex)
+        mat.flat[alg._units] = z[alg._draws[0]] + 1j * z[alg._draws[1]]
+        x = Element(alg, mat)
         return self.centered(x) if center else x
 
 

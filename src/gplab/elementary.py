@@ -231,8 +231,7 @@ def _coalesce(terms: Terms) -> Terms:
         for group in (t.creation, t.diag, t.annihilation):
             for v, e in group:
                 key_parts.append(str(v).encode())
-                for m in e.mats:
-                    key_parts.append(m.tobytes())
+                key_parts.append((e.coeffs() + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0
             key_parts.append(b"|")
         key = b";".join(key_parts)
         if key in buckets:

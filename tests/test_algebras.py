@@ -5,7 +5,6 @@ import pytest
 
 from gplab.algebras import (
     _perm_sign_candidates,
-    Element,
     FiniteDimAlgebra,
     StateSpec,
     centered,
@@ -16,17 +15,35 @@ from gplab.algebras import (
     hecke_parameter,
     hecke_vertex,
     optimal_q,
+    site_from_hecke,
+    site_from_state,
 )
 
-from util import c2_site, m2_site, naive_gns_matrix, naive_hecke_matrix
+from util import (
+    c2_site,
+    m2_site,
+    naive_add,
+    naive_blocks,
+    naive_centered,
+    naive_gns_matrix,
+    naive_hecke_matrix,
+    naive_is_zero,
+    naive_matmul,
+    naive_min_eig,
+    naive_norm,
+    naive_off_block_is_zero,
+    naive_omega,
+    naive_random_blocks,
+    naive_scale,
+    naive_star,
+    naive_sub,
+)
 
 RNG = np.random.default_rng(42)
 
 
 def _random_element(alg, rng=RNG):
-    return Element(
-        alg, tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in alg.blocks)
-    )
+    return alg.element(naive_random_blocks(alg, rng))
 
 
 def test_state_validation():
@@ -44,7 +61,7 @@ def test_gns_dimension_and_cyclic_examples():
     st = StateSpec.build(alg, [np.array([[0.5]]), np.array([[0.5]])])
     rep = gns(alg, st)
     assert rep.dim == 2 and rep.cyclic_index == 0
-    xi = rep.vector(alg.one())
+    xi = rep.matrix(alg.one())[:, 0]
     assert np.allclose(xi, np.array([1.0, 0.0]))
 
     m2 = FiniteDimAlgebra((2,))
@@ -70,7 +87,7 @@ def test_gns_identity_on_basis_pairs(blocks, density):
     rep = gns(alg, st)
     for a in alg.basis():
         for b in alg.basis():
-            lhs = np.vdot(rep.vector(a), rep.vector(b))
+            lhs = np.vdot(rep.matrix(a)[:, 0], rep.matrix(b)[:, 0])
             assert abs(lhs - st.omega(a.star() @ b)) < 1e-12
 
 
@@ -94,7 +111,7 @@ def test_centered_examples():
     a = alg.element([np.array([[1.0]]), np.array([[0.0]])])
     c = centered(a, st)
     assert abs(st.omega(c)) < 1e-14
-    assert np.allclose(c.mats[0], [[0.7]]) and np.allclose(c.mats[1], [[-0.3]])
+    assert np.allclose(naive_blocks(c), [[[0.7]], [[-0.3]]])
     # idempotent, linear
     assert (centered(c, st) - c).is_zero()
 
@@ -127,7 +144,7 @@ def test_optimal_q_examples_and_certificate():
 def test_optimal_q_rejects_bad_witnesses():
     site = m2_site()
     with pytest.raises(ValueError):
-        optimal_q(site.algebra.zero(), site.state)
+        optimal_q(0.0 * site.algebra.one(), site.state)
     with pytest.raises(ValueError):
         optimal_q(site.algebra.one(), site.state)
 
@@ -139,17 +156,15 @@ def test_signed_permutations_start_with_sign_diagonals(blocks):
     alg = FiniteDimAlgebra(blocks)
     slots = sum(blocks)
     head = list(itertools.islice(_perm_sign_candidates(alg), 2**slots))
-    for mats, signs in zip(head, itertools.product((1, -1), repeat=slots), strict=True):
-        offs = np.cumsum((0,) + blocks)
-        for m, lo, hi in zip(mats, offs[:-1], offs[1:], strict=True):
-            assert np.array_equal(m, np.diag(np.array(signs[lo:hi], dtype=complex)))
+    for m, signs in zip(head, itertools.product((1, -1), repeat=slots), strict=True):
+        assert np.array_equal(m, np.diag(np.array(signs, dtype=complex)))
 
 
 def test_centered_unitary_search_examples():
     site = c2_site(0.5)
     u, central = centered_unitary_search(site.algebra, site.state)
     assert abs(site.omega(u)) < 1e-12 and central
-    assert np.allclose(u.mats[0], [[1.0]]) and np.allclose(u.mats[1], [[-1.0]])
+    assert np.allclose(naive_blocks(u), [[[1.0]], [[-1.0]]])
 
     assert centered_unitary_search(c2_site(0.1).algebra, c2_site(0.1).state) is None
 
@@ -235,3 +250,102 @@ def test_compiled_hecke_gns_matches_defining_formula(q):
     for x in alg.basis() + [alg.one(), t, t @ t] + [_random_element(alg, rng) for _ in range(6)]:
         want = naive_hecke_matrix(q, x)
         assert np.max(np.abs(rep.matrix(x) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+# -- one matrix per element, against the per-block oracles ----------------------------
+
+ORACLE_SITES = {
+    "hecke(1,1)": lambda: site_from_hecke(2.0),
+    "m2(2,)": lambda: m2_site([[0.6, 0.1j], [-0.1j, 0.4]]),
+    "(2,1)": lambda: site_from_state(
+        FiniteDimAlgebra((2, 1)), StateSpec.build(FiniteDimAlgebra((2, 1)), [[[0.4, 0.1j], [-0.1j, 0.3]], [[0.3]]])
+    ),
+    "(1,2,1)": lambda: site_from_state(
+        FiniteDimAlgebra((1, 2, 1)),
+        StateSpec.build(FiniteDimAlgebra((1, 2, 1)), [[[0.2]], [[0.35, 0.05], [0.05, 0.25]], [[0.2]]]),
+    ),
+}
+ULPS = 8 * np.finfo(float).eps
+
+
+def _bit_equal(x, blocks) -> bool:
+    """x holds exactly `blocks` (signs of zero included) and zeros off them."""
+    got = naive_blocks(x)
+    return naive_off_block_is_zero(x) and all(
+        g.shape == b.shape and g.tobytes() == np.asarray(b, dtype=complex).tobytes() for g, b in zip(got, blocks)
+    )
+
+
+def _close(x, blocks, scale: float) -> bool:
+    return naive_off_block_is_zero(x) and all(
+        np.max(np.abs(g - b)) <= ULPS * scale for g, b in zip(naive_blocks(x), blocks)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SITES))
+def test_element_operations_match_per_block_oracles(name):
+    site = ORACLE_SITES[name]()
+    alg, st = site.algebra, site.state
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x, y = _random_element(alg, rng), _random_element(alg, rng)
+        s = complex(rng.standard_normal(), rng.standard_normal())
+        scale = max(np.max(np.abs(x.mat)), np.max(np.abs(y.mat)))
+        assert _bit_equal(x + y, naive_add(x, y))
+        assert _bit_equal(x - y, naive_sub(x, y))
+        assert _bit_equal(s * x, naive_scale(s, x)) and _bit_equal(x * s, naive_scale(s, x))
+        assert _bit_equal(x.star(), naive_star(x))
+        assert _close(x @ y, naive_matmul(x, y), alg.dim * scale**2)
+        assert abs(st.omega(x) - naive_omega(st, x)) <= ULPS * scale * alg.dim
+        assert _close(site.centered(x), naive_centered(st, x), scale * alg.dim)
+        h = x + x.star()
+        assert abs(x.norm() - naive_norm(x)) <= ULPS * scale * alg.dim
+        assert abs(h.min_eig() - naive_min_eig(h)) <= ULPS * scale * alg.dim
+        for tol in (1e-13, 0.5 * scale, 2 * scale):
+            assert x.is_zero(tol) == naive_is_zero(x, tol)
+        assert (x - x).is_zero() and naive_is_zero(x - x)
+        if site.hecke_q is not None:
+            want = naive_hecke_matrix(site.hecke_q, x)
+        else:
+            want = naive_gns_matrix(alg, st, x)
+        assert np.max(np.abs(site.rep.matrix(x) - want)) <= ULPS * scale * alg.dim
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SITES))
+@pytest.mark.parametrize("center", [False, True])
+def test_random_element_reads_the_per_block_draw_stream(name, center):
+    """One draw of 2 * dim normals gives, bit for bit, the element that a
+    real and an imaginary d x d draw per block gives, and leaves the
+    generator where those draws leave it: every seed keeps its operands."""
+    site = ORACLE_SITES[name]()
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            x = site.random_element(rng, center=center)
+            want = site.algebra.element(naive_random_blocks(site.algebra, ref))
+            if center:
+                assert _bit_equal(site.centered(want), naive_blocks(x))
+                assert _close(x, naive_centered(site.state, want), np.max(np.abs(want.mat)) * site.algebra.dim)
+            else:
+                assert _bit_equal(x, naive_blocks(want))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SITES))
+def test_shared_unit_is_read_only_and_operands_are_never_written(name):
+    site = ORACLE_SITES[name]()
+    alg = site.algebra
+    one = alg.one()
+    assert one.mat is alg.one().mat
+    with pytest.raises(ValueError):
+        one.mat[0, 0] = 2.0
+    x, y = _random_element(alg), _random_element(alg)
+    for e in (x, y):
+        e.mat.flags.writeable = False
+    results = [
+        x + y, x - y, 2.0 * x, x * 2.0, -x, x @ y, x.star(), site.centered(x), centered(one, site.state),
+        one + x, one @ x, x - one, one.star(),
+    ]
+    for r in results:
+        assert all(not np.shares_memory(r.mat, e.mat) for e in (x, y, one))
+    assert np.array_equal(one.mat, np.eye(one.mat.shape[0]))

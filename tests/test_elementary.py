@@ -7,6 +7,7 @@ from gplab.elementary import (
     IDENTITY_TERM,
     ElementaryTerm,
     Factor,
+    _coalesce,
     expression_matrix,
     factor_matrix,
     rewrite_to_elementary,
@@ -112,6 +113,26 @@ def test_signature_examples(mixed_free3):
     with pytest.raises(ValueError):
         bad = ElementaryTerm(((0, a0), (0, a0)), (), ())
         signature(bad, mixed_free3)
+
+
+def test_coalesce_merges_terms_equal_up_to_signed_zeros():
+    """The term key reads the matrix-unit coefficients with -0.0 read as
+    0.0, so equal terms merge, whatever the sign of a zero coefficient or
+    of an entry off the blocks; unequal ones stay apart."""
+    alg, _, _ = hecke_vertex(1.0)
+    plus = alg.element([[[0.5]], [[0.0]]])
+    minus = alg.element([[[0.5]], [[-0.0]]])
+    off = alg.element([[[0.5]], [[0.0]]])
+    off.mat[0, 1] = -0.0
+    other = alg.element([[[0.5]], [[1e-300]]])
+    assert len({e.mat.tobytes() for e in (plus, minus, off)}) == 3
+
+    def term(e):
+        return ElementaryTerm(((0, e),), ((1, e),), ())
+
+    merged = _coalesce([(1.0, term(plus)), (2.0, term(minus)), (4.0, term(off)), (8.0, term(other))])
+    assert [c for c, _ in merged] == [7.0, 8.0]
+    assert merged[0][1] is not merged[1][1]
 
 
 def test_rewrite_certificates_random(mixed_free3, mixed_path3, mixed_k3):

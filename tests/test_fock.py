@@ -159,7 +159,7 @@ def test_creation_remark_identities():
     vac[0] = 1.0
     # a† Omega = (a - omega(a)) xi placed at word (0)
     out = cr.toarray() @ vac
-    avec = site.rep.vector(a)
+    avec = site.rep.matrix(a)[:, 0]
     for tslot in range(1, 4):
         assert abs(out[space.index_of((0,), (tslot,))] - avec[tslot]) < 1e-12
     assert abs(out[0]) < 1e-14
@@ -168,14 +168,14 @@ def test_creation_remark_identities():
 
     # vector b xi at word (0): d(a) maps it to (ab)° xi, annihilation of a gives omega(ab) Omega
     bvec = np.zeros(space.dim, dtype=complex)
-    bcoord = site.rep.vector(b)
+    bcoord = site.rep.matrix(b)[:, 0]
     for tslot in range(1, 4):
         bvec[space.index_of((0,), (tslot,))] = bcoord[tslot]
     out = an.toarray() @ bvec
     assert abs(out[0] - st.omega(a @ b)) < 1e-12
     assert np.max(np.abs(out[1:])) < 1e-12
     out = dg.toarray() @ bvec
-    abvec = site.rep.vector(site.centered(a @ b))
+    abvec = site.rep.matrix(site.centered(a @ b))[:, 0]
     for tslot in range(1, 4):
         assert abs(out[space.index_of((0,), (tslot,))] - abvec[tslot]) < 1e-12
     assert np.max(np.abs(creation(space, 0, a).toarray() @ bvec)) < 1e-14

@@ -1,13 +1,14 @@
 """Every public module-level function of gplab, and every public method of
-CoxeterGroup, is reached from the package itself, not only from tests, or
-is one of the few named entry points below.
+CoxeterGroup and of the vertex-algebra classes (FiniteDimAlgebra, Element,
+StateSpec, GnsRep), is reached from the package itself, not only from
+tests, or is one of the few named entry points below.
 
 The package sources are parsed, not imported.  A function counts as reached
 when some module of src/gplab names it outside its own definition: by its
 bare name inside its home module or after `from .<home> import <name>`, or
 as an attribute of a name bound to the home module (`from . import fock as
-fk`, then `fk.<name>`).  A CoxeterGroup method counts as reached when any
-module reads an attribute of that name outside the method's own definition.
+fk`, then `fk.<name>`).  A method counts as reached when any module reads
+an attribute of that name outside the method's own definition.
 """
 import ast
 from pathlib import Path
@@ -23,6 +24,7 @@ ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}}
 # The meet of the weak order (checked by acceptance criterion 1) and the
 # brute-force join oracle that pins join_tuple.
 GROUP_ENTRY_POINTS = {"meet_tuple", "join_via_ball"}
+VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep")
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -88,12 +90,20 @@ def test_public_functions_are_reached_from_the_package(home):
     _assert_unreached_are(unreached, ENTRY_POINTS.get(home, set()))
 
 
-def test_coxeter_group_methods_are_reached_from_the_package():
+def _unreached_methods(home: str, name: str) -> list[str]:
     trees = _trees()
-    (cls,) = [n for n in trees["words"].body if isinstance(n, ast.ClassDef) and n.name == "CoxeterGroup"]
-    unreached = [
+    (cls,) = [n for n in trees[home].body if isinstance(n, ast.ClassDef) and n.name == name]
+    return [
         fn.name
         for fn in _public_functions(cls.body)
         if not any(_reads_attribute(tree, fn.name, fn) for tree in trees.values())
     ]
-    _assert_unreached_are(unreached, GROUP_ENTRY_POINTS)
+
+
+def test_coxeter_group_methods_are_reached_from_the_package():
+    _assert_unreached_are(_unreached_methods("words", "CoxeterGroup"), GROUP_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", VERTEX_CLASSES)
+def test_vertex_algebra_methods_are_reached_from_the_package(name):
+    _assert_unreached_are(_unreached_methods("algebras", name), set())

@@ -136,7 +136,73 @@ def hecke_system(graph: SimplicialGraph, q: float) -> GraphSystem:
     return GraphSystem(graph, {v: site_from_hecke(q) for v in graph.vertices})
 
 
-# -- GNS oracles ----------------------------------------------------------------------
+# -- vertex-algebra oracles ------------------------------------------------------
+# Element operations block by block.  Blocks are read off x.mat at offsets
+# computed here from the block sizes, not through the algebra's compiled
+# slices or matrix-unit positions; each oracle returns the list of blocks.
+
+
+def naive_blocks(x) -> list[np.ndarray]:
+    offs = np.cumsum((0,) + tuple(x.algebra.blocks))
+    return [x.mat[lo:hi, lo:hi].copy() for lo, hi in zip(offs[:-1], offs[1:])]
+
+
+def naive_off_block_is_zero(x) -> bool:
+    """Whether every entry of x.mat outside the diagonal blocks is 0.0."""
+    rest = x.mat.copy()
+    offs = np.cumsum((0,) + tuple(x.algebra.blocks))
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        rest[lo:hi, lo:hi] = 0.0
+    return not np.any(rest)
+
+
+def naive_random_blocks(alg: FiniteDimAlgebra, rng) -> list[np.ndarray]:
+    """A complex Gaussian element drawn block by block: a d x d real and a
+    d x d imaginary draw per block."""
+    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in alg.blocks]
+
+
+def naive_add(x, y):
+    return [a + b for a, b in zip(naive_blocks(x), naive_blocks(y))]
+
+
+def naive_sub(x, y):
+    return [a - b for a, b in zip(naive_blocks(x), naive_blocks(y))]
+
+
+def naive_scale(s, x):
+    return [s * a for a in naive_blocks(x)]
+
+
+def naive_matmul(x, y):
+    return [a @ b for a, b in zip(naive_blocks(x), naive_blocks(y))]
+
+
+def naive_star(x):
+    return [a.conj().T for a in naive_blocks(x)]
+
+
+def naive_omega(st: StateSpec, x) -> complex:
+    return complex(sum(np.trace(rho @ a) for rho, a in zip(st.densities, naive_blocks(x))))
+
+
+def naive_centered(st: StateSpec, x):
+    w = naive_omega(st, x)
+    return [a - w * np.eye(a.shape[0]) for a in naive_blocks(x)]
+
+
+def naive_is_zero(x, tol: float = 1e-13) -> bool:
+    return all(np.max(np.abs(a)) <= tol for a in naive_blocks(x))
+
+
+def naive_norm(x) -> float:
+    return max(np.linalg.norm(a, 2) for a in naive_blocks(x))
+
+
+def naive_min_eig(x) -> float:
+    return min(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min() for a in naive_blocks(x))
+
+
 # The GNS matrices by their defining formulas, rebuilt on every call.
 
 
@@ -149,7 +215,7 @@ def naive_gns_matrix(alg: FiniteDimAlgebra, st: StateSpec, x) -> np.ndarray:
     u = _householder_with_first_column(xi)
     big = np.zeros((alg.dim, alg.dim), dtype=complex)
     off = 0
-    for d, a in zip(alg.blocks, x.mats):
+    for d, a in zip(alg.blocks, naive_blocks(x)):
         big[off: off + d * d, off: off + d * d] = np.kron(np.eye(d), a)
         off += d * d
     return u.conj().T @ big @ u
@@ -158,8 +224,8 @@ def naive_gns_matrix(alg: FiniteDimAlgebra, st: StateSpec, x) -> np.ndarray:
 def naive_hecke_matrix(q: float, x) -> np.ndarray:
     """[[alpha, beta], [beta, alpha + beta p]] for x = alpha 1 + beta T."""
     _, _, t = hecke_vertex(q)
-    t1, t2 = t.mats[0][0, 0].real, t.mats[1][0, 0].real
-    x1, x2 = complex(x.mats[0][0, 0]), complex(x.mats[1][0, 0])
+    t1, t2 = (b[0, 0].real for b in naive_blocks(t))
+    x1, x2 = (complex(b[0, 0]) for b in naive_blocks(x))
     beta = (x1 - x2) / (t1 - t2)
     alpha = x1 - beta * t1
     return np.array([[alpha, beta], [beta, alpha + beta * hecke_parameter(q)]], dtype=complex)
