@@ -1,30 +1,35 @@
 """Complex matrix helpers for the operator layer, in numpy alone.
 
-A matrix of dimension below DENSE_CUTOFF is a dense numpy array; a larger
-one is a `CSR` value, numpy (indptr, indices, data) arrays plus its shape.
-Every helper accepts either kind, and one that returns a matrix returns
-the kind it was given.  Both kinds stay because each wins on one side of
-the cutoff: the small operators of shallow spaces multiply faster as dense
-BLAS products than through any sparse product, while at Fock dimensions of
-several hundred and more the operators are sparse enough that dense
-products cost tens of times more.
+Every matrix is a `CSR` value: numpy (indptr, indices, data) arrays plus its
+shape, with sorted, distinct columns per row and no stored zeros.  Each
+generator of the ambient algebra moves a basis word to at most d_v
+neighbouring words, so every truncated operator is sparse whatever the
+truncation depth, and one matrix kind serves every space.  Small spaces
+once kept dense arrays instead, but small dense BLAS products stall at
+random under several threads, and a product here costs a fixed number of
+numpy calls whatever its size.
 
-The CSR product is Gustavson's row merge (ACM TOMS 4, 1978) written in
-numpy: every entry of A is expanded over the matching row of B, and the
-(row, column) keys are sorted and summed.
+The product is Gustavson's row merge (ACM TOMS 4, 1978) written in numpy:
+every entry of A is expanded over the matching row of B, and the (row,
+column) keys are sorted and summed.  The kernels pick their work from
+their input, never from a size: an empty operand gives the empty product
+at once, a B whose reached rows hold at most one entry each is read
+without the expansion, keys already in order are not sorted, keys that do
+not repeat are not summed, and two operands with one pattern are added
+entry for entry.
 
 Spectra and norms come from one component split (`_split`): the entries
 are scattered into one dense block per connected component of their
 nonzero pattern, and each distinct block shape takes one batched LAPACK
 call.  `block_norms` splits along the row/column graph (row i joined to
-column j when a[i, j] != 0), and a CSR `norm2` is the largest of its
-block norms; `hermitian_min_eig` splits along the index graph, with rows
-and columns on the same nodes.  Trivial structure takes no LAPACK call
-and, where the whole matrix is trivial, no split: a matrix with at most
-one entry per row and per column is read as its moduli, a diagonal one as
-its real diagonal, a 1x1 block as its modulus or real part, and a
-one-row or one-column block as its Frobenius norm.  All three are exact,
-with no iteration and no size threshold; the cost grows with the largest
+column j when a[i, j] != 0), and `norm2` is the largest of its block
+norms; `hermitian_min_eig` splits along the index graph, with rows and
+columns on the same nodes.  Trivial structure takes no LAPACK call and,
+where the whole matrix is trivial, no split: a matrix with at most one
+entry per row and per column is read as its moduli, a diagonal one as its
+real diagonal, a 1x1 block as its modulus or real part, and a one-row or
+one-column block as its Frobenius norm.  All three are exact, with no
+iteration and no size threshold; the cost grows with the largest
 component.
 """
 from __future__ import annotations
@@ -32,8 +37,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-DENSE_CUTOFF = 256
 
 
 class CSR(NamedTuple):
@@ -49,92 +52,101 @@ class CSR(NamedTuple):
 
 def _rows(a: CSR) -> np.ndarray:
     """Row index of each stored entry."""
-    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return np.arange(a.shape[0]).repeat(a.indptr[1:] - a.indptr[:-1])
 
 
 def _sum_by(labels: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Complex sums of vals grouped by labels in range(n)."""
-    return np.bincount(labels, vals.real, n) + 1j * np.bincount(labels, vals.imag, n)
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(labels, vals.real, n)
+    out.imag = np.bincount(labels, vals.imag, n)
+    return out
 
 
 def _csr(rows, cols, data, shape) -> CSR:
     """CSR from coordinate triples: duplicates summed in input order, exact
-    zeros dropped."""
+    zeros dropped.  Keys already strictly increasing are taken as they are,
+    and only keys that repeat are summed."""
     nr, nc = shape
-    rows = np.asarray(rows, dtype=np.intp)
-    key = rows * max(nc, 1) + np.asarray(cols, dtype=np.intp)
+    wide = max(nc, 1)
+    key = np.asarray(rows, dtype=np.intp) * wide + np.asarray(cols, dtype=np.intp)
     data = np.asarray(data, dtype=complex)
-    if len(key) > 1:
-        order = np.argsort(key, kind="stable")
+    n = len(key)
+    if n > 1 and np.count_nonzero(key[1:] <= key[:-1]):
+        order = key.argsort(kind="stable")
         key, data = key[order], data[order]
-        head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        if len(head) < len(key):
+        new = key[1:] != key[:-1]
+        if np.count_nonzero(new) < n - 1:
+            head = np.flatnonzero(np.concatenate(([True], new)))
             key, data = key[head], np.add.reduceat(data, head)
-    keep = data != 0
-    key, data = key[keep], data[keep]
-    indptr = np.zeros(nr + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key // max(nc, 1), minlength=nr), out=indptr[1:])
-    return CSR(indptr, key % max(nc, 1), data, (nr, nc))
+    if np.count_nonzero(data) < len(data):
+        keep = data != 0
+        key, data = key[keep], data[keep]
+    # the keys are sorted: row i starts at the first key >= i * wide
+    return CSR(key.searchsorted(np.arange(0, (nr + 1) * wide, wide)), key % wide, data, (nr, nc))
 
 
-def from_coo(rows, cols, data, dim: int):
-    if dim < DENSE_CUTOFF:
-        out = np.zeros((dim, dim), dtype=complex)
-        np.add.at(out, (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)), np.asarray(data, dtype=complex))
-        return out
+def _empty(shape) -> CSR:
+    none = np.zeros(0, dtype=np.intp)
+    return CSR(np.zeros(shape[0] + 1, dtype=np.intp), none, none.astype(complex), shape)
+
+
+def from_coo(rows, cols, data, dim: int) -> CSR:
     return _csr(rows, cols, data, (dim, dim))
 
 
-def from_csr(indptr, indices, data, dim: int):
-    """The matrix of entries already in CSR form (sorted, distinct columns
-    per row, no zeros), taken as they are: no sort and no summing."""
-    if dim < DENSE_CUTOFF:
-        out = np.zeros((dim, dim), dtype=complex)
-        # distinct positions: the same 0 + x per entry as from_coo's np.add.at
-        out[np.repeat(np.arange(dim), np.diff(indptr)), indices] += data
-        return out
-    return CSR(indptr, indices, data, (dim, dim))
+def zeros(dim: int) -> CSR:
+    return _empty((dim, dim))
 
 
-def zeros(dim: int):
-    if dim < DENSE_CUTOFF:
-        return np.zeros((dim, dim), dtype=complex)
-    return CSR(np.zeros(dim + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex), (dim, dim))
-
-
-def eye(dim: int):
-    if dim < DENSE_CUTOFF:
-        return np.eye(dim, dtype=complex)
+def eye(dim: int) -> CSR:
     return CSR(np.arange(dim + 1), np.arange(dim), np.ones(dim, dtype=complex), (dim, dim))
 
 
-def diag(vec: np.ndarray):
+def diag(vec: np.ndarray) -> CSR:
     vec = np.asarray(vec, dtype=complex)
     dim = len(vec)
-    if dim < DENSE_CUTOFF:
-        return np.diag(vec)
     nz = np.flatnonzero(vec)
     indptr = np.zeros(dim + 1, dtype=np.intp)
     np.cumsum(vec != 0, out=indptr[1:])
     return CSR(indptr, nz, vec[nz], (dim, dim))
 
 
-def mul(a, b):
-    if not isinstance(a, CSR):
-        return a @ b
-    counts = np.diff(b.indptr)[a.indices]
+def mul(a: CSR, b: CSR) -> CSR:
+    """a @ b by the row merge: each entry of A is expanded over the matching
+    row of B, and the (row, column) keys are sorted and summed (_csr).  An
+    empty operand gives the empty product at once; where no row of B that A
+    reaches holds two entries, each entry of A meets at most one of B and
+    nothing is expanded."""
+    shape = (a.shape[0], b.shape[1])
+    if not len(a.data) or not len(b.data):
+        return _empty(shape)
+    counts = (b.indptr[1:] - b.indptr[:-1])[a.indices]
+    rows = _rows(a)
+    if not np.count_nonzero(counts > 1):
+        # each entry of A meets at most one of B: no expansion
+        cols, data = a.indices, a.data
+        if np.count_nonzero(counts) < len(counts):
+            hit = counts != 0
+            rows, cols, data = rows[hit], cols[hit], data[hit]
+        pos = b.indptr[cols]
+        return _csr(rows, b.indices[pos], data * b.data[pos], shape)
     # entry e of A meets B's row a.indices[e]; pos walks that row
-    first = b.indptr[a.indices] - (np.cumsum(counts) - counts)
-    pos = np.arange(int(counts.sum())) + np.repeat(first, counts)
-    return _csr(
-        np.repeat(_rows(a), counts),
-        b.indices[pos],
-        np.repeat(a.data, counts) * b.data[pos],
-        (a.shape[0], b.shape[1]),
-    )
+    ends = counts.cumsum()
+    pos = np.arange(ends[-1]) + (b.indptr[a.indices] - (ends - counts)).repeat(counts)
+    return _csr(rows.repeat(counts), b.indices[pos], a.data.repeat(counts) * b.data[pos], shape)
 
 
 def _merge(a: CSR, b: CSR, bdata: np.ndarray) -> CSR:
+    """a + B, B the pattern of b with the values bdata."""
+    if not len(bdata):
+        return a
+    if not len(a.data):
+        return CSR(b.indptr, b.indices, bdata, b.shape)
+    if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
+        # entry for entry, the sums the merge below would form
+        data = a.data + bdata
+        return subset(CSR(a.indptr, a.indices, data, a.shape), data != 0)
     return _csr(
         np.concatenate((_rows(a), _rows(b))),
         np.concatenate((a.indices, b.indices)),
@@ -143,27 +155,19 @@ def _merge(a: CSR, b: CSR, bdata: np.ndarray) -> CSR:
     )
 
 
-def add(a, b):
-    if not isinstance(a, CSR):
-        return a + b
+def add(a: CSR, b: CSR) -> CSR:
     return _merge(a, b, b.data)
 
 
-def sub(a, b):
-    if not isinstance(a, CSR):
-        return a - b
+def sub(a: CSR, b: CSR) -> CSR:
     return _merge(a, b, -b.data)
 
 
-def scale(a, scalar: complex):
-    if not isinstance(a, CSR):
-        return a * scalar
+def scale(a: CSR, scalar: complex) -> CSR:
     return CSR(a.indptr, a.indices, a.data * scalar, a.shape)
 
 
-def adjoint(a):
-    if not isinstance(a, CSR):
-        return a.conj().T
+def adjoint(a: CSR) -> CSR:
     # a stable sort by column keeps the rows of each column in order
     order = np.argsort(a.indices, kind="stable")
     indptr = np.zeros(a.shape[1] + 1, dtype=np.intp)
@@ -171,26 +175,14 @@ def adjoint(a):
     return CSR(indptr, _rows(a)[order], a.data[order].conj(), (a.shape[1], a.shape[0]))
 
 
-def to_dense(a) -> np.ndarray:
-    if not isinstance(a, CSR):
-        return np.asarray(a)
+def to_dense(a: CSR) -> np.ndarray:
     out = np.zeros(a.shape, dtype=complex)
     out[_rows(a), a.indices] = a.data
     return out
 
 
-def entry(a, i: int, j: int) -> complex:
-    if not isinstance(a, CSR):
-        return complex(a[i, j])
-    lo, hi = int(a.indptr[i]), int(a.indptr[i + 1])
-    k = lo + int(np.searchsorted(a.indices[lo:hi], j))
-    return complex(a.data[k]) if k < hi and a.indices[k] == j else 0j
-
-
-def diagonal(a) -> np.ndarray:
+def diagonal(a: CSR) -> np.ndarray:
     """A new vector holding the main diagonal."""
-    if not isinstance(a, CSR):
-        return np.diagonal(a).copy()
     rows = _rows(a)
     on = rows == a.indices
     out = np.zeros(min(a.shape), dtype=complex)
@@ -198,31 +190,10 @@ def diagonal(a) -> np.ndarray:
     return out
 
 
-def _positions(n: int, idx) -> np.ndarray:
-    """Position of each of range(n) in idx (distinct), -1 where absent."""
-    idx = np.asarray(idx, dtype=np.intp)
-    pos = np.full(n, -1, dtype=np.intp)
-    pos[idx] = np.arange(len(idx))
-    return pos
-
-
-def head_cols(a, m: int):
-    """The first m columns of a dense matrix, as a view.  A CSR matrix is
-    returned whole: its norm bounds that of its first m columns from above,
-    and equals it when no entry lies past them, as for every guarded cut
-    (the columns of word length <= k come first in the basis, and a cut at
-    k holds no entry in a later column)."""
-    if not isinstance(a, CSR):
-        return a[:, :m]
-    return a
-
-
-def same(a, b) -> bool:
-    """Whether a and b are stored alike: the same dense array, or the same
-    shape and the same three CSR arrays.  Matrices stored alike are equal;
-    equal matrices need not be stored alike (a CSR value may hold zeros)."""
-    if not isinstance(a, CSR):
-        return np.array_equal(a, b)
+def same(a: CSR, b: CSR) -> bool:
+    """Whether a and b are stored alike: the same shape and the same three
+    arrays.  Matrices stored alike are equal; equal matrices are stored
+    alike when both are in the canonical form every helper here builds."""
     return (
         a.shape == b.shape
         and np.array_equal(a.indptr, b.indptr)
@@ -231,52 +202,56 @@ def same(a, b) -> bool:
     )
 
 
-def cut(a, keep: np.ndarray):
-    """The columns where the boolean mask keep holds, the others emptied.  A
-    dense matrix is returned as it is: its callers only read the kept
-    columns, and a dense product costs the same either way."""
-    if not isinstance(a, CSR):
+def subset(a: CSR, keep: np.ndarray) -> CSR:
+    """The stored entries where the boolean mask keep (one flag per entry)
+    holds, the others dropped.  A subset of a CSR value is still in CSR
+    order, so nothing is sorted."""
+    if np.count_nonzero(keep) == len(keep):
         return a
-    kept = keep[a.indices]
-    if kept.all():
-        return a
-    ptr = np.zeros(len(kept) + 1, dtype=np.intp)
-    np.cumsum(kept, out=ptr[1:])
-    return CSR(ptr[a.indptr], a.indices[kept], a.data[kept], a.shape)
+    ptr = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(keep, out=ptr[1:])
+    return CSR(ptr[a.indptr], a.indices[keep], a.data[keep], a.shape)
 
 
-def coo_parts(a):
-    if isinstance(a, CSR):
-        return _rows(a), a.indices, a.data
-    rows, cols = np.nonzero(a)
-    return rows, cols, a[rows, cols]
+def cut(a: CSR, m: int) -> CSR:
+    """The first m columns, the others emptied."""
+    return subset(a, a.indices < m)
 
 
-def principal_parts(a, idx):
+def coo_parts(a: CSR):
+    return _rows(a), a.indices, a.data
+
+
+def principal_parts(a: CSR, idx):
     """coo_parts of the square submatrix a[idx][:, idx] (idx distinct), in
     the coordinates of positions in idx."""
-    rows, cols, data = coo_parts(a)
-    pos = _positions(a.shape[0], idx)
-    r, c = pos[rows], pos[cols]
+    idx = np.asarray(idx, dtype=np.intp)
+    m = len(idx)
+    if np.array_equal(idx, np.arange(m)):
+        # the leading block: its entries come first, in rows below m
+        end = a.indptr[m]
+        rows = np.arange(m).repeat(a.indptr[1: m + 1] - a.indptr[:m])
+        cols, data = a.indices[:end], a.data[:end]
+        keep = cols < m
+        return rows[keep], cols[keep], data[keep]
+    pos = np.full(a.shape[0], -1, dtype=np.intp)
+    pos[idx] = np.arange(m)
+    r, c = pos[_rows(a)], pos[a.indices]
     keep = (r >= 0) & (c >= 0)
-    return r[keep], c[keep], data[keep]
+    return r[keep], c[keep], a.data[keep]
 
 
-def matvec(a, v: np.ndarray) -> np.ndarray:
+def matvec(a: CSR, v: np.ndarray) -> np.ndarray:
     """a @ v for a vector v."""
-    if not isinstance(a, CSR):
-        return a @ v
     return _sum_by(_rows(a), a.data * v[a.indices], a.shape[0])
 
 
-def vecmat(v: np.ndarray, a) -> np.ndarray:
+def vecmat(v: np.ndarray, a: CSR) -> np.ndarray:
     """v @ a for a vector v."""
-    if not isinstance(a, CSR):
-        return v @ a
-    return _sum_by(a.indices, v[_rows(a)] * a.data, a.shape[1])
+    return _sum_by(a.indices, v.repeat(a.indptr[1:] - a.indptr[:-1]) * a.data, a.shape[1])
 
 
-def gram_blocks(a, labels: np.ndarray):
+def gram_blocks(a: CSR, labels: np.ndarray) -> CSR:
     """a* a with only the entries (r, c) where labels[r] == labels[c].
 
     Entry (r, c) of a* a sums conj(a[k, r]) a[k, c] over the rows k, so only
@@ -284,8 +259,9 @@ def gram_blocks(a, labels: np.ndarray):
     multiplied, and the entries between differently labelled columns are
     never formed.
     """
-    if not isinstance(a, CSR):
-        return np.where(labels[:, None] == labels[None, :], a.conj().T @ a, 0)
+    n = a.shape[1]
+    if not len(a.data):
+        return _empty((n, n))
     rows, cols, data = coo_parts(a)
     group = rows * (int(labels.max()) + 1) + labels[cols]
     # CSR order is by row, then column: a stable sort keeps rows in order
@@ -298,7 +274,6 @@ def gram_blocks(a, labels: np.ndarray):
     first = np.repeat(head, size) - (np.cumsum(counts) - counts)
     left = np.repeat(np.arange(len(group)), counts)
     right = np.arange(int(counts.sum())) + np.repeat(first, counts)
-    n = a.shape[1]
     return _csr(cols[left], cols[right], data[left].conj() * data[right], (n, n))
 
 
@@ -381,21 +356,22 @@ def _bipartite_split(rows, cols, data):
     return urows, comp[:nr], _split(ri, ci, data, comp[:nr], comp[nr:])
 
 
-def norm2(a) -> float:
+def norm2(a: CSR) -> float:
     """Exact operator 2-norm, the largest singular value.
 
-    Dense input goes to LAPACK whole.  A CSR matrix is a direct sum of the
-    blocks that the connected components of its row/column graph pick out,
-    so its norm is the largest of its `block_norms`, its stored zeros
-    dropped first."""
-    if not isinstance(a, CSR):
-        if a.size == 0:
-            return 0.0
-        return float(np.linalg.norm(a, 2))
-    keep = a.data != 0
-    if not keep.any():
+    The matrix is a direct sum of the blocks that the connected components
+    of its row/column graph pick out, so its norm is the largest of its
+    `block_norms`, any stored zeros dropped first."""
+    if not len(a.data):
         return 0.0
-    return float(block_norms(_rows(a)[keep], a.indices[keep], a.data[keep])[0].max())
+    rows, cols, data = coo_parts(a)
+    kept = np.count_nonzero(data)
+    if kept < len(data):
+        if not kept:
+            return 0.0
+        keep = data != 0
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+    return float(block_norms(rows, cols, data)[0].max())
 
 
 def _distinct(labels: np.ndarray) -> bool:

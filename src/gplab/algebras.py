@@ -350,7 +350,11 @@ def hecke_gns(q: float) -> GnsRep:
     1 + beta T, so its entries are exact whenever alpha, beta and p are
     exactly representable.
     """
-    alg, st, t = hecke_vertex(q)
+    return _hecke_gns(q, *hecke_vertex(q))
+
+
+def _hecke_gns(q: float, alg: FiniteDimAlgebra, st: StateSpec, t: Element) -> GnsRep:
+    """hecke_gns(q) on the vertex (alg, st, t) = hecke_vertex(q) already built."""
     p = hecke_parameter(q)
     t1, t2 = t.mat[0, 0].real, t.mat[1, 1].real
 
@@ -394,5 +398,7 @@ def site_from_state(alg: FiniteDimAlgebra, st: StateSpec) -> VertexSite:
 
 
 def site_from_hecke(q: float) -> VertexSite:
-    alg, st, _ = hecke_vertex(q)
-    return VertexSite(alg, st, hecke_gns(q), hecke_q=q)
+    """The Hecke vertex, its vertex built once and shared with its GNS
+    representation."""
+    alg, st, t = hecke_vertex(q)
+    return VertexSite(alg, st, _hecke_gns(q, alg, st, t), hecke_q=q)

@@ -20,11 +20,11 @@ evaluated lazily, each reading its operands at the cuts that their bands
 reach, and `.mat` is the cut at N.  The guarded readers (guarded_deviation,
 guarded_norm, the positivity check's guarded block and the vacuum vector
 chains) ask for cuts; every other reader reads `.mat`.  The basis lists
-words by length, so the columns of word length <= k are the first ones,
-and a CSR cut at k holds no entry past them: guarded_deviation and
-guarded_norm read a CSR cut whole, with no column re-indexing, and slice
-the guarded columns off a dense one; guarded_deviation returns 0.0 with no
-subtraction when both cuts are stored alike.
+words by length, so the columns of word length <= k are the first ones
+(TruncatedFock.width), and a cut at k holds no entry past them:
+guarded_deviation and guarded_norm read a cut whole, with no column
+re-indexing, and guarded_deviation returns 0.0 with no subtraction when
+both cuts are stored alike.  Every matrix is a `_mat.CSR` value.
 
 What an operator's matrix depends on only through the space is compiled
 once per space, on first use, and cached in space._plans: the sparsity
@@ -129,6 +129,11 @@ class TruncatedFock:
             self._cols_upto[k] = got
         return got
 
+    def width(self, k: int) -> int:
+        """How many columns have word length <= k: the basis lists words by
+        length, so they are the first ones."""
+        return int(self.lengths.searchsorted(k, side="right"))
+
     def subspace(self, sub: SimplicialGraph) -> "TruncatedFock":
         """The space of an induced subgraph, built under this space's cap."""
         got = self._subspaces.get(sub)
@@ -189,11 +194,10 @@ class OperatorMatrix:
     `cols(k)` is the one evaluation path.  It returns a dim x dim matrix
     that equals the operator on every column of word length <= k and, like
     the operator, is zero outside the (up, down) band; the columns past k
-    hold whatever the evaluation left there (none, for a CSR matrix built
-    here), and only the readers of guarded columns ask for a cut.  `.mat` is
-    `cols(N)`.  The band is what makes a cut exact: column j of AB needs A
-    only on the columns B reaches from j, and column j of A* is row j of A,
-    which lies in the columns up to |j| + down.
+    are empty, and only the readers of guarded columns ask for a cut.
+    `.mat` is `cols(N)`.  The band is what makes a cut exact: column j of AB
+    needs A only on the columns B reaches from j, and column j of A* is row
+    j of A, which lies in the columns up to |j| + down.
 
     A product, sum, scalar multiple or adjoint records its operands and is
     evaluated on first read (_evaluate).  Each cut read through `cols` is
@@ -253,7 +257,7 @@ class OperatorMatrix:
         if got is None:
             larger = [c for c in self._cuts if c > k]
             if larger:
-                got = self._cuts[k] = _mat.cut(self._cuts[min(larger)], self.space.lengths <= k)
+                got = self._cuts[k] = _mat.cut(self._cuts[min(larger)], self.space.width(k))
         return got
 
     def _evaluate(self, k: int):
@@ -330,11 +334,11 @@ class OperatorMatrix:
         return self * (-1.0)
 
     def adjoint(self) -> "OperatorMatrix":
-        lengths = self.space.lengths
+        width = self.space.width
         return OperatorMatrix._lazy(
             self.space,
             # the rows of length <= k, whole, become the columns of the cut
-            lambda k, a: _mat.cut(_mat.adjoint(a), lengths <= k),
+            lambda k, a: _mat.cut(_mat.adjoint(a), width(k)),
             ((self, self.down),),
             self.guard - self.down,
             self.down,
@@ -346,9 +350,6 @@ class OperatorMatrix:
 
     def toarray(self) -> np.ndarray:
         return _mat.to_dense(self.mat)
-
-    def entry(self, i: int, j: int) -> complex:
-        return _mat.entry(self.mat, i, j)
 
 
 def identity_op(space: TruncatedFock) -> OperatorMatrix:
@@ -362,13 +363,13 @@ def zero_op(space: TruncatedFock) -> OperatorMatrix:
 def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Operator-norm distance restricted to columns inside the common guard,
     read off both operators' cuts at that guard; ShallowTruncationError when
-    the guard is negative.  Cuts stored alike give exactly 0.0 with no
-    subtraction; a CSR cut is read whole, as it holds no entry past the
-    guarded columns (`_mat.head_cols`)."""
+    the guard is negative.  Each cut is read whole, as it holds no entry
+    past the guarded columns; cuts stored alike give exactly 0.0 with no
+    subtraction."""
     a._same_space(b)
     guard = min(a.guard, b.guard)
-    m = len(a.space.cols_upto(guard))
-    x, y = _mat.head_cols(a.cols(guard), m), _mat.head_cols(b.cols(guard), m)
+    a.space.cols_upto(guard)  # raises on a negative guard
+    x, y = a.cols(guard), b.cols(guard)
     if _mat.same(x, y):
         return 0.0
     return _mat.norm2(_mat.sub(x, y))
@@ -377,8 +378,8 @@ def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
 def guarded_norm(a: OperatorMatrix) -> float:
     """Operator norm restricted to the guarded columns, read off the cut at
     the guard; ShallowTruncationError when the guard is negative."""
-    m = len(a.space.cols_upto(a.guard))
-    return _mat.norm2(_mat.head_cols(a.cols(a.guard), m))
+    a.space.cols_upto(a.guard)  # raises on a negative guard
+    return _mat.norm2(a.cols(a.guard))
 
 
 def offdiagonal_mass(a: OperatorMatrix) -> float:
@@ -534,9 +535,8 @@ def _side_pattern(space: TruncatedFock, v: VertexId, left: bool, part: str, cut:
         t, s = whole.src // dv > 0, whole.src % dv > 0
         keep = np.array(_PARTS[part])[np.where(s, np.where(t, 2, 3), t.astype(np.intp))]
         keep &= space.lengths[whole.indices] <= cut
-        kept = np.zeros(len(keep) + 1, dtype=np.intp)
-        np.cumsum(keep, out=kept[1:])
-        pattern = _SidePattern(kept[whole.indptr], whole.indices[keep], whole.src[keep])
+        # the entries' source indices ride in a matrix's data slot
+        pattern = _SidePattern(*_mat.subset(_mat.CSR(*whole, (space.dim, space.dim)), keep)[:3])
     for arr in pattern:
         arr.flags.writeable = False
     space._plans[key] = pattern
@@ -557,8 +557,8 @@ def _side_op(
 
     A cut is one gather from the compiled pattern of its part and cut
     (_side_pattern): the values are read as m.ravel()[src], and one mask
-    drops the zero entries.  The pattern's CSR row pointer is recounted
-    only when an entry was dropped; nothing is sorted.
+    drops the zero entries (`_mat.subset`), which recounts the pattern's
+    row pointer only when an entry was dropped; nothing is sorted.
 
     Only creation can leave the truncation, so it alone costs a guard level:
     (guard, up, down) is (N-1, 1, 1) for the whole operator, (N-1, 1, 0) for
@@ -575,13 +575,8 @@ def _side_op(
     def evaluate(k: int):
         pattern = _side_pattern(space, v, left, part, k)
         data = m[pattern.src]
-        nonzero = data != 0.0
-        if nonzero.all():
-            indptr, indices = pattern.indptr, pattern.indices
-        else:
-            indptr = np.concatenate(([0], np.cumsum(nonzero)))[pattern.indptr]
-            indices, data = pattern.indices[nonzero], data[nonzero]
-        return _mat.from_csr(indptr, indices, data, space.dim)
+        whole = _mat.CSR(pattern.indptr, pattern.indices, data, (space.dim, space.dim))
+        return _mat.subset(whole, data != 0.0)
 
     guard = space.n - 1 if keep_create else space.n
     return OperatorMatrix._lazy(space, evaluate, (), guard, int(keep_create), int(keep_annih))
@@ -609,16 +604,17 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
     The words starting with w are the up-set of w in the right weak order,
     read off the covers that the ball enumeration records (CoxeterGroup.
     up_set), so no word of the space is tested against w.  The 0/1 diagonal
-    is built once per (space, canonical word) and cached, read-only, in
-    space._plans under ("q", letters); every call returns a new matrix made
-    from it, so writing into one leaves the cache intact.
+    is built once per (space, canonical word) and its matrix cached, its
+    arrays read-only, in space._plans under ("q", letters); every call
+    returns a matrix with its own copy of the values, so writing into one
+    leaves the cache intact.
     """
     letters = space.group.reduce_tuple(w)
     if len(letters) > space.n:
         raise ShallowTruncationError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
     key = ("q", letters)
-    dvals = space._plans.get(key)
-    if dvals is None:
+    q = space._plans.get(key)
+    if q is None:
         dvals = np.zeros(space.dim)
         for word in space.group.up_set(letters, space.n):
             span = space._spans.get(word)
@@ -627,9 +623,11 @@ def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
             if span is not None and word != ():
                 off, count = span
                 dvals[off: off + count] = 1.0
-        dvals.flags.writeable = False
-        space._plans[key] = dvals
-    return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
+        q = _mat.diag(dvals)
+        for arr in q[:3]:
+            arr.flags.writeable = False
+        space._plans[key] = q
+    return OperatorMatrix(space, q._replace(data=q.data.copy()), space.n, 0, 0)
 
 
 def word_projection(space: TruncatedFock, w) -> OperatorMatrix:
@@ -674,13 +672,10 @@ def gauge_unitary(space: TruncatedFock, z: Mapping[VertexId, complex]) -> Operat
 
 def expectation_diag(x: OperatorMatrix) -> OperatorMatrix:
     """Block-diagonal compression onto the word components (sum p_w x p_w)."""
-    space = x.space
-    rows, cols, data = _mat.coo_parts(x.mat)
-    wid = space.word_ids
-    if len(data):
-        mask = wid[rows] == wid[cols]
-        rows, cols, data = rows[mask], cols[mask], data[mask]
-    return OperatorMatrix(space, _mat.from_coo(rows, cols, data, space.dim), x.guard, 0, 0)
+    a = x.mat
+    rows, cols, _ = _mat.coo_parts(a)
+    wid = x.space.word_ids
+    return OperatorMatrix(x.space, _mat.subset(a, wid[rows] == wid[cols]), x.guard, 0, 0)
 
 
 def gauge_average(x: OperatorMatrix, m: int) -> OperatorMatrix:
@@ -700,10 +695,10 @@ def gauge_average(x: OperatorMatrix, m: int) -> OperatorMatrix:
     # letter counts per word block, read per column through word_ids
     counts = np.array([[w.count(v) for v in verts] for w in space._spans], dtype=np.int64)
     counts = counts.reshape(len(space._spans), len(verts))[space.word_ids]
-    rows, cols, data = _mat.coo_parts(x.mat)
+    a = x.mat
+    rows, cols, _ = _mat.coo_parts(a)
     keep = np.all((counts[rows] - counts[cols]) % m == 0, axis=1)
-    mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
-    return OperatorMatrix(space, mat, x.guard, x.up, x.down)
+    return OperatorMatrix(space, _mat.subset(a, keep), x.guard, x.up, x.down)
 
 
 # -- subgraph expectation ------------------------------------------------------

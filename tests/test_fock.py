@@ -42,6 +42,7 @@ from util import (
     K2,
     K3,
     PATH3,
+    assert_canonical,
     c2_site,
     m2_site,
     naive_annihilation,
@@ -297,11 +298,11 @@ def test_expectation_subgraph_idempotent(mixed_path3):
 
 def test_vacuum_eval_examples(mixed_free3):
     space = mixed_free3.space(3)
-    assert identity_op(space).entry(0, 0) == 1.0
+    assert _mat.to_dense(identity_op(space).mat)[0, 0] == 1.0
     rng = np.random.default_rng(29)
     x = naive_reduced_operator(space, (0, 1), [mixed_free3.sites[0].random_element(rng), mixed_free3.sites[1].random_element(rng)])
-    assert abs(x.entry(0, 0)) < 1e-14
-    assert abs(diagonal(space, 0, mixed_free3.sites[0].random_element(rng)).entry(0, 0)) < 1e-14
+    assert abs(_mat.to_dense(x.mat)[0, 0]) < 1e-14
+    assert abs(_mat.to_dense(diagonal(space, 0, mixed_free3.sites[0].random_element(rng)).mat)[0, 0]) < 1e-14
 
 
 def test_tail_profile_examples(mixed_free3):
@@ -426,7 +427,6 @@ def test_operator_norm_matches_dense_svd_oracle():
     and direct sums of 1x1, kx1, 1xk and kxk blocks."""
     site = m2_site()
     space = TruncatedFock(FREE3, {v: site.rep for v in FREE3.vertices}, 3)
-    assert space.dim >= 256  # sparse path
     rng = np.random.default_rng(43)
     x = lambda_op(space, 0, site.random_element(rng, center=False))
     y = lambda_op(space, 1, site.random_element(rng, center=False))
@@ -446,13 +446,12 @@ def test_operator_norm_matches_dense_svd_oracle():
                   for k in (2, 3, 5) for shape in [(1, 1), (k, 1), (1, k), (k, k)] for _ in range(2)]
         inputs.append(_shuffled_csr(_block_diag(blocks), rng))
     for m in inputs:
-        assert isinstance(m, _mat.CSR)
         want = naive_norm2(m)
         assert abs(_mat.norm2(m) - want) <= 1e-12 * want
 
 
 def test_operator_norm_reads_tiny_diagonals_above_tolerance():
-    """Sparse diagonals of dim >= 256 whose top singular value sits just
+    """Diagonals of dim 256 to 1023 whose top singular value sits just
     above the 1e-9 identity tolerance all read above it: a norm that reads
     low would let such a deviation pass."""
     rng = np.random.default_rng(71)
@@ -462,7 +461,6 @@ def test_operator_norm_reads_tiny_diagonals_above_tolerance():
         mag = top * rng.uniform(0.95, 1.0, n) * (rng.random(n) < 0.5)
         mag[rng.integers(n)] = top
         m = _mat.diag(mag * np.exp(2j * np.pi * rng.random(n)))
-        assert isinstance(m, _mat.CSR)
         assert _mat.norm2(m) > 1e-9
 
 
@@ -493,15 +491,15 @@ def test_traciality_probe_directions():
 
 
 def _oracle_space(mixed_path3, path):
-    """A depth-3 space below DENSE_CUTOFF (mixed PATH3, dim 34) or above it
-    (M2 on FREE3, dim 388), with its system."""
+    """A small depth-3 space (mixed PATH3, dim 34) for the id "dense", or a
+    large one (M2 on FREE3, dim 388) for "csr", with its system.  The ids
+    are kept from when matrices of the small space were dense arrays; both
+    spaces now hold CSR matrices."""
     if path == "dense":
         sysm = mixed_path3
     else:
         sysm = GraphSystem(FREE3, {0: m2_site(), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: m2_site()})
-    space = sysm.space(3)
-    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
-    return sysm, space
+    return sysm, sysm.space(3)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -518,7 +516,6 @@ def test_parts_match_triple_product_oracle(mixed_path3, path):
             for fast, naive in pairs:
                 got, want = fast(space, v, a), naive(space, v, a)
                 assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-                assert isinstance(got.mat, _mat.CSR) == isinstance(want.mat, _mat.CSR)
                 assert np.array_equal(got.toarray(), want.toarray())
 
 
@@ -620,16 +617,16 @@ def test_vacuum_moments_factor_freely(mixed_free3):
         x = site.random_element(rng, center=False)
         y = site.random_element(rng, center=False)
         lx, ly = lambda_op(space, v, x), lambda_op(space, v, y)
-        assert abs((lx @ ly).entry(0, 0) - site.omega(x @ y)) < 1e-12
+        assert abs(_mat.to_dense((lx @ ly).mat)[0, 0] - site.omega(x @ y)) < 1e-12
         for u in FREE3.vertices:
             if u == v:
                 continue
             a = mixed_free3.sites[u].random_element(rng)  # centered
             b = site.random_element(rng)
             la, lb = lambda_op(space, u, a), lambda_op(space, v, b)
-            assert abs((la @ lb).entry(0, 0)) < 1e-12
+            assert abs(_mat.to_dense((la @ lb).mat)[0, 0]) < 1e-12
             # alternating centered words of length 3 also vanish
-            assert abs((la @ lb @ la).entry(0, 0)) < 1e-12
+            assert abs(_mat.to_dense((la @ lb @ la).mat)[0, 0]) < 1e-12
 
 
 def test_expectation_subgraph_module_property(mixed_path3):
@@ -681,7 +678,6 @@ def test_expectation_gram_matches_full_product_oracle(mixed_path3, path):
         x = _random_truncated_operator(sysm, space, rng)
         got, want = expectation_gram(x), naive_expectation_gram(x)
         assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-        assert isinstance(got.mat, _mat.CSR) == isinstance(want.mat, _mat.CSR)
         w = want.toarray()
         assert np.max(np.abs(got.toarray() - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
 
@@ -704,8 +700,8 @@ def test_vacuum_vectors_match_reduced_operator_oracle(mixed_path3, path):
         dx = x.toarray()
         assert np.max(np.abs(x_row - dx[0])) < 1e-13
         assert np.max(np.abs(x_col - dx[:, 0])) < 1e-13
-        assert abs(x_row @ y_col - (x @ y).entry(0, 0)) < 1e-13
-        assert abs(y_row @ x_col - (y @ x).entry(0, 0)) < 1e-13
+        assert abs(x_row @ y_col - _mat.to_dense((x @ y).mat)[0, 0]) < 1e-13
+        assert abs(y_row @ x_col - _mat.to_dense((y @ x).mat)[0, 0]) < 1e-13
     with pytest.raises(ValueError):
         vacuum_vectors(space, (0, 1), ax[:1])
 
@@ -722,7 +718,7 @@ def test_unit_blocks_skip_lapack(lapack_calls):
     last = list(space._spans)[-1]
     exx = expectation_gram(xs[0])
     off, _ = space._spans[last]
-    bad = exx - (exx.entry(off, off).real + 1e-3) * word_projection(space, last)
+    bad = exx - (_mat.to_dense(exx.mat)[off, off].real + 1e-3) * word_projection(space, last)
     want_eig = [naive_expectation_min_eig(x) for x in xs + [bad]]
     want_tail = []
     for x in xs:
@@ -894,9 +890,7 @@ def test_side_op_matches_list_plan_oracle(mixed_path3, path):
                     got = _side_op(space, v, a, left, part)
                     want = naive_side_op(space, v, a, left, part)
                     assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-                    assert isinstance(got.mat, _mat.CSR) == isinstance(want.mat, _mat.CSR)
-                    if isinstance(got.mat, _mat.CSR):  # no explicit zeros stored
-                        assert len(got.mat.data) == len(want.mat.data)
+                    assert len(got.mat.data) == len(want.mat.data)  # no explicit zeros stored
                     assert np.array_equal(got.toarray(), want.toarray())
 
 
@@ -949,10 +943,7 @@ def test_q_projection_cache_counts(mixed_path3, path, monkeypatch, fresh_group):
     assert sort[0] == 0
 
     want = naive_q_projection(space, w).toarray()
-    if isinstance(first.mat, _mat.CSR):
-        first.mat.data[:] = 5.0
-    else:
-        first.mat[:] = 5.0
+    first.mat.data[:] = 5.0
     assert np.array_equal(q_projection(space, w).toarray(), want)
 
 
@@ -991,23 +982,21 @@ def _exact_zero_elements(site) -> list:
 
 
 def _bits(mat) -> tuple:
-    """A matrix as bytes, signed zeros included, CSR arrays with their dtypes."""
-    if isinstance(mat, _mat.CSR):
-        return tuple((a.dtype.str, a.tobytes()) for a in mat[:3]) + (mat.shape,)
-    return (mat.dtype.str, mat.shape, mat.tobytes())
+    """A matrix's three arrays as bytes with their dtypes, signed zeros
+    included, and its shape."""
+    return tuple((a.dtype.str, a.tobytes()) for a in mat[:3]) + (mat.shape,)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_side_op_exact_zeros_bit_equal_to_oracle(mixed_path3, path):
     """lambda and rho, whole and each part, of elements whose GNS matrix has
-    exact zeros are bit-equal to the entry-by-entry oracle, and a CSR result
-    stores no zero."""
+    exact zeros are bit-equal to the entry-by-entry oracle, and stores no
+    zero."""
     if path == "dense":
         sysm = GraphSystem(PATH3, {0: site_from_hecke(2.0), 1: c2_site(0.3), 2: m2_site()})
         space = sysm.space(3)
     else:
         sysm, space = _oracle_space(mixed_path3, path)
-    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
     with_zero_m00 = 0
     for v in space.graph.vertices:
         for a in _exact_zero_elements(sysm.sites[v]):
@@ -1018,8 +1007,7 @@ def test_side_op_exact_zeros_bit_equal_to_oracle(mixed_path3, path):
                     want = naive_side_op(space, v, a, left, part)
                     assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
                     assert _bits(got.mat) == _bits(want.mat)
-                    if isinstance(got.mat, _mat.CSR):
-                        assert np.all(got.mat.data != 0)
+                    assert np.all(got.mat.data != 0)
     assert with_zero_m00 > 0
 
 
@@ -1155,15 +1143,14 @@ def test_word_maps_match_per_vector_oracles(mixed_path3, path):
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_tensor_pairs_match_per_vector_oracle(path):
     """The pair table of a join, compiled per word block, equals the
-    per-vector one, and the split check passes on it, for a join space below
-    DENSE_CUTOFF (Hecke and M2 on PATH3 = {1} * {0, 2}, dim 34 at depth 3)
-    and above it (M2 on PATH3, dim 478 at depth 4)."""
+    per-vector one, and the split check passes on it, for a small join space
+    (Hecke and M2 on PATH3 = {1} * {0, 2}, dim 34 at depth 3) and a large
+    one (M2 on PATH3, dim 478 at depth 4)."""
     if path == "dense":
         sysm, n = GraphSystem(PATH3, {0: site_from_hecke(1.0), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: site_from_hecke(2.0)}), 3
     else:
         sysm, n = GraphSystem(PATH3, {v: m2_site() for v in PATH3.vertices}), 4
     space = sysm.space(n)
-    assert (space.dim >= _mat.DENSE_CUTOFF) == (path == "csr")
     f1, f2 = space.subspace(PATH3.induced([1])), space.subspace(PATH3.induced([0, 2]))
     got = fock._tensor_pairs(space, f1, f2)
     assert np.array_equal(got, naive_tensor_pairs(space, f1, f2))
@@ -1269,7 +1256,9 @@ def _outside_band(space, mat, up: int, down: int) -> int:
 def test_cuts_equal_the_matrix_on_their_columns(mixed_path3, path):
     """cols(k), evaluated from nothing memoized or read off the whole
     matrix, equals .mat bit for bit on the columns of length <= k, for every
-    k in 0..N, and neither stores an entry outside the (up, down) band."""
+    k in 0..N, and neither stores an entry outside the (up, down) band.
+    Every cut is in canonical CSR form, on which guarded_deviation's
+    stored-alike shortcut is exact."""
     sysm, space = _oracle_space(mixed_path3, path)
     n = space.n
     for seed in range(40):
@@ -1278,9 +1267,12 @@ def test_cuts_equal_the_matrix_on_their_columns(mixed_path3, path):
         for k in range(n + 1):
             idx = space.cols_upto(k)
             cut = _random_expression(sysm, space, seed, n).cols(k)
+            assert_canonical(cut)
             assert _columns_bits(cut, idx) == _columns_bits(full.mat, idx), (seed, k)
             assert _outside_band(space, cut, full.up, full.down) == 0
-            assert _columns_bits(full.cols(k), idx) == _columns_bits(full.mat, idx)
+            read_off = full.cols(k)
+            assert_canonical(read_off)
+            assert _columns_bits(read_off, idx) == _columns_bits(full.mat, idx)
 
 
 @pytest.mark.parametrize("fixture, depth", [
@@ -1314,10 +1306,10 @@ def test_guarded_columns_survive_a_depth_lift(fixture, depth):
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_guarded_cuts_need_no_reindex(mixed_path3, path):
-    """What lets a guarded CSR cut be read whole: the guarded columns of
-    every guard k are the first ones, cols_upto(k) == arange(m), and a CSR
-    cut at k, evaluated from nothing memoized, stores no entry, not even a
-    zero, in a column of word length > k."""
+    """What lets a guarded cut be read whole: the guarded columns of every
+    guard k are the first ones, cols_upto(k) == arange(m), and a cut at k,
+    evaluated from nothing memoized, stores no entry, not even a zero, in a
+    column of word length > k."""
     sysm, space = _oracle_space(mixed_path3, path)
     n = space.n
     for k in range(n + 1):
@@ -1326,10 +1318,7 @@ def test_guarded_cuts_need_no_reindex(mixed_path3, path):
     for seed in range(40):
         for k in range(n + 1):
             cut = _random_expression(sysm, space, seed, n).cols(k)
-            if isinstance(cut, _mat.CSR):
-                assert np.all(space.lengths[cut.indices] <= k), (seed, k)
-            else:
-                assert path == "dense"
+            assert np.all(space.lengths[cut.indices] <= k), (seed, k)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])

@@ -1,8 +1,11 @@
-"""The matrix helpers of gplab._mat, CSR and dense, against dense oracles.
+"""The matrix helpers of gplab._mat against dense oracles, and the lean
+CSR kernels bit for bit against the builder and product they replace.
 
 Entries are drawn from a few dyadic values, so every sum and product the
 helpers form is exact and results can be compared entry for entry.  Random
-coordinate lists repeat coordinates, hold explicit zeros and cancel.
+coordinate lists repeat coordinates, hold explicit zeros and cancel; some
+are drawn already in CSR order, and some have whole coordinates cancel to
+an exact 0.
 """
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ from hypothesis import strategies as st
 
 from gplab import _mat
 from util import (
+    assert_canonical,
     naive_components,
+    naive_csr,
+    naive_csr_mul,
     naive_from_coo,
     naive_gram_blocks,
     naive_hermitian_min_eig,
@@ -24,86 +30,147 @@ MAX_DIM = 6
 
 
 @st.composite
-def coo(draw, nr=None, nc=None):
-    """(rows, cols, data, shape) with nr x nc drawn unless given."""
+def coo(draw, nr=None, nc=None, form=None):
+    """(rows, cols, data, shape) with nr x nc drawn unless given.  The form,
+    drawn unless given: "any" coordinates in any order, "sorted" distinct
+    coordinates in CSR order, "cancel" with every entry at some coordinates
+    repeated negated, so that those sum to an exact 0, "row_monomial" at
+    most one entry per row, or "empty" none."""
     nr = draw(st.integers(0, MAX_DIM)) if nr is None else nr
     nc = draw(st.integers(0, MAX_DIM)) if nc is None else nc
-    n = draw(st.integers(0, 3 * nr * nc)) if nr and nc else 0
+    form = draw(st.sampled_from(["any", "sorted", "cancel", "row_monomial", "empty"])) if form is None else form
+    n = draw(st.integers(0, 3 * nr * nc)) if nr and nc and form != "empty" else 0
     rows = draw(st.lists(st.integers(0, max(nr - 1, 0)), min_size=n, max_size=n))
     cols = draw(st.lists(st.integers(0, max(nc - 1, 0)), min_size=n, max_size=n))
     data = draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n))
+    if form in ("sorted", "row_monomial"):
+        # the first entry drawn at each coordinate (each row), in CSR order
+        first = {}
+        for r, c, d in zip(rows, cols, data):
+            first.setdefault((r, c) if form == "sorted" else r, (r, c, d))
+        rows, cols, data = (list(x) for x in zip(*sorted(first.values()))) if first else ([], [], [])
+    elif form == "cancel" and n:
+        gone = set(draw(st.lists(st.sampled_from(sorted(set(zip(rows, cols)))), max_size=n)))
+        back = [(r, c, -d) for r, c, d in zip(rows, cols, data) if (r, c) in gone]
+        back = [back[i] for i in draw(st.permutations(range(len(back))))]
+        rows, cols, data = rows + [b[0] for b in back], cols + [b[1] for b in back], data + [b[2] for b in back]
     return rows, cols, data, (nr, nc)
 
 
 def _kinds(rows, cols, data, shape):
-    """The same matrix as a dense array and as a CSR value."""
+    """The same matrix as a dense oracle array and as a CSR value."""
     return naive_from_coo(rows, cols, data, shape), _mat._csr(rows, cols, data, shape)
 
 
-def _assert_canonical(m):
-    """Row pointers, sorted distinct columns per row, no stored zeros."""
-    assert isinstance(m, _mat.CSR)
-    nr, nc = m.shape
-    assert len(m.indptr) == nr + 1 and m.indptr[0] == 0 and m.indptr[-1] == len(m.indices) == len(m.data)
-    assert np.all(np.diff(m.indptr) >= 0)
-    assert np.all((m.indices >= 0) & (m.indices < max(nc, 1)))
-    for i in range(nr):
-        assert np.all(np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0)
-    assert np.all(m.data != 0)
-
-
 def _dense(m) -> np.ndarray:
-    if isinstance(m, _mat.CSR):
-        _assert_canonical(m)
+    assert_canonical(m)
     return _mat.to_dense(m)
+
+
+def _bits(m: _mat.CSR) -> tuple:
+    """A CSR value's three arrays as bytes with their dtypes, and its shape."""
+    return tuple((a.dtype.str, a.tobytes()) for a in m[:3]) + (m.shape,)
 
 
 @settings(deadline=None)
 @given(coo())
 def test_csr_from_coo_sums_duplicates_and_drops_zeros(t):
+    """_csr equals the dense oracle, and is bit-equal to the builder that
+    sorts and sums whatever its input."""
     want, got = _kinds(*t)
     assert np.array_equal(_dense(got), want)
+    assert _bits(got) == _bits(naive_csr(*t))
     rows, cols, data = _mat.coo_parts(got)
     assert np.array_equal(naive_from_coo(rows, cols, data, t[3]), want)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.data())
-def test_from_coo_picks_kind_by_dimension(data):
-    dim = data.draw(st.sampled_from([_mat.DENSE_CUTOFF - 1, _mat.DENSE_CUTOFF]))
-    rows, cols, vals, _ = data.draw(coo(MAX_DIM, MAX_DIM))
-    rows = [r * (dim // MAX_DIM) for r in rows]  # spread over the whole dimension
-    got = _mat.from_coo(rows, cols, vals, dim)
-    assert isinstance(got, _mat.CSR) == (dim >= _mat.DENSE_CUTOFF)
-    assert np.array_equal(_dense(got), naive_from_coo(rows, cols, vals, (dim, dim)))
+@pytest.mark.parametrize("dim", [0, 1, 3, 300])
+def test_builders_return_canonical_csr(dim):
+    """Every helper that returns a matrix returns a CSR value in canonical
+    form, equal to its dense oracle, at every dimension.  The dyadic entries
+    make numpy's dense products exact, so they serve as the oracle here."""
+    rng = np.random.default_rng(dim)
+    vec = rng.choice(np.array(VALUES), dim)
+    n = 3 * dim
+    rows, cols, vals = rng.integers(0, max(dim, 1), n), rng.integers(0, max(dim, 1), n), rng.choice(np.array(VALUES), n)
+    a = _mat.from_coo(rows, cols, vals, dim)
+    da = naive_from_coo(rows, cols, vals, (dim, dim))
+    b = _mat.diag(vec)
+    db = np.diag(vec).astype(complex)
+    labels = rng.integers(0, 3, dim)
+    for got, want in (
+        (a, da),
+        (_mat.zeros(dim), np.zeros((dim, dim))),
+        (_mat.eye(dim), np.eye(dim)),
+        (b, db),
+        (_mat.mul(a, b), da @ db),
+        (_mat.mul(a, a), da @ da),
+        (_mat.add(a, b), da + db),
+        (_mat.sub(a, b), da - db),
+        (_mat.sub(a, a), np.zeros((dim, dim))),
+        (_mat.scale(a, -0.5j), da * -0.5j),
+        (_mat.adjoint(a), da.conj().T),
+        (_mat.cut(a, dim // 2), np.where(np.arange(dim) < dim // 2, da, 0)),
+        (_mat.gram_blocks(a, labels), np.where(labels[:, None] == labels, da.conj().T @ da, 0)),
+    ):
+        assert_canonical(got)
+        assert np.array_equal(_mat.to_dense(got), want)
 
 
-@pytest.mark.parametrize("dim", [0, 3, _mat.DENSE_CUTOFF - 1, _mat.DENSE_CUTOFF, _mat.DENSE_CUTOFF + 5])
+@pytest.mark.parametrize("dim", [0, 3, 255, 256, 261])
 def test_zeros_eye_diag(dim):
     rng = np.random.default_rng(dim)
     vec = rng.choice(np.array(VALUES), dim)
     for got, want in ((_mat.zeros(dim), np.zeros((dim, dim))), (_mat.eye(dim), np.eye(dim)), (_mat.diag(vec), np.diag(vec))):
-        assert isinstance(got, _mat.CSR) == (dim >= _mat.DENSE_CUTOFF)
-        assert (got.data if isinstance(got, _mat.CSR) else got).dtype == complex
         assert np.array_equal(_dense(got), want)
 
 
 def test_diag_copies_its_vector():
-    vec = np.ones(_mat.DENSE_CUTOFF, dtype=complex)
+    vec = np.ones(256, dtype=complex)
     m = _mat.diag(vec)
     m.data[:] = 5.0
     assert np.all(vec == 1.0)
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_mul(data):
+    """The product equals the dense triple sum, and is bit-equal to the
+    plain row merge, on empty operands, on a B with at most one entry per
+    row, on products whose terms cancel to an exact 0, and on 0 x n and
+    n x 0 shapes."""
     nr, k, nc = (data.draw(st.integers(0, MAX_DIM)) for _ in range(3))
     da, sa = _kinds(*data.draw(coo(nr, k)))
     db, sb = _kinds(*data.draw(coo(k, nc)))
-    want = naive_mul(da, db)
-    assert np.array_equal(_dense(_mat.mul(sa, sb)), want)
-    assert np.array_equal(_mat.mul(da, db), want)
+    got = _mat.mul(sa, sb)
+    assert np.array_equal(_dense(got), naive_mul(da, db))
+    assert _bits(got) == _bits(naive_csr_mul(sa, sb))
+
+
+@pytest.mark.parametrize("nr, k, nc", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (2, 3, 4)])
+def test_mul_edge_shapes(nr, k, nc):
+    """Products of all-ones and empty operands, 0 x n and n x 0 shapes
+    among them: the right shape, canonical, bit-equal to the plain row
+    merge; a product whose two terms cancel stores no 0."""
+
+    def ones(h, w):
+        return _mat._csr(np.repeat(np.arange(h), w), np.tile(np.arange(w), h), np.ones(h * w), (h, w))
+
+    def empty(h, w):
+        return _mat._csr([], [], [], (h, w))
+
+    for x, y in ((ones(nr, k), ones(k, nc)), (ones(nr, k), empty(k, nc)), (empty(nr, k), ones(k, nc))):
+        got = _mat.mul(x, y)
+        assert got.shape == (nr, nc)
+        assert_canonical(got)
+        assert np.array_equal(_mat.to_dense(got), naive_mul(_mat.to_dense(x), _mat.to_dense(y)))
+        assert _bits(got) == _bits(naive_csr_mul(x, y))
+    # [1, 1] @ [[1], [-1]] = 0 exactly
+    row = _mat._csr([0, 0], [0, 1], [1.0, 1.0], (1, 2))
+    col = _mat._csr([0, 1], [0, 0], [1.0, -1.0], (2, 1))
+    got = _mat.mul(row, col)
+    assert len(got.data) == 0 and got.shape == (1, 1)
+    assert _bits(got) == _bits(naive_csr_mul(row, col))
 
 
 @settings(deadline=None)
@@ -114,31 +181,25 @@ def test_add_sub_scale(data):
     s = data.draw(st.sampled_from(VALUES))
     da, sa = _kinds(*a)
     db, sb = _kinds(*b)
-    for got, dense_got, want in (
-        (_mat.add(sa, sb), _mat.add(da, db), da + db),
-        (_mat.sub(sa, sb), _mat.sub(da, db), da - db),
-        (_mat.sub(sa, sa), _mat.sub(da, da), np.zeros(a[3])),
-    ):
+    for got, want in ((_mat.add(sa, sb), da + db), (_mat.sub(sa, sb), da - db), (_mat.sub(sa, sa), np.zeros(a[3]))):
         assert np.array_equal(_dense(got), want)
-        assert np.array_equal(dense_got, want)
     scaled = _mat.scale(sa, s)
     assert np.array_equal(_mat.to_dense(scaled), da * s)
-    assert np.array_equal(_mat.scale(da, s), da * s)
 
 
 @settings(deadline=None)
 @given(coo())
 def test_adjoint_to_dense_entry_coo_parts(t):
+    """The adjoint, and every entry of to_dense and of coo_parts, against
+    the oracle."""
     da, sa = _kinds(*t)
     assert np.array_equal(_dense(_mat.adjoint(sa)), da.conj().T)
-    assert np.array_equal(_mat.adjoint(da), da.conj().T)
-    assert np.array_equal(_mat.to_dense(da), da)
-    for m in (da, sa):
-        for i in range(t[3][0]):
-            for j in range(t[3][1]):
-                assert _mat.entry(m, i, j) == da[i, j]
-        rows, cols, vals = _mat.coo_parts(m)
-        assert np.array_equal(naive_from_coo(rows, cols, vals, t[3]), da)
+    dense = _mat.to_dense(sa)
+    for i in range(t[3][0]):
+        for j in range(t[3][1]):
+            assert dense[i, j] == da[i, j]
+    rows, cols, vals = _mat.coo_parts(sa)
+    assert np.array_equal(naive_from_coo(rows, cols, vals, t[3]), da)
 
 
 @settings(deadline=None)
@@ -148,13 +209,14 @@ def test_diagonal_and_principal_parts(data):
     t = data.draw(coo(n, n))
     idx = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
     da, sa = _kinds(*t)
-    for m in (da, sa):
-        d = _mat.diagonal(m)
-        assert np.array_equal(d, np.diagonal(da))
-        d[:] = 7.0  # a new vector, not a view
-        assert np.array_equal(_mat.to_dense(m), da)
-        rows, cols, vals = _mat.principal_parts(m, np.array(idx, dtype=int))
-        assert np.array_equal(naive_from_coo(rows, cols, vals, (len(idx), len(idx))), da[np.ix_(idx, idx)])
+    d = _mat.diagonal(sa)
+    assert np.array_equal(d, np.diagonal(da))
+    d[:] = 7.0  # a new vector, not a view
+    assert np.array_equal(_mat.to_dense(sa), da)
+    # a leading block arange(m) too, which is read off the first rows
+    for sel in (idx, sorted(idx), list(range(len(idx)))):
+        rows, cols, vals = _mat.principal_parts(sa, np.array(sel, dtype=int))
+        assert np.array_equal(naive_from_coo(rows, cols, vals, (len(sel), len(sel))), da[np.ix_(sel, sel)])
 
 
 @settings(deadline=None)
@@ -165,9 +227,8 @@ def test_matvec_vecmat(data):
     u = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=nr, max_size=nr)), dtype=complex)
     v = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=nc, max_size=nc)), dtype=complex)
     da, sa = _kinds(*t)
-    for m in (da, sa):
-        assert np.array_equal(_mat.matvec(m, v), naive_mul(da, v[:, None])[:, 0])
-        assert np.array_equal(_mat.vecmat(u, m), naive_mul(u[None, :], da)[0])
+    assert np.array_equal(_mat.matvec(sa, v), naive_mul(da, v[:, None])[:, 0])
+    assert np.array_equal(_mat.vecmat(u, sa), naive_mul(u[None, :], da)[0])
 
 
 @settings(deadline=None)
@@ -177,18 +238,15 @@ def test_gram_blocks(data):
     nc = t[3][1]
     labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=nc, max_size=nc)))
     da, sa = _kinds(*t)
-    want = naive_gram_blocks(da, labels)
-    assert np.array_equal(_dense(_mat.gram_blocks(sa, labels)), want)
-    assert np.array_equal(_mat.gram_blocks(da, labels), want)
+    assert np.array_equal(_dense(_mat.gram_blocks(sa, labels)), naive_gram_blocks(da, labels))
 
 
 @settings(deadline=None)
 @given(coo())
 def test_norm2(t):
     da, sa = _kinds(*t)
-    want = naive_norm2(da)
-    for m in (da, sa):
-        assert abs(_mat.norm2(m) - want) <= 1e-12 * max(want, 1.0)
+    want = naive_norm2(sa)
+    assert abs(_mat.norm2(sa) - want) <= 1e-12 * max(want, 1.0)
 
 
 @settings(deadline=None)
@@ -203,9 +261,8 @@ def test_hermitian_min_eig(data):
         rows, cols, vals = rows + list(range(n)), cols + list(range(n)), vals + [shift] * n
     a = naive_from_coo(rows, cols, vals, (n, n))
     want = naive_hermitian_min_eig(a) if n else 0.0
-    for m in (a, _mat._csr(rows, cols, vals, (n, n))):
-        r, c, d = _mat.coo_parts(m)
-        assert abs(_mat.hermitian_min_eig(r, c, d, n) - want) <= 1e-12 * max(1.0, abs(want))
+    r, c, d = _mat.coo_parts(_mat._csr(rows, cols, vals, (n, n)))
+    assert abs(_mat.hermitian_min_eig(r, c, d, n) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_hermitian_min_eig_examples():
@@ -294,7 +351,7 @@ def _svd_calls(lapack_calls, fn, *args):
     return out, [shape for name, shape in lapack_calls if name == "svd"]
 
 
-@pytest.mark.parametrize("dim", [1, 5, _mat.DENSE_CUTOFF, 700])
+@pytest.mark.parametrize("dim", [1, 5, 256, 700])
 def test_monomial_norms_skip_lapack(dim, lapack_calls):
     """A matrix with at most one entry per row and per column, stored zeros
     included, has the norm of its largest entry and one 1x1 component per

@@ -1,7 +1,7 @@
 """Every public module-level function of gplab, and every public method of
-CoxeterGroup and of the vertex-algebra classes (FiniteDimAlgebra, Element,
-StateSpec, GnsRep), is reached from the package itself, not only from
-tests, or is one of the few named entry points below.
+CoxeterGroup, of the vertex-algebra classes (FiniteDimAlgebra, Element,
+StateSpec, GnsRep) and of OperatorMatrix, is reached from the package
+itself, not only from tests, or is one of the few named entry points below.
 
 The package sources are parsed, not imported.  A function counts as reached
 when some module of src/gplab names it outside its own definition: by its
@@ -19,12 +19,18 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gplab"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 # Public although the package never calls them: the annihilation part of
 # lambda_v and the word projection p_w are built only by callers outside it
-# (the tests, and the benchmark's trace of annihilation).
-ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}}
+# (the tests, and the benchmark's trace of annihilation); hecke_gns, the
+# Hecke vertex's GNS representation on a vertex of its own, is exported for
+# callers outside the package, while site_from_hecke builds it on the
+# site's own vertex.
+ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}, "algebras": {"hecke_gns"}}
 # The meet of the weak order (checked by acceptance criterion 1) and the
 # brute-force join oracle that pins join_tuple.
 GROUP_ENTRY_POINTS = {"meet_tuple", "join_via_ball"}
 VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep")
+# The dense bridge that the oracles read: tests compare operators as dense
+# arrays, and no reader in the package needs one.
+OPERATOR_ENTRY_POINTS = {"toarray"}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -107,3 +113,7 @@ def test_coxeter_group_methods_are_reached_from_the_package():
 @pytest.mark.parametrize("name", VERTEX_CLASSES)
 def test_vertex_algebra_methods_are_reached_from_the_package(name):
     _assert_unreached_are(_unreached_methods("algebras", name), set())
+
+
+def test_operator_matrix_methods_are_reached_from_the_package():
+    _assert_unreached_are(_unreached_methods("fock", "OperatorMatrix"), OPERATOR_ENTRY_POINTS)

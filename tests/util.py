@@ -394,6 +394,58 @@ def naive_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_csr(rows, cols, data, shape) -> _mat.CSR:
+    """CSR from coordinate triples with no shortcut, whatever the input: one
+    stable sort of every key, a sum over each run of equal keys and a mask
+    of the zeros.  _mat._csr, which skips work its input does not need,
+    must match it bit for bit."""
+    nr, nc = shape
+    rows = np.asarray(rows, dtype=np.intp)
+    key = rows * max(nc, 1) + np.asarray(cols, dtype=np.intp)
+    data = np.asarray(data, dtype=complex)
+    if len(key) > 1:
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], data[order]
+        head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        if len(head) < len(key):
+            key, data = key[head], np.add.reduceat(data, head)
+    keep = data != 0
+    key, data = key[keep], data[keep]
+    indptr = np.zeros(nr + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key // max(nc, 1), minlength=nr), out=indptr[1:])
+    return _mat.CSR(indptr, key % max(nc, 1), data, (nr, nc))
+
+
+def naive_csr_mul(a: _mat.CSR, b: _mat.CSR) -> _mat.CSR:
+    """Gustavson's row merge with no shortcut: every entry of A expanded
+    over the matching row of B, then naive_csr."""
+    counts = np.diff(b.indptr)[a.indices]
+    first = b.indptr[a.indices] - (np.cumsum(counts) - counts)
+    pos = np.arange(int(counts.sum())) + np.repeat(first, counts)
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return naive_csr(
+        np.repeat(rows, counts),
+        b.indices[pos],
+        np.repeat(a.data, counts) * b.data[pos],
+        (a.shape[0], b.shape[1]),
+    )
+
+
+def assert_canonical(m) -> None:
+    """m is a CSR value in canonical form: row pointers over its entries,
+    sorted distinct columns in range per row, complex data, no stored
+    zeros."""
+    assert isinstance(m, _mat.CSR)
+    nr, nc = m.shape
+    assert len(m.indptr) == nr + 1 and m.indptr[0] == 0 and m.indptr[-1] == len(m.indices) == len(m.data)
+    assert np.all(np.diff(m.indptr) >= 0)
+    assert np.all((m.indices >= 0) & (m.indices < max(nc, 1)))
+    for i in range(nr):
+        assert np.all(np.diff(m.indices[m.indptr[i]: m.indptr[i + 1]]) > 0)
+    assert m.data.dtype == complex
+    assert np.all(m.data != 0)
+
+
 def naive_gram_blocks(a: np.ndarray, labels) -> np.ndarray:
     """a* a with the entries between differently labelled columns zeroed."""
     g = naive_mul(a.conj().T, a)
@@ -418,9 +470,14 @@ def naive_reduced_operator(space, letters, elements) -> OperatorMatrix:
 # -- operator-norm oracle ----------------------------------------------------------
 
 
+def _densified(a) -> np.ndarray:
+    """A CSR value as a dense array; a dense array as it is."""
+    return a if isinstance(a, np.ndarray) else _mat.to_dense(a)
+
+
 def naive_norm2(a) -> float:
     """Largest singular value from one SVD of the whole matrix, densified."""
-    d = _mat.to_dense(a)
+    d = _densified(a)
     return float(np.linalg.svd(d, compute_uv=False).max()) if d.size else 0.0
 
 
@@ -467,7 +524,7 @@ def naive_components(a, square: bool) -> list[tuple[list[int], list[int]]]:
     """The (rows, columns) of each connected component of a's nonzero
     pattern, by union-find: over the index graph (row i and column i one
     node) when `square`, else over the row/column graph."""
-    rows, cols = np.nonzero(_mat.to_dense(a))
+    rows, cols = np.nonzero(_densified(a))
     col_side = "r" if square else "c"
     uf = UnionFind([("r", int(i)) for i in rows] + [(col_side, int(j)) for j in cols])
     for i, j in zip(rows, cols):
