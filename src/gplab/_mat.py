@@ -164,7 +164,8 @@ def sub(a: CSR, b: CSR) -> CSR:
 
 
 def scale(a: CSR, scalar: complex) -> CSR:
-    return CSR(a.indptr, a.indices, a.data * scalar, a.shape)
+    data = a.data * scalar
+    return subset(CSR(a.indptr, a.indices, data, a.shape), data != 0)
 
 
 def adjoint(a: CSR) -> CSR:
@@ -361,17 +362,10 @@ def norm2(a: CSR) -> float:
 
     The matrix is a direct sum of the blocks that the connected components
     of its row/column graph pick out, so its norm is the largest of its
-    `block_norms`, any stored zeros dropped first."""
+    `block_norms`."""
     if not len(a.data):
         return 0.0
-    rows, cols, data = coo_parts(a)
-    kept = np.count_nonzero(data)
-    if kept < len(data):
-        if not kept:
-            return 0.0
-        keep = data != 0
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-    return float(block_norms(rows, cols, data)[0].max())
+    return float(block_norms(*coo_parts(a))[0].max())
 
 
 def _distinct(labels: np.ndarray) -> bool:

@@ -11,7 +11,7 @@ import functools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -421,23 +421,26 @@ class SuiteReport:
         }
 
 
-def _na_when_too_shallow(*names: str):
-    """Decorate a check group so that, when the depth asked for is too
-    shallow for its operators (ShallowTruncationError: no guarded column, or
-    a Q_w longer than the depth), it reports each of its checks n/a with the
-    reason instead of a number."""
+class _Worst:
+    """The worst deviation of one check over its samples; n/a, with the
+    reason the latest gave, once a sample is too shallow for the depth
+    (ShallowTruncationError: no guarded column, or a Q_w longer than it)."""
 
-    def wrap(group):
-        @functools.wraps(group)
-        def run(*args, **kwargs):
-            try:
-                return group(*args, **kwargs)
-            except ShallowTruncationError as exc:
-                return [CheckRecord(name, "n/a", None, True, str(exc)) for name in names]
+    def __init__(self, name: str, tol: float):
+        self.name, self.tol, self.worst, self.reason = name, tol, 0.0, None
 
-        return run
+    def add(self, deviation: Callable[[], float]) -> bool:
+        """Fold in deviation(); whether the check is still not n/a."""
+        try:
+            self.worst = max(self.worst, deviation())
+        except ShallowTruncationError as exc:
+            self.reason = str(exc)
+        return self.reason is None
 
-    return wrap
+    def record(self, na_tol: Optional[float] = None) -> CheckRecord:
+        if self.reason is not None:
+            return CheckRecord(self.name, "n/a", na_tol, True, self.reason)
+        return CheckRecord(self.name, self.worst, self.tol, self.worst <= self.tol)
 
 
 def _pairs_by_case(graph: SimplicialGraph):
@@ -465,27 +468,18 @@ def main_identity_checks(
         if not pairs:
             records.append(CheckRecord(name, "n/a", tol, True, reason))
             return
-        worst = 0.0
-        try:
-            for _ in range(draws):
-                u, v = pairs[int(rng.integers(0, len(pairs)))]
-                worst = max(worst, builder(u, v))
-        except ShallowTruncationError as exc:
-            records.append(CheckRecord(name, "n/a", tol, True, str(exc)))
-            return
-        records.append(CheckRecord(name, worst, tol, worst <= tol))
-
-    def dev(a, b):
-        return fk.guarded_deviation(a, b)
-
-    def nrm(a):
-        return fk.guarded_norm(a)
+        check = _Worst(name, tol)
+        for _ in range(draws):
+            u, v = pairs[int(rng.integers(0, len(pairs)))]
+            if not check.add(lambda: builder(u, v)):
+                break
+        records.append(check.record(na_tol=tol))
 
     # (1) creation products
     run("creation.same_vertex_product_zero", same,
-        lambda u, v: nrm(fk.creation(space, u, rnd(u)) @ fk.creation(space, v, rnd(v))))
+        lambda u, v: fk.guarded_norm(fk.creation(space, u, rnd(u)) @ fk.creation(space, v, rnd(v))))
     run("creation.adjacent_commute", adj,
-        lambda u, v: (lambda a, b: dev(a @ b, b @ a))(
+        lambda u, v: (lambda a, b: fk.guarded_deviation(a @ b, b @ a))(
             fk.creation(space, u, rnd(u)), fk.creation(space, v, rnd(v))))
 
     # (2) diagonal against creation
@@ -494,13 +488,13 @@ def main_identity_checks(
         lhs = fk.creation(space, v, b) @ fk.diagonal(space, u, a)
         prod = sysm.centered(u, a @ b)  # omega(b) = 0 for centered draws
         rhs = fk.diagonal(space, u, a) @ fk.creation(space, v, b)
-        return max(nrm(lhs), dev(rhs, fk.creation(space, u, prod)))
+        return max(fk.guarded_norm(lhs), fk.guarded_deviation(rhs, fk.creation(space, u, prod)))
 
     run("diag_creation.same_vertex", same, d2_same)
     run("diag_creation.nonadjacent_zero", non,
-        lambda u, v: nrm(fk.diagonal(space, u, rnd(u)) @ fk.creation(space, v, rnd(v))))
+        lambda u, v: fk.guarded_norm(fk.diagonal(space, u, rnd(u)) @ fk.creation(space, v, rnd(v))))
     run("diag_creation.adjacent_commute", adj,
-        lambda u, v: (lambda d, c: dev(d @ c, c @ d))(
+        lambda u, v: (lambda d, c: fk.guarded_deviation(d @ c, c @ d))(
             fk.diagonal(space, u, rnd(u)), fk.creation(space, v, rnd(v))))
 
     # (3) annihilation against creation
@@ -509,7 +503,7 @@ def main_identity_checks(
         ca, cb = fk.creation(space, u, a), fk.creation(space, v, b)
         lhs1 = ca @ cb.adjoint()
         rhs1 = fk.diagonal(space, u, a @ b.star()) - fk.diagonal(space, u, a) @ fk.diagonal(space, u, b.star())
-        dev1 = dev(lhs1, rhs1)  # before Q_u, which needs depth >= 1
+        dev1 = fk.guarded_deviation(lhs1, rhs1)  # before Q_u, which needs depth >= 1
         st = sysm.sites[u].state
         coef = st.omega(a.star() @ b) - np.conj(st.omega(a)) * st.omega(b)
         if corrupt:
@@ -517,20 +511,21 @@ def main_identity_checks(
         qv = fk.q_projection(space, (u,))
         rhs2 = coef * (fk.identity_op(space) - qv)
         lhs2 = ca.adjoint() @ cb
-        return max(dev1, dev(lhs2, rhs2))
+        return max(dev1, fk.guarded_deviation(lhs2, rhs2))
 
     run("annih_creation.same_vertex", same, d3_same)
     run("annih_creation.nonadjacent_zero", non,
-        lambda u, v: nrm(fk.creation(space, u, rnd(u)).adjoint() @ fk.creation(space, v, rnd(v))))
+        lambda u, v: fk.guarded_norm(
+            fk.creation(space, u, rnd(u)).adjoint() @ fk.creation(space, v, rnd(v))))
     run("annih_creation.adjacent_commute", adj,
-        lambda u, v: (lambda x, y: dev(x.adjoint() @ y, y @ x.adjoint()))(
+        lambda u, v: (lambda x, y: fk.guarded_deviation(x.adjoint() @ y, y @ x.adjoint()))(
             fk.creation(space, u, rnd(u)), fk.creation(space, v, rnd(v))))
 
     # (4) diagonal products
     run("diag_diag.nonadjacent_zero", non,
-        lambda u, v: nrm(fk.diagonal(space, u, rnd(u)) @ fk.diagonal(space, v, rnd(v))))
+        lambda u, v: fk.guarded_norm(fk.diagonal(space, u, rnd(u)) @ fk.diagonal(space, v, rnd(v))))
     run("diag_diag.adjacent_commute", adj,
-        lambda u, v: (lambda x, y: dev(x @ y, y @ x))(
+        lambda u, v: (lambda x, y: fk.guarded_deviation(x @ y, y @ x))(
             fk.diagonal(space, u, rnd(u)), fk.diagonal(space, v, rnd(v))))
 
     # (5) word projections through creation; acting can lengthen the index
@@ -546,7 +541,7 @@ def main_identity_checks(
         rhs = cr @ lat.apply_symbolic(space, lat.act_on_q(group, u, w))
         lhs2 = fk.q_projection(space, w) @ cr.adjoint()
         rhs2 = cr.adjoint() @ lat.apply_symbolic(space, lat.act_on_q(group, u, w))
-        return max(dev(lhs, rhs), dev(lhs2, rhs2))
+        return max(fk.guarded_deviation(lhs, rhs), fk.guarded_deviation(lhs2, rhs2))
 
     # the action identity couples Q_e to the unital picture; restrict to
     # nontrivial w where both conventions agree
@@ -565,44 +560,25 @@ def expectation_checks(
     contractivity, positivity and the faithful kernel hold for any matrix,
     truncated or not, and report numbers at every depth."""
     space = sysm.space(depth)
-    worst_contr = worst_pos = worst_faith = 0.0
-    guarded = {"expectation.idempotent": 0.0, "expectation.gauge_average_match": 0.0}
-    shallow: dict[str, str] = {}
-
-    def deviation(name: str, lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> None:
-        try:
-            guarded[name] = max(guarded[name], fk.guarded_deviation(lhs, rhs))
-        except ShallowTruncationError as exc:
-            shallow[name] = str(exc)
-
+    idem = _Worst("expectation.idempotent", 1e-10)
+    contr = _Worst("expectation.contractive", 1e-10)
+    pos = _Worst("expectation.positive", 1e-10)
+    faith = _Worst("expectation.faithful_kernel", 1e-12)
+    gauge = _Worst("expectation.gauge_average_match", 1e-12)
     for _ in range(samples):
         x = _random_truncated_operator(sysm, space, rng)
         e = fk.expectation_diag(x)
-        deviation("expectation.idempotent", fk.expectation_diag(e), e)
+        idem.add(lambda: fk.guarded_deviation(fk.expectation_diag(e), e))
         exx = fk.expectation_gram(x)
         # sqrt||E(x*x)|| = max_w ||x p_w|| <= ||x||, so ||E(x)|| below it
         # certifies contractivity without the norm of the unstructured x
         nexx = exx.norm()
-        worst_contr = max(worst_contr, max(0.0, e.norm() - np.sqrt(nexx)))
-        lam_min = fk.expectation_min_eig(exx)
-        worst_pos = max(worst_pos, max(0.0, -lam_min))
+        contr.add(lambda: max(0.0, e.norm() - np.sqrt(nexx)))
+        pos.add(lambda: max(0.0, -fk.expectation_min_eig(exx)))
         fro = float(np.linalg.norm(_mat.coo_parts(x.mat)[2]))
-        if fro > 1e-8 and nexx <= 1e-12:
-            worst_faith = max(worst_faith, fro)
-        deviation("expectation.gauge_average_match", fk.gauge_average(x, 2 * depth + 1), e)
-
-    def record(name: str, worst: float, tol: float) -> CheckRecord:
-        if name in shallow:
-            return CheckRecord(name, "n/a", None, True, shallow[name])
-        return CheckRecord(name, worst, tol, worst <= tol)
-
-    return [
-        record("expectation.idempotent", guarded["expectation.idempotent"], 1e-10),
-        record("expectation.contractive", worst_contr, 1e-10),
-        record("expectation.positive", worst_pos, 1e-10),
-        record("expectation.faithful_kernel", worst_faith, 1e-12),
-        record("expectation.gauge_average_match", guarded["expectation.gauge_average_match"], 1e-12),
-    ]
+        faith.add(lambda: fro if fro > 1e-8 and nexx <= 1e-12 else 0.0)
+        gauge.add(lambda: fk.guarded_deviation(fk.gauge_average(x, 2 * depth + 1), e))
+    return [c.record() for c in (idem, contr, pos, faith, gauge)]
 
 
 def _random_truncated_operator(sysm: GraphSystem, space, rng) -> fk.OperatorMatrix:
@@ -621,7 +597,6 @@ def _random_truncated_operator(sysm: GraphSystem, space, rng) -> fk.OperatorMatr
     return functools.reduce(operator.matmul, mats)
 
 
-@_na_when_too_shallow("gauge.covariance_of_elementary_terms")
 def gauge_covariance_checks(
     sysm: GraphSystem, depth: int, rng: np.random.Generator, samples: int = 20
 ) -> list[CheckRecord]:
@@ -669,7 +644,6 @@ def _random_elementary_factors(
     return out
 
 
-@_na_when_too_shallow("signature.identity_terms_diagonal", "signature.nontrivial_terms_offdiagonal")
 def diagonality_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator, samples: int = 30) -> list[CheckRecord]:
     space = sysm.space(depth)
     worst_diag = 0.0
@@ -700,7 +674,6 @@ def _positivity_violation(lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> flo
     return max(0.0, -_mat.hermitian_min_eig(rows, cols, data, len(idx)))
 
 
-@_na_when_too_shallow("conjugation.qperp_dominated", "conjugation.shifted_dominated")
 def conjugation_positivity_checks(
     sysm: GraphSystem, depth: int, rng: np.random.Generator, samples: int = 15
 ) -> list[CheckRecord]:
@@ -732,7 +705,6 @@ def conjugation_positivity_checks(
     ]
 
 
-@_na_when_too_shallow("rewrite.certificate")
 def rewrite_certificate_checks(
     sysm: GraphSystem, depth: int, rng: np.random.Generator, samples: int, tol: float = 1e-9,
     max_len: int = 8, corrupt: bool = False,
@@ -750,7 +722,6 @@ def rewrite_certificate_checks(
     return [CheckRecord("rewrite.certificate", worst, tol, worst <= tol)]
 
 
-@_na_when_too_shallow("rho_lambda.commutation")
 def rho_lambda_commutation_checks(
     sysm: GraphSystem, depth: int, rng: np.random.Generator, samples: int = 20
 ) -> list[CheckRecord]:
@@ -767,7 +738,6 @@ def rho_lambda_commutation_checks(
     return [CheckRecord("rho_lambda.commutation", worst, 1e-9, worst <= 1e-9)]
 
 
-@_na_when_too_shallow("subgraph.expectation")
 def subgraph_expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
     records = []
     verts = sysm.graph.vertices
@@ -790,9 +760,6 @@ def subgraph_expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Ge
     return records
 
 
-@_na_when_too_shallow(
-    "ideal.vacuum_rank_one_tail_zero", "ideal.identity_tail_ones", "ideal.creation_tail_monotone_bounded"
-)
 def ideal_profile_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
     """Finite-rank elements have vanishing tails, the identity does not."""
     space = sysm.space(depth)
@@ -815,7 +782,6 @@ def ideal_profile_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator
     ]
 
 
-@_na_when_too_shallow("tensor.split")
 def tensor_split_checks(sysm: GraphSystem, depth: int) -> list[CheckRecord]:
     """When the graph is a nontrivial join, verify the split against the
     Kronecker picture; skipped with a reason otherwise."""
@@ -858,6 +824,59 @@ def traciality_probe_checks(sysm: GraphSystem, depth: int, seed: int) -> list[Ch
     return [CheckRecord("trace.vacuum_probe_detects_violation", worst, 1e-3, worst > 1e-3)]
 
 
+class SuiteRun(NamedTuple):
+    """What the groups of one suite run read; they draw from rng in table order."""
+
+    sysm: GraphSystem
+    depth: int
+    seed: int
+    rng: np.random.Generator
+    draws: int
+    rewrite_samples: int
+    tol: float
+
+
+class CheckGroup(NamedTuple):
+    """A row of SUITE.  run(suite_run, corrupt) returns the group's records,
+    with its fault injected when corrupt, which only a group that `faults`
+    heeds; its name is then a `fault_injection` value.  A group too shallow
+    for the depth (ShallowTruncationError) reports its `shallow` checks n/a;
+    one with none splits n/a per check itself."""
+
+    name: str
+    run: Callable[[SuiteRun, bool], list[CheckRecord]]
+    shallow: tuple[str, ...] = ()
+    faults: bool = False
+
+
+# Report order.  Each runner looks its group's function up in the module at
+# call time, so that rebinding the module attribute (a tracer) takes effect.
+SUITE = (
+    CheckGroup("identities", lambda r, c: main_identity_checks(
+        r.sysm, r.depth, r.rng, r.draws, r.tol, c), faults=True),
+    CheckGroup("expectation", lambda r, _: expectation_checks(r.sysm, r.depth, r.rng)),
+    CheckGroup("gauge", lambda r, _: gauge_covariance_checks(r.sysm, r.depth, r.rng),
+               ("gauge.covariance_of_elementary_terms",)),
+    CheckGroup("signature", lambda r, _: diagonality_checks(r.sysm, r.depth, r.rng),
+               ("signature.identity_terms_diagonal", "signature.nontrivial_terms_offdiagonal")),
+    CheckGroup("conjugation", lambda r, _: conjugation_positivity_checks(r.sysm, r.depth, r.rng),
+               ("conjugation.qperp_dominated", "conjugation.shifted_dominated")),
+    CheckGroup("rewrite", lambda r, c: rewrite_certificate_checks(
+        r.sysm, r.depth, r.rng, r.rewrite_samples, r.tol, corrupt=c), ("rewrite.certificate",), True),
+    CheckGroup("rho_lambda", lambda r, _: rho_lambda_commutation_checks(r.sysm, r.depth, r.rng),
+               ("rho_lambda.commutation",)),
+    CheckGroup("subgraph", lambda r, _: subgraph_expectation_checks(r.sysm, r.depth, r.rng),
+               ("subgraph.expectation",)),
+    CheckGroup("lattice", lambda r, _: lattice_checks(r.sysm, r.depth)),
+    CheckGroup("tensor", lambda r, _: tensor_split_checks(r.sysm, r.depth), ("tensor.split",)),
+    CheckGroup("ideal", lambda r, _: ideal_profile_checks(r.sysm, r.depth, r.rng),
+               ("ideal.vacuum_rank_one_tail_zero", "ideal.identity_tail_ones",
+                "ideal.creation_tail_monotone_bounded")),
+    CheckGroup("trace", lambda r, _: traciality_probe_checks(r.sysm, r.depth, r.seed)),
+)
+FAULTS = tuple(g.name for g in SUITE if g.faults)
+
+
 def identity_suite(
     sysm: GraphSystem,
     depth: int = 4,
@@ -865,44 +884,25 @@ def identity_suite(
     draws: int = 20,
     rewrite_samples: int = 40,
     corrupt: Optional[str] = None,
-    soft_seconds: float = 60.0,
     identity_tol: float = 1e-9,
 ) -> SuiteReport:
-    """Run every registered numerical property at its stated tolerance.
+    """Run the groups of SUITE in order, each check at its stated tolerance.
 
-    `corrupt` deliberately perturbs one rule ('rewrite' or 'identities') so a
-    harness self-test can confirm that failures are detected.  Check groups
-    exceeding the soft time limit are annotated, never silently dropped.
+    A group too shallow for the depth asked for reports its `shallow`
+    checks n/a with the reason.  `corrupt` names one group of FAULTS whose
+    fault is injected, so a harness self-test can confirm that failures are
+    detected.
     """
+    if corrupt is not None and corrupt not in FAULTS:
+        raise ValueError(f"no fault for {corrupt!r}; expected one of {FAULTS}")
     t0 = time.time()
-    rng = np.random.default_rng(seed)
-    groups = [
-        lambda: main_identity_checks(sysm, depth, rng, draws, tol=identity_tol, corrupt=(corrupt == "identities")),
-        lambda: expectation_checks(sysm, depth, rng),
-        lambda: gauge_covariance_checks(sysm, depth, rng),
-        lambda: diagonality_checks(sysm, depth, rng),
-        lambda: conjugation_positivity_checks(sysm, depth, rng),
-        lambda: rewrite_certificate_checks(sysm, depth, rng, rewrite_samples, tol=identity_tol, corrupt=(corrupt == "rewrite")),
-        lambda: rho_lambda_commutation_checks(sysm, depth, rng),
-        lambda: subgraph_expectation_checks(sysm, depth, rng),
-        lambda: lattice_checks(sysm, depth),
-        lambda: tensor_split_checks(sysm, depth),
-        lambda: ideal_profile_checks(sysm, depth, rng),
-        lambda: traciality_probe_checks(sysm, depth, seed),
-    ]
+    run = SuiteRun(sysm, depth, seed, np.random.default_rng(seed), draws, rewrite_samples, identity_tol)
     checks: list[CheckRecord] = []
-    for run_group in groups:
-        g0 = time.time()
-        batch = run_group()
-        seconds = time.time() - g0
-        checks += batch
-        if seconds > soft_seconds and batch:
-            checks.append(
-                CheckRecord(
-                    "timing.soft_limit_exceeded",
-                    f"{batch[0].name} group took {seconds:.1f}s > {soft_seconds}s",
-                    None,
-                    True,
-                )
-            )
+    for group in SUITE:
+        try:
+            checks += group.run(run, corrupt == group.name)
+        except ShallowTruncationError as exc:
+            if not group.shallow:
+                raise
+            checks += [CheckRecord(name, "n/a", None, True, str(exc)) for name in group.shallow]
     return SuiteReport(checks, seed, time.time() - t0)

@@ -133,7 +133,6 @@ def execute(cmd: str, cfg: ProblemConfig, depth: int, seed: int, strict: bool, c
             depth=depth,
             seed=seed,
             corrupt=cfg.fault_injection,
-            soft_seconds=float(cfg.caps["check_seconds"]),
             identity_tol=float(cfg.tolerances["identity"]),
         )
         results["identities"] = suite.to_json()

@@ -16,6 +16,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .algebras import Element, FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
+from .analysis import FAULTS
 from .errors import ConfigError
 from .graphs import SimplicialGraph, VertexId
 from .lattice import DEFAULT_WITNESS_RADIUS
@@ -26,7 +27,6 @@ SCHEMA_VERSION = 1
 
 DEFAULT_CAPS = {
     "fock_dim": 20000,
-    "check_seconds": 60,
 }
 
 DEFAULT_TOLERANCES = {
@@ -235,8 +235,8 @@ def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
         _positive_number(value, f"tolerances.{key}")
 
     fault = raw.get("fault_injection")
-    if fault is not None and fault not in ("rewrite", "identities"):
-        _fail("fault_injection", "expected 'rewrite' or 'identities'")
+    if fault is not None and fault not in FAULTS:
+        _fail("fault_injection", f"expected one of {list(FAULTS)}")
 
     system = GraphSystem(graph, sites, dim_cap=int(caps["fock_dim"]))
     topofree = _parse_topofree(raw, vnames, system.group)

@@ -24,6 +24,7 @@ from .fock import (
     identity_op,
     lambda_op,
     q_projection,
+    zero_op,
 )
 from .graphs import VertexId
 from .system import GraphSystem
@@ -303,7 +304,5 @@ def terms_matrix(terms: Terms, space: TruncatedFock) -> OperatorMatrix:
         m = term_matrix(t, space, coeff)
         out = m if out is None else out + m
     if out is None:
-        from .fock import zero_op
-
         return zero_op(space)
     return out

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _mat
-from .fock import TruncatedFock, identity_op, q_projection
+from .fock import TruncatedFock, identity_op, q_projection, zero_op
 from .graphs import VertexId, Walk
 from .words import CoxeterGroup, Letters
 
@@ -91,7 +91,7 @@ def apply_symbolic(space: TruncatedFock, sym: QSymbolic):
         m = base * complex(coef)
         out = m if out is None else out + m
     if out is None:
-        return 0.0 * identity_op(space)
+        return zero_op(space)
     return out
 
 

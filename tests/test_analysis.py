@@ -155,16 +155,20 @@ def test_identity_suite_passes_on_mixed_system():
     assert blob["passed"] and blob["seed"] == 5
 
 
-@pytest.mark.parametrize("fault", ["rewrite", "identities"])
+@pytest.mark.parametrize("fault", an.FAULTS)
 def test_identity_suite_detects_seeded_fault(fault):
     sysm = hecke_system(FREE3, 2.0)
     report = identity_suite(sysm, depth=3, seed=1, draws=6, rewrite_samples=6, corrupt=fault)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
-    if fault == "rewrite":
-        assert "rewrite.certificate" in failed
-    else:
-        assert "annih_creation.same_vertex" in failed
+    assert failed == {"rewrite": {"rewrite.certificate"}, "identities": {"annih_creation.same_vertex"}}[fault]
+
+
+def test_identity_suite_rejects_a_fault_no_group_takes():
+    sysm = hecke_system(FREE3, 2.0)
+    for fault in ("expectation", "nonsense"):
+        with pytest.raises(ValueError, match="no fault"):
+            identity_suite(sysm, depth=3, corrupt=fault)
 
 
 def test_identity_suite_deterministic():
@@ -174,6 +178,26 @@ def test_identity_suite_deterministic():
     v1 = [(c.name, c.value) for c in r1.checks]
     v2 = [(c.name, c.value) for c in r2.checks]
     assert v1 == v2
+
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
+def test_suite_table_names_what_each_group_reports(monkeypatch, fixture):
+    """Each SUITE row with n/a names reports exactly those checks, in table
+    order: all n/a at depth 0, where no operator has a guarded column, and
+    the same names at the fixture's own truncation."""
+    cfg = load_config(fixture)
+    rows = [g for g in an.SUITE if g.shallow]
+    assert rows
+    for group in rows:
+        monkeypatch.setattr(an, "SUITE", (group,))
+        for depth in (0, cfg.truncation):
+            checks = identity_suite(cfg.system, depth=depth, seed=1, draws=2, rewrite_samples=2).checks
+            assert [c.name for c in checks] == list(group.shallow), (group.name, depth)
+            if depth == 0:
+                assert all(c.value == "n/a" and c.passed for c in checks), group.name
 
 
 def test_lattice_checks_in_suite():

@@ -8,7 +8,7 @@ import pytest
 import gplab
 from gplab.cli import main
 from gplab.config import load_config, parse_config
-from gplab.analysis import tensor_split_checks
+from gplab.analysis import FAULTS, tensor_split_checks
 from gplab.errors import ConfigError, ResourceLimitError
 from gplab.lattice import DEFAULT_WITNESS_RADIUS
 
@@ -172,6 +172,8 @@ def test_config_error_exit_codes(tmp_path):
         ("caps", "fock_dim", "expression_length"),
         ("tolerances", "identity", "expectation"),
         ("tolerances", "identity", "gauge"),
+        # the retired soft time limit of the identity suite
+        ("caps", "fock_dim", "check_seconds"),
     ],
 )
 def test_unknown_cap_or_tolerance_key_exits_two(tmp_path, block, known, typo):
@@ -184,6 +186,22 @@ def test_unknown_cap_or_tolerance_key_exits_two(tmp_path, block, known, typo):
     f = tmp_path / "unknown.json"
     f.write_text(json.dumps(cfg))
     assert main(["growth", "--config", str(f)]) == 2
+
+
+@pytest.mark.parametrize("fault", ["expectation", "tensor", "Rewrite", "nonsense", "", 1, ["rewrite"]])
+def test_fault_injection_must_name_a_fault_taking_group(tmp_path, fault):
+    """fault_injection takes the name of a suite group with a fault hook;
+    any other value, a group without one included, exits 2."""
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    for known in FAULTS:
+        cfg["fault_injection"] = known
+        assert parse_config(cfg).fault_injection == known
+    cfg["fault_injection"] = fault
+    with pytest.raises(ConfigError, match="fault_injection"):
+        parse_config(cfg)
+    f = tmp_path / "fault.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["check-identities", "--config", str(f)]) == 2
 
 
 def test_resource_cap_exit_code(tmp_path):
@@ -289,7 +307,6 @@ def test_negative_seed_override_exits_two():
         ("caps", "fock_dim", -5),
         ("caps", "fock_dim", 2.5),
         ("caps", "fock_dim", True),
-        ("caps", "check_seconds", None),
         ("tolerances", "identity", "x"),
         ("tolerances", "identity", 0),
         ("tolerances", "identity", -1e-9),

@@ -109,6 +109,7 @@ def test_builders_return_canonical_csr(dim):
         (_mat.sub(a, b), da - db),
         (_mat.sub(a, a), np.zeros((dim, dim))),
         (_mat.scale(a, -0.5j), da * -0.5j),
+        (_mat.scale(a, 0), np.zeros((dim, dim))),
         (_mat.adjoint(a), da.conj().T),
         (_mat.cut(a, dim // 2), np.where(np.arange(dim) < dim // 2, da, 0)),
         (_mat.gram_blocks(a, labels), np.where(labels[:, None] == labels, da.conj().T @ da, 0)),
