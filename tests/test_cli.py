@@ -313,7 +313,7 @@ def test_negative_seed_override_exits_two():
         ("tolerances", "identity", float("nan")),
         ("tolerances", "identity", float("inf")),
         ("tolerances", "classification", False),
-        ("tolerances", "classification", [1e-8]),
+        pytest.param("tolerances", "classification", [1e-8], id="tolerances-classification-value12"),
     ],
 )
 def test_bad_cap_or_tolerance_value_exits_two(tmp_path, block, key, value):
