@@ -175,12 +175,12 @@ class StateSpec:
     def omega(self, x: Element) -> complex:
         return complex(self._weights @ x.coeffs())
 
-    def is_faithful(self, tol: float = PSD_TOL) -> bool:
-        return all(np.linalg.eigvalsh(rho).min() > tol for rho in self.densities)
+    def is_faithful(self) -> bool:
+        return all(np.linalg.eigvalsh(rho).min() > PSD_TOL for rho in self.densities)
 
-    def is_tracial(self, tol: float = 1e-10) -> bool:
+    def is_tracial(self) -> bool:
         basis = self.algebra.basis()
-        return all(abs(self.omega(a @ b) - self.omega(b @ a)) <= tol for a in basis for b in basis)
+        return all(abs(self.omega(a @ b) - self.omega(b @ a)) <= 1e-10 for a in basis for b in basis)
 
 
 def centered(a: Element, st: StateSpec) -> Element:
@@ -282,9 +282,7 @@ def _phase_candidates(alg: FiniteDimAlgebra):
         yield np.diag(phases[list(pick)])
 
 
-def centered_unitary_search(
-    alg: FiniteDimAlgebra, st: StateSpec, tol: float = 1e-12
-) -> Optional[tuple[Element, bool]]:
+def centered_unitary_search(alg: FiniteDimAlgebra, st: StateSpec) -> Optional[tuple[Element, bool]]:
     """Search a finite deterministic family for a unitary u with omega(u) = 0.
 
     Returns (u, central_flag) for the first hit, None when the family is
@@ -296,7 +294,7 @@ def centered_unitary_search(
     stream = itertools.chain(_perm_sign_candidates(alg), _phase_candidates(alg))
     for m in itertools.islice(stream, UNITARY_SEARCH_CAP):
         u = Element(alg, m)
-        if abs(st.omega(u)) <= tol:
+        if abs(st.omega(u)) <= 1e-12:
             basis = alg.basis()
             central = all(
                 abs(st.omega(u @ x) - st.omega(x @ u)) <= 1e-10 for x in basis

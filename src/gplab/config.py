@@ -39,10 +39,8 @@ DEFAULT_TOLERANCES = {
 class ProblemConfig:
     system: GraphSystem
     names: dict[VertexId, str]
-    name_to_id: dict[str, VertexId]
     truncation: int
     seed: int
-    caps: dict[str, int]
     tolerances: dict[str, float]
     witnesses: dict[VertexId, Element] = field(default_factory=dict)
     unitary_witnesses: dict[VertexId, Element] = field(default_factory=dict)
@@ -243,10 +241,8 @@ def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
     return ProblemConfig(
         system=system,
         names=names,
-        name_to_id=name_to_id,
         truncation=truncation,
         seed=seed,
-        caps=caps,
         tolerances=tolerances,
         witnesses=witnesses,
         unitary_witnesses=unitary_witnesses,

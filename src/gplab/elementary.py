@@ -57,9 +57,6 @@ class ElementaryTerm:
     def annihilation_word(self) -> Letters:
         return tuple(v for v, _ in self.annihilation)
 
-    def total_length(self) -> int:
-        return len(self.creation) + len(self.diag) + len(self.annihilation)
-
 
 IDENTITY_TERM = ElementaryTerm((), (), ())
 
@@ -243,25 +240,20 @@ def _coalesce(terms: Terms) -> Terms:
     return [(c, t) for c, t in buckets.values() if abs(c) > ZERO_TOL]
 
 
-def rewrite_to_elementary(
-    factors: Sequence[Factor],
-    sys: GraphSystem,
-    length_cap: int = EXPRESSION_LENGTH_CAP,
-    term_cap: int = TERM_COUNT_CAP,
-) -> Terms:
+def rewrite_to_elementary(factors: Sequence[Factor], sys: GraphSystem) -> Terms:
     """Expand a product of generators into elementary terms.
 
     The returned list of (coefficient, term) pairs sums, as a matrix on the
     guarded subspace of any truncation, to the matrix of the input product;
     see expression_matrix and term_matrix for the certificate.
     """
-    if len(factors) > length_cap:
-        raise ResourceLimitError(f"expression length {len(factors)} exceeds cap {length_cap}")
+    if len(factors) > EXPRESSION_LENGTH_CAP:
+        raise ResourceLimitError(f"expression length {len(factors)} exceeds cap {EXPRESSION_LENGTH_CAP}")
     terms: Terms = [(1.0 + 0j, IDENTITY_TERM)]
     for f in reversed(factors):
         terms = _coalesce(_mul_factor(sys, f, terms))
-        if len(terms) > term_cap:
-            raise ResourceLimitError(f"term count {len(terms)} exceeds cap {term_cap}")
+        if len(terms) > TERM_COUNT_CAP:
+            raise ResourceLimitError(f"term count {len(terms)} exceeds cap {TERM_COUNT_CAP}")
     return terms
 
 

@@ -26,12 +26,18 @@ guarded_deviation and guarded_norm read a cut whole, with no column
 re-indexing, and guarded_deviation returns 0.0 with no subtraction when
 both cuts are stored alike.  Every matrix is a `_mat.CSR` value.
 
+lambda_v and rho_v act on one leg.  The space is H_v, with the cyclic
+vector as slot 0, tensored with the words that cannot take v at the acting
+end (the front for lambda, the back for rho), and x acts on the v-leg by
+its GNS matrix m: the column whose v-leg is in slot s has, for each slot t,
+the entry m[t, s] in the row with its other legs and slot t (_side_table).
+
 What an operator's matrix depends on only through the space is compiled
 once per space, on first use, and cached in space._plans: the sparsity
 pattern of each part of lambda_v and rho_v on the columns of each cut,
-whose entries each name the entry of the GNS matrix their value is read
-from (_side_pattern), the 0/1 diagonal of each Q_w, read off the up-set of
-w in the weak order, and the subgraph expectation's maps.  Evaluating an
+whose entries each name the entry of m their value is read from
+(_side_pattern), the 0/1 diagonal of each Q_w, read off the up-set of w in
+the weak order, and the subgraph expectation's maps.  Evaluating an
 operator on a cut is then a gather.
 """
 from __future__ import annotations
@@ -411,30 +417,20 @@ def _liftable(group, word: Letters, v: VertexId, left: bool) -> int:
     return -1
 
 
-class _SidePlan(NamedTuple):
-    """lambda_v or rho_v on the basis, as index arrays; see _plan_side."""
+def _side_table(space: TruncatedFock, v: VertexId, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_v (left) or rho_v (right) on the basis, as the v-leg of each
+    column: the space is H_v, slot 0 its cyclic vector, tensored with the
+    words that cannot take v at the acting end.
 
-    a_cols: np.ndarray  # (nA,) columns of case A
-    a_targets: np.ndarray  # (nA, dv-1) creation target per slot value, -1 beyond N
-    b_cols: np.ndarray  # (nB,) columns of case B
-    b_slot: np.ndarray  # (nB,) value of the acted slot
-    b_retarget: np.ndarray  # (nB, dv-1) in-place retarget per slot value
-    b_drop: np.ndarray  # (nB,) target with the acted letter dropped
+    slot[j] is the slot of the v at the acting end of column j's word, or 0
+    when there is none.  targets[j, t] is the row with column j's other legs
+    and slot t there: for t = 0 the word with that v dropped (column j
+    itself when it has none), for t >= 1 the slot rewritten in place or v
+    joined at the acting end; -1 when that word is longer than N.
 
-
-def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
-    """Action plan of lambda_v (left) or rho_v (right) on the basis columns.
-
-    Case A columns are the words without v on the acting side; a_targets[i,
-    t-1] is the row of the creation target (v, t) joined to column a_cols[i],
-    or -1 when that word leaves the truncation.  Case B columns have v on the
-    acting side: b_slot holds the slot value s there, b_retarget[i, t-1] the
-    row with s replaced by t, and b_drop the row with the letter dropped.
-
-    Each word block compiles the map of its new slot t (read from digit
-    column N: the creation target, or the acted slot rewritten in place) and
-    its drop map once.  _side_pattern compiles the plan into the cached
-    sparsity pattern and drops it.
+    Each word block compiles the map of slot 1 (the new digit read from
+    digit column N) once, and a block with v at the acting end its map of
+    slot 0; slot t is slot 1 moved by t - 1 strides of the v-leg.
     """
     group = space.group
     dv = space.reps[v].dim
@@ -442,33 +438,29 @@ def _plan_side(space: TruncatedFock, v: VertexId, left: bool) -> _SidePlan:
     acted, moved, drop = [], [], []
     for w in space._spans:
         r = _liftable(group, w, v, left)
+        acted.append(r)
         if r >= 0:
             row = [*space._strides[w], *[0] * (n + 1 - len(w))]
             row[r], row[n] = 0, row[r]
             rest = [p for p in range(len(w)) if p != r]
-            acted.append(r)
             moved.append((space._spans[w][0], row))
             drop.append(_word_map(space, tuple(w[p] for p in rest), rest, n))
         else:
             ext = ((v,) + w, [n, *range(len(w))]) if left else (w + (v,), [*range(len(w)), n])
-            acted.append(-1)
             moved.append(_word_map(space, *ext, n + 1) if len(w) < n and dv > 1 else None)
             drop.append(None)
     wid, digits = space.word_ids, space._digits
     acted = np.array(acted, dtype=np.intp)[wid]
-    a_cols, b_cols = np.flatnonzero(acted < 0), np.flatnonzero(acted >= 0)
+    has_v = acted >= 0
     moved = _WordMaps.of(moved, n + 1)
-    base = moved.apply(wid, np.pad(digits, ((0, 0), (0, 1))))  # new slot t = 1
-    new = base[:, None] + np.arange(dv - 1) * moved.rows[wid, n][:, None]
-    new[base < 0] = -1
-    return _SidePlan(
-        a_cols,
-        new[a_cols],
-        b_cols,
-        digits[b_cols, acted[b_cols]] + 1,
-        new[b_cols],
-        _WordMaps.of(drop, n).apply(wid[b_cols], digits[b_cols]),
-    )
+    targets = np.empty((space.dim, dv), dtype=np.intp)
+    targets[:, 0] = np.where(has_v, _WordMaps.of(drop, n).apply(wid, digits), np.arange(space.dim))
+    base = moved.apply(wid, np.pad(digits, ((0, 0), (0, 1))))  # slot 1
+    targets[:, 1:] = base[:, None] + np.arange(dv - 1) * moved.rows[wid, n][:, None]
+    targets[base < 0, 1:] = -1
+    slot = np.zeros(space.dim, dtype=np.intp)
+    slot[has_v] = digits[has_v, acted[has_v]] + 1
+    return targets, slot
 
 
 class _SidePattern(NamedTuple):
@@ -496,14 +488,14 @@ def _side_pattern(space: TruncatedFock, v: VertexId, left: bool, part: str, cut:
     the columns of word length <= cut (cut <= N), compiled once per (space,
     vertex, side, part, cut) and cached in space._plans.
 
-    Entry e of the operator of x holds m.ravel()[src[e]], m the GNS matrix
-    of x: m[0,0] on case A's diagonal, m[t,0] on its creation targets, m[t,s]
-    on case B's retargets and m[0,s] on its dropped-letter rows.  So an
-    entry's part is the quadrant of m that src points into.  The whole
-    pattern is compiled from _plan_side: targets beyond N are left out, and
-    the entries are sorted once, by (row, column); the positions are
-    distinct, since every column is case A or case B and each of its targets
-    is a different basis vector.  A part or a cut keeps a subset of its
+    Column j's v-leg in slot s = slot[j] goes to slot t with amplitude
+    m[t, s], m the GNS matrix of x, so entry e of the operator of x holds
+    m.ravel()[src[e]]: the whole pattern puts src = t*dv + s in row
+    targets[j, t] of column j, for every slot t (_side_table).  An entry's
+    part is the quadrant of m that src points into.  Targets beyond N are
+    left out, and the entries are sorted once, by (row, column); the
+    positions are distinct, since a column's targets are different basis
+    vectors.  A part or a cut keeps a subset of the whole pattern's
     entries, still in CSR order.
     """
     key = ("lambda" if left else "rho", v, part, cut)
@@ -512,17 +504,10 @@ def _side_pattern(space: TruncatedFock, v: VertexId, left: bool, part: str, cut:
         return got
     dv = space.reps[v].dim
     if part == "all" and cut == space.n:
-        plan = _plan_side(space, v, left)
-        t = np.arange(1, dv) * dv
-        na = len(plan.a_cols)
-        rows = np.concatenate((plan.a_cols, plan.a_targets.ravel(), plan.b_retarget.ravel(), plan.b_drop))
-        cols = np.concatenate((plan.a_cols, np.repeat(plan.a_cols, dv - 1), np.repeat(plan.b_cols, dv - 1), plan.b_cols))
-        src = np.concatenate((
-            np.zeros(na, dtype=np.intp),
-            np.tile(t, na),
-            (t + plan.b_slot[:, None]).ravel(),
-            plan.b_slot,
-        ))
+        targets, slot = _side_table(space, v, left)
+        rows = targets.ravel()
+        cols = np.arange(space.dim).repeat(dv)
+        src = (np.arange(dv) * dv + slot[:, None]).ravel()
         inside = rows >= 0
         rows, cols, src = rows[inside], cols[inside], src[inside]
         order = np.argsort(rows * space.dim + cols)
@@ -548,12 +533,13 @@ def _side_op(
 ) -> OperatorMatrix:
     """lambda_v(x) (left) or rho_v(x) (right), whole or one part of it.
 
-    Q_v, the projection onto the words with v on the acting side, splits the
-    operator into four parts, one per quadrant of m, the GNS matrix of x.
-    Case A columns (Q_v^perp) carry the scalar part m[0,0] on the diagonal
-    and the creation part m[t,0] on the creation targets; case B columns
-    (Q_v) carry the diagonal part m[t,s] on the in-place retargets and the
-    annihilation part m[0,s] on the dropped-letter word.
+    On the v-leg, H_v with its cyclic vector as slot 0, x acts as m, its
+    GNS matrix.  Q_v, the projection onto the words with v at the acting
+    end (slot >= 1), splits the operator into four parts, one per quadrant
+    of m: slot 0 to slot 0 is the scalar part m[0,0] on the diagonal, slot 0
+    to slot t the creation part m[t,0], slot s to slot t the diagonal part
+    m[t,s] and slot s to slot 0 the annihilation part m[0,s], which drops
+    the letter.
 
     A cut is one gather from the compiled pattern of its part and cut
     (_side_pattern): the values are read as m.ravel()[src], and one mask
@@ -899,7 +885,6 @@ def tensor_split_check(
     part2: Iterable[VertexId],
     reps: Mapping[VertexId, GnsRep],
     n: int,
-    elements: Optional[Mapping[VertexId, Sequence[Element]]] = None,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TensorSplitReport:
     """Verify the join-decomposition unitary: the depth-n Fock basis is a
@@ -935,11 +920,8 @@ def tensor_split_check(
     for v in graph.vertices:
         on_first = v in s1
         fsub = f1 if on_first else f2
-        elems = list(elements[v]) if elements and v in elements else []
-        if not elems:
-            rep = reps[v]
-            one = rep.algebra.one()
-            elems = [one] + [b - one * (1.0 / rep.algebra.dim) for b in rep.algebra.basis()]
+        one = reps[v].algebra.one()
+        elems = [one] + [b - one * (1.0 / reps[v].algebra.dim) for b in reps[v].algebra.basis()]
         for k, a in enumerate(elems):
             big = lambda_op(space, v, a)
             expected = kron_expected(lambda_op(fsub, v, a), on_first)

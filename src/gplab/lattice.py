@@ -36,9 +36,11 @@ class QSymbolic:
 
 
 def lattice_projection(group: CoxeterGroup, depth: int, w: Letters) -> np.ndarray:
-    """Diagonal 0/1 vector of P_w over the depth-ball basis (lex order)."""
+    """Diagonal 0/1 vector of P_w over the depth-ball basis (lex order), for
+    a canonical w: 1 on the up-set of w in the right weak order."""
     ball = group.ball_tuples(depth)
-    return np.array([1.0 if group.leq_tuple(w, u) else 0.0 for u in ball])
+    up = group.up_set(w, depth)
+    return np.array([1.0 if u in up else 0.0 for u in ball])
 
 
 @dataclass
@@ -101,7 +103,7 @@ class IdentificationRecord:
     mismatches: int
 
 
-def identification_check(space: TruncatedFock, depth: Optional[int] = None) -> IdentificationRecord:
+def identification_check(space: TruncatedFock) -> IdentificationRecord:
     """Couple the lattice picture to the Fock picture: for unit vectors
     eta_v built from a fixed slot choice, <P_w delta_v, delta_v> equals
     <Q_w eta_v, eta_v> for all ball words v, w.
@@ -109,8 +111,7 @@ def identification_check(space: TruncatedFock, depth: Optional[int] = None) -> I
     P_e maps to the identity (the unital extension), all other P_w to Q_w.
     """
     group = space.group
-    n = space.n if depth is None else depth
-    ball = group.ball_tuples(n)
+    ball = group.ball_tuples(space.n)
     for v in space.graph.vertices:
         if space.reps[v].dim < 2:
             raise ValueError("identification needs nontrivial vertex spaces")

@@ -1095,31 +1095,32 @@ def test_word_blocks_match_naive_basis(mixed_path3, path):
     assert space.index_of(w + w[-1:], slots + (1,)) is None
 
 
-def _plan_arrays(plan: list, dv: int) -> tuple:
-    """naive_plan_side's list plan as the index arrays of fock._SidePlan."""
-    a = [e for e in plan if e[0] == "A"]
-    b = [(j, e) for j, e in enumerate(plan) if e[0] == "B"]
-    return (
-        np.array([e[1] for e in a], dtype=np.intp),
-        np.array([e[2] if e[2] is not None else [-1] * (dv - 1) for e in a], dtype=np.intp).reshape(len(a), dv - 1),
-        np.array([j for j, _ in b], dtype=np.intp),
-        np.array([e[1] for _, e in b], dtype=np.intp),
-        np.array([e[2] for _, e in b], dtype=np.intp).reshape(len(b), dv - 1),
-        np.array([e[3] for _, e in b], dtype=np.intp),
-    )
+def _plan_table(plan: list, dv: int) -> tuple:
+    """naive_plan_side's list plan as fock._side_table's (targets, slot):
+    a column of case A is slot 0 with its own row as target 0, a column of
+    case B has its dropped-letter row as target 0."""
+    targets, slot = [], []
+    for j, e in enumerate(plan):
+        if e[0] == "A":
+            targets.append([j, *(e[2] if e[2] is not None else [-1] * (dv - 1))])
+            slot.append(0)
+        else:
+            targets.append([e[3], *e[2]])
+            slot.append(e[1])
+    return np.array(targets, dtype=np.intp).reshape(len(plan), dv), np.array(slot, dtype=np.intp)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_word_maps_match_per_vector_oracles(mixed_path3, path):
     """The maps compiled per word block equal their per-vector oracles
-    exactly: the lambda/rho plans, the gauge unitary, the gauge average's
+    exactly: the lambda/rho slot tables, the gauge unitary, the gauge average's
     letter counts and the subgraph expectation."""
     sysm, space = _oracle_space(mixed_path3, path)
     verts = space.graph.vertices
     for v in verts:
         for left in (True, False):
-            got = fock._plan_side(space, v, left)
-            want = _plan_arrays(naive_plan_side(space, v, left), space.reps[v].dim)
+            got = fock._side_table(space, v, left)
+            want = _plan_table(naive_plan_side(space, v, left), space.reps[v].dim)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and np.array_equal(g, w)
     z = {v: np.exp(1j * (0.7 + v)) for v in verts}
@@ -1166,7 +1167,7 @@ def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
     sort = _count_calls(monkeypatch, "sort_with_perm")
     for v in FREE3.vertices:
         for left in (True, False):
-            fock._plan_side(space, v, left)
+            fock._side_table(space, v, left)
     assert 0 < sort[0] <= len(space._spans) * len(FREE3.vertices) * 2
     assert space.dim > len(space._spans) * len(FREE3.vertices) * 2
 

@@ -1,17 +1,25 @@
 """Every public module-level function of gplab, and every public method of
 CoxeterGroup, of the vertex-algebra classes (FiniteDimAlgebra, Element,
-StateSpec, GnsRep) and of OperatorMatrix, is reached from the package
-itself, not only from tests, or is one of the few named entry points below.
+StateSpec, GnsRep), of OperatorMatrix and of ElementaryTerm, is reached
+from the package itself, not only from tests, or is one of the few named
+entry points below.  And every defaulted parameter of a gplab function is
+set by some call in the package, or is one of the few named below: a
+default that no caller overrides is a constant.
 
 The package sources are parsed, not imported.  A function counts as reached
 when some module of src/gplab names it outside its own definition: by its
 bare name inside its home module or after `from .<home> import <name>`, or
 as an attribute of a name bound to the home module (`from . import fock as
 fk`, then `fk.<name>`).  A method counts as reached when any module reads
-an attribute of that name outside the method's own definition.
+an attribute of that name outside the method's own definition.  A call
+sets a defaulted parameter when it passes it by keyword or by position, or
+may through *args or **kwargs; calls are matched by the called name alone
+(a class name for __init__), so the lint can miss an unset default but
+never flags a set one.
 """
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -31,6 +39,16 @@ VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep")
 # The dense bridge that the oracles read: tests compare operators as dense
 # arrays, and no reader in the package needs one.
 OPERATOR_ENTRY_POINTS = {"toarray"}
+# Defaulted parameters that the package never sets: the identity suite's
+# sample counts and the command line's argv, set by callers outside it (the
+# tests), and the start vertex of a covering walk, which the package always
+# leaves to the walk.
+UNSET_DEFAULTS = {
+    ("analysis", "identity_suite", "draws"),
+    ("analysis", "identity_suite", "rewrite_samples"),
+    ("cli", "main", "argv"),
+    ("graphs", "closed_covering_walk", "start"),
+}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -117,3 +135,63 @@ def test_vertex_algebra_methods_are_reached_from_the_package(name):
 
 def test_operator_matrix_methods_are_reached_from_the_package():
     _assert_unreached_are(_unreached_methods("fock", "OperatorMatrix"), OPERATOR_ENTRY_POINTS)
+
+
+def test_elementary_term_methods_are_reached_from_the_package():
+    _assert_unreached_are(_unreached_methods("elementary", "ElementaryTerm"), set())
+
+
+def _functions(node: ast.AST, cls: Optional[ast.ClassDef] = None):
+    """(enclosing class or None, definition) of every function under node,
+    methods and nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child)
+        elif isinstance(child, ast.FunctionDef):
+            yield cls, child
+            yield from _functions(child)
+        else:
+            yield from _functions(child, cls)
+
+
+def _defaulted(cls: Optional[ast.ClassDef], fn: ast.FunctionDef) -> list[tuple[Optional[int], str]]:
+    """(position among a call's positional arguments, None for a keyword-only
+    parameter; name) of each defaulted parameter of fn."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    if cls is not None and not static:
+        positional = positional[1:]  # self or cls, bound by the call
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _sets(call: ast.Call, position: Optional[int], name: str) -> bool:
+    if any(k.arg in (None, name) for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_defaulted_parameters_are_set_from_the_package():
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = {
+        (home, fn.name, name)
+        for home, tree in trees.items()
+        for cls, fn in _functions(tree)
+        for position, name in _defaulted(cls, fn)
+        if not any(
+            _sets(call, position, name)
+            for call in calls.get(cls.name if cls is not None and fn.name == "__init__" else fn.name, [])
+        )
+    }
+    assert sorted(unset - UNSET_DEFAULTS) == []
+    # a named exception that the package comes to set leaves the list
+    assert sorted(UNSET_DEFAULTS - unset) == []
