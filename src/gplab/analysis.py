@@ -250,8 +250,6 @@ def simplicity_report(
         branch, cite = "central unitaries", CRIT_UNITARY_SIMPLE
     elif all_findim_faithful:
         branch, cite = "finite-dimensional faithful", CRIT_FINDIM_SIMPLE
-    elif found_central:
-        branch, cite = "central unitaries", CRIT_UNITARY_SIMPLE
     else:
         # Evidence-only branch: the equivalence needs trivial intersection
         # with the tail ideal, checkable only to finite depth.
@@ -689,7 +687,7 @@ def conjugation_positivity_checks(sysm: GraphSystem, depth: int, rng: np.random.
         omega_aa = sysm.sites[v].state.omega(a @ a.star()).real
         worst1 = max(worst1, _positivity_violation(lam.adjoint() @ qperp @ lam, omega_aa * qv))
         cands = [w for w in group.ball_tuples(min(2, depth - 2 if depth > 2 else 1))
-                 if w and not group.commutes_tuple(w, v) and not group.leq_tuple((v,), w)]
+                 if w and not group.commutes_tuple(w, v) and group.lift(w, v, True) < 0]
         if cands:
             w = cands[int(rng.integers(0, len(cands)))]
             qw = fk.q_projection(space, w)

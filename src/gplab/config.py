@@ -18,6 +18,7 @@ import numpy as np
 from .algebras import Element, FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
 from .analysis import FAULTS
 from .errors import ConfigError
+from .fock import DEFAULT_DIM_CAP
 from .graphs import SimplicialGraph, VertexId
 from .lattice import DEFAULT_WITNESS_RADIUS
 from .system import GraphSystem
@@ -26,7 +27,7 @@ from .words import CoxeterGroup, Letters
 SCHEMA_VERSION = 1
 
 DEFAULT_CAPS = {
-    "fock_dim": 20000,
+    "fock_dim": DEFAULT_DIM_CAP,
 }
 
 DEFAULT_TOLERANCES = {
@@ -192,10 +193,10 @@ def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
         if not isinstance(spec, dict):
             _fail(path, "expected an object")
         if "hecke" in spec:
-            q = spec["hecke"].get("q")
-            if not isinstance(q, (int, float)) or q <= 0:
-                _fail(f"{path}.hecke.q", "expected a positive number")
+            q = _positive_number(spec["hecke"].get("q"), f"{path}.hecke.q")
             sites[vid] = site_from_hecke(float(q))
+            if not sites[vid].state.is_faithful():
+                _fail(f"{path}.hecke.q", "state is not faithful (a weight 1/(1+q) or q/(1+q) is below the PSD tolerance)")
         else:
             blocks = spec.get("blocks")
             if not (isinstance(blocks, list) and blocks and all(isinstance(b, int) and b >= 1 for b in blocks)):

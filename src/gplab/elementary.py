@@ -94,82 +94,84 @@ def _canon_entries(sys: GraphSystem, entries: Sequence[Entry]) -> tuple[Entry, .
 def _mul_create(sys: GraphSystem, v: VertexId, c: Element, coeff: complex, t: ElementaryTerm) -> Terms:
     if c.is_zero(ZERO_TOL):
         return []
-    word = t.creation_word()
-    if v in sys.group.first_letters_tuple(word):
+    if sys.group.lift(t.creation_word(), v, True) >= 0:
         return []  # commutes up to a same-vertex creation pair, which vanishes
     new = _canon_entries(sys, ((v, c),) + t.creation)
     return [(coeff, ElementaryTerm(new, t.diag, t.annihilation))]
 
 
+def _find(sys: GraphSystem, v: VertexId, entries: Sequence[Entry]) -> Optional[int]:
+    """Position of the entry at v that v moves to from the front, -1 when v
+    passes every entry, or None when an entry blocks it."""
+    word = tuple(u for u, _ in entries)
+    i = sys.group.lift(word, v, True)
+    return i if i >= 0 or sys.group.commutes_tuple(word, v) else None
+
+
 def _mul_diag(sys: GraphSystem, v: VertexId, c: Element, coeff: complex, t: ElementaryTerm) -> Terms:
     if c.is_zero(ZERO_TOL):
         return []
-    for i, (u, a) in enumerate(t.creation):
-        if u == v:
-            merged = sys.centered(v, c @ a)
-            if merged.is_zero(ZERO_TOL):
-                return []
-            new = t.creation[:i] + ((v, merged),) + t.creation[i + 1:]
-            return [(coeff, ElementaryTerm(new, t.diag, t.annihilation))]
-        if not sys.adjacent(v, u):
+    i = _find(sys, v, t.creation)
+    if i is None:
+        return []
+    if i >= 0:
+        merged = sys.centered(v, c @ t.creation[i][1])
+        if merged.is_zero(ZERO_TOL):
             return []
-    for j, (w, cj) in enumerate(t.diag):
-        if w == v:
-            # d(c) d(cj) = d(c cj) - c^+ ((cj*)^+)* at the same vertex
-            out: Terms = [
-                (
-                    coeff,
-                    ElementaryTerm(
-                        t.creation,
-                        t.diag[:j] + ((v, c @ cj),) + t.diag[j + 1:],
-                        t.annihilation,
-                    ),
-                )
-            ]
-            base = ElementaryTerm((), t.diag[j + 1:], t.annihilation)
-            pieces = _mul_annih(sys, v, sys.centered(v, cj.star()), -coeff, base)
-            pieces = _chain_create(sys, v, sys.centered(v, c), pieces)
-            for w2, c2 in reversed(t.diag[:j]):
-                pieces = _chain_diag(sys, w2, c2, pieces)
-            for u2, a2 in reversed(t.creation):
-                pieces = _chain_create(sys, u2, a2, pieces)
-            return out + pieces
-        if not sys.adjacent(v, w):
-            return []
-    new_diag = tuple(sorted(t.diag + ((v, c),), key=lambda e: e[0]))
-    return [(coeff, ElementaryTerm(t.creation, new_diag, t.annihilation))]
+        new = t.creation[:i] + ((v, merged),) + t.creation[i + 1:]
+        return [(coeff, ElementaryTerm(new, t.diag, t.annihilation))]
+    # the diagonal vertices form a clique, so v is blocked only when absent
+    j = _find(sys, v, t.diag)
+    if j is None:
+        return []
+    if j < 0:
+        new_diag = tuple(sorted(t.diag + ((v, c),), key=lambda e: e[0]))
+        return [(coeff, ElementaryTerm(t.creation, new_diag, t.annihilation))]
+    # d(c) d(cj) = d(c cj) - c^+ ((cj*)^+)* at the same vertex
+    cj = t.diag[j][1]
+    out: Terms = [
+        (
+            coeff,
+            ElementaryTerm(t.creation, t.diag[:j] + ((v, c @ cj),) + t.diag[j + 1:], t.annihilation),
+        )
+    ]
+    base = ElementaryTerm((), t.diag[j + 1:], t.annihilation)
+    pieces = _mul_annih(sys, v, sys.centered(v, cj.star()), -coeff, base)
+    pieces = _chain(_mul_create, sys, v, sys.centered(v, c), pieces)
+    for w2, c2 in reversed(t.diag[:j]):
+        pieces = _chain(_mul_diag, sys, w2, c2, pieces)
+    for u2, a2 in reversed(t.creation):
+        pieces = _chain(_mul_create, sys, u2, a2, pieces)
+    return out + pieces
 
 
 def _mul_annih(sys: GraphSystem, v: VertexId, c: Element, coeff: complex, t: ElementaryTerm) -> Terms:
     if c.is_zero(ZERO_TOL):
         return []
-    for i, (u, a) in enumerate(t.creation):
-        if u == v:
-            s = sys.omega(v, c.star() @ a)
-            if abs(s) <= ZERO_TOL:
-                return []
-            rest = ElementaryTerm(t.creation[:i] + t.creation[i + 1:], t.diag, t.annihilation)
-            # (c^+)* a^+ = omega(c* a) Q_v^perp; expand Q_v^perp = 1 - d(1_v).
-            one = sys.sites[v].algebra.one()
-            return [(coeff * s, rest)] + _mul_diag(sys, v, one, -coeff * s, rest)
-        if not sys.adjacent(v, u):
+    i = _find(sys, v, t.creation)
+    if i is None:
+        return []
+    if i >= 0:
+        s = sys.omega(v, c.star() @ t.creation[i][1])
+        if abs(s) <= ZERO_TOL:
             return []
-    cur = c
-    new_diag: list[Entry] = []
-    for w, cj in t.diag:
-        if w == v:
-            cur = sys.centered(v, cj.star() @ cur)
-            if cur.is_zero(ZERO_TOL):
-                return []
-            continue
-        if not sys.adjacent(v, w):
+        rest = ElementaryTerm(t.creation[:i] + t.creation[i + 1:], t.diag, t.annihilation)
+        # (c^+)* a^+ = omega(c* a) Q_v^perp; expand Q_v^perp = 1 - d(1_v).
+        one = sys.sites[v].algebra.one()
+        return [(coeff * s, rest)] + _mul_diag(sys, v, one, -coeff * s, rest)
+    j = _find(sys, v, t.diag)
+    if j is None:
+        return []
+    new_diag = t.diag
+    if j >= 0:
+        c = sys.centered(v, t.diag[j][1].star() @ c)
+        if c.is_zero(ZERO_TOL):
             return []
-        new_diag.append((w, cj))
-    word = t.annihilation_word()
-    if v in sys.group.last_letters_tuple(word):
+        new_diag = t.diag[:j] + t.diag[j + 1:]
+    if sys.group.lift(t.annihilation_word(), v, False) >= 0:
         return []  # same-vertex creation pair inside the star, vanishes
-    new_annih = _canon_entries(sys, t.annihilation + ((v, cur),))
-    return [(coeff, ElementaryTerm(t.creation, tuple(new_diag), new_annih))]
+    new_annih = _canon_entries(sys, t.annihilation + ((v, c),))
+    return [(coeff, ElementaryTerm(t.creation, new_diag, new_annih))]
 
 
 def _chain(fn, sys, v, c, terms: Terms) -> Terms:
@@ -179,18 +181,6 @@ def _chain(fn, sys, v, c, terms: Terms) -> Terms:
     return out
 
 
-def _chain_create(sys, v, c, terms: Terms) -> Terms:
-    return _chain(_mul_create, sys, v, c, terms)
-
-
-def _chain_diag(sys, v, c, terms: Terms) -> Terms:
-    return _chain(_mul_diag, sys, v, c, terms)
-
-
-def _chain_annih(sys, v, c, terms: Terms) -> Terms:
-    return _chain(_mul_annih, sys, v, c, terms)
-
-
 def _mul_factor(sys: GraphSystem, f: Factor, terms: Terms) -> Terms:
     if f.kind == "scalar":
         return [(coeff * f.value, t) for coeff, t in terms]
@@ -198,21 +188,21 @@ def _mul_factor(sys: GraphSystem, f: Factor, terms: Terms) -> Terms:
     if v not in sys.sites:
         raise ValueError(f"unknown vertex {v}")
     if f.kind == "create":
-        return _chain_create(sys, v, sys.centered(v, f.element), terms)
+        return _chain(_mul_create, sys, v, sys.centered(v, f.element), terms)
     if f.kind == "diag":
-        return _chain_diag(sys, v, f.element, terms)
+        return _chain(_mul_diag, sys, v, f.element, terms)
     if f.kind == "annih":
-        return _chain_annih(sys, v, sys.centered(v, f.element), terms)
+        return _chain(_mul_annih, sys, v, sys.centered(v, f.element), terms)
     if f.kind == "qproj":
-        return _chain_diag(sys, v, sys.sites[v].algebra.one(), terms)
+        return _chain(_mul_diag, sys, v, sys.sites[v].algebra.one(), terms)
     if f.kind == "elem":
         a = f.element
         w0 = sys.omega(v, a)
         a0 = sys.centered(v, a)
         out: Terms = []
-        out.extend(_chain_diag(sys, v, a, terms))
-        out.extend(_chain_create(sys, v, a0, terms))
-        out.extend(_chain_annih(sys, v, a0.star(), terms))
+        out.extend(_chain(_mul_diag, sys, v, a, terms))
+        out.extend(_chain(_mul_create, sys, v, a0, terms))
+        out.extend(_chain(_mul_annih, sys, v, a0.star(), terms))
         if abs(w0) > ZERO_TOL:
             one = sys.sites[v].algebra.one()
             for coeff, t in terms:

@@ -403,20 +403,6 @@ def offdiagonal_mass(a: OperatorMatrix) -> float:
 # -- lambda and rho ---------------------------------------------------------
 
 
-def _liftable(group, word: Letters, v: VertexId, left: bool) -> int:
-    """Position of the occurrence of v that moves to the acting end of word
-    (the front for left, the back for right), or -1 when v is not on that
-    side: the first v met from that end, if every letter passed commutes
-    with v."""
-    near = group._adj[v]
-    for i in range(len(word)) if left else range(len(word) - 1, -1, -1):
-        if word[i] == v:
-            return i
-        if word[i] not in near:
-            return -1
-    return -1
-
-
 def _side_table(space: TruncatedFock, v: VertexId, left: bool) -> tuple[np.ndarray, np.ndarray]:
     """lambda_v (left) or rho_v (right) on the basis, as the v-leg of each
     column: the space is H_v, slot 0 its cyclic vector, tensored with the
@@ -437,7 +423,7 @@ def _side_table(space: TruncatedFock, v: VertexId, left: bool) -> tuple[np.ndarr
     n = space.n
     acted, moved, drop = [], [], []
     for w in space._spans:
-        r = _liftable(group, w, v, left)
+        r = group.lift(w, v, left)
         acted.append(r)
         if r >= 0:
             row = [*space._strides[w], *[0] * (n + 1 - len(w))]
@@ -712,7 +698,7 @@ def _head_tail_plan(space: TruncatedFock, sub: SimplicialGraph):
     if got is not None:
         return got
     group = space.group
-    subset = set(sub.vertices)
+    letters = sorted(sub.vertices)
     sub_space = space.subspace(sub)
     heads, tails = [], []
     for w in space._spans:
@@ -720,10 +706,10 @@ def _head_tail_plan(space: TruncatedFock, sub: SimplicialGraph):
         head: list[int] = []
         while True:
             word_now = tuple(w[p] for p in rem)
-            first = [s for s in group.first_letters_tuple(word_now) if s in subset]
-            if not first:
+            k = next((k for s in letters if (k := group.lift(word_now, s, True)) >= 0), -1)
+            if k < 0:
                 break
-            head.append(rem.pop(_liftable(group, word_now, min(first), True)))
+            head.append(rem.pop(k))
         heads.append(_word_map(sub_space, tuple(w[p] for p in head), head, space.n))
         tails.append((tuple(w[p] for p in rem), tuple(rem)))
     shift = [space._spans[u][0] - off for u, (off, _) in sub_space._spans.items()]

@@ -110,12 +110,6 @@ class SimplicialGraph:
         )
         return SimplicialGraph(self.vertices, es)
 
-    def link(self, v: VertexId) -> "SimplicialGraph":
-        return self.induced(self.neighbors(v))
-
-    def star(self, v: VertexId) -> "SimplicialGraph":
-        return self.induced(self.neighbors(v) | {v})
-
     def is_clique(self, subset: Iterable[VertexId]) -> bool:
         sub = list(subset)
         return all(self.adjacent(u, v) for u, v in itertools.combinations(sub, 2))

@@ -9,9 +9,9 @@ of t -> f(t q).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .graphs import SimplicialGraph, VertexId
@@ -55,61 +55,21 @@ def inverse_growth_eval(graph: SimplicialGraph, q: Mapping[VertexId, float]) -> 
 def growth_coefficients(graph: SimplicialGraph, depth: int) -> list[int]:
     """Taylor coefficients of 1/f along the equal-parameter ray, exactly.
 
-    With c_k cliques of size k and m the largest clique, f(z) =
-    P(z)/(1+z)^m for the integer polynomial P(z) = sum_k c_k (-z)^k (1+z)^(m-k),
-    so the series is (1+z)^m / P(z); coefficients are integers.
+    With m the largest clique size, f(z) = P(z)/(1+z)^m for the integer
+    polynomial P(z) = sum over cliques T of (-z)^|T| (1+z)^(m-|T|), so the
+    series is (1+z)^m / P(z).  P(0) = 1 (the empty clique), so the
+    coefficients a_n = C(m, n) - sum_{i=1..n} p_i a_{n-i} are integers.
     """
     cliques = graph.cliques()
-    m = max((len(c) for c in cliques), default=0)
-    counts = [0] * (m + 1)
-    for c in cliques:
-        counts[len(c)] += 1
-
-    def poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
-        out = [Fraction(0)] * min(len(a) + len(b) - 1, cap + 1)
-        for i, ai in enumerate(a):
-            if ai == 0 or i > cap:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > cap:
-                    break
-                out[i + j] += ai * bj
-        return out
-
-    def binom_pow(n: int, cap: int) -> list[Fraction]:
-        out = [Fraction(1)]
-        for _ in range(n):
-            out = poly_mul(out, [Fraction(1), Fraction(1)], cap)
-        return out
-
-    cap = depth
-    p = [Fraction(0)] * (cap + 1)
-    for k, ck in enumerate(counts):
-        if ck == 0:
-            continue
-        term = binom_pow(m - k, cap)
-        term = [c * ck * (Fraction(-1) ** k) for c in term]
-        shifted = [Fraction(0)] * (cap + 1)
-        for i, c in enumerate(term):
-            if i + k <= cap:
-                shifted[i + k] += c
-        p = [a + b for a, b in zip(p, shifted)]
-    num = binom_pow(m, cap)
-    num += [Fraction(0)] * (cap + 1 - len(num))
-    # series division num / p with p[0] = 1
-    assert p[0] == 1
-    coeffs: list[Fraction] = []
-    for n in range(cap + 1):
-        acc = num[n]
-        for i in range(1, n + 1):
-            acc -= p[i] * coeffs[n - i] if i < len(p) else 0
-        coeffs.append(acc)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("growth coefficients must be integers")
-        out.append(int(c))
-    return out
+    m = max(len(c) for c in cliques)
+    p = [
+        sum((-1) ** len(c) * math.comb(m - len(c), i - len(c)) for c in cliques if len(c) <= i)
+        for i in range(depth + 1)
+    ]
+    coeffs: list[int] = []
+    for n in range(depth + 1):
+        coeffs.append(math.comb(m, n) - sum(p[i] * coeffs[n - i] for i in range(1, n + 1)))
+    return coeffs
 
 
 def sphere_counts(graph: SimplicialGraph, depth: int) -> list[int]:

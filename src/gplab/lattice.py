@@ -72,7 +72,7 @@ def act_on_q(group: CoxeterGroup, v: VertexId, w: Letters) -> QSymbolic:
     canonical word w."""
     vw = group.mul_tuple((v,), w)
     in_centralizer = group.commutes_tuple(w, v)
-    starts = group.leq_tuple((v,), w)
+    starts = group.lift(w, v, True) >= 0
     if not in_centralizer:
         return QSymbolic(((1, vw),))
     if starts:
@@ -109,6 +109,10 @@ def identification_check(space: TruncatedFock) -> IdentificationRecord:
     <Q_w eta_v, eta_v> for all ball words v, w.
 
     P_e maps to the identity (the unital extension), all other P_w to Q_w.
+
+    The lattice side keeps one leq_tuple per pair on purpose: q_projection
+    reads Q_w off group.up_set, so a lattice side read off up_set as well
+    would compare the covers walk with itself and could not catch it.
     """
     group = space.group
     ball = group.ball_tuples(space.n)

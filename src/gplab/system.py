@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import Element, VertexSite
-from .fock import TruncatedFock
+from .fock import DEFAULT_DIM_CAP, TruncatedFock
 from .graphs import SimplicialGraph, VertexId
 from .words import CoxeterGroup, coxeter_group
 
@@ -13,7 +13,7 @@ from .words import CoxeterGroup, coxeter_group
 class GraphSystem:
     graph: SimplicialGraph
     sites: dict[VertexId, VertexSite]
-    dim_cap: int = 20000
+    dim_cap: int = DEFAULT_DIM_CAP
     _spaces: dict[int, TruncatedFock] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -40,9 +40,6 @@ class GraphSystem:
 
     def centered(self, v: VertexId, x: Element) -> Element:
         return self.sites[v].centered(x)
-
-    def adjacent(self, u: VertexId, v: VertexId) -> bool:
-        return self.graph.adjacent(u, v)
 
     def restricted(self, sub: SimplicialGraph) -> "GraphSystem":
         return GraphSystem(sub, {v: self.sites[v] for v in sub.vertices}, self.dim_cap)

@@ -36,24 +36,31 @@ class CoxeterGroup:
 
     # -- reduction, normal forms and weak order ----------------------------
 
-    def _rmul_gen(self, w: list[VertexId], s: VertexId):
-        """Right-multiply a reduced word by a generator, in place."""
-        adj = self._adj[s]
-        for k in range(len(w) - 1, -1, -1):
-            if w[k] == s:
-                del w[k]
-                return
-            if w[k] not in adj:
-                break
-        w.append(s)
+    def lift(self, w: Sequence[VertexId], v: VertexId, left: bool) -> int:
+        """Position of the occurrence of v that moves to the front (left) or
+        the back of the reduced word w, or -1 when there is none: the first
+        v met from that end, if every letter passed commutes with v."""
+        near = self._adj[v]
+        for k in range(len(w)) if left else range(len(w) - 1, -1, -1):
+            if w[k] == v:
+                return k
+            if w[k] not in near:
+                return -1
+        return -1
 
     def _reduce_word(self, letters: Sequence[VertexId]) -> list[VertexId]:
-        """A reduced word for the product of `letters`, not canonicalised."""
+        """A reduced word for the product of `letters`, not canonicalised:
+        each letter cancels the occurrence that can move to the back of the
+        word so far, or is appended."""
         acc: list[VertexId] = []
         for s in letters:
             if s not in self._vset:
                 raise ValueError(f"unknown vertex letter {s}")
-            self._rmul_gen(acc, s)
+            k = self.lift(acc, s, False)
+            if k >= 0:
+                del acc[k]
+            else:
+                acc.append(s)
         return acc
 
     def reduce_tuple(self, letters: Sequence[VertexId]) -> Letters:
@@ -91,21 +98,17 @@ class CoxeterGroup:
         return tuple(out_letters), tuple(out_perm)
 
     def first_letters_tuple(self, w: Letters) -> tuple[VertexId, ...]:
-        out = []
-        for i, letter in enumerate(w):
-            if all(w[j] in self._adj[letter] for j in range(i)):
-                out.append(letter)
-        return tuple(sorted(set(out)))
+        return tuple(s for s in sorted(set(w)) if self.lift(w, s, True) >= 0)
 
     def last_letters_tuple(self, w: Letters) -> tuple[VertexId, ...]:
-        return self.first_letters_tuple(tuple(reversed(w)))
+        return tuple(s for s in sorted(set(w)) if self.lift(w, s, False) >= 0)
 
     def left_quotient_tuple(self, s: VertexId, w: Letters) -> Letters:
         """Remove the front-liftable occurrence of s; requires s <= w."""
-        for i, letter in enumerate(w):
-            if letter == s and all(w[j] in self._adj[s] for j in range(i)):
-                return self.canonical_tuple(w[:i] + w[i + 1:])
-        raise ValueError(f"{s} is not a first letter of {w}")
+        k = self.lift(w, s, True)
+        if k < 0:
+            raise ValueError(f"{s} is not a first letter of {w}")
+        return self.canonical_tuple(w[:k] + w[k + 1:])
 
     def mul_tuple(self, u: Letters, v: Letters) -> Letters:
         return self.reduce_tuple(u + v)
@@ -124,7 +127,10 @@ class CoxeterGroup:
         return len(self._reduce_word(tuple(reversed(v)) + w)) == len(w) - len(v)
 
     def commutes_tuple(self, w: Letters, v: VertexId) -> bool:
-        return self.mul_tuple(w, (v,)) == self.mul_tuple((v,), w)
+        """Whether the reduced word w commutes with v: the centralizer of v
+        is the subgroup of its star, so every letter is v or a neighbour."""
+        near = self._adj[v]
+        return all(u == v or u in near for u in w)
 
     def down_set(self, w: Letters) -> frozenset[Letters]:
         """All u with u <= w, computed by descending along final letters."""

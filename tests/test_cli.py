@@ -330,6 +330,22 @@ def test_bad_cap_or_tolerance_value_exits_two(tmp_path, block, key, value):
     assert main(["growth", "--config", str(f)]) == 2
 
 
+@pytest.mark.parametrize(
+    "q", [True, float("nan"), float("inf"), 1e-13, 1e13], ids=["true", "nan", "inf", "1e-13", "1e13"]
+)
+def test_bad_hecke_q_exits_two(tmp_path, q):
+    """A Hecke parameter is a finite positive number whose vertex state is
+    faithful; any other value exits 2 at its key path, before any command
+    runs."""
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    cfg["vertices"]["a"]["hecke"]["q"] = q
+    with pytest.raises(ConfigError, match=r"vertices\.a\.hecke\.q"):
+        parse_config(cfg)
+    f = tmp_path / "bad_q.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["report-all", "--config", str(f)]) == 2
+
+
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_shallow_depths_report_without_guard_as_na(tmp_path, fixture, depth):

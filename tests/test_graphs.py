@@ -25,15 +25,6 @@ def test_complement_examples():
     assert sorted(PATH3.complement().edges) == [(0, 2)]
 
 
-def test_link_star_examples():
-    lk = PATH3.link(1)
-    assert lk.vertices == (0, 2) and not lk.edges
-    assert PATH3.star(1) == PATH3
-    assert FREE3.link(0).vertices == ()
-    with pytest.raises(ValueError):
-        PATH3.link(9)
-
-
 def test_clique_counts_match_subset_oracle():
     for g in (K3, FREE3, PATH3, CYC4):
         got = {frozenset(c) for c in g.cliques()}

@@ -1,6 +1,7 @@
 """Every public module-level function of gplab, and every public method of
-CoxeterGroup, of the vertex-algebra classes (FiniteDimAlgebra, Element,
-StateSpec, GnsRep), of OperatorMatrix and of ElementaryTerm, is reached
+CoxeterGroup, of the graph classes (SimplicialGraph, Walk), of the
+vertex-algebra classes (FiniteDimAlgebra, Element, StateSpec, GnsRep), of
+OperatorMatrix and of ElementaryTerm, is reached
 from the package itself, not only from tests, or is one of the few named
 entry points below.  And every defaulted parameter of a gplab function is
 set by some call in the package, or is one of the few named below: a
@@ -35,6 +36,11 @@ ENTRY_POINTS = {"fock": {"annihilation", "word_projection"}, "algebras": {"hecke
 # The meet of the weak order (checked by acceptance criterion 1) and the
 # brute-force join oracle that pins join_tuple.
 GROUP_ENTRY_POINTS = {"meet_tuple", "join_via_ball"}
+# The predicates that the tests check cliques and walks with.
+GRAPH_ENTRY_POINTS = {
+    "SimplicialGraph": {"is_clique"},
+    "Walk": {"is_valid", "is_closed", "covers"},
+}
 VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep")
 # The dense bridge that the oracles read: tests compare operators as dense
 # arrays, and no reader in the package needs one.
@@ -126,6 +132,11 @@ def _unreached_methods(home: str, name: str) -> list[str]:
 
 def test_coxeter_group_methods_are_reached_from_the_package():
     _assert_unreached_are(_unreached_methods("words", "CoxeterGroup"), GROUP_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_ENTRY_POINTS))
+def test_graph_methods_are_reached_from_the_package(name):
+    _assert_unreached_are(_unreached_methods("graphs", name), GRAPH_ENTRY_POINTS[name])
 
 
 @pytest.mark.parametrize("name", VERTEX_CLASSES)

@@ -8,7 +8,7 @@ from gplab.errors import ResourceLimitError
 from gplab.graphs import SimplicialGraph
 from gplab.words import coxeter_group
 
-from util import CYC4, FREE3, K3, PATH3, all_graphs, occurrence_permutation, shuffle_class
+from util import CYC4, FREE3, K3, PATH3, _liftable, all_graphs, occurrence_permutation, shuffle_class
 
 EDGE2 = SimplicialGraph.build([0, 1], [(0, 1)])
 
@@ -73,6 +73,54 @@ def test_first_letters_pairwise_commuting():
         fl = g.first_letters_tuple(w)
         for u, v in itertools.combinations(fl, 2):
             assert CYC4.adjacent(u, v)
+
+
+def _ball4_words():
+    """(group, word) for every word of the radius-4 ball of every graph on
+    four vertices."""
+    for graph in all_graphs(4):
+        g = coxeter_group(graph)
+        for w in g.ball_tuples(4):
+            yield g, w
+
+
+def test_lift_matches_oracle_on_ball4():
+    for g, w in _ball4_words():
+        for v in g.graph.vertices:
+            for left in (True, False):
+                try:
+                    want = _liftable(g, w, v, left)
+                except ValueError:
+                    want = -1
+                assert g.lift(w, v, left) == want
+
+
+def test_end_letters_and_left_quotient_match_positions_on_ball4():
+    """A letter starts (ends) w when every letter before (after) one of its
+    positions commutes with it; dropping the first such position is the
+    left quotient."""
+    for g, w in _ball4_words():
+        adj = {v: g.graph.neighbors(v) for v in g.graph.vertices}
+        n = len(w)
+        first = [i for i in range(n) if all(w[j] in adj[w[i]] for j in range(i))]
+        last = [i for i in range(n) if all(w[j] in adj[w[i]] for j in range(i + 1, n))]
+        assert g.first_letters_tuple(w) == tuple(sorted({w[i] for i in first}))
+        assert g.last_letters_tuple(w) == tuple(sorted({w[i] for i in last}))
+        for v in g.graph.vertices:
+            at = [i for i in first if w[i] == v]
+            if at:
+                quotient = g.left_quotient_tuple(v, w)
+                assert quotient == g.canonical_tuple(w[: at[0]] + w[at[0] + 1:])
+                assert quotient == g.mul_tuple((v,), w)
+            else:
+                with pytest.raises(ValueError):
+                    g.left_quotient_tuple(v, w)
+
+
+def test_commutes_matches_products_on_ball4():
+    for g, w in _ball4_words():
+        for v in g.graph.vertices:
+            assert g.commutes_tuple(w, v) == (g.mul_tuple(w, (v,)) == g.mul_tuple((v,), w))
 
 
 def test_join_examples():
