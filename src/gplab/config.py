@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .algebras import Element, FiniteDimAlgebra, StateSpec, site_from_hecke, site_from_state
+from .algebras import Element, FiniteDimAlgebra, StateSpec, VertexSite, optimal_q, site_from_hecke, site_from_state
 from .analysis import FAULTS
 from .errors import ConfigError
 from .fock import DEFAULT_DIM_CAP
@@ -67,9 +67,9 @@ def _parse_matrix(raw: Any, path: str) -> np.ndarray:
             _fail(f"{path}[{i}]", "expected a list of [re, im] entries")
         entries = []
         for j, ent in enumerate(row):
-            if not (isinstance(ent, list) and len(ent) == 2):
-                _fail(f"{path}[{i}][{j}]", "expected [re, im]")
-            entries.append(complex(float(ent[0]), float(ent[1])))
+            if not (isinstance(ent, list) and len(ent) == 2 and all(map(_finite, ent))):
+                _fail(f"{path}[{i}][{j}]", "expected [re, im], two finite numbers")
+            entries.append(complex(*ent))
         rows.append(entries)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
@@ -89,16 +89,21 @@ def _parse_element(raw: Any, alg: FiniteDimAlgebra, path: str) -> Element:
         _fail(path, str(exc))
 
 
-def _with_defaults(raw: Mapping[str, Any], block: str, defaults: Mapping[str, Any]) -> dict:
-    """The defaults overridden by the config's `block` object; a key with no
-    default is rejected rather than ignored."""
-    given = raw.get(block, {})
+def _with_defaults(given: Any, path: str, defaults: Mapping[str, Any]) -> dict:
+    """The defaults overridden by `given`, the config object at key path
+    `path` ("" for the whole config); a key with no default is rejected
+    rather than ignored.  Every object of the config is read here."""
     if not isinstance(given, dict):
-        _fail(block, "expected an object")
+        _fail(path or "top level", "expected an object")
     for key in given:
         if key not in defaults:
-            _fail(f"{block}.{key}", f"unknown key; expected one of {sorted(defaults)}")
+            _fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {sorted(defaults)}")
     return {**defaults, **given}
+
+
+def _finite(value: Any) -> bool:
+    """Whether value is a number, not a bool, that a float holds finitely."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def _nonnegative_int(value: Any, path: str, positive: bool = False) -> int:
@@ -108,16 +113,16 @@ def _nonnegative_int(value: Any, path: str, positive: bool = False) -> int:
 
 
 def _positive_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+    if not _finite(value) or value <= 0:
         _fail(path, "expected a finite positive number")
     return value
 
 
-def _parse_topofree(raw: Mapping[str, Any], vnames: list[str], group: CoxeterGroup) -> dict:
+def _parse_topofree(given: Any, vnames: list[str], group: CoxeterGroup) -> dict:
     """The topofree block with its defaults, each word mapped from vertex
     names to its canonical letter tuple."""
     spec = _with_defaults(
-        raw,
+        given,
         "topofree",
         {"w": [], "exclusions": [[vnames[0]]], "L_max": 4, "search_radius": DEFAULT_WITNESS_RADIUS},
     )
@@ -151,94 +156,99 @@ def load_config(path: str) -> ProblemConfig:
     return parse_config(raw)
 
 
-def parse_config(raw: Mapping[str, Any]) -> ProblemConfig:
-    if raw.get("schema_version") != SCHEMA_VERSION:
+def _parse_site(given: Any, path: str) -> VertexSite:
+    """The vertex site that the spec at `path` describes.  A Hecke spec
+    takes no `blocks` or `density`."""
+    hecke = isinstance(given, dict) and "hecke" in given
+    kind = {"hecke": None} if hecke else {"blocks": None, "density": None}
+    spec = _with_defaults(given, path, {**kind, "witnesses": {}})
+    if hecke:
+        q = _positive_number(_with_defaults(spec["hecke"], f"{path}.hecke", {"q": None})["q"], f"{path}.hecke.q")
+        try:
+            return site_from_hecke(float(q))
+        except ValueError as exc:
+            _fail(f"{path}.hecke.q", str(exc))
+    blocks = spec["blocks"]
+    if not (isinstance(blocks, list) and blocks and all(isinstance(b, int) and b >= 1 for b in blocks)):
+        _fail(f"{path}.blocks", "expected a list of positive integers")
+    alg = FiniteDimAlgebra(tuple(blocks))
+    density_raw = spec["density"]
+    if not isinstance(density_raw, list) or len(density_raw) != len(blocks):
+        _fail(f"{path}.density", "expected one density matrix per block")
+    densities = [_parse_matrix(b, f"{path}.density[{i}]") for i, b in enumerate(density_raw)]
+    try:
+        return site_from_state(alg, StateSpec.build(alg, densities))
+    except ValueError as exc:
+        _fail(f"{path}.density", str(exc))
+
+
+def parse_config(raw: Any) -> ProblemConfig:
+    top = _with_defaults(raw, "", {"schema_version": None, "graph": None, "vertices": None, "truncation": 4, "seed": 0,
+                                   "caps": {}, "tolerances": {}, "topofree": {}, "fault_injection": None})
+    version = top["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}")
-    graph_raw = raw.get("graph")
-    if not isinstance(graph_raw, dict):
-        _fail("graph", "missing or not an object")
-    vnames = graph_raw.get("vertices")
+    graph_raw = _with_defaults(top["graph"], "graph", {"vertices": None, "edges": []})
+    vnames = graph_raw["vertices"]
     if not isinstance(vnames, list) or not vnames or not all(isinstance(v, str) for v in vnames):
         _fail("graph.vertices", "expected a nonempty list of vertex names")
     if len(set(vnames)) != len(vnames):
         _fail("graph.vertices", "duplicate vertex names")
     name_to_id = {nm: i for i, nm in enumerate(vnames)}
     names = {i: nm for nm, i in name_to_id.items()}
+    if not isinstance(graph_raw["edges"], list):
+        _fail("graph.edges", "expected a list of [u, v] pairs")
     edges = []
-    for k, e in enumerate(graph_raw.get("edges", [])):
+    for k, e in enumerate(graph_raw["edges"]):
         if not (isinstance(e, list) and len(e) == 2):
             _fail(f"graph.edges[{k}]", "expected a [u, v] pair")
         for nm in e:
-            if nm not in name_to_id:
+            if nm not in vnames:
                 _fail(f"graph.edges[{k}]", f"unknown vertex {nm!r}")
         if e[0] == e[1]:
             _fail(f"graph.edges[{k}]", "loop edges are not allowed")
         edges.append((name_to_id[e[0]], name_to_id[e[1]]))
     graph = SimplicialGraph.build(range(len(vnames)), edges)
 
-    vertex_specs = raw.get("vertices")
-    if not isinstance(vertex_specs, dict):
-        _fail("vertices", "missing or not an object")
-    missing = [nm for nm in vnames if nm not in vertex_specs]
+    vertex_specs = _with_defaults(top["vertices"], "vertices", dict.fromkeys(vnames))
+    missing = [nm for nm in vnames if nm not in top["vertices"]]
     if missing:
         _fail("vertices", f"missing algebra specs for {missing}")
 
     sites = {}
     witnesses: dict[VertexId, Element] = {}
     unitary_witnesses: dict[VertexId, Element] = {}
-    for nm in vnames:
-        vid = name_to_id[nm]
-        spec = vertex_specs[nm]
+    for vid, nm in enumerate(vnames):
         path = f"vertices.{nm}"
-        if not isinstance(spec, dict):
-            _fail(path, "expected an object")
-        if "hecke" in spec:
-            q = _positive_number(spec["hecke"].get("q"), f"{path}.hecke.q")
-            sites[vid] = site_from_hecke(float(q))
-            if not sites[vid].state.is_faithful():
-                _fail(f"{path}.hecke.q", "state is not faithful (a weight 1/(1+q) or q/(1+q) is below the PSD tolerance)")
-        else:
-            blocks = spec.get("blocks")
-            if not (isinstance(blocks, list) and blocks and all(isinstance(b, int) and b >= 1 for b in blocks)):
-                _fail(f"{path}.blocks", "expected a list of positive integers")
-            alg = FiniteDimAlgebra(tuple(blocks))
-            density_raw = spec.get("density")
-            if not isinstance(density_raw, list) or len(density_raw) != len(blocks):
-                _fail(f"{path}.density", "expected one density matrix per block")
-            densities = [_parse_matrix(b, f"{path}.density[{i}]") for i, b in enumerate(density_raw)]
-            try:
-                st = StateSpec.build(alg, densities)
+        site = sites[vid] = _parse_site(vertex_specs[nm], path)
+        wraw = vertex_specs[nm].get("witnesses", {})
+        read = {"a": witnesses, "unitary": unitary_witnesses}
+        _with_defaults(wraw, f"{path}.witnesses", read)  # an object with no other key
+        for key, value in wraw.items():
+            wpath = f"{path}.witnesses.{key}"
+            a = read[key][vid] = _parse_element(value, site.algebra, wpath)
+            try:  # the tests that every reader of a witness makes: nonzero and centered
+                optimal_q(a, site.state)
             except ValueError as exc:
-                _fail(f"{path}.density", str(exc))
-            if not st.is_faithful():
-                _fail(f"{path}.density", "state is not faithful (some block density is singular)")
-            try:
-                sites[vid] = site_from_state(alg, st)
-            except ValueError as exc:
-                _fail(f"{path}.density", str(exc))
-        wraw = spec.get("witnesses", {})
-        if wraw:
-            alg = sites[vid].algebra
-            if "a" in wraw:
-                witnesses[vid] = _parse_element(wraw["a"], alg, f"{path}.witnesses.a")
-            if "unitary" in wraw:
-                unitary_witnesses[vid] = _parse_element(wraw["unitary"], alg, f"{path}.witnesses.unitary")
+                _fail(wpath, str(exc))
+            if key == "unitary" and not a.is_unitary():
+                _fail(wpath, "expected a unitary")
 
-    truncation = _nonnegative_int(raw.get("truncation", 4), "truncation")
-    seed = _nonnegative_int(raw.get("seed", 0), "seed")
-    caps = _with_defaults(raw, "caps", DEFAULT_CAPS)
+    truncation = _nonnegative_int(top["truncation"], "truncation")
+    seed = _nonnegative_int(top["seed"], "seed")
+    caps = _with_defaults(top["caps"], "caps", DEFAULT_CAPS)
     for key, value in caps.items():
         _nonnegative_int(value, f"caps.{key}", positive=True)
-    tolerances = _with_defaults(raw, "tolerances", DEFAULT_TOLERANCES)
+    tolerances = _with_defaults(top["tolerances"], "tolerances", DEFAULT_TOLERANCES)
     for key, value in tolerances.items():
         _positive_number(value, f"tolerances.{key}")
 
-    fault = raw.get("fault_injection")
+    fault = top["fault_injection"]
     if fault is not None and fault not in FAULTS:
         _fail("fault_injection", f"expected one of {list(FAULTS)}")
 
     system = GraphSystem(graph, sites, dim_cap=int(caps["fock_dim"]))
-    topofree = _parse_topofree(raw, vnames, system.group)
+    topofree = _parse_topofree(top["topofree"], vnames, system.group)
     return ProblemConfig(
         system=system,
         names=names,

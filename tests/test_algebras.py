@@ -7,6 +7,7 @@ from gplab.algebras import (
     _perm_sign_candidates,
     FiniteDimAlgebra,
     StateSpec,
+    VertexSite,
     centered,
     centered_unitary_search,
     commutant_is_trivial,
@@ -243,6 +244,33 @@ def test_hecke_site_builds_its_vertex_once(q, monkeypatch):
     _, _, t = build(q)
     for x in site.algebra.basis() + [t]:
         assert np.array_equal(site.rep.matrix(x), hecke_gns(q).matrix(x))
+
+
+def test_vertex_site_state_is_faithful_by_construction():
+    """A VertexSite rejects a state that is not faithful, however it is
+    built: directly, or through site_from_hecke at a q whose weight 1/(1+q)
+    or q/(1+q) falls below PSD_TOL."""
+    alg = FiniteDimAlgebra((2,))
+    singular = StateSpec.build(alg, [np.diag([1.0, 0.0])])
+    rep = gns(alg, StateSpec.build(alg, [0.5 * np.eye(2)]))
+    with pytest.raises(ValueError, match="not faithful"):
+        VertexSite(alg, singular, rep)
+    for q in (1e13, 1e-13):
+        with pytest.raises(ValueError, match="not faithful"):
+            site_from_hecke(q)
+
+
+def test_centrality_and_unitarity_predicates():
+    """is_central(x) is omega(x b) = omega(b x) on every matrix unit b, and a
+    state is tracial iff every matrix unit is central for it."""
+    alg = FiniteDimAlgebra((2,))
+    flip = alg.element([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    sign = alg.element([np.diag([1.0, -1.0])])
+    tracial = StateSpec.build(alg, [0.5 * np.eye(2)])
+    skew = StateSpec.build(alg, [np.diag([0.7, 0.3])])
+    assert flip.is_unitary() and sign.is_unitary() and not (2.0 * sign).is_unitary()
+    assert tracial.is_tracial() and tracial.is_central(flip) and tracial.is_central(sign)
+    assert skew.is_central(sign) and not skew.is_central(flip) and not skew.is_tracial()
 
 
 @pytest.mark.parametrize("blocks, density", [

@@ -346,6 +346,72 @@ def test_bad_hecke_q_exits_two(tmp_path, q):
     assert main(["report-all", "--config", str(f)]) == 2
 
 
+def _diag(x, y):
+    """The one-block M2 element diag(x, y) in the config's [re, im] form."""
+    return [[[[x, 0.0], [0.0, 0.0]], [[0.0, 0.0], [y, 0.0]]]]
+
+
+@pytest.mark.parametrize(
+    "fixture,keys,value,path",
+    [
+        # values of the wrong type, which died with a traceback
+        ("hecke_q1_edgeless3", ("vertices", "a", "hecke"), 1, r"vertices\.a\.hecke"),
+        ("m2_trace_edgeless3", ("vertices", "a", "density", 0, 0, 0), ["x", 0.0], r"vertices\.a\.density\[0\]\[0\]\[0\]"),
+        ("m2_trace_edgeless3", ("vertices", "a", "density", 0, 0, 0), [None, 0.0], r"vertices\.a\.density\[0\]\[0\]\[0\]"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "unitary", 0, 0, 0), ["x", 0.0],
+         r"vertices\.a\.witnesses\.unitary\[0\]\[0\]\[0\]"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "unitary", 0, 0, 0), [None, 0.0],
+         r"vertices\.a\.witnesses\.unitary\[0\]\[0\]\[0\]"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses"), 5, r"vertices\.a\.witnesses"),
+        ("hecke_q1_edgeless3", ("graph", "edges"), 3, r"graph\.edges"),
+        ("hecke_q1_edgeless3", (), [], r"top level"),
+        ("hecke_q1_edgeless3", ("graph", "edges"), [[["a"], "b"]], r"graph\.edges\[0\]"),
+        # unknown keys, which were ignored
+        ("hecke_q1_edgeless3", ("truncaton",), 3, r"truncaton"),
+        ("hecke_q1_edgeless3", ("graph", "edge"), [["a", "b"]], r"graph\.edge"),
+        ("hecke_q1_edgeless3", ("vertices", "a", "hecke_q"), 2.0, r"vertices\.a\.hecke_q"),
+        ("hecke_q1_edgeless3", ("vertices", "a", "hecke", "qq"), 2.0, r"vertices\.a\.hecke\.qq"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "b"), _diag(1.0, -1.0), r"vertices\.a\.witnesses\.b"),
+        ("hecke_q1_edgeless3", ("vertices", "a", "blocks"), [2], r"vertices\.a\.blocks"),
+        ("hecke_q1_edgeless3", ("vertices", "d"), {"hecke": {"q": 1.0}}, r"vertices\.d"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses"), [1], r"vertices\.a\.witnesses"),
+        ("hecke_q1_edgeless3", ("schema_version",), True, r"schema_version"),
+        ("hecke_q1_edgeless3", ("schema_version",), 1.0, r"schema_version"),
+        # witnesses that their readers reject, which died with a traceback
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "unitary"), _diag(1.0, 1.0), r"vertices\.a\.witnesses\.unitary"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "unitary"), _diag(2.0, -2.0),
+         r"vertices\.a\.witnesses\.unitary"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "a"), _diag(1.0, 0.0), r"vertices\.a\.witnesses\.a"),
+        ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "a"), _diag(0.0, 0.0), r"vertices\.a\.witnesses\.a"),
+    ],
+    ids=[
+        "hecke_int", "density_string_entry", "density_null_entry", "witness_string_entry",
+        "witness_null_entry", "witnesses_int", "edges_int", "top_level_list", "edge_endpoint_list",
+        "truncaton", "graph_edge", "hecke_q_key", "hecke_qq", "witnesses_b", "hecke_and_blocks",
+        "vertex_not_in_graph", "witnesses_list", "schema_version_true", "schema_version_float",
+        "uncentered_unitary", "nonunitary_unitary", "uncentered_a", "zero_a",
+    ],
+)
+def test_malformed_config_exits_two(tmp_path, fixture, keys, value, path):
+    """A value of the wrong type, an unknown key anywhere, or a supplied
+    witness that its readers would reject exits 2 at its key path when the
+    config is read, before any command runs."""
+    cfg = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    if keys:
+        *head, last = keys
+        node = cfg
+        for k in head:
+            node = node[k]
+        node[last] = value
+    else:
+        cfg = value
+    with pytest.raises(ConfigError, match=path):
+        parse_config(cfg)
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["report-all", "--config", str(f)]) == 2
+
+
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_shallow_depths_report_without_guard_as_na(tmp_path, fixture, depth):

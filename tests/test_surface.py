@@ -1,9 +1,9 @@
 """Every public module-level function of gplab, and every public method of
 CoxeterGroup, of the graph classes (SimplicialGraph, Walk), of the
-vertex-algebra classes (FiniteDimAlgebra, Element, StateSpec, GnsRep), of
-OperatorMatrix and of ElementaryTerm, is reached
-from the package itself, not only from tests, or is one of the few named
-entry points below.  And every defaulted parameter of a gplab function is
+vertex-algebra classes (FiniteDimAlgebra, Element, StateSpec, GnsRep,
+VertexSite), of OperatorMatrix and of ElementaryTerm, is reached from the
+package itself, not only from tests, or is one of the few named entry
+points below.  And every defaulted parameter of a gplab function is
 set by some call in the package, or is one of the few named below: a
 default that no caller overrides is a constant.
 
@@ -41,7 +41,7 @@ GRAPH_ENTRY_POINTS = {
     "SimplicialGraph": {"is_clique"},
     "Walk": {"is_valid", "is_closed", "covers"},
 }
-VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep")
+VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep", "VertexSite")
 # The dense bridge that the oracles read: tests compare operators as dense
 # arrays, and no reader in the package needs one.
 OPERATOR_ENTRY_POINTS = {"toarray"}
