@@ -275,6 +275,14 @@ def optimal_q(a: Element, st: StateSpec) -> float:
     return max(lam, 0.0) / denom
 
 
+def require_witness(a: Element, st: StateSpec, unitary: bool) -> None:
+    """The one test of a supplied witness, ValueError unless it passes:
+    nonzero and centered (optimal_q), and unitary when `unitary`."""
+    optimal_q(a, st)
+    if unitary and not a.is_unitary():
+        raise ValueError("expected a unitary")
+
+
 def _perm_sign_candidates(alg: FiniteDimAlgebra):
     """Block-diagonal signed permutation matrices.  The identity permutations
     come first, so the first 2**slots candidates are the sign diagonals."""
@@ -378,7 +386,8 @@ def _hecke_gns(q: float, alg: FiniteDimAlgebra, st: StateSpec, t: Element) -> Gn
 class VertexSite:
     """A vertex algebra bundled with its state and a concrete GNS picture.
 
-    The state is faithful by construction, so no reader of a site decides
+    The state is faithful, and the state and the representation are of
+    the site's algebra, by construction, so no reader of a site decides
     that again.
     """
 
@@ -388,6 +397,8 @@ class VertexSite:
     hecke_q: Optional[float] = None
 
     def __post_init__(self):
+        if self.state.algebra != self.algebra or self.rep.algebra != self.algebra:
+            raise ValueError("state and representation must be of the site's algebra")
         _require_faithful(self.state)
 
     def omega(self, x: Element) -> complex:

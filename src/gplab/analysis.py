@@ -20,7 +20,7 @@ from . import elementary as el
 from . import fock as fk
 from . import growth as gr
 from . import lattice as lat
-from .algebras import Element, centered_unitary_search, commutant_is_trivial, optimal_q
+from .algebras import Element, centered_unitary_search, commutant_is_trivial, optimal_q, require_witness
 from .errors import ShallowTruncationError
 from .graphs import SimplicialGraph, VertexId
 from .system import GraphSystem
@@ -264,8 +264,10 @@ def trace_report(
         site = sysm.sites[v]
         u = witnesses.get(v) if witnesses else None
         if u is not None:
-            if not (u.is_unitary() and abs(site.omega(u)) <= 1e-8):
-                raise ValueError(f"supplied witness at {nm[v]} is not a kernel unitary")
+            try:
+                require_witness(u, site.state, unitary=True)
+            except ValueError as exc:
+                raise ValueError(f"supplied witness at {nm[v]} is not a kernel unitary: {exc}") from None
         else:
             found = centered_unitary_search(site.algebra, site.state)
             u = found[0] if found else None

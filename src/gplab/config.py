@@ -15,7 +15,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .algebras import Element, FiniteDimAlgebra, StateSpec, VertexSite, optimal_q, site_from_hecke, site_from_state
+from .algebras import Element, FiniteDimAlgebra, StateSpec, VertexSite, require_witness, site_from_hecke, site_from_state
 from .analysis import FAULTS
 from .errors import ConfigError
 from .fock import DEFAULT_DIM_CAP
@@ -169,9 +169,10 @@ def _parse_site(given: Any, path: str) -> VertexSite:
         except ValueError as exc:
             _fail(f"{path}.hecke.q", str(exc))
     blocks = spec["blocks"]
-    if not (isinstance(blocks, list) and blocks and all(isinstance(b, int) and b >= 1 for b in blocks)):
-        _fail(f"{path}.blocks", "expected a list of positive integers")
-    alg = FiniteDimAlgebra(tuple(blocks))
+    if not (isinstance(blocks, list) and blocks):
+        _fail(f"{path}.blocks", "expected a nonempty list of positive integers")
+    sizes = (_nonnegative_int(b, f"{path}.blocks[{i}]", positive=True) for i, b in enumerate(blocks))
+    alg = FiniteDimAlgebra(tuple(sizes))
     density_raw = spec["density"]
     if not isinstance(density_raw, list) or len(density_raw) != len(blocks):
         _fail(f"{path}.density", "expected one density matrix per block")
@@ -227,12 +228,10 @@ def parse_config(raw: Any) -> ProblemConfig:
         for key, value in wraw.items():
             wpath = f"{path}.witnesses.{key}"
             a = read[key][vid] = _parse_element(value, site.algebra, wpath)
-            try:  # the tests that every reader of a witness makes: nonzero and centered
-                optimal_q(a, site.state)
+            try:
+                require_witness(a, site.state, key == "unitary")
             except ValueError as exc:
                 _fail(wpath, str(exc))
-            if key == "unitary" and not a.is_unitary():
-                _fail(wpath, "expected a unitary")
 
     truncation = _nonnegative_int(top["truncation"], "truncation")
     seed = _nonnegative_int(top["seed"], "seed")

@@ -33,12 +33,15 @@ its GNS matrix m: the column whose v-leg is in slot s has, for each slot t,
 the entry m[t, s] in the row with its other legs and slot t (_side_table).
 
 What an operator's matrix depends on only through the space is compiled
-once per space, on first use, and cached in space._plans: the sparsity
-pattern of each part of lambda_v and rho_v on the columns of each cut,
-whose entries each name the entry of m their value is read from
-(_side_pattern), the 0/1 diagonal of each Q_w, read off the up-set of w in
-the weak order, and the subgraph expectation's maps.  Evaluating an
-operator on a cut is then a gather.
+once per space, on first use, and cached in space._plans: each column split
+along a set of letters as its head, the letters peeled off the acting end,
+followed by its tail (_factor), which lambda_v and rho_v read along v, the
+subgraph expectation along the subgraph and the join split along one
+factor; the sparsity pattern of each part of lambda_v and rho_v on the
+columns of each cut, whose entries each name the entry of m their value is
+read from (_side_pattern); and the 0/1 diagonal of each Q_w, read off the
+up-set of w in the weak order.  Evaluating an operator on a cut is then a
+gather.
 """
 from __future__ import annotations
 
@@ -152,39 +155,75 @@ class TruncatedFock:
         return got
 
 
-class _WordMaps(NamedTuple):
-    """One compiled basis map per source word block (see _word_map): the
-    vector with digit row d in block k goes to offsets[k] + d . rows[k]."""
-
-    offsets: np.ndarray  # (words,) -1 where the block's map has no target
-    rows: np.ndarray  # (words, width)
-
-    @staticmethod
-    def of(maps: Sequence[Optional[tuple[int, Sequence[int]]]], width: int) -> "_WordMaps":
-        maps = [(-1, [0] * width) if m is None else m for m in maps]
-        rows = np.array([row for _, row in maps], dtype=np.intp).reshape(len(maps), width)
-        return _WordMaps(np.array([off for off, _ in maps], dtype=np.intp), rows)
-
-    def apply(self, blocks: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        """Targets of the vectors in word blocks `blocks`, -1 for none."""
-        out = self.offsets[blocks] + (digits * self.rows[blocks]).sum(axis=1)
-        return np.where(self.offsets[blocks] >= 0, out, -1)
+def _word_map(space: TruncatedFock, word: Letters, src: Sequence[int]) -> tuple[int, list[int]]:
+    """(offset, row) of a basis map into the block of the canonical word
+    `word`, whose k-th letter takes its digit (slot - 1) from column src[k]
+    of the source digit row d: the target is offset + d . row."""
+    row = [0] * space.n
+    for p, stride in zip(src, space._strides[word]):
+        row[p] = stride
+    return space._spans[word][0], row
 
 
-def _word_map(space: TruncatedFock, word: Letters, src: Sequence[int], width: int) -> tuple[int, list[int]]:
-    """(offset, row) of a basis map into `space` for a whole word block.
+def _apply(space: TruncatedFock, maps: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
+    """Each column's target under the (offset, row) map of its word block."""
+    offsets = np.array([off for off, _ in maps], dtype=np.intp)
+    rows = np.array([row for _, row in maps], dtype=np.intp).reshape(len(maps), space.n)
+    wid = space.word_ids
+    return offsets[wid] + (space._digits * rows[wid]).sum(axis=1)
 
-    `word` is reduced and its k-th letter takes its digit (slot - 1) from
-    column src[k] of the source digit row d; the target, offset + d . row,
-    lies in the block of word's canonical form.  One canonical sort per
-    block, however many vectors it holds.
+
+def _factor(space: TruncatedFock, sub: Iterable[VertexId], left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each column split along the subgroup of the letters `sub` as its
+    head followed by its tail (the front for left, the back for right): the
+    head peels off the acting end, smallest first, every letter of sub that
+    can come to it, and the tail keeps the other letters in order.  Returns
+    (head, tail), the column of each column's head alone and of its tail
+    alone, the vacuum for an empty one.
+
+    Each word block compiles one map for each.  Peeled off the front,
+    smallest first, the head letters come in canonical order, so the head
+    map sorts nothing; the back is read along one vertex only (rho_v),
+    where the head is one letter.  A word with an empty head is its own
+    tail, and every other tail map is one canonical sort.  Compiled once
+    per (space, letters, side) and cached in space._plans.
     """
-    canon, perm = space.group.sort_with_perm(word)
-    strides = space._strides[canon]
-    row = [0] * width
-    for k, p in enumerate(perm):
-        row[src[p]] = strides[k]
-    return space._spans[canon][0], row
+    letters = tuple(sorted(sub))
+    key = ("factor", letters, left)
+    got = space._plans.get(key)
+    if got is not None:
+        return got
+    group = space.group
+    heads, tails = [], []
+    for w in space._spans:
+        rest = list(range(len(w)))
+        head: list[int] = []
+        while True:
+            now = [w[p] for p in rest]
+            k = next((k for s in letters if (k := group.lift(now, s, left)) >= 0), -1)
+            if k < 0:
+                break
+            head.append(rest.pop(k))
+        heads.append(_word_map(space, tuple(w[p] for p in head), head))
+        tail = tuple(w[p] for p in rest)
+        if head:
+            tail, perm = group.sort_with_perm(tail)
+            rest = [rest[p] for p in perm]
+        tails.append(_word_map(space, tail, rest))
+    got = space._plans[key] = (_apply(space, heads), _apply(space, tails))
+    return got
+
+
+def _join(head: np.ndarray, tail: np.ndarray, at_head, at_tail) -> np.ndarray:
+    """The column whose head is at_head and whose tail is at_tail in the
+    factorisation (head, tail) of _factor, broadcast over both; -1 where
+    there is none, that is where the joined word is longer than N."""
+    dim = len(head)
+    keys = head * dim + tail  # distinct: a column is its head and its tail
+    order = np.argsort(keys)
+    want = np.asarray(at_head) * dim + at_tail
+    found = order[np.minimum(np.searchsorted(keys, want, sorter=order), dim - 1)]
+    return np.where(keys[found] == want, found, -1)
 
 
 class OperatorMatrix:
@@ -206,14 +245,12 @@ class OperatorMatrix:
     j of A, which lies in the columns up to |j| + down.
 
     A product, sum, scalar multiple or adjoint records its operands and is
-    evaluated on first read (_evaluate).  Each cut read through `cols` is
-    kept, and so is each cut of an operand of two or more operators, and a
-    smaller cut is read off any larger one already kept.  The cuts of an
-    operand of one operator are used once and dropped, so a chain holds no
-    more matrices at a time than its eager evaluation would.
+    evaluated on first read (_evaluate).  Every cut evaluated is kept, the
+    operands' cuts with it, and a smaller cut is read off any larger one
+    already kept.
     """
 
-    __slots__ = ("space", "guard", "up", "down", "_eval", "_cuts", "_uses")
+    __slots__ = ("space", "guard", "up", "down", "_eval", "_cuts")
 
     def __init__(self, space: TruncatedFock, mat, guard: int, up: int, down: int):
         self.space = space
@@ -222,7 +259,6 @@ class OperatorMatrix:
         self.down = down
         self._eval = None
         self._cuts = {space.n: mat}
-        self._uses = 0
 
     @classmethod
     def _lazy(cls, space: TruncatedFock, fn, operands, guard: int, up: int, down: int) -> "OperatorMatrix":
@@ -232,9 +268,6 @@ class OperatorMatrix:
         op.space, op.guard, op.up, op.down = space, guard, up, down
         op._eval = (fn, operands)
         op._cuts = {}
-        op._uses = 0
-        for operand, _ in operands:
-            operand._uses += 1
         return op
 
     @property
@@ -246,15 +279,7 @@ class OperatorMatrix:
         class docstring."""
         k = min(k, self.space.n)
         got = self._kept(k)
-        if got is None:
-            got = self._evaluate(k)
-            self._keep(k, got)
-        return got
-
-    def _keep(self, k: int, mat) -> None:
-        self._cuts[k] = mat
-        if k == self.space.n:  # every later cut is read off this one
-            self._eval = None
+        return self._evaluate(k) if got is None else got
 
     def _kept(self, k: int):
         """Cut k if it is kept or can be read off a larger kept cut, else
@@ -270,7 +295,7 @@ class OperatorMatrix:
         """Cut k, from the operands' cuts, walked in post-order on an
         explicit stack so that a long chain of sums does not recurse.  An
         operator with no kept cut is evaluated from its own operands, and
-        keeps the cut if it is an operand of more than one."""
+        keeps the cut."""
         n = self.space.n
         mats: list = []
         todo = [(self, k, False)]
@@ -282,8 +307,9 @@ class OperatorMatrix:
                 args = mats[split:]
                 del mats[split:]
                 mats.append(fn(c, *args))
-                if op._uses > 1:
-                    op._keep(c, mats[-1])
+                op._cuts[c] = mats[-1]
+                if c == n:  # every later cut is read off this one
+                    op._eval = None
                 continue
             got = op._kept(c)
             if got is not None:
@@ -406,47 +432,20 @@ def offdiagonal_mass(a: OperatorMatrix) -> float:
 def _side_table(space: TruncatedFock, v: VertexId, left: bool) -> tuple[np.ndarray, np.ndarray]:
     """lambda_v (left) or rho_v (right) on the basis, as the v-leg of each
     column: the space is H_v, slot 0 its cyclic vector, tensored with the
-    words that cannot take v at the acting end.
+    words that cannot take v at the acting end, which is _factor along v.
 
-    slot[j] is the slot of the v at the acting end of column j's word, or 0
-    when there is none.  targets[j, t] is the row with column j's other legs
-    and slot t there: for t = 0 the word with that v dropped (column j
-    itself when it has none), for t >= 1 the slot rewritten in place or v
-    joined at the acting end; -1 when that word is longer than N.
-
-    Each word block compiles the map of slot 1 (the new digit read from
-    digit column N) once, and a block with v at the acting end its map of
-    slot 0; slot t is slot 1 moved by t - 1 strides of the v-leg.
+    slot[j] is the slot of column j's head, the v at the acting end of its
+    word, or 0 when there is none.  targets[j, t] joins the head of slot t,
+    the vacuum for t = 0, with column j's tail (_join): the row with column
+    j's other legs and slot t there, -1 when that word is longer than N.
     """
-    group = space.group
-    dv = space.reps[v].dim
-    n = space.n
-    acted, moved, drop = [], [], []
-    for w in space._spans:
-        r = group.lift(w, v, left)
-        acted.append(r)
-        if r >= 0:
-            row = [*space._strides[w], *[0] * (n + 1 - len(w))]
-            row[r], row[n] = 0, row[r]
-            rest = [p for p in range(len(w)) if p != r]
-            moved.append((space._spans[w][0], row))
-            drop.append(_word_map(space, tuple(w[p] for p in rest), rest, n))
-        else:
-            ext = ((v,) + w, [n, *range(len(w))]) if left else (w + (v,), [*range(len(w)), n])
-            moved.append(_word_map(space, *ext, n + 1) if len(w) < n and dv > 1 else None)
-            drop.append(None)
-    wid, digits = space.word_ids, space._digits
-    acted = np.array(acted, dtype=np.intp)[wid]
-    has_v = acted >= 0
-    moved = _WordMaps.of(moved, n + 1)
-    targets = np.empty((space.dim, dv), dtype=np.intp)
-    targets[:, 0] = np.where(has_v, _WordMaps.of(drop, n).apply(wid, digits), np.arange(space.dim))
-    base = moved.apply(wid, np.pad(digits, ((0, 0), (0, 1))))  # slot 1
-    targets[:, 1:] = base[:, None] + np.arange(dv - 1) * moved.rows[wid, n][:, None]
-    targets[base < 0, 1:] = -1
-    slot = np.zeros(space.dim, dtype=np.intp)
-    slot[has_v] = digits[has_v, acted[has_v]] + 1
-    return targets, slot
+    head, tail = _factor(space, (v,), left)
+    off, count = space._spans.get((v,), (0, 0))  # no block at depth 0
+    slot = np.where(head > 0, head - off + 1, 0)
+    at = np.full(space.reps[v].dim, -1, dtype=np.intp)  # the head of each slot
+    at[0] = 0
+    at[1:1 + count] = off + np.arange(count)
+    return _join(head, tail, at, tail[:, None]), slot
 
 
 class _SidePattern(NamedTuple):
@@ -683,86 +682,31 @@ def _check_induced(graph: SimplicialGraph, sub: SimplicialGraph):
         raise ValueError("subgraph is not induced")
 
 
-def _head_tail_plan(space: TruncatedFock, sub: SimplicialGraph):
-    """Factor each basis word as (head in the subgroup) * (minimal coset tail).
-
-    The head peels off the front, smallest first, every letter of the
-    subgroup that can come first; the tail keeps the other letters in order.
-    Returns emb, the column of each subgraph-space vector (its word blocks
-    are blocks here, slot for slot); head, the subgraph-space index of each
-    column's head, from one head map per word block; and per word block the
-    tail letters and their positions.
-    """
-    key = ("headtail", sub)
-    got = space._plans.get(key)
-    if got is not None:
-        return got
-    group = space.group
-    letters = sorted(sub.vertices)
-    sub_space = space.subspace(sub)
-    heads, tails = [], []
-    for w in space._spans:
-        rem = list(range(len(w)))
-        head: list[int] = []
-        while True:
-            word_now = tuple(w[p] for p in rem)
-            k = next((k for s in letters if (k := group.lift(word_now, s, True)) >= 0), -1)
-            if k < 0:
-                break
-            head.append(rem.pop(k))
-        heads.append(_word_map(sub_space, tuple(w[p] for p in head), head, space.n))
-        tails.append((tuple(w[p] for p in rem), tuple(rem)))
-    shift = [space._spans[u][0] - off for u, (off, _) in sub_space._spans.items()]
-    plan = (
-        np.arange(sub_space.dim) + np.array(shift, dtype=np.intp)[sub_space.word_ids],
-        _WordMaps.of(heads, space.n).apply(space.word_ids, space._digits),
-        tails,
-    )
-    space._plans[key] = plan
-    return plan
-
-
 def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: OperatorMatrix) -> OperatorMatrix:
     """Conditional expectation onto the operators of an induced subgraph:
-    compress by the subgraph Fock inclusion, then act on the head legs only.
+    compress to the subgraph's vectors, then act on the head legs only.
 
-    Entry (r0, c0) of the compression y goes to every column j whose head is
-    c0, in the row of head r0 followed by j's tail.  That row is one map per
-    (word of r0, word of j) pair, reading r0's digits in columns 0..N-1 and
-    j's in columns N..2N-1; a pair longer than N has no row.  The maps are
-    compiled as pairs first occur and cached per (space, subgraph) in
-    space._plans under ("merge", sub).
+    Along the subgraph each column is its head followed by its tail
+    (_factor), and the subgraph's vectors are the columns with no tail.
+    Entry (r0, c0) of the compression y goes to every column j whose head
+    is c0, in the row that joins r0 with j's tail (_join); it has none
+    where that word is longer than N.
     """
     if x.space is not space:
         raise ValueError("operator lives on a different space")
-    sub_space = space.subspace(sub)
-    emb, head, tails = _head_tail_plan(space, sub)
+    _check_induced(space.graph, sub)
+    head, tail = _factor(space, sub.vertices, True)
+    emb = np.flatnonzero(tail == 0)
     y_rows, y_cols, y_data = _mat.principal_parts(x.mat, emb)
 
-    # the columns with head c0, ascending, for each entry of y in turn
+    # the columns with head emb[c0], ascending, for each entry of y in turn
     order = np.argsort(head, kind="stable")
-    per_head = np.bincount(head, minlength=sub_space.dim)
+    per_head = np.bincount(head, minlength=space.dim)[emb]
     counts = per_head[y_cols]
     first = (np.cumsum(per_head) - per_head)[y_cols] - (np.cumsum(counts) - counts)
     cols = order[np.arange(int(counts.sum())) + np.repeat(first, counts)]
-    heads = np.repeat(y_rows, counts)
+    rows = _join(head, tail, emb[np.repeat(y_rows, counts)], tail[cols])
     data = np.repeat(y_data, counts)
-
-    n = space.n
-    nwords = len(space._spans)
-    pairs, pair_of = np.unique(sub_space.word_ids[heads] * nwords + space.word_ids[cols], return_inverse=True)
-    sub_words = list(sub_space._spans)
-    merges = space._plans.setdefault(("merge", sub), {})
-    keys = pairs.tolist()
-    for key in keys:
-        if key not in merges:
-            head_word, (tail_word, tail_pos) = sub_words[key // nwords], tails[key % nwords]
-            src = [*range(len(head_word)), *(n + p for p in tail_pos)]
-            fits = len(head_word) + len(tail_word) <= n
-            merges[key] = _word_map(space, head_word + tail_word, src, 2 * n) if fits else None
-    maps = [merges[key] for key in keys]
-    digits = np.hstack((sub_space._digits[heads], space._digits[cols]))
-    rows = _WordMaps.of(maps, 2 * n).apply(pair_of.ravel(), digits)
     keep = rows >= 0
     guard = min(x.guard, space.n - x.up)
     mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
@@ -844,17 +788,13 @@ def _tensor_pairs(space: TruncatedFock, f1: TruncatedFock, f2: TruncatedFock) ->
     """The join-decomposition unitary as a (f1.dim, f2.dim) table: entry
     (i1, i2) is the column whose letters in f1's graph, in order, give the
     vector i1 of f1 and whose other letters give i2 of f2, or -1 where no
-    column does.  Each word block compiles one map into each factor."""
-    s1 = set(f1.graph.vertices)
-    maps1, maps2 = [], []
-    for w in space._spans:
-        for fsub, maps, first in ((f1, maps1, True), (f2, maps2, False)):
-            pos = [p for p, letter in enumerate(w) if (letter in s1) == first]
-            maps.append(_word_map(fsub, tuple(w[p] for p in pos), pos, space.n))
-    i1 = _WordMaps.of(maps1, space.n).apply(space.word_ids, space._digits)
-    i2 = _WordMaps.of(maps2, space.n).apply(space.word_ids, space._digits)
+    column does.  In a join every letter of f1's graph can come first, so
+    those letters are a column's head along it (_factor) and the others its
+    tail; f1's vectors are the columns with no tail, and f2's those with no
+    head, in order."""
+    head, tail = _factor(space, f1.graph.vertices, True)
     table = np.full((f1.dim, f2.dim), -1, dtype=np.intp)
-    table[i1, i2] = np.arange(space.dim)
+    table[np.cumsum(tail == 0)[head] - 1, np.cumsum(head == 0)[tail] - 1] = np.arange(space.dim)
     return table
 
 

@@ -260,6 +260,20 @@ def test_vertex_site_state_is_faithful_by_construction():
             site_from_hecke(q)
 
 
+def test_vertex_site_parts_share_its_algebra():
+    """A VertexSite rejects a state or a GNS representation of another
+    algebra, which would make the Fock space read the 5 x 5 GNS matrices of
+    M2 + C for an element of M2, whose GNS matrices are 4 x 4."""
+    a2, a3 = FiniteDimAlgebra((2,)), FiniteDimAlgebra((2, 1))
+    st2 = StateSpec.build(a2, [0.5 * np.eye(2)])
+    st3 = StateSpec.build(a3, [0.25 * np.eye(2), 0.5 * np.eye(1)])
+    with pytest.raises(ValueError, match="site's algebra"):
+        VertexSite(a2, st2, gns(a3, st3))
+    with pytest.raises(ValueError, match="site's algebra"):
+        VertexSite(a2, st3, gns(a2, st2))
+    assert VertexSite(a2, st2, gns(a2, st2)).rep.dim == 4
+
+
 def test_centrality_and_unitarity_predicates():
     """is_central(x) is omega(x b) = omega(b x) on every matrix unit b, and a
     state is tracial iff every matrix unit is central for it."""

@@ -123,6 +123,19 @@ def test_trace_rejects_bad_witness():
         trace_report(sysm, {0: sysm.sites[0].algebra.one()})
 
 
+def test_trace_rejects_witness_that_config_rejects():
+    """trace_report tests a supplied witness as the config does: the
+    unitary diag(e^{i theta}, -e^{-i theta}) with theta = 1e-9 has |omega(u)|
+    = sin(theta) = 1e-9 under the trace, past the centering tolerance 1e-10."""
+    sysm = m2_trace_system()
+    theta = 1e-9
+    alg = sysm.sites[0].algebra
+    u = alg.element([np.diag([np.exp(1j * theta), -np.exp(-1j * theta)])])
+    assert u.is_unitary() and abs(sysm.sites[0].omega(u)) > 1e-10
+    with pytest.raises(ValueError, match="centered"):
+        trace_report(sysm, {0: u})
+
+
 def test_nuclearity_report_branches():
     c1 = FiniteDimAlgebra((1,))
     triv = site_from_state(c1, StateSpec.build(c1, [np.array([[1.0]])]))

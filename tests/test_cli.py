@@ -377,6 +377,9 @@ def _diag(x, y):
         ("m2_trace_edgeless3", ("vertices", "a", "witnesses"), [1], r"vertices\.a\.witnesses"),
         ("hecke_q1_edgeless3", ("schema_version",), True, r"schema_version"),
         ("hecke_q1_edgeless3", ("schema_version",), 1.0, r"schema_version"),
+        # a bool block size, which was read as 1
+        ("m2_trace_edgeless3", ("vertices", "a"), {"blocks": [True], "density": [[[[1.0, 0.0]]]]},
+         r"vertices\.a\.blocks\[0\]"),
         # witnesses that their readers reject, which died with a traceback
         ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "unitary"), _diag(1.0, 1.0), r"vertices\.a\.witnesses\.unitary"),
         ("m2_trace_edgeless3", ("vertices", "a", "witnesses", "unitary"), _diag(2.0, -2.0),
@@ -388,7 +391,7 @@ def _diag(x, y):
         "hecke_int", "density_string_entry", "density_null_entry", "witness_string_entry",
         "witness_null_entry", "witnesses_int", "edges_int", "top_level_list", "edge_endpoint_list",
         "truncaton", "graph_edge", "hecke_q_key", "hecke_qq", "witnesses_b", "hecke_and_blocks",
-        "vertex_not_in_graph", "witnesses_list", "schema_version_true", "schema_version_float",
+        "vertex_not_in_graph", "witnesses_list", "schema_version_true", "schema_version_float", "block_true",
         "uncentered_unitary", "nonunitary_unitary", "uncentered_a", "zero_a",
     ],
 )

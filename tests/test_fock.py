@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ from util import (
     naive_expectation_subgraph,
     naive_expectation_gram,
     naive_expectation_min_eig,
+    naive_factor,
     naive_gauge_average,
     naive_gauge_unitary,
     naive_guarded_deviation,
@@ -1051,9 +1053,10 @@ def test_compiled_side_ops_call_no_sort_and_no_group(mixed_path3, path, monkeypa
     assert (csr[0], group[0]) == (0, 0)
 
 
-def test_expectation_subgraph_merge_maps_cached(mixed_path3, monkeypatch, fresh_group):
+def test_expectation_subgraph_factorisation_cached(mixed_path3, monkeypatch, fresh_group):
     """A second subgraph expectation on the same (space, subgraph) compiles
-    no merge map again: it runs no canonical sort, and gives the same
+    nothing again: the first compiles the factorisation along the subgraph,
+    which sorts, and the second runs no canonical sort and gives the same
     matrix."""
     space = TruncatedFock(PATH3, mixed_path3.reps(), 4)  # empty caches
     sub = PATH3.induced([0, 1])
@@ -1061,15 +1064,31 @@ def test_expectation_subgraph_merge_maps_cached(mixed_path3, monkeypatch, fresh_
     x = lambda_op(space, 0, mixed_path3.sites[0].random_element(rng, center=False)) @ lambda_op(
         space, 1, mixed_path3.sites[1].random_element(rng, center=False)
     )
-    fock._head_tail_plan(space, sub)
     sort = _count_calls(monkeypatch, "sort_with_perm")
     first = expectation_subgraph(space, sub, x)
-    assert sort[0] > 0  # the merge maps, the head/tail plan being compiled
+    assert sort[0] > 0  # the tail maps of the factorisation
     sort[0] = 0
     again = expectation_subgraph(space, sub, x)
     assert sort[0] == 0
     assert np.array_equal(again.toarray(), first.toarray())
     assert np.array_equal(first.toarray(), naive_expectation_subgraph(space, sub, x).toarray())
+
+
+def test_factor_matches_per_vector_peel(mixed_path3, mixed_free3):
+    """The (head, tail) columns compiled per word block equal the peel made
+    one basis vector at a time, at the front along every induced subgraph of
+    a PATH3 space (dim 64) and a FREE3 space (dim 64), and at the back
+    along every vertex; joining each column's head and tail gives the column
+    back."""
+    for sysm, n in ((mixed_path3, 4), (mixed_free3, 3)):
+        space = sysm.space(n)
+        verts = space.graph.vertices
+        subs = [(sub, True) for k in range(len(verts) + 1) for sub in itertools.combinations(verts, k)]
+        for sub, left in subs + [((v,), False) for v in verts]:
+            head, tail = fock._factor(space, sub, left)
+            want_head, want_tail = naive_factor(space, sub, left)
+            assert np.array_equal(head, want_head) and np.array_equal(tail, want_tail)
+            assert np.array_equal(fock._join(head, tail, head, tail), np.arange(space.dim))
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -1158,17 +1177,37 @@ def test_tensor_pairs_match_per_vector_oracle(path):
     assert tensor_split_check(PATH3, [1], [0, 2], sysm.reps(), n).max_deviation <= 1e-12
 
 
+def _blocks_with_head(space, sub, left: bool) -> int:
+    """How many word blocks have a nonempty head along sub."""
+    head, _ = fock._factor(space, sub, left)
+    return len(np.unique(space.word_ids[head > 0]))
+
+
 def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
-    """Compiling every lambda and rho plan of M2 on FREE3 at depth 3 (dim
-    388, 22 word blocks) runs at most one canonical sort per word block and
-    plan, however many vectors the blocks hold."""
+    """Compiling every lambda and rho plan and the factorisations of four
+    subgraph expectations of M2 on FREE3 at depth 3 (dim 388, 22 word
+    blocks), and the pair table of M2 on the join PATH3 = {1} * {0, 2} at
+    depth 3 (dim 154), runs at most one canonical sort per factorisation
+    and word block with a nonempty head, however many vectors the blocks
+    hold."""
     sysm = GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
     space = sysm.space(3)
+    join_sys = GraphSystem(PATH3, {v: m2_site() for v in PATH3.vertices})
+    join = join_sys.space(3)
+    f1, f2 = join.subspace(PATH3.induced([1])), join.subspace(PATH3.induced([0, 2]))
+    x = lambda_op(space, 0, sysm.sites[0].random_element(np.random.default_rng(3)))
+    subs = [FREE3.induced(s) for s in ([0], [0, 1], [1, 2], [0, 1, 2])]
     sort = _count_calls(monkeypatch, "sort_with_perm")
     for v in FREE3.vertices:
         for left in (True, False):
             fock._side_table(space, v, left)
-    assert 0 < sort[0] <= len(space._spans) * len(FREE3.vertices) * 2
+    for sub in subs:
+        expectation_subgraph(space, sub, x)
+    fock._tensor_pairs(join, f1, f2)
+    bound = sum(_blocks_with_head(space, (v,), left) for v in FREE3.vertices for left in (True, False))
+    bound += sum(_blocks_with_head(space, sub.vertices, True) for sub in subs)
+    bound += _blocks_with_head(join, (1,), True)
+    assert 0 < sort[0] <= bound
     assert space.dim > len(space._spans) * len(FREE3.vertices) * 2
 
 

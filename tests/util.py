@@ -579,38 +579,50 @@ def naive_gauge_unitary(space, z) -> OperatorMatrix:
 # The head/tail factorisation and the factor pairs, one basis vector at a time.
 
 
+def naive_factor(space, sub, left: bool) -> tuple[list[int], list[int]]:
+    """Per column, the columns of its head alone and of its tail alone: the
+    letters of `sub` peeled off the acting end one vector at a time, each
+    step the smallest one that the first or last letters allow."""
+    group = space.group
+    subset = set(sub)
+    index = naive_index(space)
+    heads, tails = [], []
+    for w, slots in naive_basis(space):
+        rem = list(zip(w, slots))
+        head = []
+        while True:
+            word_now = tuple(p[0] for p in rem)
+            ends = group.first_letters_tuple(word_now) if left else group.last_letters_tuple(word_now)
+            allowed = [s for s in ends if s in subset]
+            if not allowed:
+                break
+            head.append(rem.pop(_liftable(group, word_now, min(allowed), left)))
+        for part, out in ((head if left else head[::-1], heads), (rem, tails)):
+            canon, perm = group.sort_with_perm(tuple(p[0] for p in part))
+            out.append(index[(canon, tuple(part[p][1] for p in perm))])
+    return heads, tails
+
+
 def naive_expectation_subgraph(space, sub, x) -> OperatorMatrix:
     """E_sub(x): each column's word is peeled into (head in the subgroup) *
     (tail) vector by vector, and each entry of x on the subgraph space is
     sent to the merged head-and-tail rows entry by entry."""
     group = space.group
-    subset = set(sub.vertices)
-    sub_space = space.subspace(sub)
-    index, sub_index = naive_index(space), naive_index(sub_space)
-    sub_basis = naive_basis(sub_space)
+    basis, index = naive_basis(space), naive_index(space)
+    sub_basis = naive_basis(space.subspace(sub))
     emb = np.array([index[b] for b in sub_basis], dtype=int)
     y_rows, y_cols, y_data = _mat.principal_parts(x.mat, emb)
     by_head: dict = {}
-    for j, (w, slots) in enumerate(naive_basis(space)):
-        rem = list(zip(w, slots))
-        head = []
-        while True:
-            word_now = tuple(p[0] for p in rem)
-            first = [s for s in group.first_letters_tuple(word_now) if s in subset]
-            if not first:
-                break
-            head.append(rem.pop(_liftable(group, word_now, min(first), True)))
-        canon, perm = group.sort_with_perm(tuple(p[0] for p in head))
-        head_idx = sub_index[(canon, tuple(head[p][1] for p in perm))]
-        by_head.setdefault(head_idx, []).append((j, rem))
+    for j, (h, t) in enumerate(zip(*naive_factor(space, sub.vertices, True))):
+        by_head.setdefault(h, []).append((j, basis[t]))
     rows, cols, data = [], [], []
     for r0, c0, val in zip(y_rows, y_cols, y_data):
         hw, hs = sub_basis[int(r0)]
-        for j, tail in by_head.get(int(c0), ()):
-            letters = hw + tuple(p[0] for p in tail)
+        for j, (tw, ts) in by_head.get(int(emb[c0]), ()):
+            letters = hw + tw
             if len(letters) > space.n:
                 continue
-            slots = hs + tuple(p[1] for p in tail)
+            slots = hs + ts
             canon, perm = group.sort_with_perm(letters)
             rows.append(index[(canon, tuple(slots[p] for p in perm))])
             cols.append(j)
