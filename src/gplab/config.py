@@ -30,11 +30,6 @@ DEFAULT_CAPS = {
     "fock_dim": DEFAULT_DIM_CAP,
 }
 
-DEFAULT_TOLERANCES = {
-    "identity": 1e-9,
-    "classification": 1e-8,
-}
-
 
 @dataclass
 class ProblemConfig:
@@ -42,7 +37,6 @@ class ProblemConfig:
     names: dict[VertexId, str]
     truncation: int
     seed: int
-    tolerances: dict[str, float]
     witnesses: dict[VertexId, Element] = field(default_factory=dict)
     unitary_witnesses: dict[VertexId, Element] = field(default_factory=dict)
     topofree: dict = field(default_factory=dict)  # parsed, defaults filled in; echo keeps the raw block
@@ -185,7 +179,7 @@ def _parse_site(given: Any, path: str) -> VertexSite:
 
 def parse_config(raw: Any) -> ProblemConfig:
     top = _with_defaults(raw, "", {"schema_version": None, "graph": None, "vertices": None, "truncation": 4, "seed": 0,
-                                   "caps": {}, "tolerances": {}, "topofree": {}, "fault_injection": None})
+                                   "caps": {}, "topofree": {}, "fault_injection": None})
     version = top["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}")
@@ -238,9 +232,6 @@ def parse_config(raw: Any) -> ProblemConfig:
     caps = _with_defaults(top["caps"], "caps", DEFAULT_CAPS)
     for key, value in caps.items():
         _nonnegative_int(value, f"caps.{key}", positive=True)
-    tolerances = _with_defaults(top["tolerances"], "tolerances", DEFAULT_TOLERANCES)
-    for key, value in tolerances.items():
-        _positive_number(value, f"tolerances.{key}")
 
     fault = top["fault_injection"]
     if fault is not None and fault not in FAULTS:
@@ -253,7 +244,6 @@ def parse_config(raw: Any) -> ProblemConfig:
         names=names,
         truncation=truncation,
         seed=seed,
-        tolerances=tolerances,
         witnesses=witnesses,
         unitary_witnesses=unitary_witnesses,
         topofree=topofree,

@@ -798,6 +798,11 @@ def _tensor_pairs(space: TruncatedFock, f1: TruncatedFock, f2: TruncatedFock) ->
     return table
 
 
+# The largest max_deviation of a join split that passes: the suite's
+# tensor.split and the tensor-split command read it alike.
+SPLIT_TOL = 1e-12
+
+
 @dataclass
 class TensorSplitReport:
     max_deviation: float

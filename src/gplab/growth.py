@@ -19,6 +19,8 @@ from .words import coxeter_group
 
 CRITICAL_T_CAP = 1e12
 BISECT_REL_TOL = 1e-10
+# classify reads a critical scale within this of 1 as Boundary
+BOUNDARY_BAND = 1e-8
 
 
 class Region(Enum):
@@ -31,7 +33,6 @@ class Region(Enum):
 class ConvergenceVerdict:
     region: Region
     critical_t: float  # +inf for finite groups
-    tolerance: float
 
 
 def _check_params(graph: SimplicialGraph, q: Mapping[VertexId, float]):
@@ -128,24 +129,22 @@ def partial_sum_ratios(
     return [sums[i + 1] / sums[i] for i in range(len(sums) - 1)]
 
 
-def classify(
-    graph: SimplicialGraph, q: Mapping[VertexId, float], tol: float = 1e-8
-) -> ConvergenceVerdict:
+def classify(graph: SimplicialGraph, q: Mapping[VertexId, float]) -> ConvergenceVerdict:
     """Ray classification: OutsideClosure iff the critical scale falls short
-    of 1, InsideRegion iff it exceeds 1, Boundary within the tolerance band.
+    of 1, InsideRegion iff it exceeds 1, Boundary within BOUNDARY_BAND of 1.
 
     The ray criterion is this artifact's operationalization of closure
     membership (valid because the series has nonnegative coefficients); the
     band is reported as Boundary rather than guessed either way.
     """
     tstar = critical_t(graph, q)
-    if tstar == float("inf") or tstar > 1.0 + tol:
+    if tstar == float("inf") or tstar > 1.0 + BOUNDARY_BAND:
         region = Region.INSIDE
-    elif tstar < 1.0 - tol:
+    elif tstar < 1.0 - BOUNDARY_BAND:
         region = Region.OUTSIDE
     else:
         region = Region.BOUNDARY
-    return ConvergenceVerdict(region, tstar, tol)
+    return ConvergenceVerdict(region, tstar)
 
 
 def clique_polynomial_string(graph: SimplicialGraph, names: Optional[Mapping[VertexId, str]] = None) -> str:

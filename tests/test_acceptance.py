@@ -155,7 +155,7 @@ def test_criterion_03_main_identities_suite():
     ok = True
     for sysm in _identity_systems():
         rng = np.random.default_rng(2024)
-        checks = main_identity_checks(sysm, depth=4, rng=rng, draws=50, tol=tol)
+        checks = main_identity_checks(sysm, depth=4, rng=rng, draws=50)
         for c in checks:
             if c.skipped_reason is None:
                 worst = max(worst, float(c.value))

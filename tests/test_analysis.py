@@ -302,7 +302,7 @@ def test_trace_with_failed_probe_is_not_established(monkeypatch):
 
 def test_simplicity_with_failed_evidence_is_not_established(monkeypatch):
     cfg = _m2_fixture()
-    args = (cfg.system, {**cfg.witnesses, **cfg.unitary_witnesses}, cfg.names, cfg.tolerances["classification"], 1, 3)
+    args = (cfg.system, {**cfg.witnesses, **cfg.unitary_witnesses}, cfg.names, 1, 3)
     assert simplicity_report(*args).result == ESTABLISHED
     _fail_record(monkeypatch, "complement_connected")
     _assert_gated(simplicity_report(*args), "complement_connected")

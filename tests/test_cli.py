@@ -98,6 +98,44 @@ def test_topofree_command(tmp_path):
     assert t["conclusive"] and len(t["checks"]) == 4
 
 
+def test_topofree_on_graph_it_cannot_serve_exits_two(tmp_path, capsys):
+    """The witness search walks the complement, so it needs three vertices
+    and a connected complement.  On a join (PATH3 = {b} * {a, c}) or on two
+    vertices, witness-topofree and report-all with a topofree block exit 2
+    with the reason, as tensor-split does on a graph that is not a join."""
+    cfg = json.loads((FIXTURES / "join_path3_hecke.json").read_text())
+    join = tmp_path / "join.json"
+    join.write_text(json.dumps({**cfg, "topofree": {}}))
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({**cfg, "graph": {"vertices": ["a", "b"], "edges": []},
+                               "vertices": {"a": cfg["vertices"]["a"], "b": cfg["vertices"]["b"]}}))
+    for argv, reason in [
+        (["witness-topofree", "--config", str(FIXTURES / "join_path3_hecke.json")], "complement must be connected"),
+        (["report-all", "--config", str(join)], "complement must be connected"),
+        (["witness-topofree", "--config", str(two)], "at least 3 vertices"),
+    ]:
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["tensor-split", "report-all"])
+def test_tensor_split_without_guarded_column_is_na(tmp_path, command):
+    """At depth 0 no lambda operator has a guarded column, so the join split
+    has nothing to compare: the tensor_split block reads n/a with the
+    reason, passes, and exits 0, as the suite's tensor.split row does."""
+    code, report = run_cli(
+        [command, "--config", str(FIXTURES / "join_path3_hecke.json"), "--depth", "0"], tmp_path / "r.json"
+    )
+    assert code == 0
+    ts = report["results"]["tensor_split"]
+    assert ts["max_deviation"] == "n/a" and ts["passed"]
+    assert "no guarded column" in ts["skipped"]
+    if command == "report-all":
+        row = next(c for c in report["results"]["identities"]["checks"] if c["name"] == "tensor.split")
+        assert row["value"] == "n/a" and row["skipped"] == ts["skipped"]
+
+
 @pytest.mark.parametrize(
     "patch,path",
     [
@@ -162,6 +200,33 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["growth", "--config", str(nf)]) == 2
 
 
+def _unknown_key_path(block: str, key: str) -> str:
+    """The key path at which a config with `block: {key: ...}` is rejected:
+    the key inside `caps`, or the whole block for `tolerances`."""
+    return rf"{block}\.{key}" if block == "caps" else rf"at {block}: unknown key"
+
+
+@pytest.mark.parametrize("block", [{}, {"identity": 1e-9}, {"classification": 1e-8}])
+def test_tolerances_block_exits_two(tmp_path, block):
+    """No check tolerance is settable: a `tolerances` block, empty or
+    holding a key it once took at its old default, exits 2 at `tolerances`."""
+    cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
+    cfg["tolerances"] = block
+    with pytest.raises(ConfigError, match=r"at tolerances: unknown key"):
+        parse_config(cfg)
+    f = tmp_path / "tolerances.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["check-identities", "--config", str(f), "--depth", "1"]) == 2
+
+
+def test_tolerance_flag_exits_two(capsys):
+    """--tolerance is no option: argparse rejects it with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check-identities", "--config", str(FIXTURES / "hecke_q1_edgeless3.json"), "--tolerance", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "block,known,typo",
     [
@@ -177,13 +242,16 @@ def test_config_error_exit_codes(tmp_path):
     ],
 )
 def test_unknown_cap_or_tolerance_key_exits_two(tmp_path, block, known, typo):
+    """An unknown cap exits 2 at its key path.  `tolerances` is no key of
+    the schema, since each check has one fixed tolerance: any block of it
+    exits 2 at `tolerances`, a key it once took included."""
     cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
     cfg[block] = {known: 1000}
-    parsed = parse_config(cfg)
-    # the one cap is read into the system's dimension cap
-    assert (parsed.system.dim_cap if block == "caps" else parsed.tolerances[known]) == 1000
+    if block == "caps":
+        # the one cap is read into the system's dimension cap
+        assert parse_config(cfg).system.dim_cap == 1000
     cfg[block] = {known: 1000, typo: 1000}
-    with pytest.raises(ConfigError, match=rf"{block}\.{typo}"):
+    with pytest.raises(ConfigError, match=_unknown_key_path(block, typo)):
         parse_config(cfg)
     f = tmp_path / "unknown.json"
     f.write_text(json.dumps(cfg))
@@ -319,11 +387,11 @@ def test_negative_seed_override_exits_two():
     ],
 )
 def test_bad_cap_or_tolerance_value_exits_two(tmp_path, block, key, value):
-    """Caps are positive integers and tolerances finite positive numbers;
-    any other value exits 2 with its key path named."""
+    """Caps are positive integers; any other value exits 2 with its key path
+    named.  A `tolerances` block exits 2 at `tolerances` whatever it holds."""
     cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
     cfg[block] = {key: value}
-    with pytest.raises(ConfigError, match=rf"{block}\.{key}"):
+    with pytest.raises(ConfigError, match=_unknown_key_path(block, key)):
         parse_config(cfg)
     f = tmp_path / "bad_value.json"
     f.write_text(json.dumps(cfg))
