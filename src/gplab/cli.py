@@ -17,11 +17,10 @@ import numpy as np
 
 from . import __version__
 from . import analysis as an
-from . import fock as fk
 from . import growth as gr
 from . import lattice as lat
 from .config import ProblemConfig, load_config
-from .errors import ConfigError, ResourceLimitError, ShallowTruncationError
+from .errors import ConfigError, ResourceLimitError
 
 COMMANDS = (
     "check-identities",
@@ -44,6 +43,8 @@ def _versions() -> dict:
 
 
 def _growth_parameters(cfg: ProblemConfig) -> dict:
+    """Each vertex's Hecke q, else the q of its witness found with no random
+    pool; a vertex with no positive-q witness is left out."""
     out = {}
     for v in cfg.system.graph.vertices:
         site = cfg.system.sites[v]
@@ -51,7 +52,8 @@ def _growth_parameters(cfg: ProblemConfig) -> dict:
             out[v] = float(site.hecke_q)
         else:
             wit = an.find_witness(cfg.system, v, cfg.witnesses.get(v))
-            out[v] = wit.q if wit else 0.0
+            if wit is not None and wit.q > 0:
+                out[v] = wit.q
     return out
 
 
@@ -62,16 +64,20 @@ def run_growth(cfg: ProblemConfig, depth: int, csv_path: Optional[str]) -> tuple
     coeffs = gr.growth_coefficients(graph, d)
     match = spheres == coeffs
     q = _growth_parameters(cfg)
-    verdict = gr.classify(graph, q)
     result = {
         "spheres": spheres,
         "series_coefficients": coeffs,
         "oracle_match": match,
         "clique_polynomial": gr.clique_polynomial_string(graph, cfg.names),
-        "parameters": {cfg.names[v]: q[v] for v in graph.vertices},
-        "critical_t": verdict.critical_t,
-        "region": verdict.region.value,
+        "parameters": {cfg.names[v]: q.get(v, "n/a") for v in graph.vertices},
     }
+    missing = [cfg.names[v] for v in graph.vertices if v not in q]
+    if missing:
+        result.update(critical_t="n/a", region="n/a",
+                      skipped=f"no positive-q witness at vertex {', '.join(missing)}")
+    else:
+        verdict = gr.classify(graph, q)
+        result.update(critical_t=verdict.critical_t, region=verdict.region.value)
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write("depth,sphere_count,series_coefficient\n")
@@ -88,15 +94,13 @@ def run_tensor_split(cfg: ProblemConfig, depth: int) -> tuple[dict, bool]:
     part1 = parts[0].vertices
     part2 = tuple(v for v in graph.vertices if v not in set(part1))
     result = {"part1": [cfg.names[v] for v in part1], "part2": [cfg.names[v] for v in part2]}
-    try:
-        report = fk.tensor_split_check(graph, part1, part2, cfg.system.reps(), depth, dim_cap=cfg.system.dim_cap)
-    except ShallowTruncationError as exc:
-        # as the suite's tensor.split: nothing to compare at this depth
-        result.update(max_deviation="n/a", skipped=str(exc), passed=True)
-        return result, True
-    ok = report.max_deviation <= fk.SPLIT_TOL
-    result.update(max_deviation=report.max_deviation, pair_count=report.pair_count, passed=ok)
-    return result, ok
+    (record,) = an.tensor_split_checks(cfg.system, depth)
+    result.update(max_deviation=record.value, passed=record.passed)
+    if record.skipped_reason:
+        result["skipped"] = record.skipped_reason
+    else:
+        result["pair_count"] = cfg.system.space(depth).dim
+    return result, record.passed
 
 
 def run_topofree(cfg: ProblemConfig) -> tuple[dict, bool]:

@@ -160,19 +160,17 @@ class SimplicialGraph:
         # total so downstream recursions never special-case it).
         return len(self.connected_components()) <= 1
 
-    def closed_covering_walk(self, start: Optional[VertexId] = None) -> Optional[Walk]:
-        """A closed walk visiting every vertex, or None when disconnected.
+    def closed_covering_walk(self) -> Optional[Walk]:
+        """A closed walk visiting every vertex, from the first, or None when
+        disconnected.
 
         Built from a depth-first tour recorded on entry and on every return,
         then greedily shortened from the tail while closure and coverage
-        survive.  The walk begins at `start` when supplied.
+        survive.
         """
         if not self.is_connected():
             return None
-        if start is None:
-            start = self.vertices[0]
-        elif start not in self._adj:
-            raise ValueError(f"unknown vertex {start}")
+        start = self.vertices[0]
         if len(self.vertices) == 1:
             return Walk((start,))
 

@@ -161,7 +161,7 @@ def test_find_witness_prefers_supplied():
 
 def test_identity_suite_passes_on_mixed_system():
     sysm = mixed_system(FREE3, hecke_q=2.0)
-    report = identity_suite(sysm, depth=3, seed=5, draws=8, rewrite_samples=10)
+    report = identity_suite(sysm, depth=3, seed=5)
     failed = [c.name for c in report.checks if not c.passed]
     assert report.passed, failed
     blob = report.to_json()
@@ -171,7 +171,7 @@ def test_identity_suite_passes_on_mixed_system():
 @pytest.mark.parametrize("fault", an.FAULTS)
 def test_identity_suite_detects_seeded_fault(fault):
     sysm = hecke_system(FREE3, 2.0)
-    report = identity_suite(sysm, depth=3, seed=1, draws=6, rewrite_samples=6, corrupt=fault)
+    report = identity_suite(sysm, depth=3, seed=1, corrupt=fault)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"rewrite": {"rewrite.certificate"}, "identities": {"annih_creation.same_vertex"}}[fault]
@@ -186,8 +186,8 @@ def test_identity_suite_rejects_a_fault_no_group_takes():
 
 def test_identity_suite_deterministic():
     sysm = hecke_system(FREE3, 2.0)
-    r1 = identity_suite(sysm, depth=3, seed=9, draws=6, rewrite_samples=6)
-    r2 = identity_suite(sysm, depth=3, seed=9, draws=6, rewrite_samples=6)
+    r1 = identity_suite(sysm, depth=3, seed=9)
+    r2 = identity_suite(sysm, depth=3, seed=9)
     v1 = [(c.name, c.value) for c in r1.checks]
     v2 = [(c.name, c.value) for c in r2.checks]
     assert v1 == v2
@@ -207,7 +207,7 @@ def test_suite_table_names_what_each_group_reports(monkeypatch, fixture):
     for group in rows:
         monkeypatch.setattr(an, "SUITE", (group,))
         for depth in (0, cfg.truncation):
-            checks = identity_suite(cfg.system, depth=depth, seed=1, draws=2, rewrite_samples=2).checks
+            checks = identity_suite(cfg.system, depth=depth, seed=1).checks
             assert [c.name for c in checks] == list(group.shallow), (group.name, depth)
             if depth == 0:
                 assert all(c.value == "n/a" and c.passed for c in checks), group.name
@@ -297,7 +297,7 @@ def test_trace_with_failed_probe_is_not_established(monkeypatch):
     args = (cfg.system, cfg.unitary_witnesses, cfg.names, 3, 1)
     assert trace_report(*args).result == ESTABLISHED
     monkeypatch.setattr(an, "traciality_probe", lambda *a, **k: 1.0)
-    _assert_gated(trace_report(*args), "vacuum_trace_probe_max_violation")
+    _assert_gated(trace_report(*args), "trace.vacuum_probe")
 
 
 def test_simplicity_with_failed_evidence_is_not_established(monkeypatch):

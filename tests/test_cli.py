@@ -518,3 +518,135 @@ def test_expectation_checks_without_guard_report_numbers_at_depth_two(tmp_path):
         assert isinstance(checks[name]["value"], float) and checks[name]["passed"]
         assert "skipped" not in checks[name]
         assert checks[name]["value"] <= checks[name]["tolerance"]
+
+
+# -- one rule and one computation per check ----------------------------------------
+
+
+def _write_variant(tmp_path, fixture: str, edit) -> Path:
+    """A copy of a fixture, changed in place by edit(cfg)."""
+    cfg = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    edit(cfg)
+    path = tmp_path / f"{fixture}_variant.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _keep_vertices(*names):
+    """An edit that keeps only the named vertices and the edges among them,
+    and drops the topofree block."""
+    def edit(cfg):
+        cfg["graph"] = {"vertices": list(names),
+                        "edges": [e for e in cfg["graph"]["edges"] if set(e) <= set(names)]}
+        cfg["vertices"] = {v: cfg["vertices"][v] for v in names}
+        cfg.pop("topofree", None)
+    return edit
+
+
+def _check(report, name):
+    return next(c for c in report["results"]["identities"]["checks"] if c["name"] == name)
+
+
+@pytest.mark.parametrize("command", ["check-identities", "report-all"])
+def test_one_vertex_graph_runs_the_suite(tmp_path, command):
+    """With one vertex there is no pair of distinct vertices to draw, so
+    rho_lambda.commutation is n/a, as subgraph.expectation is."""
+    cfg = _write_variant(tmp_path, "hecke_q1_edgeless3", _keep_vertices("a"))
+    code, report = run_cli([command, "--config", str(cfg)], tmp_path / "r.json")
+    assert code == 0
+    assert _check(report, "rho_lambda.commutation") == {
+        "name": "rho_lambda.commutation", "passed": True, "skipped": "graph too small", "value": "n/a"}
+
+
+@pytest.mark.parametrize("vertices,edges,depth", [(["a"], [], 2), (["a", "b"], [["a", "b"]], 3)])
+def test_identity_tail_ones_on_a_finite_group(tmp_path, vertices, edges, depth):
+    """A clique's group is finite: past its longest word the Fock space has
+    nothing, and the tail profile of 1 is 0 there, as it must be."""
+    def edit(cfg):
+        _keep_vertices(*vertices)(cfg)
+        cfg["graph"]["edges"] = edges
+    cfg = _write_variant(tmp_path, "hecke_q1_edgeless3", edit)
+    code, report = run_cli(["check-identities", "--config", str(cfg), "--depth", str(depth)], tmp_path / "r.json")
+    assert code == 0
+    rec = _check(report, "ideal.identity_tail_ones")
+    assert rec["passed"] and rec["value"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["growth", "report-all"])
+def test_growth_with_one_dimensional_vertex_is_na(tmp_path, command):
+    """C at vertex c has no centred element but 0, so no positive-q witness:
+    the growth block classifies nothing and names the vertex."""
+    def edit(cfg):
+        cfg["vertices"]["c"] = {"blocks": [1], "density": [[[[1.0, 0.0]]]]}
+    cfg = _write_variant(tmp_path, "m2_trace_edgeless3", edit)
+    code, report = run_cli([command, "--config", str(cfg)], tmp_path / "r.json")
+    assert code == 0
+    g = report["results"]["growth"]
+    assert g["critical_t"] == "n/a" and g["region"] == "n/a" and g["oracle_match"]
+    assert g["skipped"] == "no positive-q witness at vertex c"
+    assert g["parameters"]["c"] == "n/a"
+
+
+def _non_tracial(cfg):
+    cfg["vertices"]["a"]["density"] = [[[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]]
+    cfg["vertices"]["a"].pop("witnesses")
+
+
+def test_probe_below_depth_two_is_na(tmp_path):
+    """Every probe pair has word length at least 2, so at depth 1 the probe
+    samples nothing: its row is n/a, not a failure to detect the violation
+    of a non-tracial state, and the trace verdict carries the same record."""
+    cfg = _write_variant(tmp_path, "m2_trace_edgeless3", _non_tracial)
+    code, report = run_cli(["report-all", "--config", str(cfg), "--depth", "1"], tmp_path / "r.json")
+    assert code == 0
+    rec = _check(report, "trace.vacuum_probe_detects_violation")
+    assert rec["value"] == "n/a" and rec["passed"] and "depth 1" in rec["skipped"]
+    trace = report["results"]["verdicts"][1]
+    assert trace["result"] == "Established" and trace["evidence"][-1] == rec
+
+
+@pytest.mark.parametrize("fixture", ["m2_trace_edgeless3", "non_tracial"])
+def test_trace_verdict_reads_the_suite_probe_record(tmp_path, fixture):
+    if fixture == "non_tracial":
+        cfg = _write_variant(tmp_path, "m2_trace_edgeless3", _non_tracial)
+    else:
+        cfg = FIXTURES / f"{fixture}.json"
+    code, report = run_cli(["report-all", "--config", str(cfg)], tmp_path / "r.json")
+    assert code == 0
+    (rec,) = [c for c in report["results"]["identities"]["checks"] if c["name"].startswith("trace.")]
+    trace = report["results"]["verdicts"][1]
+    assert trace["statement"] == "tracial state structure" and trace["result"] == "Established"
+    assert [e for e in trace["evidence"] if "probe" in e["name"]] == [rec]
+    assert rec["value"] != "n/a"
+
+
+@pytest.mark.parametrize("depth", [0, 4])
+def test_tensor_split_block_reads_the_suite_row(tmp_path, depth):
+    code, report = run_cli(
+        ["report-all", "--config", str(FIXTURES / "join_path3_hecke.json"), "--depth", str(depth)], tmp_path / "r.json"
+    )
+    assert code == 0
+    ts, row = report["results"]["tensor_split"], _check(report, "tensor.split")
+    assert (ts["max_deviation"], ts["passed"], ts.get("skipped")) == (row["value"], row["passed"], row.get("skipped"))
+    assert ("pair_count" in ts) == (depth > 0)
+
+
+def test_report_all_on_a_join_builds_each_space_once(monkeypatch):
+    """At depth 4 report-all builds the system's depth-4 space, its depth-3
+    space for the lattice group and the two factor spaces of the join split:
+    the suite's tensor.split and the tensor_split block share one split."""
+    from gplab import cli
+    from gplab.fock import TruncatedFock
+
+    cfg = load_config(FIXTURES / "join_path3_hecke.json")
+    built = []
+    init = TruncatedFock.__init__
+
+    def counting(self, graph, reps, n, *args, **kwargs):
+        built.append((graph.vertices, n))
+        init(self, graph, reps, n, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedFock, "__init__", counting)
+    _, ok = cli.execute("report-all", cfg, 4, cfg.seed, False, None)
+    assert ok
+    assert len(built) == 4, built

@@ -374,14 +374,24 @@ def test_rho_lambda_commute(mixed_free3, mixed_path3):
 def test_tensor_split_examples():
     site = site_from_hecke(2.0)
     rep = site.rep
-    r = tensor_split_check(K2, [0], [1], {0: rep, 1: rep}, 4)
+    r = tensor_split_check(TruncatedFock(K2, {0: rep, 1: rep}, 4), [0])
     assert r.max_deviation <= 1e-12
-    r2 = tensor_split_check(K3, [0], [1, 2], {v: rep for v in K3.vertices}, 4)
+    r2 = tensor_split_check(TruncatedFock(K3, {v: rep for v in K3.vertices}, 4), [0])
     assert r2.max_deviation <= 1e-12
     with pytest.raises(ValueError):
-        tensor_split_check(FREE2, [0], [1], {0: rep, 1: rep}, 3)
-    with pytest.raises(ValueError):
-        tensor_split_check(K2, [0], [0, 1], {0: rep, 1: rep}, 3)
+        tensor_split_check(TruncatedFock(FREE2, {0: rep, 1: rep}, 3), [0])
+
+
+def test_tensor_split_is_computed_once_per_space(monkeypatch):
+    """The split of a space is cached with it: a second call returns the
+    same report and builds no factor space."""
+    rep = site_from_hecke(2.0).rep
+    space = TruncatedFock(K3, {v: rep for v in K3.vertices}, 3)
+    first = tensor_split_check(space, [0])
+    built = []
+    monkeypatch.setattr(TruncatedFock, "subspace", lambda self, sub: built.append(sub))
+    assert tensor_split_check(space, [0]) is first and built == []
+    assert first.pair_count == space.dim
 
 
 def test_guard_arithmetic(mixed_free3):
@@ -487,9 +497,11 @@ def test_traciality_probe_directions():
     from gplab.system import GraphSystem
 
     tracial = GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
-    assert traciality_probe(tracial, depth=3, seed=1, samples=40) <= 1e-10
+    assert traciality_probe(tracial, depth=3, seed=1) <= 1e-10
     nt = GraphSystem(FREE3, {0: m2_site([[0.7, 0], [0, 0.3]]), 1: m2_site(), 2: m2_site()})
-    assert traciality_probe(nt, depth=3, seed=1, samples=60) > 1e-3
+    assert traciality_probe(nt, depth=3, seed=1) > 1e-3
+    with pytest.raises(ShallowTruncationError, match="no probe pair fits depth 1"):
+        traciality_probe(tracial, depth=1)
 
 
 def _oracle_space(mixed_path3, path):
@@ -652,9 +664,10 @@ def test_expectation_subgraph_module_property(mixed_path3):
 
 def test_tensor_split_empty_part_is_identity_check():
     site = site_from_hecke(2.0)
-    r = tensor_split_check(FREE2, [], [0, 1], {0: site.rep, 1: site.rep}, 3)
+    space = TruncatedFock(FREE2, {0: site.rep, 1: site.rep}, 3)
+    r = tensor_split_check(space, [])
     assert r.max_deviation <= 1e-12
-    assert r.pair_count == TruncatedFock(FREE2, {0: site.rep, 1: site.rep}, 3).dim
+    assert r.pair_count == space.dim
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -1174,7 +1187,7 @@ def test_tensor_pairs_match_per_vector_oracle(path):
     f1, f2 = space.subspace(PATH3.induced([1])), space.subspace(PATH3.induced([0, 2]))
     got = fock._tensor_pairs(space, f1, f2)
     assert np.array_equal(got, naive_tensor_pairs(space, f1, f2))
-    assert tensor_split_check(PATH3, [1], [0, 2], sysm.reps(), n).max_deviation <= 1e-12
+    assert tensor_split_check(space, [1]).max_deviation <= 1e-12
 
 
 def _blocks_with_head(space, sub, left: bool) -> int:

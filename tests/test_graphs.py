@@ -47,10 +47,10 @@ def test_clique_vertex_cap():
 
 
 def test_closed_covering_walk_examples():
-    w = K3.closed_covering_walk(0)
+    w = K3.closed_covering_walk()
     assert w.steps == (0, 1, 2)
     assert SimplicialGraph.build([0, 1], []).closed_covering_walk() is None
-    w2 = PATH3.closed_covering_walk(0)
+    w2 = PATH3.closed_covering_walk()
     assert w2.steps == (0, 1, 2, 1)
     assert w2.is_valid(PATH3) and w2.is_closed(PATH3) and w2.covers(PATH3)
 

@@ -45,16 +45,9 @@ VERTEX_CLASSES = ("FiniteDimAlgebra", "Element", "StateSpec", "GnsRep", "VertexS
 # The dense bridge that the oracles read: tests compare operators as dense
 # arrays, and no reader in the package needs one.
 OPERATOR_ENTRY_POINTS = {"toarray"}
-# Defaulted parameters that the package never sets: the identity suite's
-# sample counts and the command line's argv, set by callers outside it (the
-# tests), and the start vertex of a covering walk, which the package always
-# leaves to the walk.
-UNSET_DEFAULTS = {
-    ("analysis", "identity_suite", "draws"),
-    ("analysis", "identity_suite", "rewrite_samples"),
-    ("cli", "main", "argv"),
-    ("graphs", "closed_covering_walk", "start"),
-}
+# The one defaulted parameter that the package never sets: the command
+# line's argv, set by callers outside it (the tests).
+UNSET_DEFAULTS = {("cli", "main", "argv")}
 
 
 def _trees() -> dict[str, ast.Module]:
