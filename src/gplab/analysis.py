@@ -256,11 +256,12 @@ def simplicity_report(
 
 def trace_report(
     sysm: GraphSystem,
+    probe: list[CheckRecord],
     witnesses: Optional[Mapping[VertexId, Element]] = None,
     names: Optional[Mapping[VertexId, str]] = None,
-    depth: int = 4,
     seed: int = 0,
 ) -> Verdict:
+    """Trace pipeline; `probe` is a traciality_probe_checks record, carried as evidence."""
     nm = _vertex_names(sysm, names)
     evidence: list[CheckRecord] = []
     for v in sysm.graph.vertices:
@@ -289,23 +290,14 @@ def trace_report(
     for v, t in tracial.items():
         evidence.append(CheckRecord(f"tracial[{nm[v]}]", bool(t)))
 
-    evidence += traciality_probe_checks(sysm, depth, seed)
-
-    if all(tracial.values()):
-        return Verdict(
-            "tracial state structure",
-            ESTABLISHED,
-            evidence,
-            [CRIT_TRACE_UNIQUE],
-            ["the vacuum state is the unique tracial state"],
-            seeds=[seed],
-        )
+    unique = all(tracial.values())
     return Verdict(
         "tracial state structure",
         ESTABLISHED,
-        evidence,
-        [CRIT_TRACE_NONE],
-        ["some vertex state is non-tracial while kernel unitaries exist: no tracial state"],
+        evidence + probe,
+        [CRIT_TRACE_UNIQUE if unique else CRIT_TRACE_NONE],
+        ["the vacuum state is the unique tracial state" if unique
+         else "some vertex state is non-tracial while kernel unitaries exist: no tracial state"],
         seeds=[seed],
     )
 
@@ -369,9 +361,13 @@ def nuclearity_exactness_report(
 
 @dataclass
 class SuiteReport:
-    checks: list[CheckRecord]
+    groups: dict[str, list[CheckRecord]]  # each SUITE row's records, by its name
     seed: int
     elapsed: float
+
+    @property
+    def checks(self) -> list[CheckRecord]:
+        return [c for records in self.groups.values() for c in records]
 
     @property
     def passed(self) -> bool:
@@ -792,7 +788,8 @@ def traciality_probe_checks(sysm: GraphSystem, depth: int, seed: int) -> list[Ch
     """The vacuum-trace probe: it stays below 1e-10 when every vertex state
     is tracial, and must exceed 1e-3 otherwise; n/a below depth 2, where no
     probe pair fits.  The trace verdict carries this record as its evidence
-    too."""
+    too: in report-all the suite's `trace` row, computed once, and in the
+    trace command one call at the same depth and seed."""
     all_tracial = all(s.state.is_tracial() for s in sysm.sites.values())
     name = "trace.vacuum_probe" if all_tracial else "trace.vacuum_probe_detects_violation"
     try:
@@ -874,12 +871,12 @@ def identity_suite(
         raise ValueError(f"no fault for {corrupt!r}; expected one of {FAULTS}")
     t0 = time.time()
     run = SuiteRun(sysm, depth, seed, np.random.default_rng(seed))
-    checks: list[CheckRecord] = []
+    groups: dict[str, list[CheckRecord]] = {}
     for group in SUITE:
         try:
-            checks += group.run(run, corrupt == group.name)
+            groups[group.name] = group.run(run, corrupt == group.name)
         except ShallowTruncationError as exc:
             if not group.shallow:
                 raise
-            checks += [CheckRecord(name, "n/a", None, True, str(exc)) for name in group.shallow]
-    return SuiteReport(checks, seed, time.time() - t0)
+            groups[group.name] = [CheckRecord(name, "n/a", None, True, str(exc)) for name in group.shallow]
+    return SuiteReport(groups, seed, time.time() - t0)

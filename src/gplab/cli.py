@@ -43,8 +43,8 @@ def _versions() -> dict:
 
 
 def _growth_parameters(cfg: ProblemConfig) -> dict:
-    """Each vertex's Hecke q, else the q of its witness found with no random
-    pool; a vertex with no positive-q witness is left out."""
+    """Each vertex's Hecke q, else the q of its supplied witness, or of one
+    found with no random pool; a vertex with no positive-q witness is left out."""
     out = {}
     for v in cfg.system.graph.vertices:
         site = cfg.system.sites[v]
@@ -142,11 +142,12 @@ def execute(cmd: str, cfg: ProblemConfig, depth: int, seed: int, strict: bool, c
         ok &= growth_ok
     verdicts = []
     if cmd in ("simplicity", "report-all"):
-        v = an.simplicity_report(cfg.system, {**cfg.witnesses, **cfg.unitary_witnesses}, cfg.names, seed, depth)
+        v = an.simplicity_report(cfg.system, cfg.witnesses, cfg.names, seed, depth)
         verdicts.append(v)
         ok &= _verdict_ok(v, strict)
     if cmd in ("trace", "report-all"):
-        v = an.trace_report(cfg.system, cfg.unitary_witnesses, cfg.names, depth, seed)
+        probe = suite.groups["trace"] if cmd == "report-all" else an.traciality_probe_checks(cfg.system, depth, seed)
+        v = an.trace_report(cfg.system, probe, cfg.unitary_witnesses, cfg.names, seed)
         verdicts.append(v)
         ok &= _verdict_ok(v, strict)
     if cmd in ("nuclearity", "report-all"):

@@ -37,7 +37,7 @@ class ProblemConfig:
     names: dict[VertexId, str]
     truncation: int
     seed: int
-    witnesses: dict[VertexId, Element] = field(default_factory=dict)
+    witnesses: dict[VertexId, Element] = field(default_factory=dict)  # `unitary` if given, else `a`
     unitary_witnesses: dict[VertexId, Element] = field(default_factory=dict)
     topofree: dict = field(default_factory=dict)  # parsed, defaults filled in; echo keeps the raw block
     fault_injection: Optional[str] = None
@@ -244,7 +244,7 @@ def parse_config(raw: Any) -> ProblemConfig:
         names=names,
         truncation=truncation,
         seed=seed,
-        witnesses=witnesses,
+        witnesses={**witnesses, **unitary_witnesses},
         unitary_witnesses=unitary_witnesses,
         topofree=topofree,
         fault_injection=fault,

@@ -17,6 +17,7 @@ from gplab.analysis import (
     simplicity_report,
     trace_report,
     traciality_probe,
+    traciality_probe_checks,
 )
 from gplab.cli import main as cli_main
 from gplab.elementary import (
@@ -352,7 +353,7 @@ def test_criterion_11_verdict_pipeline(tmp_path):
     sys_m2 = GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
     wit = {v: sys_m2.sites[v].algebra.element([np.diag([1.0, -1.0]).astype(complex)]) for v in FREE3.vertices}
     v1 = simplicity_report(sys_m2, wit)
-    v1trace = trace_report(sys_m2, wit)
+    v1trace = trace_report(sys_m2, traciality_probe_checks(sys_m2, 4, 0), wit)
     v2 = simplicity_report(hecke_system(FREE3, 1.0))
     v3 = simplicity_report(hecke_system(FREE3, 0.1))
     v4 = simplicity_report(hecke_system(PATH3, 2.0))

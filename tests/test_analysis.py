@@ -36,6 +36,12 @@ def diag_unitary(site):
     return site.algebra.element([np.diag([1.0, -1.0]).astype(complex)])
 
 
+def probe(sysm):
+    """The vacuum-trace probe record that the trace verdict carries, at
+    depth 4 and seed 0."""
+    return an.traciality_probe_checks(sysm, 4, 0)
+
+
 def test_simplicity_m2_trace_with_supplied_unitaries():
     sysm = m2_trace_system()
     wit = {v: diag_unitary(sysm.sites[v]) for v in FREE3.vertices}
@@ -97,30 +103,30 @@ def test_verdict_monotone_when_witness_removed():
 
 def test_trace_unique_for_tracial_states():
     sysm = m2_trace_system()
-    v = trace_report(sysm, {w: diag_unitary(sysm.sites[w]) for w in FREE3.vertices})
+    v = trace_report(sysm, probe(sysm), {w: diag_unitary(sysm.sites[w]) for w in FREE3.vertices})
     assert v.result == ESTABLISHED and CRIT_TRACE_UNIQUE in v.citations
     # the search family also finds the unitaries unaided
-    v2 = trace_report(sysm)
+    v2 = trace_report(sysm, probe(sysm))
     assert v2.result == ESTABLISHED and CRIT_TRACE_UNIQUE in v2.citations
 
 
 def test_trace_none_for_nontracial_vertex():
     sites = {0: m2_site([[0.7, 0], [0, 0.3]]), 1: m2_site(), 2: m2_site()}
     sysm = GraphSystem(FREE3, sites)
-    v = trace_report(sysm)
+    v = trace_report(sysm, probe(sysm))
     assert v.result == ESTABLISHED and CRIT_TRACE_NONE in v.citations
 
 
 def test_trace_inconclusive_without_kernel_unitary():
     sysm = hecke_system(FREE3, 0.25)  # unequal weights: no kernel unitary exists
-    v = trace_report(sysm)
+    v = trace_report(sysm, probe(sysm))
     assert v.result == INCONCLUSIVE
 
 
 def test_trace_rejects_bad_witness():
     sysm = m2_trace_system()
     with pytest.raises(ValueError):
-        trace_report(sysm, {0: sysm.sites[0].algebra.one()})
+        trace_report(sysm, probe(sysm), {0: sysm.sites[0].algebra.one()})
 
 
 def test_trace_rejects_witness_that_config_rejects():
@@ -133,7 +139,7 @@ def test_trace_rejects_witness_that_config_rejects():
     u = alg.element([np.diag([np.exp(1j * theta), -np.exp(-1j * theta)])])
     assert u.is_unitary() and abs(sysm.sites[0].omega(u)) > 1e-10
     with pytest.raises(ValueError, match="centered"):
-        trace_report(sysm, {0: u})
+        trace_report(sysm, probe(sysm), {0: u})
 
 
 def test_nuclearity_report_branches():
@@ -294,15 +300,19 @@ def _assert_gated(verdict, name: str):
 
 def test_trace_with_failed_probe_is_not_established(monkeypatch):
     cfg = _m2_fixture()
-    args = (cfg.system, cfg.unitary_witnesses, cfg.names, 3, 1)
-    assert trace_report(*args).result == ESTABLISHED
+
+    def verdict():
+        probe = an.traciality_probe_checks(cfg.system, 3, 1)
+        return trace_report(cfg.system, probe, cfg.unitary_witnesses, cfg.names, 1)
+
+    assert verdict().result == ESTABLISHED
     monkeypatch.setattr(an, "traciality_probe", lambda *a, **k: 1.0)
-    _assert_gated(trace_report(*args), "trace.vacuum_probe")
+    _assert_gated(verdict(), "trace.vacuum_probe")
 
 
 def test_simplicity_with_failed_evidence_is_not_established(monkeypatch):
     cfg = _m2_fixture()
-    args = (cfg.system, {**cfg.witnesses, **cfg.unitary_witnesses}, cfg.names, 1, 3)
+    args = (cfg.system, cfg.witnesses, cfg.names, 1, 3)
     assert simplicity_report(*args).result == ESTABLISHED
     _fail_record(monkeypatch, "complement_connected")
     _assert_gated(simplicity_report(*args), "complement_connected")

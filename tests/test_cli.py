@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -650,3 +651,67 @@ def test_report_all_on_a_join_builds_each_space_once(monkeypatch):
     _, ok = cli.execute("report-all", cfg, 4, cfg.seed, False, None)
     assert ok
     assert len(built) == 4, built
+
+
+# -- one probe and one witness map per report ----------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["m2_trace_edgeless3", "hecke_q1_edgeless3"])
+def test_report_all_runs_the_vacuum_probe_once(monkeypatch, fixture):
+    """The trace verdict carries the suite's trace row: report-all samples
+    the vacuum-trace probe once."""
+    from gplab import analysis, cli
+
+    cfg = load_config(FIXTURES / f"{fixture}.json")
+    calls = []
+    probe = analysis.traciality_probe
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "traciality_probe", counting)
+    results, ok = cli.execute("report-all", cfg, cfg.truncation, cfg.seed, False, None)
+    assert ok and len(calls) == 1
+    (row,) = [c for c in results["identities"]["checks"] if c["name"].startswith("trace.")]
+    trace = results["verdicts"][1]
+    assert trace["statement"] == "tracial state structure"
+    assert [e for e in trace["evidence"] if e["name"].startswith("trace.")] == [row]
+
+
+def _phase(theta: float) -> list:
+    return [[[math.cos(theta), math.sin(theta)]]]
+
+
+def test_growth_block_and_simplicity_verdict_read_one_witness(tmp_path):
+    """C^3 with weights 0.4, 0.35, 0.25 and a supplied kernel unitary
+    diag(1, e^{i theta1}, e^{-2 pi i / 3}) that the search family's phase
+    grid misses: both blocks read the supplied unitary, so both give q = 1
+    and the same critical scale."""
+    weights = (0.4, 0.35, 0.25)
+    theta2 = -2 * math.pi / 3
+    # 0.4 + 0.35 e^{i theta1} + 0.25 e^{i theta2} = 0
+    rest = -(weights[0] + weights[2] * complex(math.cos(theta2), math.sin(theta2)))
+    theta1 = math.atan2(rest.imag, rest.real)
+    vertex = {
+        "blocks": [1, 1, 1],
+        "density": [[[[w, 0.0]]] for w in weights],
+        "witnesses": {"unitary": [_phase(0.0), _phase(theta1), _phase(theta2)]},
+    }
+    spec = {
+        "schema_version": 1,
+        "graph": {"vertices": ["a", "b", "c"], "edges": []},
+        "vertices": {v: vertex for v in "abc"},
+        "truncation": 3,
+        "seed": 1,
+    }
+    path = tmp_path / "phases.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_cli(["report-all", "--config", str(path)], tmp_path / "r.json")
+    assert code == 0
+    growth = report["results"]["growth"]
+    (simplicity,) = [v for v in report["results"]["verdicts"] if v["statement"] == "graph product simplicity"]
+    evidence = {e["name"]: e["value"] for e in simplicity["evidence"]}
+    assert growth["parameters"] == {v: evidence[f"q[{v}]"] for v in "abc"}
+    assert growth["critical_t"] == evidence["critical_t"]
+    assert all(abs(q - 1.0) <= 1e-12 for q in growth["parameters"].values())
