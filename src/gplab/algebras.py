@@ -417,6 +417,11 @@ class VertexSite:
         x = Element(alg, mat)
         return self.centered(x) if center else x
 
+    def skip_element(self, rng: np.random.Generator) -> None:
+        """Advance rng past one random_element draw, building no element:
+        the same one draw of 2 * dim normals."""
+        rng.standard_normal(2 * self.algebra.dim)
+
 
 def site_from_state(alg: FiniteDimAlgebra, st: StateSpec) -> VertexSite:
     return VertexSite(alg, st, gns(alg, st))

@@ -16,6 +16,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import _mat
+from . import certificate as ct
 from . import elementary as el
 from . import fock as fk
 from . import growth as gr
@@ -41,7 +42,10 @@ CRIT_TENSOR_SPLIT = "decomposition: join split into tensor factors"
 
 # The one tolerance read by more than one check; every other check states
 # its own where it builds its record.  README's ledger lists them all.
-IDENTITY_TOL = 1e-9  # the product identities and the rewrite certificate
+IDENTITY_TOL = 1e-9  # the product identities, their certificate's GNS facts, and the rewrite certificate
+# How many of each product identity's 20 draws are evaluated on the Fock
+# space; see main_identity_checks.
+SMOKE_DRAWS = 2
 
 
 @dataclass
@@ -364,6 +368,7 @@ class SuiteReport:
     groups: dict[str, list[CheckRecord]]  # each SUITE row's records, by its name
     seed: int
     elapsed: float
+    seconds: dict[str, float]  # each SUITE row's wall time, by its name; not in to_json
 
     @property
     def checks(self) -> list[CheckRecord]:
@@ -425,36 +430,63 @@ def _pairs_by_case(graph: SimplicialGraph):
 def main_identity_checks(
     sysm: GraphSystem, depth: int, rng: np.random.Generator, corrupt: bool = False,
 ) -> list[CheckRecord]:
-    """The five product identities of creation/diagonal/annihilation
-    operators, all case splits, 20 random pairs per case."""
+    """The five families of product identities of creation, diagonal and
+    annihilation operators (creation products, diagonal against creation,
+    annihilation against creation, diagonal products, and the word
+    projections through creation), split by case: the same vertex, adjacent
+    or non-adjacent vertices.
+
+    Each case's record is sampled, and is followed, after all of them, by its
+    exact counterpart (_exact_record), which certifies the identity for every
+    element at depth N from the compiled tables (certificate).  So the
+    sampled records are smoke tests of the GNS matrices, `_mat.mul` and the
+    lazy cuts: each case evaluates only its first SMOKE_DRAWS draws on the
+    Fock space.  It still takes all 20 draws from the shared stream, in the
+    order it always has (and stops drawing where a draw is too shallow for
+    the depth), the others only advancing it by what their elements would
+    take (VertexSite.skip_element), so that every later row's samples stay
+    as they were; those draws can go once each row draws from a stream of
+    its own (ROADMAP, "One random stream per check group")."""
     space = sysm.space(depth)
     same, adj, non = _pairs_by_case(sysm.graph)
-    records: list[CheckRecord] = []
+    sampled: list[CheckRecord] = []
 
     def rnd(v):
         return sysm.sites[v].random_element(rng)
 
-    def run(name, pairs, builder, reason="no vertex pair realizes this case"):
+    def skip(v):
+        sysm.sites[v].skip_element(rng)
+
+    def run(name, pairs, deviation, draw=lambda u, v, element: (element(u), element(v)),
+            reason="no vertex pair realizes this case"):
+        """draw(u, v, element) takes one draw's values from rng, each vertex
+        element from element(vertex): rnd for an evaluated draw, skip for
+        one that only advances the stream."""
         if not pairs:
-            records.append(CheckRecord(name, "n/a", IDENTITY_TOL, True, reason))
+            sampled.append(CheckRecord(name, "n/a", IDENTITY_TOL, True, reason))
             return
         check = _Worst(name, IDENTITY_TOL)
-        for _ in range(20):
+        for k in range(20):
             u, v = pairs[int(rng.integers(0, len(pairs)))]
-            if not check.add(lambda: builder(u, v)):
+            if k >= SMOKE_DRAWS:
+                draw(u, v, skip)
+                continue
+            drawn = draw(u, v, rnd)
+            if not check.add(lambda: deviation(u, v, *drawn)):
                 break
-        records.append(check.record(na_tol=IDENTITY_TOL))
+        sampled.append(check.record(na_tol=IDENTITY_TOL))
+
+    def commutator(x, y):
+        return fk.guarded_deviation(x @ y, y @ x)
 
     # (1) creation products
     run("creation.same_vertex_product_zero", same,
-        lambda u, v: fk.guarded_norm(fk.creation(space, u, rnd(u)) @ fk.creation(space, v, rnd(v))))
+        lambda u, v, a, b: fk.guarded_norm(fk.creation(space, u, a) @ fk.creation(space, v, b)))
     run("creation.adjacent_commute", adj,
-        lambda u, v: (lambda a, b: fk.guarded_deviation(a @ b, b @ a))(
-            fk.creation(space, u, rnd(u)), fk.creation(space, v, rnd(v))))
+        lambda u, v, a, b: commutator(fk.creation(space, u, a), fk.creation(space, v, b)))
 
     # (2) diagonal against creation
-    def d2_same(u, v):
-        a, b = rnd(u), rnd(v)
+    def d2_same(u, v, a, b):
         lhs = fk.creation(space, v, b) @ fk.diagonal(space, u, a)
         prod = sysm.centered(u, a @ b)  # omega(b) = 0 for centered draws
         rhs = fk.diagonal(space, u, a) @ fk.creation(space, v, b)
@@ -462,14 +494,12 @@ def main_identity_checks(
 
     run("diag_creation.same_vertex", same, d2_same)
     run("diag_creation.nonadjacent_zero", non,
-        lambda u, v: fk.guarded_norm(fk.diagonal(space, u, rnd(u)) @ fk.creation(space, v, rnd(v))))
+        lambda u, v, a, b: fk.guarded_norm(fk.diagonal(space, u, a) @ fk.creation(space, v, b)))
     run("diag_creation.adjacent_commute", adj,
-        lambda u, v: (lambda d, c: fk.guarded_deviation(d @ c, c @ d))(
-            fk.diagonal(space, u, rnd(u)), fk.creation(space, v, rnd(v))))
+        lambda u, v, a, b: commutator(fk.diagonal(space, u, a), fk.creation(space, v, b)))
 
     # (3) annihilation against creation
-    def d3_same(u, v):
-        a, b = rnd(u), rnd(v)
+    def d3_same(u, v, a, b):
         ca, cb = fk.creation(space, u, a), fk.creation(space, v, b)
         lhs1 = ca @ cb.adjoint()
         rhs1 = fk.diagonal(space, u, a @ b.star()) - fk.diagonal(space, u, a) @ fk.diagonal(space, u, b.star())
@@ -485,39 +515,65 @@ def main_identity_checks(
 
     run("annih_creation.same_vertex", same, d3_same)
     run("annih_creation.nonadjacent_zero", non,
-        lambda u, v: fk.guarded_norm(
-            fk.creation(space, u, rnd(u)).adjoint() @ fk.creation(space, v, rnd(v))))
+        lambda u, v, a, b: fk.guarded_norm(fk.creation(space, u, a).adjoint() @ fk.creation(space, v, b)))
     run("annih_creation.adjacent_commute", adj,
-        lambda u, v: (lambda x, y: fk.guarded_deviation(x.adjoint() @ y, y @ x.adjoint()))(
-            fk.creation(space, u, rnd(u)), fk.creation(space, v, rnd(v))))
+        lambda u, v, a, b: commutator(fk.creation(space, u, a).adjoint(), fk.creation(space, v, b)))
 
     # (4) diagonal products
     run("diag_diag.nonadjacent_zero", non,
-        lambda u, v: fk.guarded_norm(fk.diagonal(space, u, rnd(u)) @ fk.diagonal(space, v, rnd(v))))
+        lambda u, v, a, b: fk.guarded_norm(fk.diagonal(space, u, a) @ fk.diagonal(space, v, b)))
     run("diag_diag.adjacent_commute", adj,
-        lambda u, v: (lambda x, y: fk.guarded_deviation(x @ y, y @ x))(
-            fk.diagonal(space, u, rnd(u)), fk.diagonal(space, v, rnd(v))))
+        lambda u, v, a, b: commutator(fk.diagonal(space, u, a), fk.diagonal(space, v, b)))
 
-    # (5) word projections through creation; acting can lengthen the index
-    # word by one, so keep |w| below the depth
+    # (5) word projections through creation, for nontrivial w (the action
+    # identity couples Q_e to the unital picture) short enough that acting
+    # keeps the index word inside the truncation
     group = sysm.group
-    ball = [w for w in group.ball_tuples(max(0, min(depth - 1, 3)))]
+    ball = ct.action_words(space)
 
-    def d5(u, _v):
-        a = rnd(u)
-        w = ball[int(rng.integers(0, len(ball)))]
+    def d5(u, _v, a, w):
         cr = fk.creation(space, u, a)
+        act = lat.apply_symbolic(space, lat.act_on_q(group, u, w))
         lhs = fk.q_projection(space, w) @ cr
-        rhs = cr @ lat.apply_symbolic(space, lat.act_on_q(group, u, w))
         lhs2 = fk.q_projection(space, w) @ cr.adjoint()
-        rhs2 = cr.adjoint() @ lat.apply_symbolic(space, lat.act_on_q(group, u, w))
-        return max(fk.guarded_deviation(lhs, rhs), fk.guarded_deviation(lhs2, rhs2))
+        return max(fk.guarded_deviation(lhs, cr @ act), fk.guarded_deviation(lhs2, cr.adjoint() @ act))
 
-    # the action identity couples Q_e to the unital picture; restrict to
-    # nontrivial w where both conventions agree
-    ball = [w for w in ball if w]
-    run("projection_action.creation", same if ball else [], d5, "no nontrivial word shorter than the depth")
-    return records
+    run("projection_action.creation", same if ball else [], d5,
+        lambda u, _v, element: (element(u), ball[int(rng.integers(0, len(ball)))]),
+        "no nontrivial word shorter than the depth")
+    return sampled + [_exact_record(space, rec) for rec in sampled]
+
+
+# The certificate facts (certificate.breaks) that each exact record reads,
+# each fact over every vertex, or every pair of the case it names.
+EXACT = {
+    "creation.same_vertex_product_zero.exact": ("lambda_units",),
+    "creation.adjacent_commute.exact": ("commute",),
+    "diag_creation.same_vertex.exact": ("lambda_units", "gns"),
+    "diag_creation.nonadjacent_zero.exact": ("disjoint",),
+    "diag_creation.adjacent_commute.exact": ("commute",),
+    "annih_creation.same_vertex.exact": ("lambda_units", "gns", "head"),
+    "annih_creation.nonadjacent_zero.exact": ("lambda_units", "disjoint"),
+    "annih_creation.adjacent_commute.exact": ("lambda_units", "commute"),
+    "diag_diag.nonadjacent_zero.exact": ("lambda_units", "disjoint"),
+    "diag_diag.adjacent_commute.exact": ("commute",),
+    "projection_action.creation.exact": ("lambda_units", "action"),
+    "rho_lambda.commutation.exact": ("lambda_units", "rho_units", "mixed"),
+}
+
+
+def _exact_record(space: fk.TruncatedFock, sampled: CheckRecord) -> CheckRecord:
+    """The exact counterpart of a sampled record: how many entries or
+    relations break the certificate facts it reads (EXACT), which must be
+    none.  It covers every element at depth N on the columns the sampled
+    identity reads, and nothing beyond N; it is n/a, with the sampled
+    record's reason, where the sampled one is (no pair for its case, or no
+    guarded column), since neither depends on a draw."""
+    name = f"{sampled.name}.exact"
+    if sampled.skipped_reason is not None:
+        return CheckRecord(name, "n/a", None, True, sampled.skipped_reason)
+    count = sum(ct.breaks(space, fact, IDENTITY_TOL) for fact in EXACT[name])
+    return CheckRecord(name, count, None, count == 0)
 
 
 def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
@@ -687,19 +743,26 @@ def rewrite_certificate_checks(
 
 
 def rho_lambda_commutation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
+    """[lambda_u(x), rho_v(y)] = 0 for u != v, sampled and then exact, as
+    main_identity_checks does: the first SMOKE_DRAWS of 20 draws are
+    evaluated, and the others only advance the stream."""
     pairs = [(u, v) for u in sysm.graph.vertices for v in sysm.graph.vertices if u != v]
     if not pairs:
-        return [CheckRecord("rho_lambda.commutation", "n/a", None, True, "graph too small")]
+        return [CheckRecord(name, "n/a", None, True, "graph too small")
+                for name in ("rho_lambda.commutation", "rho_lambda.commutation.exact")]
     space = sysm.space(depth)
     check = _Worst("rho_lambda.commutation", 1e-9)
-    for _ in range(20):
+    for k in range(20):
         u, v = pairs[int(rng.integers(0, len(pairs)))]
-        x = sysm.sites[u].random_element(rng, center=False)
-        y = sysm.sites[v].random_element(rng, center=False)
-        lam = fk.lambda_op(space, u, x)
-        rho = fk.rho_op(space, v, y)
+        if k >= SMOKE_DRAWS:
+            sysm.sites[u].skip_element(rng)
+            sysm.sites[v].skip_element(rng)
+            continue
+        lam = fk.lambda_op(space, u, sysm.sites[u].random_element(rng, center=False))
+        rho = fk.rho_op(space, v, sysm.sites[v].random_element(rng, center=False))
         check.fold(fk.guarded_deviation(lam @ rho, rho @ lam))
-    return [check.record()]
+    sampled = check.record()
+    return [sampled, _exact_record(space, sampled)]
 
 
 def subgraph_expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
@@ -841,7 +904,7 @@ SUITE = (
     CheckGroup("rewrite", lambda r, c: rewrite_certificate_checks(
         r.sysm, r.depth, r.rng, corrupt=c), ("rewrite.certificate",), True),
     CheckGroup("rho_lambda", lambda r, _: rho_lambda_commutation_checks(r.sysm, r.depth, r.rng),
-               ("rho_lambda.commutation",)),
+               ("rho_lambda.commutation", "rho_lambda.commutation.exact")),
     CheckGroup("subgraph", lambda r, _: subgraph_expectation_checks(r.sysm, r.depth, r.rng),
                ("subgraph.expectation",)),
     CheckGroup("lattice", lambda r, _: lattice_checks(r.sysm, r.depth)),
@@ -872,11 +935,14 @@ def identity_suite(
     t0 = time.time()
     run = SuiteRun(sysm, depth, seed, np.random.default_rng(seed))
     groups: dict[str, list[CheckRecord]] = {}
+    seconds: dict[str, float] = {}
     for group in SUITE:
+        start = time.perf_counter()
         try:
             groups[group.name] = group.run(run, corrupt == group.name)
         except ShallowTruncationError as exc:
             if not group.shallow:
                 raise
             groups[group.name] = [CheckRecord(name, "n/a", None, True, str(exc)) for name in group.shallow]
-    return SuiteReport(groups, seed, time.time() - t0)
+        seconds[group.name] = time.perf_counter() - start
+    return SuiteReport(groups, seed, time.time() - t0, seconds)

@@ -128,14 +128,21 @@ def _verdict_ok(verdict: an.Verdict, strict: bool) -> bool:
     return True
 
 
-def execute(cmd: str, cfg: ProblemConfig, depth: int, seed: int, strict: bool, csv_path: Optional[str]):
-    """Returns (report dict, ok flag)."""
+def execute(
+    cmd: str, cfg: ProblemConfig, depth: int, seed: int, strict: bool, csv_path: Optional[str],
+    timing: Optional[dict] = None,
+):
+    """Returns (report dict, ok flag).  When the command runs the identity
+    suite and `timing` is a dict, timing["groups"] receives each suite
+    group's wall seconds."""
     results: dict = {}
     ok = True
     if cmd in ("check-identities", "report-all"):
         suite = an.identity_suite(cfg.system, depth=depth, seed=seed, corrupt=cfg.fault_injection)
         results["identities"] = suite.to_json()
         ok &= suite.passed
+        if timing is not None:
+            timing["groups"] = {name: round(s, 4) for name, s in suite.seconds.items()}
     if cmd in ("growth", "report-all"):
         growth_result, growth_ok = run_growth(cfg, depth, csv_path)
         results["growth"] = growth_result
@@ -185,6 +192,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.time()
+    timing: dict = {}
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
@@ -193,7 +201,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("--depth: expected a nonnegative integer")
         if seed < 0:
             raise ConfigError("--seed: expected a nonnegative integer")
-        results, ok = execute(args.command, cfg, depth, seed, args.strict, args.csv)
+        results, ok = execute(args.command, cfg, depth, seed, args.strict, args.csv, timing)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -212,7 +220,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "results": results,
         "passed": ok,
         "versions": _versions(),
-        "timing": {"elapsed_seconds": round(time.time() - t0, 3)},
+        "timing": {"elapsed_seconds": round(time.time() - t0, 3), **timing},
     }
     blob = json.dumps(_sanitize(report), sort_keys=True, indent=2, allow_nan=False)
     if args.out:

@@ -31,6 +31,9 @@ vector as slot 0, tensored with the words that cannot take v at the acting
 end (the front for lambda, the back for rho), and x acts on the v-leg by
 its GNS matrix m: the column whose v-leg is in slot s has, for each slot t,
 the entry m[t, s] in the row with its other legs and slot t (_side_table).
+So lambda_v(x) is sum_{t,s} m[t, s] E_ts with 0/1 matrices E_ts, the units
+e_t e_s* of H_v tensored with 1; gplab.certificate reads the table back
+from the compiled pattern and proves the product identities from it.
 
 What an operator's matrix depends on only through the space is compiled
 once per space, on first use, and cached in space._plans: each column split
@@ -40,9 +43,11 @@ subgraph expectation along the subgraph and the join split along one
 factor; the sparsity pattern of each part of lambda_v and rho_v on the
 columns of each cut, whose entries each name the entry of m their value is
 read from (_side_pattern); the 0/1 diagonal of each Q_w, read off the
-up-set of w in the weak order; and the join split's report for each first
-factor (tensor_split_check).  Evaluating an operator on a cut is then a
-gather.
+up-set of w in the weak order; each word block's letters and letter counts,
+which the gauge unitary and the gauge average read (_letter_table); and the
+join split's report for each first factor (tensor_split_check).  Evaluating
+an operator on a cut is then a gather.  The certificate keeps its tables
+and facts there too.
 """
 from __future__ import annotations
 
@@ -620,18 +625,40 @@ def annihilation(space: TruncatedFock, v: VertexId, a: Element) -> OperatorMatri
     return _side_op(space, v, a, left=True, part="annihilation")
 
 
+def _letter_table(space: TruncatedFock) -> tuple[np.ndarray, np.ndarray]:
+    """Each word block's letters, as positions in graph.vertices, -1 past
+    its word, (words, N); and its letter counts per vertex, (words, |V|).
+    Compiled once per space and cached in space._plans."""
+    got = space._plans.get("letters")
+    if got is None:
+        pos = {v: k for k, v in enumerate(space.graph.vertices)}
+        letters = np.full((len(space._spans), space.n), -1, dtype=np.intp)
+        for i, w in enumerate(space._spans):
+            letters[i, :len(w)] = [pos[v] for v in w]
+        counts = np.stack([np.count_nonzero(letters == k, axis=1) for k in range(len(pos))], axis=1)
+        got = space._plans["letters"] = (letters, counts)
+    return got
+
+
 def gauge_unitary(space: TruncatedFock, z: Mapping[VertexId, complex]) -> OperatorMatrix:
+    """U_z, the product of z over each basis vector's letters, multiplied in
+    the word's order (_letter_table).  Each step forms the real and the
+    imaginary part apart, as a scalar complex product does, so that every
+    value is that of the product taken one letter at a time; numpy's complex
+    array product may round differently."""
     for v in space.graph.vertices:
         if abs(abs(z[v]) - 1.0) > 1e-12:
             raise ValueError(f"gauge parameter at vertex {v} is not unimodular")
-    per_word = []
-    for w in space._spans:
-        val = 1.0 + 0j
-        for letter in w:
-            val *= z[letter]
-        per_word.append(val)
-    dvals = np.array(per_word, dtype=complex)[space.word_ids]
-    return OperatorMatrix(space, _mat.diag(dvals), space.n, 0, 0)
+    letters, _ = _letter_table(space)
+    zs = np.array([z[v] for v in space.graph.vertices], dtype=complex)
+    re, im = np.ones(len(letters)), np.zeros(len(letters))
+    for p in range(space.n):
+        at = letters[:, p] >= 0
+        zr, zi, r, i = zs.real[letters[at, p]], zs.imag[letters[at, p]], re[at], im[at]
+        re[at], im[at] = r * zr - i * zi, r * zi + i * zr
+    per_word = np.empty(len(letters), dtype=complex)
+    per_word.real, per_word.imag = re, im
+    return OperatorMatrix(space, _mat.diag(per_word[space.word_ids]), space.n, 0, 0)
 
 
 def expectation_diag(x: OperatorMatrix) -> OperatorMatrix:
@@ -655,10 +682,7 @@ def gauge_average(x: OperatorMatrix, m: int) -> OperatorMatrix:
     if m < 1:
         raise ValueError("grid order must be >= 1")
     space = x.space
-    verts = space.graph.vertices
-    # letter counts per word block, read per column through word_ids
-    counts = np.array([[w.count(v) for v in verts] for w in space._spans], dtype=np.int64)
-    counts = counts.reshape(len(space._spans), len(verts))[space.word_ids]
+    counts = _letter_table(space)[1][space.word_ids]  # per column
     a = x.mat
     rows, cols, _ = _mat.coo_parts(a)
     keep = np.all((counts[rows] - counts[cols]) % m == 0, axis=1)

@@ -23,6 +23,7 @@ from gplab.analysis import (
 from gplab import analysis as an
 from gplab import fock as fk
 from gplab.config import load_config
+from gplab.errors import ShallowTruncationError
 from gplab.system import GraphSystem
 
 from util import FREE3, PATH3, hecke_system, m2_site, mixed_system, naive_hermitian_min_eig
@@ -181,6 +182,27 @@ def test_identity_suite_detects_seeded_fault(fault):
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"rewrite": {"rewrite.certificate"}, "identities": {"annih_creation.same_vertex"}}[fault]
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_smoke_draws_leave_the_stream_where_full_draws_do(monkeypatch, depth):
+    """The identities and rho_lambda rows evaluate SMOKE_DRAWS of their 20
+    draws and only advance the stream past the others: it ends where it
+    ends when every draw is evaluated, so no later row's samples move.  At
+    depth 1 some cases stop drawing at their first, too shallow, draw."""
+    sysm = mixed_system(PATH3, hecke_q=2.0)
+
+    def end_state(smoke):
+        monkeypatch.setattr(an, "SMOKE_DRAWS", smoke)
+        rng = np.random.default_rng(4)
+        an.main_identity_checks(sysm, depth, rng)
+        try:  # the row's first draw is too shallow at depth 1, as in the suite
+            an.rho_lambda_commutation_checks(sysm, depth, rng)
+        except ShallowTruncationError:
+            assert depth < 2
+        return rng.bit_generator.state
+
+    assert end_state(an.SMOKE_DRAWS) == end_state(20)
 
 
 def test_identity_suite_rejects_a_fault_no_group_takes():

@@ -9,7 +9,7 @@ import pytest
 import gplab
 from gplab.cli import main
 from gplab.config import load_config, parse_config
-from gplab.analysis import FAULTS, tensor_split_checks
+from gplab.analysis import FAULTS, SUITE, tensor_split_checks
 from gplab.errors import ConfigError, ResourceLimitError
 from gplab.lattice import DEFAULT_WITNESS_RADIUS
 
@@ -327,6 +327,20 @@ def test_report_determinism(tmp_path):
         r.pop("timing")
         r["results"]["identities"].pop("elapsed_seconds")
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["check-identities", "report-all", "growth"])
+def test_timing_names_each_suite_group(tmp_path, command):
+    """A command that runs the identity suite reports each SUITE row's wall
+    seconds under timing.groups, by row name; one that does not, none."""
+    code, report = run_cli([command, "--config", str(FIXTURES / "hecke_q1_edgeless3.json")], tmp_path / "r.json")
+    assert code == 0
+    groups = report["timing"].get("groups")
+    if command == "growth":
+        assert groups is None
+    else:
+        assert sorted(groups) == sorted(g.name for g in SUITE)
+        assert all(isinstance(s, float) and s >= 0.0 for s in groups.values())
 
 
 def test_console_entry_point_runs():

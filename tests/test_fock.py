@@ -253,6 +253,19 @@ def test_expectation_examples(mixed_free3):
     assert guarded_deviation(expectation_diag(x), x) < 1e-14  # signature e
 
 
+def test_gauge_reads_one_letter_table(mixed_free3):
+    """gauge_unitary and gauge_average read one per-space letter table,
+    built on first use."""
+    space = TruncatedFock(mixed_free3.graph, mixed_free3.reps(), 3)
+    gauge_unitary(space, {v: 1j for v in FREE3.vertices})
+    table = space._plans["letters"]
+    gauge_average(identity_op(space), 3)
+    assert space._plans["letters"] is table
+    letters, counts = table
+    assert letters.shape == (len(space._spans), 3) and counts.shape == (len(space._spans), 3)
+    assert np.array_equal(counts[space.word_ids], naive_letter_counts(space))
+
+
 def test_gauge_average_examples(mixed_free3):
     space = mixed_free3.space(3)
     rng = np.random.default_rng(13)

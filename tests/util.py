@@ -360,6 +360,27 @@ def naive_side_op(space, v, x, left: bool, part: str = "all"):
     return OperatorMatrix(space, mat, guard, int(keep_create), int(keep_annih))
 
 
+def naive_units(space, v, left: bool) -> np.ndarray:
+    """The matrix units E_ts of lambda_v (left) or rho_v (right) as one
+    dense (dv, dv, dim, dim) 0/1 array, E[t, s] sending each column whose
+    v-leg is in slot s to the vector with its other legs and slot t, read
+    off the list plan one column at a time; no entry where that vector is
+    longer than N."""
+    dv = space.reps[v].dim
+    units = np.zeros((dv, dv, space.dim, space.dim))
+    for j, entry in enumerate(naive_plan_side(space, v, left)):
+        if entry[0] == "A":
+            units[0, 0, j, j] = 1.0
+            for t, row in enumerate(entry[2] or (), start=1):
+                units[t, 0, row, j] = 1.0
+        else:
+            _, s, retarget, drop = entry
+            units[0, s, drop, j] = 1.0
+            for t, row in enumerate(retarget, start=1):
+                units[t, s, row, j] = 1.0
+    return units
+
+
 def naive_q_projection(space, w):
     """Q_w with w <= u decided as |w^-1 u| = |u| - |w| through the canonical
     reduce_tuple, rebuilt on every call."""
