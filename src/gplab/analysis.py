@@ -7,8 +7,6 @@ a negative structural claim.
 """
 from __future__ import annotations
 
-import functools
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -43,8 +41,8 @@ CRIT_TENSOR_SPLIT = "decomposition: join split into tensor factors"
 # The one tolerance read by more than one check; every other check states
 # its own where it builds its record.  README's ledger lists them all.
 IDENTITY_TOL = 1e-9  # the product identities, their certificate's GNS facts, and the rewrite certificate
-# How many of each product identity's 20 draws are evaluated on the Fock
-# space; see main_identity_checks.
+# How many of each sampled row's draws are evaluated on the Fock space, in
+# the rows that have exact records; see main_identity_checks.
 SMOKE_DRAWS = 2
 
 
@@ -307,19 +305,25 @@ def trace_report(
 
 
 def traciality_probe(sysm: GraphSystem, depth: int = 4, seed: int = 0) -> float:
-    """Max |omega(xy) - omega(yx)| over 60 sampled pairs of reduced
-    operators, x and y each of word length at most depth // 2 and at least
-    1, so that xy fits the guard; below depth 2 no pair fits."""
+    """Max |omega(xy) - omega(yx)| over SMOKE_DRAWS sampled pairs of reduced
+    operators: x of word length at most depth // 2 and at least 1, so that
+    xy fits the guard, and y along the inverse word, as <Omega, xy Omega>
+    vanishes unless w_y = w_x^-1 and is then prod_i omega(a_i b_pi(i)) (see
+    gplab.certificate).  So that the pair can show a violation, x runs along
+    a word with a letter whose state is not tracial, when there is one.
+    Below depth 2 no pair fits."""
     if depth < 2:
         raise ShallowTruncationError(f"no probe pair fits depth {depth}: each has word length at least 2")
     rng = np.random.default_rng(seed)
     space = sysm.space(depth)
     group = sysm.group
     words = [w for w in group.ball_tuples(depth // 2) if w]
+    showing = {v for v in sysm.graph.vertices if not sysm.sites[v].state.is_tracial()}
+    words = [w for w in words if showing & set(w)] or words
     worst = 0.0
-    for _ in range(60):
+    for _ in range(SMOKE_DRAWS):
         wx = words[int(rng.integers(0, len(words)))]
-        wy = words[int(rng.integers(0, len(words)))]
+        wy = group.inv_tuple(wx)
         x_row, x_col = fk.vacuum_vectors(space, wx, [sysm.sites[v].random_element(rng) for v in wx])
         y_row, y_col = fk.vacuum_vectors(space, wy, [sysm.sites[v].random_element(rng) for v in wy])
         val = abs(x_row @ y_col - y_row @ x_col)
@@ -559,6 +563,13 @@ EXACT = {
     "diag_diag.adjacent_commute.exact": ("commute",),
     "projection_action.creation.exact": ("lambda_units", "action"),
     "rho_lambda.commutation.exact": ("lambda_units", "rho_units", "mixed"),
+    "gauge.covariance_of_elementary_terms.exact": ("lambda_units", "letters"),
+    "signature.identity_terms_diagonal.exact": ("lambda_units", "words"),
+    "signature.nontrivial_terms_offdiagonal.exact": ("lambda_units", "words"),
+    "conjugation.qperp_dominated.exact": ("lambda_units", "head", "gns"),
+    "conjugation.shifted_dominated.exact": ("lambda_units", "gns", "shift"),
+    "trace.vacuum_probe.exact": ("lambda_units", "words", "gns", "tracial"),
+    "trace.vacuum_probe_detects_violation.exact": ("lambda_units", "words", "gns"),
 }
 
 
@@ -591,7 +602,7 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
     faith = _Worst("expectation.faithful_kernel", 1e-12)
     gauge = _Worst("expectation.gauge_average_match", 1e-12)
     for _ in range(20):
-        x = _random_truncated_operator(sysm, space, rng)
+        x = el.random_operator(sysm, space, rng)
         e = fk.expectation_diag(x)
         idem.add(lambda: fk.guarded_deviation(fk.expectation_diag(e), e))
         exx = fk.expectation_gram(x)
@@ -606,29 +617,19 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
     return [c.record() for c in (idem, contr, pos, faith, gauge)]
 
 
-def _random_truncated_operator(sysm: GraphSystem, space, rng) -> fk.OperatorMatrix:
-    """A random short product of lambda operators plus projections."""
-    mats = []
-    n = int(rng.integers(1, 4))
-    for _ in range(n):
-        v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            mats.append(fk.lambda_op(space, v, sysm.sites[v].random_element(rng, center=False)))
-        elif kind == 1:
-            mats.append(fk.creation(space, v, sysm.sites[v].random_element(rng)))
-        else:
-            mats.append(fk.diagonal(space, v, sysm.sites[v].random_element(rng, center=False)))
-    return functools.reduce(operator.matmul, mats)
-
-
 def gauge_covariance_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
+    """U_z T U_z* = chi_z(T) T for the elementary terms T of 20 random words,
+    sampled and then exact (the `letters` fact), as main_identity_checks
+    does: the first SMOKE_DRAWS draws are evaluated, and the others only
+    advance the stream (_draw_terms)."""
     space = sysm.space(depth)
     check = _Worst("gauge.covariance_of_elementary_terms", 1e-12)
-    for _ in range(20):
-        factors = _random_elementary_factors(sysm, rng)
-        terms = el.rewrite_to_elementary(factors, sysm)
+    for k in range(20):
+        evaluate = k < SMOKE_DRAWS
+        terms = _draw_terms(sysm, depth, rng, evaluate)
         z = {v: np.exp(2j * np.pi * rng.random()) for v in sysm.graph.vertices}
+        if terms is None:
+            continue
         u = fk.gauge_unitary(space, z)
         for coeff, t in terms:
             m = el.term_matrix(t, space, coeff)
@@ -637,54 +638,54 @@ def gauge_covariance_checks(sysm: GraphSystem, depth: int, rng: np.random.Genera
                 char *= z[v]
             for v in t.annihilation_word():
                 char /= z[v]
-            check.fold(fk.guarded_deviation(u @ m @ u.adjoint(), char * m))
-    return [check.record()]
+            lhs, rhs = u @ m @ u.adjoint(), char * m
+            if evaluate:
+                check.fold(fk.guarded_deviation(lhs, rhs))
+            else:
+                fk.check_guards(lhs, rhs)
+    sampled = check.record()
+    return [sampled, _exact_record(space, sampled)]
 
 
-def _random_elementary_factors(
-    sysm: GraphSystem, rng, max_len: int = 4, budget: int = 2, scalar: bool = False
-) -> list[el.Factor]:
-    """A random word of at most `max_len` factors with at most `budget`
-    moving ones (create, annih, elem); `scalar` also draws scalar factors."""
-    n = int(rng.integers(1, max_len + 1))
-    out = []
-    moving = 0
-    for _ in range(n):
-        v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
-        kinds = ["diag", "qproj"] + (["scalar"] if scalar else []) + (
-            ["create", "annih", "elem"] if moving < budget else []
-        )
-        k = kinds[int(rng.integers(0, len(kinds)))]
-        if k == "scalar":
-            out.append(el.Factor("scalar", value=complex(rng.standard_normal(), rng.standard_normal())))
-            continue
-        if k in ("create", "annih", "elem"):
-            moving += 1
-        if k == "qproj":
-            out.append(el.Factor("qproj", v))
-        else:
-            out.append(el.Factor(k, v, sysm.sites[v].random_element(rng, center=(k != "diag"))))
-    return out
+def _draw_terms(sysm: GraphSystem, depth: int, rng, evaluate: bool) -> Optional[el.Terms]:
+    """One draw of a random word's elementary terms (elementary.random_factors)
+    for the gauge and signature rows, or None for a skipped draw that only
+    advances the stream.  A term has at most two creations (the factor
+    budget), so its guard is at least N - 2: below depth 2 a skipped draw
+    still rewrites its word, and its row checks each term's guards
+    (fock.check_guards) in place of evaluating it."""
+    if evaluate or depth < 2:
+        return el.rewrite_to_elementary(el.random_factors(sysm, rng), sysm)
+    el.random_factors(sysm, rng, skip=True)
+    return None
 
 
 def diagonality_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
+    """Elementary terms of trivial signature are block-diagonal, and those of
+    nontrivial signature lie off the diagonal, over 30 random words; sampled
+    and then exact (the `words` fact), as gauge_covariance_checks is."""
     space = sysm.space(depth)
     diag = _Worst("signature.identity_terms_diagonal", 1e-10)
     mismatches = 0
-    for _ in range(30):
-        factors = _random_elementary_factors(sysm, rng)
-        for coeff, t in el.rewrite_to_elementary(factors, sysm):
+    for k in range(30):
+        evaluate = k < SMOKE_DRAWS
+        for coeff, t in _draw_terms(sysm, depth, rng, evaluate) or ():
             sig = el.signature(t, sysm)
             m = el.term_matrix(t, space, coeff)
+            if not evaluate:
+                if sig:
+                    fk.check_guards(m)
+                continue
             off = fk.offdiagonal_mass(m)
             if not sig:
                 diag.fold(off)
             elif fk.guarded_norm(m) > 1e-8 and off <= 1e-12:
                 mismatches += 1
-    return [
+    sampled = [
         diag.record(),
         CheckRecord("signature.nontrivial_terms_offdiagonal", mismatches, None, mismatches == 0),
     ]
+    return sampled + [_exact_record(space, rec) for rec in sampled]
 
 
 def _positivity_violation(lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> float:
@@ -699,21 +700,31 @@ def _positivity_violation(lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> flo
 
 def conjugation_positivity_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
     """a* Q_v^perp a <= omega(aa*) Q_v, and the shifted variant for words
-    outside the centralizer that v does not start, on 15 random draws."""
+    outside the centralizer that v does not start, on 15 random draws;
+    sampled and then exact (the `head` and `shift` facts), as
+    main_identity_checks does: the first SMOKE_DRAWS draws are evaluated,
+    and the others only advance the stream.  No skipped draw is too
+    shallow: below depth 3 the first draw is (Q_v needs depth 1, and
+    lambda* Q lambda has guard N - 3), and at depth 3 and beyond none is."""
     space = sysm.space(depth)
     group = sysm.group
     dominated = _Worst("conjugation.qperp_dominated", 1e-9)
     shifted = _Worst("conjugation.shifted_dominated", 1e-9)
-    for _ in range(15):
+    for k in range(15):
         v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
+        if k >= SMOKE_DRAWS:
+            sysm.sites[v].skip_element(rng)
+            cands = ct.shift_words(space, v)
+            if cands:
+                rng.integers(0, len(cands))
+            continue
         a = sysm.sites[v].random_element(rng)
         lam = fk.lambda_op(space, v, a)
         qv = fk.q_projection(space, (v,))
         qperp = fk.identity_op(space) - qv
         omega_aa = sysm.sites[v].state.omega(a @ a.star()).real
         dominated.fold(_positivity_violation(lam.adjoint() @ qperp @ lam, omega_aa * qv))
-        cands = [w for w in group.ball_tuples(min(2, depth - 2 if depth > 2 else 1))
-                 if w and not group.commutes_tuple(w, v) and group.lift(w, v, True) < 0]
+        cands = ct.shift_words(space, v)
         if cands:
             w = cands[int(rng.integers(0, len(cands)))]
             qw = fk.q_projection(space, w)
@@ -721,7 +732,8 @@ def conjugation_positivity_checks(sysm: GraphSystem, depth: int, rng: np.random.
             if len(vw) <= space.n:
                 lhs2 = lam.adjoint() @ qw @ lam
                 shifted.fold(_positivity_violation(lhs2, omega_aa * fk.q_projection(space, vw)))
-    return [dominated.record(), shifted.record()]
+    sampled = [dominated.record(), shifted.record()]
+    return sampled + [_exact_record(space, rec) for rec in sampled]
 
 
 def rewrite_certificate_checks(
@@ -732,7 +744,7 @@ def rewrite_certificate_checks(
     space = sysm.space(depth)
     check = _Worst("rewrite.certificate", IDENTITY_TOL)
     for _ in range(40):
-        factors = _random_elementary_factors(sysm, rng, 8, budget=max(1, depth - 1), scalar=True)
+        factors = el.random_factors(sysm, rng, 8, budget=max(1, depth - 1), scalar=True)
         terms = el.rewrite_to_elementary(factors, sysm)
         lhs = el.expression_matrix(factors, space)
         rhs = el.terms_matrix(terms, space)
@@ -848,23 +860,30 @@ def lattice_checks(sysm: GraphSystem, depth: int) -> list[CheckRecord]:
 
 
 def traciality_probe_checks(sysm: GraphSystem, depth: int, seed: int) -> list[CheckRecord]:
-    """The vacuum-trace probe: it stays below 1e-10 when every vertex state
-    is tracial, and must exceed 1e-3 otherwise; n/a below depth 2, where no
-    probe pair fits.  The trace verdict carries this record as its evidence
-    too: in report-all the suite's `trace` row, computed once, and in the
-    trace command one call at the same depth and seed."""
+    """The vacuum-trace probe, sampled and then exact: it stays below 1e-10
+    when every vertex state is tracial, and must exceed 1e-3 otherwise; n/a
+    below depth 2, where no probe pair fits.  The exact record counts the
+    breaks of the facts the vacuum-chain formula reads (EXACT); for a
+    non-tracial state its value is the violation those facts certify
+    (certificate.trace_gap), which must exceed the same floor with no fact
+    broken.  The trace verdict carries both records as its evidence too: in
+    report-all the suite's `trace` row, computed once, and in the trace
+    command one call at the same depth and seed."""
     all_tracial = all(s.state.is_tracial() for s in sysm.sites.values())
     name = "trace.vacuum_probe" if all_tracial else "trace.vacuum_probe_detects_violation"
+    floor = 1e-3  # a non-tracial vertex state must show past this
     try:
         worst = traciality_probe(sysm, depth=depth, seed=seed)
     except ShallowTruncationError as exc:
-        return [CheckRecord(name, "n/a", None, True, str(exc))]
-    if all_tracial:
-        probe = _Worst(name, 1e-10)
-        probe.fold(worst)
-        return [probe.record()]
-    floor = 1e-3  # a non-tracial vertex state must show past this
-    return [CheckRecord(name, worst, floor, worst > floor)]
+        sampled = CheckRecord(name, "n/a", None, True, str(exc))
+    else:
+        sampled = CheckRecord(name, worst, 1e-10, worst <= 1e-10) if all_tracial else \
+            CheckRecord(name, worst, floor, worst > floor)
+    exact = _exact_record(sysm.space(depth), sampled)
+    if all_tracial or exact.value == "n/a":
+        return [sampled, exact]
+    gap = ct.trace_gap(sysm.space(depth))
+    return [sampled, CheckRecord(exact.name, gap, floor, exact.value == 0 and gap > floor)]
 
 
 class SuiteRun(NamedTuple):
@@ -896,11 +915,13 @@ SUITE = (
         r.sysm, r.depth, r.rng, c), faults=True),
     CheckGroup("expectation", lambda r, _: expectation_checks(r.sysm, r.depth, r.rng)),
     CheckGroup("gauge", lambda r, _: gauge_covariance_checks(r.sysm, r.depth, r.rng),
-               ("gauge.covariance_of_elementary_terms",)),
+               ("gauge.covariance_of_elementary_terms", "gauge.covariance_of_elementary_terms.exact")),
     CheckGroup("signature", lambda r, _: diagonality_checks(r.sysm, r.depth, r.rng),
-               ("signature.identity_terms_diagonal", "signature.nontrivial_terms_offdiagonal")),
+               ("signature.identity_terms_diagonal", "signature.nontrivial_terms_offdiagonal",
+                "signature.identity_terms_diagonal.exact", "signature.nontrivial_terms_offdiagonal.exact")),
     CheckGroup("conjugation", lambda r, _: conjugation_positivity_checks(r.sysm, r.depth, r.rng),
-               ("conjugation.qperp_dominated", "conjugation.shifted_dominated")),
+               ("conjugation.qperp_dominated", "conjugation.shifted_dominated",
+                "conjugation.qperp_dominated.exact", "conjugation.shifted_dominated.exact")),
     CheckGroup("rewrite", lambda r, c: rewrite_certificate_checks(
         r.sysm, r.depth, r.rng, corrupt=c), ("rewrite.certificate",), True),
     CheckGroup("rho_lambda", lambda r, _: rho_lambda_commutation_checks(r.sysm, r.depth, r.rng),

@@ -1,4 +1,4 @@
-"""An exact certificate of the product identities on one truncated space.
+"""An exact certificate of the suite's identities on one truncated space.
 
 lambda_v(x) and rho_v(x) are sums of matrix units.  The compiled pattern of
 the whole operator (fock._side_pattern) stores, for each entry, the entry
@@ -16,7 +16,28 @@ GNS maps m = pi(x) on the matrix units of the vertex algebra.  For example
 C(a)* C(b) = sum_{t >= 1} conj(m_a[t, 0]) m_b[t, 0] E_00 =
 (omega(a*b) - conj(omega(a)) omega(b)) E_00 with E_00 = 1 - Q_v.  So one pass
 over the tables covers every element at depth N at once, on the columns
-each identity's products guard, and nothing beyond N.
+each identity's products guard, and nothing beyond N.  The same holds for
+the rows whose identities are quadratic or word-level:
+  gauge        a unit E_ts of lambda_v moves letter counts by
+      ([t >= 1] - [s >= 1]) e_v (`letters`), so U_z E_ts U_z* =
+      z_v^([t >= 1] - [s >= 1]) E_ts and an elementary term picks up
+      z^(creation counts - annihilation counts), for every z
+  signature    a unit sends word w to v.w or keeps it (`words`), so a term
+      with creation word c and annihilation word a sends w to c a^-1 w:
+      block-diagonal for a trivial signature, off the diagonal otherwise
+  conjugation  lambda_v(a)* E_00 lambda_v(a) = (r r*) on the v-leg, with
+      r_s = conj(m[0, s]) supported on s >= 1 for a centred a, so it is at
+      most |r|^2 Q_v = omega(aa*) Q_v (`head`, `gns`); for w outside the
+      centralizer of v that v does not start, Q_w vanishes on slot_v >= 1 and
+      Q_vw is slot_v >= 1 with Q_w on the tail (`shift`), so
+      lambda_v(a)* Q_w lambda_v(a) <= omega(aa*) Q_vw
+  trace        x Omega, for x a product of centred lambdas along a reduced
+      word, is the elementary tensor of the m[:, 0] in that word's block
+      (`lambda_units`, `words`), so <Omega, xy Omega> = [w_y = w_x^-1]
+      prod_i omega(a_i b_pi(i)), pi matching their letters: the vacuum
+      state is tracial exactly when every vertex state is (`tracial`), and
+      a pair of units breaking a vertex trace (trace_gap) is a pair of
+      length-one operators breaking the vacuum trace by as much
 
 Each fact is a count of the entries or relations that break it, 0 when it
 holds; a fact is computed once per space, on first read, and kept in
@@ -43,6 +64,18 @@ columns the compositions it reads do.
   action       Q_w E_t0 = E_t0 A and Q_w E_0t = E_0t A for t >= 1, A the
       generator action act_on_q(v, w) realised as lattice.apply_symbolic
       does, for every vertex v and every w of action_words
+  letters      each existing target k = targets_v[j, t] of lambda_v has the
+      letter counts of j plus ([t >= 1] - [slot[j] >= 1]) e_v, in the
+      space's letter table (fock._letter_table)
+  words        each existing target k = targets_v[j, t] of lambda_v lies in
+      the block of v.w, w the word of j, when [t >= 1] != [slot[j] >= 1],
+      and in w's block otherwise; v.w is reduce_tuple((v,) + w) where the
+      unit adds v, and the word that v.w maps to where it drops v
+  shift        for every vertex v and every w of shift_words(space, v):
+      Q_w is 0 where slot_v >= 1, and Q_vw = [slot_v >= 1] Q_w[targets_v[:, 0]]
+  tracial      for every vertex, the pairs of matrix units a, b with
+      |omega(ab) - omega(ba)| above the tolerance, omega(ab) read as
+      (m_a m_b)[0, 0]
 """
 from __future__ import annotations
 
@@ -50,7 +83,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _mat
 from . import fock as fk
 from . import lattice as lat
 from .algebras import GnsRep, centered
@@ -131,11 +163,11 @@ def _disjoint_breaks(u: SideTable, v: SideTable) -> int:
 
 
 def _q_diagonal(space: fk.TruncatedFock, w: Letters) -> np.ndarray:
-    """The diagonal of Q_w, or 1 for the empty word, as apply_symbolic
-    realises it."""
+    """The diagonal of Q_w as a read-only 0/1 mask (fock.q_mask), or all
+    ones for the empty word, as apply_symbolic realises it."""
     if w == ():
-        return np.ones(space.dim)
-    return _mat.diagonal(fk.q_projection(space, w).mat).real.copy()
+        return np.ones(space.dim, dtype=bool)
+    return fk.q_mask(space, w)
 
 
 def _head_breaks(space: fk.TruncatedFock, v) -> int:
@@ -150,8 +182,14 @@ def action_words(space: fk.TruncatedFock) -> list[Letters]:
 
 
 def _action_breaks(space: fk.TruncatedFock) -> int:
-    words = action_words(space)
-    qw = {w: _q_diagonal(space, w) for w in words}
+    masks: dict[Letters, np.ndarray] = {}
+
+    def q(w: Letters) -> np.ndarray:
+        got = masks.get(w)
+        if got is None:
+            got = masks[w] = _q_diagonal(space, w)
+        return got
+
     bad = 0
     for v in space.graph.vertices:
         tab = side_table(space, v, True)
@@ -159,10 +197,85 @@ def _action_breaks(space: fk.TruncatedFock) -> int:
         up_cols, up_rows = np.nonzero(creates)[0], tab.targets[creates]
         down_cols = np.flatnonzero(tab.slot >= 1)
         down_rows = tab.targets[down_cols, 0]
-        for w in words:
-            act = sum(coef * _q_diagonal(space, word) for coef, word in lat.act_on_q(space.group, v, w).terms)
-            bad += np.count_nonzero(qw[w][up_rows] != act[up_cols]) + np.count_nonzero(qw[w][down_rows] != act[down_cols])
+        for w in action_words(space):
+            act = sum(coef * q(word) for coef, word in lat.act_on_q(space.group, v, w).terms)
+            bad += np.count_nonzero(q(w)[up_rows] != act[up_cols]) + np.count_nonzero(q(w)[down_rows] != act[down_cols])
     return int(bad)
+
+
+def _existing(tab: SideTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, t, targets[j, t]) for every existing target of the table."""
+    jj, tt = np.nonzero(tab.targets >= 0)
+    return jj, tt, tab.targets[jj, tt]
+
+
+def _letter_breaks(space: fk.TruncatedFock, v) -> int:
+    tab = side_table(space, v, True)
+    jj, tt, k = _existing(tab)
+    counts = fk._letter_table(space)[1][space.word_ids]  # per column
+    moved = counts[k] - counts[jj]
+    moved[:, list(space.graph.vertices).index(v)] -= (tt >= 1).astype(int) - (tab.slot[jj] >= 1)
+    return int(np.count_nonzero(np.any(moved != 0, axis=1)))
+
+
+def _word_breaks(space: fk.TruncatedFock) -> int:
+    """v.w is reduce_tuple((v,) + w) where a unit adds v; where it drops v
+    from a word u, v.u is the w with v.w = u, as v.v = e."""
+    group, wid = space.group, space.word_ids
+    words = list(space._spans)
+    block = {w: i for i, w in enumerate(words)}
+    bad = 0
+    for v in space.graph.vertices:
+        tab = side_table(space, v, True)
+        jj, tt, k = _existing(tab)
+        adds, drops = (tt >= 1) & (tab.slot[jj] == 0), (tt == 0) & (tab.slot[jj] >= 1)
+        # the block of v.w, and the block w of which each block is v.w, -1 where there is none
+        vw, wv = np.full(len(words), -1), np.full(len(words), -1)
+        for i in np.flatnonzero(np.bincount(wid[jj[adds]], minlength=len(words))):
+            vw[i] = block.get(group.reduce_tuple((v,) + words[i]), -1)
+        wv[vw[vw >= 0]] = np.flatnonzero(vw >= 0)
+        want = np.where(adds, vw[wid[jj]], np.where(drops, wv[wid[jj]], wid[jj]))
+        bad += np.count_nonzero(wid[k] != want)
+    return int(bad)
+
+
+def shift_words(space: fk.TruncatedFock, v) -> list[Letters]:
+    """The words w that conjugation.shifted_dominated draws for v: nontrivial,
+    outside the centralizer of v and not started by v, and at most
+    min(2, N - 2) long (1 below depth 3)."""
+    group, n = space.group, space.n
+    return [w for w in group.ball_tuples(min(2, n - 2 if n > 2 else 1))
+            if w and not group.commutes_tuple(w, v) and group.lift(w, v, True) < 0]
+
+
+def _shift_breaks(space: fk.TruncatedFock, v) -> int:
+    """For each w of shift_words with v.w inside the truncation, the entries
+    where Q_w meets slot_v >= 1, and where Q_vw is not slot_v >= 1 with Q_w
+    on the tail."""
+    tab = side_table(space, v, True)
+    starts = tab.slot >= 1
+    bad = 0
+    for w in shift_words(space, v):
+        if len(w) < space.n:
+            qw = _q_diagonal(space, w)
+            qvw = _q_diagonal(space, space.group.mul_tuple((v,), w))
+            bad += np.count_nonzero(qw & starts) + np.count_nonzero(qvw != (starts & qw[tab.targets[:, 0]]))
+    return int(bad)
+
+
+def _unit_traces(rep: GnsRep) -> np.ndarray:
+    """|omega(ab) - omega(ba)| for every pair of matrix units a, b of the
+    vertex algebra, omega(ab) read as (m_a m_b)[0, 0]."""
+    mats = np.array([rep.matrix(b) for b in rep.algebra.basis()])
+    ab = mats[:, 0, :] @ mats[:, :, 0].T  # ab[a, b] = (m_a m_b)[0, 0]
+    return np.abs(ab - ab.T)
+
+
+def trace_gap(space: fk.TruncatedFock) -> float:
+    """The largest |omega(ab) - omega(ba)| over the vertices and their pairs
+    of matrix units: the vacuum trace's violation that a pair of length-one
+    operators shows, when the tables and GNS facts hold."""
+    return max(float(_unit_traces(space.reps[v]).max()) for v in space.graph.vertices)
 
 
 def _gns_breaks(rep: GnsRep, tol: float) -> int:
@@ -203,13 +316,19 @@ _FACTS = {
         _disjoint_breaks(side_table(space, u, True), side_table(space, v, True))
         for u, v, adjacent in _pairs(space) if not adjacent),
     "action": lambda space, _: _action_breaks(space),
+    "letters": lambda space, _: sum(_letter_breaks(space, v) for v in space.graph.vertices),
+    "words": lambda space, _: _word_breaks(space),
+    "shift": lambda space, _: sum(_shift_breaks(space, v) for v in space.graph.vertices),
+    "tracial": lambda space, tol: sum(
+        int(np.count_nonzero(_unit_traces(space.reps[v]) > tol)) for v in space.graph.vertices),
 }
 
 
 def breaks(space: fk.TruncatedFock, fact: str, tol: float) -> int:
     """How many entries or relations break one fact of the module docstring
-    on this space, 0 when it holds; tol is the gns fact's tolerance.
-    Computed once per (space, fact, tol) and cached in space._plans."""
+    on this space, 0 when it holds; tol is the tolerance of the gns and
+    tracial facts.  Computed once per (space, fact, tol) and cached in
+    space._plans."""
     key = ("certificate", fact, tol)
     got = space._plans.get(key)
     if got is None:

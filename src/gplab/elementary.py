@@ -1,6 +1,7 @@
 """Elementary operators (creation word) x (clique diagonal) x (annihilation
 word)*, their signatures, and the rewriting of generator products into sums
-of elementary terms.
+of elementary terms; and the random generator words and operator products
+that the identity suite samples.
 
 The rewriting rules are exactly the product identities of the creation,
 diagonal, and annihilation operators; every rewrite comes with a numerical
@@ -245,6 +246,52 @@ def rewrite_to_elementary(factors: Sequence[Factor], sys: GraphSystem) -> Terms:
         if len(terms) > TERM_COUNT_CAP:
             raise ResourceLimitError(f"term count {len(terms)} exceeds cap {TERM_COUNT_CAP}")
     return terms
+
+
+def random_factors(
+    sys: GraphSystem, rng, max_len: int = 4, budget: int = 2, scalar: bool = False, skip: bool = False,
+) -> list[Factor]:
+    """A random word of at most `max_len` factors with at most `budget`
+    moving ones (create, annih, elem); `scalar` also draws scalar factors.
+    `skip` only advances rng past the same draws, building no element, and
+    returns no factor."""
+    n = int(rng.integers(1, max_len + 1))
+    out = []
+    moving = 0
+    for _ in range(n):
+        v = sys.graph.vertices[int(rng.integers(0, len(sys.graph.vertices)))]
+        kinds = ["diag", "qproj"] + (["scalar"] if scalar else []) + (
+            ["create", "annih", "elem"] if moving < budget else []
+        )
+        k = kinds[int(rng.integers(0, len(kinds)))]
+        if k == "scalar":
+            out.append(Factor("scalar", value=complex(rng.standard_normal(), rng.standard_normal())))
+            continue
+        if k in ("create", "annih", "elem"):
+            moving += 1
+        if k == "qproj":
+            out.append(Factor("qproj", v))
+        elif skip:
+            sys.sites[v].skip_element(rng)
+        else:
+            out.append(Factor(k, v, sys.sites[v].random_element(rng, center=(k != "diag"))))
+    return [] if skip else out
+
+
+def random_operator(sys: GraphSystem, space: TruncatedFock, rng) -> OperatorMatrix:
+    """A random short product of lambda operators, creations and diagonals."""
+    mats = []
+    n = int(rng.integers(1, 4))
+    for _ in range(n):
+        v = sys.graph.vertices[int(rng.integers(0, len(sys.graph.vertices)))]
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            mats.append(lambda_op(space, v, sys.sites[v].random_element(rng, center=False)))
+        elif kind == 1:
+            mats.append(creation(space, v, sys.sites[v].random_element(rng)))
+        else:
+            mats.append(diagonal(space, v, sys.sites[v].random_element(rng, center=False)))
+    return functools.reduce(operator.matmul, mats)
 
 
 def factor_matrix(f: Factor, space: TruncatedFock) -> OperatorMatrix:

@@ -43,11 +43,11 @@ subgraph expectation along the subgraph and the join split along one
 factor; the sparsity pattern of each part of lambda_v and rho_v on the
 columns of each cut, whose entries each name the entry of m their value is
 read from (_side_pattern); the 0/1 diagonal of each Q_w, read off the
-up-set of w in the weak order; each word block's letters and letter counts,
-which the gauge unitary and the gauge average read (_letter_table); and the
-join split's report for each first factor (tensor_split_check).  Evaluating
-an operator on a cut is then a gather.  The certificate keeps its tables
-and facts there too.
+up-set of w in the weak order and kept as a bool mask (q_mask); each word
+block's letters and letter counts, which the gauge unitary and the gauge
+average read (_letter_table); and the join split's report for each first
+factor (tensor_split_check).  Evaluating an operator on a cut is then a
+gather.  The certificate keeps its tables and facts there too.
 """
 from __future__ import annotations
 
@@ -390,6 +390,16 @@ def zero_op(space: TruncatedFock) -> OperatorMatrix:
     return OperatorMatrix(space, _mat.zeros(space.dim), space.n, 0, 0)
 
 
+def check_guards(*ops: OperatorMatrix) -> int:
+    """The common guard of the operators, which guarded_deviation and
+    guarded_norm check before they evaluate anything: ShallowTruncationError
+    when it is negative.  It evaluates nothing, so a check can ask it of
+    operators it does not read."""
+    guard = min(op.guard for op in ops)
+    ops[0].space.cols_upto(guard)  # raises on a negative guard
+    return guard
+
+
 def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Operator-norm distance restricted to columns inside the common guard,
     read off both operators' cuts at that guard; ShallowTruncationError when
@@ -397,8 +407,7 @@ def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
     past the guarded columns; cuts stored alike give exactly 0.0 with no
     subtraction."""
     a._same_space(b)
-    guard = min(a.guard, b.guard)
-    a.space.cols_upto(guard)  # raises on a negative guard
+    guard = check_guards(a, b)
     x, y = a.cols(guard), b.cols(guard)
     if _mat.same(x, y):
         return 0.0
@@ -408,8 +417,7 @@ def guarded_deviation(a: OperatorMatrix, b: OperatorMatrix) -> float:
 def guarded_norm(a: OperatorMatrix) -> float:
     """Operator norm restricted to the guarded columns, read off the cut at
     the guard; ShallowTruncationError when the guard is negative."""
-    a.space.cols_upto(a.guard)  # raises on a negative guard
-    return _mat.norm2(a.cols(a.guard))
+    return _mat.norm2(a.cols(check_guards(a)))
 
 
 def offdiagonal_mass(a: OperatorMatrix) -> float:
@@ -564,39 +572,43 @@ def rho_op(space: TruncatedFock, v: VertexId, x: Element) -> OperatorMatrix:
 # -- projections and gauge ----------------------------------------------------
 
 
-def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
-    """Projection onto the components indexed by words starting with w.
-
-    The empty word's projection omits the vacuum line: it is 1 minus the
-    vacuum projection, matching the sum over nontrivial group elements.
+def q_mask(space: TruncatedFock, w) -> np.ndarray:
+    """The 0/1 diagonal of Q_w (see q_projection) as a read-only bool mask,
+    one byte per basis vector.
 
     The words starting with w are the up-set of w in the right weak order,
     read off the covers that the ball enumeration records (CoxeterGroup.
-    up_set), so no word of the space is tested against w.  The 0/1 diagonal
-    is built once per (space, canonical word) and its matrix cached, its
-    arrays read-only, in space._plans under ("q", letters); every call
-    returns a matrix with its own copy of the values, so writing into one
-    leaves the cache intact.
+    up_set), so no word of the space is tested against w.  Built once per
+    (space, canonical word) and cached in space._plans under ("q", letters).
     """
     letters = space.group.reduce_tuple(w)
     if len(letters) > space.n:
         raise ShallowTruncationError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
     key = ("q", letters)
-    q = space._plans.get(key)
-    if q is None:
-        dvals = np.zeros(space.dim)
+    mask = space._plans.get(key)
+    if mask is None:
+        mask = np.zeros(space.dim, dtype=bool)
         for word in space.group.up_set(letters, space.n):
             span = space._spans.get(word)
             # The vacuum is excluded even from Q_e: the underlying direct sum
             # runs over nontrivial group elements only.
             if span is not None and word != ():
                 off, count = span
-                dvals[off: off + count] = 1.0
-        q = _mat.diag(dvals)
-        for arr in q[:3]:
-            arr.flags.writeable = False
-        space._plans[key] = q
-    return OperatorMatrix(space, q._replace(data=q.data.copy()), space.n, 0, 0)
+                mask[off: off + count] = True
+        mask.flags.writeable = False
+        space._plans[key] = mask
+    return mask
+
+
+def q_projection(space: TruncatedFock, w) -> OperatorMatrix:
+    """Projection onto the components indexed by words starting with w.
+
+    The empty word's projection omits the vacuum line: it is 1 minus the
+    vacuum projection, matching the sum over nontrivial group elements.
+    Its matrix is built on every call from the cached mask (q_mask), so
+    writing into one leaves the cache intact.
+    """
+    return OperatorMatrix(space, _mat.diag(q_mask(space, w)), space.n, 0, 0)
 
 
 def word_projection(space: TruncatedFock, w) -> OperatorMatrix:

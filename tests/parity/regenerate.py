@@ -83,9 +83,32 @@ def _format(obj, pad: str = "") -> str:
     return "{\n" + ",\n".join(body) + "\n" + pad + "}"
 
 
+def _by_name(records: list[dict]) -> dict[str, dict]:
+    """Check records keyed by name, a name's later occurrences as name#k."""
+    seen: dict[str, int] = {}
+    out = {}
+    for rec in records:
+        k = seen[rec["name"]] = seen.get(rec["name"], -1) + 1
+        out[rec["name"] + (f"#{k}" if k else "")] = rec
+    return out
+
+
+def _is_records(obj) -> bool:
+    return isinstance(obj, list) and all(isinstance(r, dict) and "name" in r for r in obj)
+
+
 def differences(want, got, path: str = "") -> list[str]:
     """Where `got` departs from `want`: floats by more than FLOAT_ATOL,
-    anything else by any change, a change of type included."""
+    anything else by any change, a change of type included.  Lists of check
+    records (`checks`, `evidence`) are matched by name and occurrence, so an
+    added or removed record is one line, and a moved field is named by its
+    record's name."""
+    if (want or got) and _is_records(want) and _is_records(got):
+        a, b = _by_name(want), _by_name(got)
+        out = [f"{path}: removed {k}" for k in a if k not in b] + [f"{path}: added {k}" for k in b if k not in a]
+        if [k for k in a if k in b] != [k for k in b if k in a]:
+            out.append(f"{path}: records reordered")
+        return out + [d for k in a if k in b for d in differences(a[k], b[k], f"{path}[{k}]")]
     if isinstance(want, float) and isinstance(got, float):
         return [] if abs(want - got) <= FLOAT_ATOL else [f"{path}: {want!r} -> {got!r}"]
     if type(want) is not type(got):

@@ -184,25 +184,70 @@ def test_identity_suite_detects_seeded_fault(fault):
     assert failed == {"rewrite": {"rewrite.certificate"}, "identities": {"annih_creation.same_vertex"}}[fault]
 
 
+# The rows with exact records that draw from the shared stream, in suite order.
+STREAM_ROWS = (an.main_identity_checks, an.gauge_covariance_checks, an.diagonality_checks,
+               an.conjugation_positivity_checks, an.rho_lambda_commutation_checks)
+
+
+def _stream_end(monkeypatch, sysm, depth: int, smoke: int, seed: int = 4):
+    """The generator state after the STREAM_ROWS, each evaluating `smoke`
+    draws, and each row's n/a reasons: its records' or, where the row is too
+    shallow as a whole, the error's."""
+    monkeypatch.setattr(an, "SMOKE_DRAWS", smoke)
+    rng = np.random.default_rng(seed)
+    reasons = []
+    for row in STREAM_ROWS:
+        try:
+            reasons.append([r.skipped_reason for r in row(sysm, depth, rng)])
+        except ShallowTruncationError as exc:
+            assert depth < 3
+            reasons.append(str(exc))
+    return rng.bit_generator.state, reasons
+
+
 @pytest.mark.parametrize("depth", [1, 3])
 def test_smoke_draws_leave_the_stream_where_full_draws_do(monkeypatch, depth):
-    """The identities and rho_lambda rows evaluate SMOKE_DRAWS of their 20
-    draws and only advance the stream past the others: it ends where it
-    ends when every draw is evaluated, so no later row's samples move.  At
-    depth 1 some cases stop drawing at their first, too shallow, draw."""
+    """The identities, gauge, signature, conjugation and rho_lambda rows
+    evaluate SMOKE_DRAWS of their draws and only advance the stream past the
+    others: it ends where it ends when every draw is evaluated, and each row
+    reports the same n/a reasons, so no later row's samples move.  At depth
+    1 some cases stop drawing at their first, too shallow, draw, and the
+    conjugation and rho_lambda rows are n/a at theirs.  On the edgeless
+    graph the conjugation row draws from two shifted words."""
+    smoke_draws = an.SMOKE_DRAWS
+    for graph in (PATH3, FREE3):
+        sysm = mixed_system(graph, hecke_q=2.0)
+        assert _stream_end(monkeypatch, sysm, depth, smoke_draws) == _stream_end(monkeypatch, sysm, depth, 30)
+
+
+@pytest.mark.parametrize("row", [an.gauge_covariance_checks, an.diagonality_checks], ids=["gauge", "signature"])
+def test_a_skipped_draw_is_as_shallow_as_its_evaluation(monkeypatch, row):
+    """At depth 1 an elementary term with two creations has guard -1.  Drawn
+    from seed 1, the row's first such term comes in a skipped draw, past the
+    first SMOKE_DRAWS: that draw raises ShallowTruncationError with the
+    reason and at the stream position at which evaluating it raises."""
     sysm = mixed_system(PATH3, hecke_q=2.0)
+    random_factors = an.el.random_factors
+    draws = []
 
-    def end_state(smoke):
+    def counted(*args, **kwargs):
+        draws.append(True)
+        return random_factors(*args, **kwargs)
+
+    monkeypatch.setattr(an.el, "random_factors", counted)
+
+    def run(smoke):
         monkeypatch.setattr(an, "SMOKE_DRAWS", smoke)
-        rng = np.random.default_rng(4)
-        an.main_identity_checks(sysm, depth, rng)
-        try:  # the row's first draw is too shallow at depth 1, as in the suite
-            an.rho_lambda_commutation_checks(sysm, depth, rng)
-        except ShallowTruncationError:
-            assert depth < 2
-        return rng.bit_generator.state
+        draws.clear()
+        rng = np.random.default_rng(1)
+        with pytest.raises(ShallowTruncationError) as exc:
+            row(sysm, 1, rng)
+        return str(exc.value), rng.bit_generator.state, len(draws)
 
-    assert end_state(an.SMOKE_DRAWS) == end_state(20)
+    smoke_draws = an.SMOKE_DRAWS
+    smoke = run(smoke_draws)
+    assert smoke == run(30)
+    assert smoke[2] > smoke_draws
 
 
 def test_identity_suite_rejects_a_fault_no_group_takes():

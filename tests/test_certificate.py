@@ -1,8 +1,9 @@
-"""The exact certificate of the product identities (gplab.certificate): its
-tables against a dense oracle of the matrix units, the unit relations by
-dense products, faults that move one table entry or perturb one GNS image
-entry, and the pairing of every sampled identity record with its exact
-record."""
+"""The exact certificate of the suite's identities (gplab.certificate): its
+tables against a dense oracle of the matrix units, the unit relations, and
+what the units do to letter counts and words, by dense oracles; faults that
+move one table entry, perturb the letter table, the word of one column or
+one GNS image entry, or flip one Q_w entry; and the pairing of every sampled
+record of a row with exact records with its exact record."""
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from gplab import certificate as ct
 from gplab import fock
 from gplab.config import load_config
 from gplab.system import GraphSystem
-from util import FREE3, PATH3, m2_site, mixed_system, naive_units
+from util import FREE3, PATH3, m2_site, mixed_system, naive_left_product, naive_unit_moves, naive_units
 
 SYSTEMS = {
     "edgeless": lambda: mixed_system(FREE3, hecke_q=2.0),
@@ -78,7 +79,7 @@ def test_unit_relations_hold_by_dense_products_and_the_certificate_agrees(name):
     """On the guarded columns the oracle's units are matrix units, commute
     where the graph product says they do, and a creation of v lands where a
     non-adjacent u has no letter to act on; the certificate finds no break
-    of any fact."""
+    of any fact but `tracial` on a non-tracial system."""
     sysm = SYSTEMS[name]()
     space = sysm.space(DEPTH)
     graph, cols = space.graph, _guarded(space)
@@ -97,8 +98,27 @@ def test_unit_relations_hold_by_dense_products_and_the_certificate_agrees(name):
                 assert _commute(lam, units[v, True], cols)
             else:
                 assert not np.any(np.tensordot(head, units[v, True][1:, 0][..., cols], axes=([1], [1])))
+    # the tracial fact breaks exactly where some vertex state is not tracial
+    tracial = all(site.state.is_tracial() for site in sysm.sites.values())
     for fact in ct._FACTS:
-        assert ct.breaks(space, fact, an.IDENTITY_TOL) == 0, fact
+        assert (ct.breaks(space, fact, an.IDENTITY_TOL) == 0) == (fact != "tracial" or tracial), fact
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_letter_and_word_moves_match_the_dense_oracles(name):
+    """Every entry of a unit E_ts of lambda_v moves its column's letter
+    counts by ([t >= 1] - [s >= 1]) e_v, and its word w to v.w when that
+    changes, and keeps w otherwise, by the dense oracles; the letters and
+    words facts agree."""
+    space = SYSTEMS[name]().space(DEPTH)
+    for k, v in enumerate(space.graph.vertices):
+        moves = naive_unit_moves(space, v)
+        assert moves
+        for adds, had, change, w, row_word in moves:
+            assert change == tuple((int(adds) - int(had)) * (np.arange(len(change)) == k))
+            assert row_word == (naive_left_product(space, v, w) if adds != had else w)
+    assert ct.breaks(space, "letters", an.IDENTITY_TOL) == 0
+    assert ct.breaks(space, "words", an.IDENTITY_TOL) == 0
 
 
 def test_the_commutation_fact_can_fail():
@@ -112,9 +132,14 @@ def test_the_commutation_fact_can_fail():
         assert ct._commute_breaks(ta, tb) > 0
 
 
+# The rows with exact records, each reading the shared stream.
+ROWS = (an.main_identity_checks, an.rho_lambda_commutation_checks, an.gauge_covariance_checks,
+        an.diagonality_checks, an.conjugation_positivity_checks)
+
+
 def _records(sysm) -> list[an.CheckRecord]:
     rng = np.random.default_rng(1)
-    return an.main_identity_checks(sysm, DEPTH, rng) + an.rho_lambda_commutation_checks(sysm, DEPTH, rng)
+    return [r for row in ROWS for r in row(sysm, DEPTH, rng)] + an.traciality_probe_checks(sysm, DEPTH, 1)
 
 
 def _failed_exact(records) -> set[str]:
@@ -148,11 +173,14 @@ def test_a_moved_target_fails_exactly_the_records_that_read_it(monkeypatch, left
     monkeypatch.setattr(fock, "_side_table", moved)
     records = _records(sysm)
     assert not _are_units(_dense(ct.side_table(space, 0, left)), _guarded(space))
-    reading = {"lambda_units", "commute", "mixed", "disjoint", "action"} if left else {"rho_units", "mixed"}
+    reading = {"lambda_units", "commute", "mixed", "disjoint", "action", "head", "letters", "words", "shift"} \
+        if left else {"rho_units", "mixed"}
     assert _failed_exact(records) == _readers(records, reading)
     assert _failed_exact(records) >= ({"rho_lambda.commutation.exact"} if not left else {
         "creation.same_vertex_product_zero.exact", "diag_creation.nonadjacent_zero.exact",
-        "projection_action.creation.exact", "rho_lambda.commutation.exact"})
+        "projection_action.creation.exact", "rho_lambda.commutation.exact",
+        "gauge.covariance_of_elementary_terms.exact", "signature.identity_terms_diagonal.exact",
+        "conjugation.qperp_dominated.exact", "conjugation.shifted_dominated.exact", "trace.vacuum_probe.exact"})
     assert ct.breaks(space, "lambda_units" if left else "rho_units", an.IDENTITY_TOL) > 0
     assert ct.breaks(space, "rho_units" if left else "lambda_units", an.IDENTITY_TOL) == 0
 
@@ -178,34 +206,77 @@ def test_a_pattern_entry_reading_the_wrong_slot_breaks_the_units(monkeypatch):
     assert ct.breaks(space, "rho_units", an.IDENTITY_TOL) == 0
 
 
-@pytest.mark.parametrize("word", [(0,), (0, 1)], ids=["Q_0", "Q_01"])
+@pytest.mark.parametrize("word", [(0,), (0, 1), (1, 0)], ids=["Q_0", "Q_01", "Q_10"])
 def test_a_wrong_projection_entry_fails_exactly_the_records_that_read_it(monkeypatch, word):
-    """Q_w with the entry of w's first basis vector flipped to 0: the action
-    fact breaks, and for w = (0,) the head fact too, so exactly their
+    """Q_w's mask with the entry of w's first basis vector flipped to 0: the
+    action fact breaks, for w = (0,) the head fact too, and for w = (1, 0),
+    which is v.w for v = 1 and w = (0,), the shift fact; so exactly their
     readers fail."""
     sysm = SYSTEMS["m2"]()
     space = sysm.space(DEPTH)
-    q_projection = fock.q_projection
+    q_mask = fock.q_mask
     flip = space.index_of(word, (1,) * len(word))
 
     def flipped(sp, w):
-        got = q_projection(sp, w)
+        got = q_mask(sp, w)
         if sp is space and tuple(w) == word:
-            values = fock._mat.to_dense(got.mat).diagonal().copy()
-            values[flip] = 0.0
-            got = fock.OperatorMatrix(sp, fock._mat.diag(values), sp.n, 0, 0)
+            got = got.copy()
+            got[flip] = False
         return got
 
-    monkeypatch.setattr(fock, "q_projection", flipped)
+    monkeypatch.setattr(fock, "q_mask", flipped)
     records = _records(sysm)
-    facts = {"head", "action"} if len(word) == 1 else {"action"}
+    facts = {(0,): {"head", "action", "shift"}, (0, 1): {"action", "shift"}, (1, 0): {"action", "shift"}}[word]
+    assert ct.breaks(space, "shift", an.IDENTITY_TOL) > 0
     assert _failed_exact(records) == _readers(records, facts)
     assert "projection_action.creation.exact" in _failed_exact(records)
 
 
+def test_a_perturbed_letter_table_fails_exactly_the_records_that_read_it(monkeypatch):
+    """One word block's count of vertex 0 off by one in the letter table:
+    the letters fact breaks, and only the gauge row's exact record fails."""
+    sysm = SYSTEMS["m2"]()
+    space = sysm.space(DEPTH)
+    table = fock._letter_table
+    block = list(space._spans).index((1, 2))
+
+    def perturbed(sp):
+        letters, counts = table(sp)
+        if sp is space:
+            counts = counts.copy()
+            counts[block, 0] += 1
+        return letters, counts
+
+    monkeypatch.setattr(fock, "_letter_table", perturbed)
+    records = _records(sysm)
+    assert ct.breaks(space, "letters", an.IDENTITY_TOL) > 0
+    assert _failed_exact(records) == _readers(records, {"letters"}) == {"gauge.covariance_of_elementary_terms.exact"}
+
+
+def test_a_column_in_the_wrong_word_fails_exactly_the_records_that_read_it(monkeypatch):
+    """One column of the word (0, 1, 2) filed under (0, 2, 1), which has the
+    same letter counts, once the tables are compiled: the words fact breaks
+    and the letters fact does not, so exactly the signature and vacuum-trace
+    exact records fail."""
+    sysm = SYSTEMS["m2"]()
+    space = sysm.space(DEPTH)
+    for v in space.graph.vertices:
+        for left in (True, False):
+            ct.side_table(space, v, left)
+    word_ids = space.word_ids.copy()
+    word_ids[space.index_of((0, 1, 2), (1, 1, 1))] = list(space._spans).index((0, 2, 1))
+    monkeypatch.setattr(space, "word_ids", word_ids)
+    records = _records(sysm)
+    assert ct.breaks(space, "words", an.IDENTITY_TOL) > 0
+    assert ct.breaks(space, "letters", an.IDENTITY_TOL) == 0
+    assert _failed_exact(records) == _readers(records, {"words"}) == {
+        "signature.identity_terms_diagonal.exact", "signature.nontrivial_terms_offdiagonal.exact",
+        "trace.vacuum_probe.exact"}
+
+
 def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatch):
     """One entry of vertex 0's compiled GNS images, off by 1e-6, breaks pi
-    on the matrix units: the two exact records that read the gns fact fail,
+    on the matrix units: the five exact records that read the gns fact fail,
     and no other exact record does."""
     sysm = SYSTEMS["m2"]()
     rep = sysm.sites[0].rep
@@ -214,20 +285,23 @@ def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatc
     monkeypatch.setattr(rep, "_images", images)
     records = _records(sysm)
     assert _failed_exact(records) == _readers(records, {"gns"}) == {
-        "diag_creation.same_vertex.exact", "annih_creation.same_vertex.exact"}
+        "diag_creation.same_vertex.exact", "annih_creation.same_vertex.exact", "conjugation.qperp_dominated.exact",
+        "conjugation.shifted_dominated.exact", "trace.vacuum_probe.exact"}
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
 @pytest.mark.parametrize("depth", [0, 1, 3])
 def test_every_sampled_identity_has_its_exact_record(fixture, depth):
-    """Each sampled record of the identities and rho_lambda rows is followed,
-    in the same row and order, by its exact counterpart, n/a with its reason
+    """Each sampled record of a row with exact records is followed, in the
+    same row and order, by its exact counterpart, n/a with its reason
     exactly where it is n/a; every exact record is in EXACT, and every
-    certificate fact is read by one."""
+    certificate fact is read by one.  Every fixture's vertex states are
+    tracial, so the probe of a non-tracial one is left to
+    test_a_non_tracial_probe_certifies_its_violation."""
     cfg = load_config(fixture)
     suite = an.identity_suite(cfg.system, depth=depth, seed=1)
     emitted = set()
-    for row in ("identities", "rho_lambda"):
+    for row in ("identities", "rho_lambda", "gauge", "signature", "conjugation", "trace"):
         records = suite.groups[row]
         sampled = [r for r in records if not r.name.endswith(".exact")]
         exact = records[len(sampled):]
@@ -235,5 +309,24 @@ def test_every_sampled_identity_has_its_exact_record(fixture, depth):
         for s, e in zip(sampled, exact):
             assert (e.value == "n/a") == (s.value == "n/a") and e.skipped_reason == s.skipped_reason
         emitted |= {r.name for r in exact}
-    assert emitted == set(an.EXACT)
+    assert emitted == set(an.EXACT) - {"trace.vacuum_probe_detects_violation.exact"}
     assert {fact for reads in an.EXACT.values() for fact in reads} == set(ct._FACTS)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_a_non_tracial_probe_certifies_its_violation(depth):
+    """With vertex 0 in the state of density diag(0.7, 0.3), the sampled
+    probe shows the violation on its SMOKE_DRAWS pairs, each with w_y =
+    w_x^-1, and the exact record certifies it as |omega(e12 e21) - omega(e21
+    e12)| = 0.4; both are n/a below depth 2, with the same reason."""
+    sysm = GraphSystem(FREE3, {0: m2_site([[0.7, 0], [0, 0.3]]), 1: m2_site(), 2: m2_site()})
+    sampled, exact = an.traciality_probe_checks(sysm, depth, 0)
+    assert (sampled.name, exact.name) == ("trace.vacuum_probe_detects_violation",
+                                          "trace.vacuum_probe_detects_violation.exact")
+    assert sampled.passed and exact.passed
+    if depth < 2:
+        assert sampled.value == exact.value == "n/a" and exact.skipped_reason == sampled.skipped_reason
+        return
+    assert sampled.value > 1e-3
+    assert abs(exact.value - 0.4) < 1e-12 and exact.tolerance == 1e-3
+    assert ct.breaks(sysm.space(depth), "tracial", an.IDENTITY_TOL) > 0

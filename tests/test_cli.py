@@ -610,14 +610,17 @@ def _non_tracial(cfg):
 def test_probe_below_depth_two_is_na(tmp_path):
     """Every probe pair has word length at least 2, so at depth 1 the probe
     samples nothing: its row is n/a, not a failure to detect the violation
-    of a non-tracial state, and the trace verdict carries the same record."""
+    of a non-tracial state, its exact record is n/a with the same reason,
+    and the trace verdict carries the same records."""
     cfg = _write_variant(tmp_path, "m2_trace_edgeless3", _non_tracial)
     code, report = run_cli(["report-all", "--config", str(cfg), "--depth", "1"], tmp_path / "r.json")
     assert code == 0
     rec = _check(report, "trace.vacuum_probe_detects_violation")
+    exact = _check(report, "trace.vacuum_probe_detects_violation.exact")
     assert rec["value"] == "n/a" and rec["passed"] and "depth 1" in rec["skipped"]
+    assert exact["value"] == "n/a" and exact["passed"] and exact["skipped"] == rec["skipped"]
     trace = report["results"]["verdicts"][1]
-    assert trace["result"] == "Established" and trace["evidence"][-1] == rec
+    assert trace["result"] == "Established" and trace["evidence"][-2:] == [rec, exact]
 
 
 @pytest.mark.parametrize("fixture", ["m2_trace_edgeless3", "non_tracial"])
@@ -628,11 +631,12 @@ def test_trace_verdict_reads_the_suite_probe_record(tmp_path, fixture):
         cfg = FIXTURES / f"{fixture}.json"
     code, report = run_cli(["report-all", "--config", str(cfg)], tmp_path / "r.json")
     assert code == 0
-    (rec,) = [c for c in report["results"]["identities"]["checks"] if c["name"].startswith("trace.")]
+    recs = [c for c in report["results"]["identities"]["checks"] if c["name"].startswith("trace.")]
+    assert [c["name"] for c in recs[1:]] == [f"{recs[0]['name']}.exact"]
     trace = report["results"]["verdicts"][1]
     assert trace["statement"] == "tracial state structure" and trace["result"] == "Established"
-    assert [e for e in trace["evidence"] if "probe" in e["name"]] == [rec]
-    assert rec["value"] != "n/a"
+    assert [e for e in trace["evidence"] if "probe" in e["name"]] == recs
+    assert all(rec["value"] != "n/a" and rec["passed"] for rec in recs)
 
 
 @pytest.mark.parametrize("depth", [0, 4])
@@ -687,10 +691,11 @@ def test_report_all_runs_the_vacuum_probe_once(monkeypatch, fixture):
     monkeypatch.setattr(analysis, "traciality_probe", counting)
     results, ok = cli.execute("report-all", cfg, cfg.truncation, cfg.seed, False, None)
     assert ok and len(calls) == 1
-    (row,) = [c for c in results["identities"]["checks"] if c["name"].startswith("trace.")]
+    row = [c for c in results["identities"]["checks"] if c["name"].startswith("trace.")]
+    assert [c["name"] for c in row] == ["trace.vacuum_probe", "trace.vacuum_probe.exact"]
     trace = results["verdicts"][1]
     assert trace["statement"] == "tracial state structure"
-    assert [e for e in trace["evidence"] if e["name"].startswith("trace.")] == [row]
+    assert [e for e in trace["evidence"] if e["name"].startswith("trace.")] == row
 
 
 def _phase(theta: float) -> list:

@@ -6,8 +6,9 @@ import pytest
 
 from gplab import _mat, fock
 from gplab.algebras import FiniteDimAlgebra, StateSpec, hecke_parameter, hecke_vertex, site_from_hecke, site_from_state
-from gplab.analysis import _random_truncated_operator, expectation_checks
+from gplab.analysis import expectation_checks
 from gplab.config import load_config
+from gplab.elementary import random_operator
 from gplab.errors import ResourceLimitError, ShallowTruncationError
 from gplab.fock import (
     _PARTS,
@@ -690,7 +691,7 @@ def test_expectation_min_eig_matches_dense_oracle(mixed_path3, path):
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(67)
     for _ in range(6):
-        x = _random_truncated_operator(sysm, space, rng)
+        x = random_operator(sysm, space, rng)
         for y in (x, expectation_diag(x.adjoint() @ x)):
             want = naive_expectation_min_eig(y)
             assert abs(expectation_min_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
@@ -703,7 +704,7 @@ def test_expectation_gram_matches_full_product_oracle(mixed_path3, path):
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(79)
     for _ in range(8):
-        x = _random_truncated_operator(sysm, space, rng)
+        x = random_operator(sysm, space, rng)
         got, want = expectation_gram(x), naive_expectation_gram(x)
         assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
         w = want.toarray()
@@ -742,7 +743,7 @@ def test_unit_blocks_skip_lapack(lapack_calls):
     space = sysm.space(4)
     assert all(count == 1 for _, count in space._spans.values())
     rng = np.random.default_rng(89)
-    xs = [_random_truncated_operator(sysm, space, rng) for _ in range(6)]
+    xs = [random_operator(sysm, space, rng) for _ in range(6)]
     last = list(space._spans)[-1]
     exx = expectation_gram(xs[0])
     off, _ = space._spans[last]
@@ -769,7 +770,7 @@ def test_expectation_norm_chain_against_oracle(mixed_path3, path):
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(73)
     for _ in range(8):
-        x = _random_truncated_operator(sysm, space, rng)
+        x = random_operator(sysm, space, rng)
         e, exx = expectation_diag(x), expectation_diag(x.adjoint() @ x)
         ne, nexx = e.norm(), exx.norm()
         assert abs(ne - naive_norm2(e.mat)) <= 1e-12 * ne
@@ -784,7 +785,7 @@ def test_expectation_min_eig_finds_negative_deepest_block(mixed_path3, path):
     E(x* x) is found, so expectation.positive can still fail."""
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(71)
-    x = _random_truncated_operator(sysm, space, rng)
+    x = random_operator(sysm, space, rng)
     exx = expectation_diag(x.adjoint() @ x)
     assert expectation_min_eig(exx) >= -1e-10
     last = list(space._spans)[-1]
@@ -813,7 +814,7 @@ def test_expectation_min_eig_identity_zero_and_shifted_component(mixed_path3, pa
     assert [naive_expectation_min_eig(y) for y in (one, zero_op(space), cut)] == [1.0, 0.0, 0.0]
     rng = np.random.default_rng(97)
     for _ in range(50):
-        exx = expectation_gram(_random_truncated_operator(sysm, space, rng))
+        exx = expectation_gram(random_operator(sysm, space, rng))
         idx = next((r for r, _ in naive_components(exx.mat, square=True) if len(r) == 3), None)
         if idx is not None:
             break
@@ -836,7 +837,7 @@ def test_tail_profile_matches_per_word_dense_oracle(depth):
     sysm = GraphSystem(FREE3, {0: m2_site(), 1: m2_site([[0.6, 0.1], [0.1, 0.4]]), 2: m2_site()})
     space = sysm.space(depth)
     rng = np.random.default_rng(101 + depth)
-    xs = [_random_truncated_operator(sysm, space, rng) for _ in range(6)]
+    xs = [random_operator(sysm, space, rng) for _ in range(6)]
     xs.append(lambda_op(space, 1, sysm.sites[1].random_element(rng)))
     for x in xs:
         got, want = tail_profile(x), naive_tail_profile(x)
@@ -881,7 +882,7 @@ def test_lapack_sees_only_components(lapack_calls, monkeypatch):
     expectation_checks(sysm, 3, np.random.default_rng(3))
     rng = np.random.default_rng(5)
     for _ in range(5):
-        tail_profile(_random_truncated_operator(sysm, space, rng))
+        tail_profile(random_operator(sysm, space, rng))
     # outside the split only vector norms run, which are no LAPACK calls
     assert all(name == "norm" and len(shape) == 1 for name, shape in lapack_calls)
     assert any(calls for _, calls in seen)
@@ -895,7 +896,7 @@ def test_gauge_average_matches_grid_oracle(mixed_path3, path):
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(73)
     for _ in range(3):
-        x = _random_truncated_operator(sysm, space, rng)
+        x = random_operator(sysm, space, rng)
         x = x + creation(space, 0, sysm.sites[0].random_element(rng)).adjoint()
         for m in (1, 2, 3, 2 * space.n + 1):
             got, want = gauge_average(x, m), naive_gauge_average(x, m)
@@ -1174,7 +1175,7 @@ def test_word_maps_match_per_vector_oracles(mixed_path3, path):
     rng = np.random.default_rng(97)
     subs = [space.graph.induced(verts[:-1]), space.graph.induced([verts[0], verts[2]]), space.graph]
     for _ in range(3):
-        x = _random_truncated_operator(sysm, space, rng)
+        x = random_operator(sysm, space, rng)
         x = x + creation(space, verts[0], sysm.sites[verts[0]].random_element(rng)).adjoint()
         dense = x.toarray()
         for m in (1, 2, 3, 2 * space.n + 1):

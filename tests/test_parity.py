@@ -15,6 +15,22 @@ def test_seed_one_matches_parity_corpus():
     assert not diffs, "\n".join(diffs[:20])
 
 
+def test_differences_name_each_record():
+    """Check records are compared by name and occurrence: an inserted
+    record is one line, and a moved value is named by its record, not by
+    its position; any of them makes the runs differ."""
+    want = {"checks": [{"name": "a", "value": 1.0}, {"name": "b", "value": 0.5}, {"name": "b", "value": 2}]}
+    got = {"checks": [{"name": "a", "value": 1.0}, {"name": "a.exact", "value": 0},
+                      {"name": "b", "value": 0.25}, {"name": "b", "value": 2}]}
+    assert regenerate.differences(want, got) == [".checks: added a.exact", ".checks[b].value: 0.5 -> 0.25"]
+    assert regenerate.differences(got, want) == [".checks: removed a.exact", ".checks[b].value: 0.25 -> 0.5"]
+    got["checks"][3]["value"] = 3
+    assert regenerate.differences(want, got)[-1] == ".checks[b#1].value: 2 -> 3"
+    swapped = {"checks": [want["checks"][1], want["checks"][0], want["checks"][2]]}
+    assert regenerate.differences(want, swapped) == [".checks: records reordered"]
+    assert regenerate.differences(want, want) == []
+
+
 def _ledger() -> dict[str, float | None]:
     """The README table "Checks and their tolerances": each check's name and
     its tolerance, the number in backticks of its rule, or None."""
@@ -49,4 +65,20 @@ def test_readme_ledger_matches_corpus_checks():
     for name in ledger:
         assert f'"{name}"' in source, name
     # the corpus shows every row but the probe of a non-tracial state
-    assert set(ledger) - seen <= {"trace.vacuum_probe_detects_violation"}
+    assert set(ledger) - seen <= {"trace.vacuum_probe_detects_violation", "trace.vacuum_probe_detects_violation.exact"}
+
+
+def test_readme_exact_section_matches_the_exact_records():
+    """README's "What is exact and what is sampled" names every exact record
+    of analysis.EXACT, and no record it calls sampled only has one."""
+    from gplab import analysis
+
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### What is exact and what is sampled", 1)[1].split("\n### ", 1)[0]
+    names = set(re.findall(r"`([a-z_.*]+)`", section))
+    assert set(analysis.EXACT) <= names
+    sampled = re.findall(r"`([a-z_.*]+)`", section.split("Sampled only, with no exact record:", 1)[1].split("\n\n")[0])
+    assert {"rewrite.certificate", "subgraph.expectation", "expectation.*", "ideal.*"} <= set(sampled)
+    for name in sampled:
+        prefix = name[:-1] if name.endswith(".*") else name + "."
+        assert not [e for e in analysis.EXACT if e.startswith(prefix)], name

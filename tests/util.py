@@ -381,6 +381,30 @@ def naive_units(space, v, left: bool) -> np.ndarray:
     return units
 
 
+def naive_unit_moves(space, v) -> set[tuple]:
+    """What the units of lambda_v do to words, one entry of naive_units at a
+    time: (t >= 1, s >= 1, the letter counts of its row minus those of its
+    column, the word of its column, the word of its row) for every entry
+    E_ts[row, col] = 1, with the counts of naive_letter_counts and the words
+    of naive_basis."""
+    units = naive_units(space, v, True)
+    counts = naive_letter_counts(space)
+    words = [w for w, _ in naive_basis(space)]
+    return {(t >= 1, s >= 1, tuple(counts[row] - counts[col]), words[col], words[row])
+            for t, s, row, col in zip(*np.nonzero(units))}
+
+
+def naive_left_product(space, v, w: tuple) -> tuple:
+    """The canonical word of v.w for a reduced w, found among the shuffles
+    of (v,) + w, or of w with a v that shuffles to its front removed, with
+    no reduce_tuple."""
+    group = space.group
+    for u in shuffle_class(group, w):
+        if u and u[0] == v:
+            return min(shuffle_class(group, u[1:]))
+    return min(shuffle_class(group, (v,) + w))
+
+
 def naive_q_projection(space, w):
     """Q_w with w <= u decided as |w^-1 u| = |u| - |w| through the canonical
     reduce_tuple, rebuilt on every call."""
