@@ -39,6 +39,14 @@ the rows whose identities are quadratic or word-level:
       a pair of units breaking a vertex trace (trace_gap) is a pair of
       length-one operators breaking the vacuum trace by as much
 
+The tables are compiled from the group's cover table (words.CoverTable),
+which defines the word maps: fock._factor splits each word along its
+single-letter splits, and fock.q_mask reads Q_w off its up-sets.  The
+`head`, `action` and `shift` facts compare two reads of it, the splits and
+the up-sets.  The `words` fact is its oracle on the tables: it reduces v.w
+with reduce_tuple and reads no cover; lattice.identification_check, which
+decides w <= v with leq_tuple, is its oracle on Q_w.
+
 Each fact is a count of the entries or relations that break it, 0 when it
 holds; a fact is computed once per space, on first read, and kept in
 space._plans with the tables it reads.  Where a table has no entry, because

@@ -48,6 +48,14 @@ block's letters and letter counts, which the gauge unitary and the gauge
 average read (_letter_table); and the join split's report for each first
 factor (tensor_split_check).  Evaluating an operator on a cut is then a
 gather.  The certificate keeps its tables and facts there too.
+
+The word maps are defined by the group's cover table (words.CoverTable),
+the covers u -> u s that the ball enumeration records with their canonical
+sorts: _factor and q_mask read it by ball id, and gather each word block's
+map from the space's block offsets and slot strides, with no word engine
+call per word.  The oracles of the table read none of it: the
+certificate's `words` fact reduces v.w with reduce_tuple, and
+lattice.identification_check decides w <= v with leq_tuple.
 """
 from __future__ import annotations
 
@@ -90,12 +98,14 @@ class TruncatedFock:
         # word -> (offset, count) of its component's contiguous basis block;
         # a word with a letter whose reduced space is zero has no block
         spans: dict[Letters, tuple[int, int]] = {}
+        ball_ids = []  # each block's word as its position in the ball
         dim = 0
-        for w in self.group.ball_tuples(n):
+        for i, w in enumerate(self.group.ball_tuples(n)):
             count = math.prod(self.reps[v].dim - 1 for v in w)
             if count == 0:
                 continue
             spans[w] = (dim, count)
+            ball_ids.append(i)
             dim += count
             if dim > dim_cap:
                 raise ResourceLimitError(
@@ -103,6 +113,7 @@ class TruncatedFock:
                 )
         self.dim = dim
         self._spans = spans
+        self._ball_ids = np.array(ball_ids, dtype=np.intp)
         dims = {w: tuple(self.reps[v].dim - 1 for v in w) for w in spans}
         # word -> row-major stride of each slot in its block
         self._strides = {w: tuple(math.prod(d[p + 1:]) for p in range(len(w))) for w, d in dims.items()}
@@ -113,10 +124,14 @@ class TruncatedFock:
         pad = [(1,) * (n - len(w)) for w in spans]
         strides = np.array([st + p for st, p in zip(self._strides.values(), pad)], dtype=np.intp)
         sizes = np.array([d + p for d, p in zip(dims.values(), pad)], dtype=np.intp)
-        local = np.arange(dim) - np.repeat([off for off, _ in spans.values()], counts)
+        self._offsets = np.array([off for off, _ in spans.values()], dtype=np.intp)
+        self._counts = np.array(counts, dtype=np.intp)
+        local = np.arange(dim) - np.repeat(self._offsets, counts)
         per_word = (len(spans), n)  # also for N = 0
         blocks = self.word_ids
-        self._digits = local[:, None] // strides.reshape(per_word)[blocks] % sizes.reshape(per_word)[blocks]
+        # each block's slot strides, padded with 1 past its word
+        self._block_strides = strides.reshape(per_word)
+        self._digits = local[:, None] // self._block_strides[blocks] % sizes.reshape(per_word)[blocks]
         self._plans: dict = {}
         self._cols_upto: dict[int, np.ndarray] = {}
 
@@ -153,20 +168,9 @@ class TruncatedFock:
         return TruncatedFock(sub, {v: self.reps[v] for v in sub.vertices}, self.n, dim_cap=self.dim_cap)
 
 
-def _word_map(space: TruncatedFock, word: Letters, src: Sequence[int]) -> tuple[int, list[int]]:
-    """(offset, row) of a basis map into the block of the canonical word
-    `word`, whose k-th letter takes its digit (slot - 1) from column src[k]
-    of the source digit row d: the target is offset + d . row."""
-    row = [0] * space.n
-    for p, stride in zip(src, space._strides[word]):
-        row[p] = stride
-    return space._spans[word][0], row
-
-
-def _apply(space: TruncatedFock, maps: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
-    """Each column's target under the (offset, row) map of its word block."""
-    offsets = np.array([off for off, _ in maps], dtype=np.intp)
-    rows = np.array([row for _, row in maps], dtype=np.intp).reshape(len(maps), space.n)
+def _apply(space: TruncatedFock, offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each column's target under the map of its word block: a word block's
+    map sends the digit row d (slot - 1 per position) to offset + d . row."""
     wid = space.word_ids
     return offsets[wid] + (space._digits * rows[wid]).sum(axis=1)
 
@@ -179,36 +183,31 @@ def _factor(space: TruncatedFock, sub: Iterable[VertexId], left: bool) -> tuple[
     (head, tail), the column of each column's head alone and of its tail
     alone, the vacuum for an empty one.
 
-    Each word block compiles one map for each.  Peeled off the front,
-    smallest first, the head letters come in canonical order, so the head
-    map sorts nothing; the back is read along one vertex only (rho_v),
-    where the head is one letter.  A word with an empty head is its own
-    tail, and every other tail map is one canonical sort.  Compiled once
-    per (space, letters, side) and cached in space._plans.
+    The words are split on the group's cover table (CoverTable.peel), one
+    letter at a time over its single-letter splits, for every word block at
+    once; the back is split along one vertex only (rho_v).  Each block's
+    head and tail map is then gathered from the space's offsets and slot
+    strides: a digit goes where its letter lands in the head or the tail.
+    Compiled once per (space, letters, side) and cached in space._plans.
     """
     letters = tuple(sorted(sub))
     key = ("factor", letters, left)
     got = space._plans.get(key)
     if got is not None:
         return got
-    group = space.group
-    heads, tails = [], []
-    for w in space._spans:
-        rest = list(range(len(w)))
-        head: list[int] = []
-        while True:
-            now = [w[p] for p in rest]
-            k = next((k for s in letters if (k := group.lift(now, s, left)) >= 0), -1)
-            if k < 0:
-                break
-            head.append(rest.pop(k))
-        heads.append(_word_map(space, tuple(w[p] for p in head), head))
-        tail = tuple(w[p] for p in rest)
-        if head:
-            tail, perm = group.sort_with_perm(tail)
-            rest = [rest[p] for p in perm]
-        tails.append(_word_map(space, tail, rest))
-    got = space._plans[key] = (_apply(space, heads), _apply(space, tails))
+    table = space.group.cover_table(space.n)
+    order = [space.graph.vertices.index(v) for v in letters]
+    head, head_src, tail, where = table.peel(space._ball_ids, order, left)
+    block = np.full(len(table.index), -1, dtype=np.intp)
+    block[space._ball_ids] = np.arange(len(space._ball_ids))
+    head, tail, n = block[head], block[tail], space.n
+    strides = space._block_strides
+    heads = np.zeros((len(head), n), dtype=np.intp)
+    r, k = np.nonzero(head_src[:, :n] >= 0)
+    heads[r, head_src[r, k]] = strides[head[r], k]
+    where = where[:, :n]
+    tails = np.where(where >= 0, np.take_along_axis(strides[tail], np.maximum(where, 0), axis=1), 0)
+    got = space._plans[key] = (_apply(space, space._offsets[head], heads), _apply(space, space._offsets[tail], tails))
     return got
 
 
@@ -577,24 +576,25 @@ def q_mask(space: TruncatedFock, w) -> np.ndarray:
     one byte per basis vector.
 
     The words starting with w are the up-set of w in the right weak order,
-    read off the covers that the ball enumeration records (CoxeterGroup.
-    up_set), so no word of the space is tested against w.  Built once per
-    (space, canonical word) and cached in space._plans under ("q", letters).
+    read off the group's cover table by ball id (CoverTable.up_mask), so no
+    word of the space is tested against w; each block takes its word's bit.
+    Built once per (space, canonical word) and cached in space._plans under
+    ("q", letters).
     """
-    letters = space.group.reduce_tuple(w)
+    table = space.group.cover_table(space.n)
+    letters = tuple(w)
+    if letters not in table.index:  # not a canonical word of the ball
+        letters = space.group.reduce_tuple(letters)
     if len(letters) > space.n:
         raise ShallowTruncationError(f"|w| = {len(letters)} exceeds truncation depth {space.n}")
     key = ("q", letters)
     mask = space._plans.get(key)
     if mask is None:
-        mask = np.zeros(space.dim, dtype=bool)
-        for word in space.group.up_set(letters, space.n):
-            span = space._spans.get(word)
-            # The vacuum is excluded even from Q_e: the underlying direct sum
-            # runs over nontrivial group elements only.
-            if span is not None and word != ():
-                off, count = span
-                mask[off: off + count] = True
+        up = table.up_mask(letters, space.n)[space._ball_ids]
+        # The vacuum is excluded even from Q_e: the underlying direct sum
+        # runs over nontrivial group elements only.
+        up[0] = False
+        mask = np.repeat(up, space._counts)
         mask.flags.writeable = False
         space._plans[key] = mask
     return mask

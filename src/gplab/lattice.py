@@ -37,10 +37,9 @@ class QSymbolic:
 
 def lattice_projection(group: CoxeterGroup, depth: int, w: Letters) -> np.ndarray:
     """Diagonal 0/1 vector of P_w over the depth-ball basis (lex order), for
-    a canonical w: 1 on the up-set of w in the right weak order."""
-    ball = group.ball_tuples(depth)
-    up = group.up_set(w, depth)
-    return np.array([1.0 if u in up else 0.0 for u in ball])
+    a canonical w: 1 on the up-set of w in the right weak order, read off
+    the group's cover table (CoverTable.up_mask)."""
+    return group.cover_table(depth).up_mask(w, depth).astype(float)
 
 
 @dataclass
@@ -110,9 +109,11 @@ def identification_check(space: TruncatedFock) -> IdentificationRecord:
 
     P_e maps to the identity (the unital extension), all other P_w to Q_w.
 
-    The lattice side keeps one leq_tuple per pair on purpose: q_projection
-    reads Q_w off group.up_set, so a lattice side read off up_set as well
-    would compare the covers walk with itself and could not catch it.
+    The lattice side keeps one leq_tuple per pair on purpose: it is the
+    oracle of the cover table.  q_projection reads Q_w off the table's
+    up-sets (CoverTable.up_mask), so a lattice side read off the table as
+    well would compare the table with itself and could not catch a cover
+    it lacks.
     """
     group = space.group
     ball = group.ball_tuples(space.n)

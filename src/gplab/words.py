@@ -6,11 +6,21 @@ reduced word under the graph's vertex order.  Every routine takes and
 returns plain letter tuples: `reduce_tuple` maps any word to its canonical
 tuple, and the other methods take reduced words and return group elements
 as canonical tuples.
+
+The ball enumeration forms every cover u -> u s, |u s| = |u| + 1, with the
+canonical sort of u + (s,), and records it with that sort's permutation.
+On first use the records become one integer table per group (CoverTable):
+ball ids, the cover of each word through each letter, and the predecessor
+of each word through each letter with its position map.  The word maps of
+the Fock space (each word split into the letters peeled off one end and
+the rest) and the up-sets of the weak order are numpy gathers over it.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import SimplicialGraph, VertexId
@@ -30,9 +40,10 @@ class CoxeterGroup:
         self._adj = {v: graph.neighbors(v) for v in graph.vertices}
         self._down_cache: dict[Letters, frozenset[Letters]] = {(): frozenset({()})}
         self._spheres: list[list[Letters]] = [[()]]
-        # w -> its covers, the w s with |w s| = |w| + 1, for every w of the
-        # spheres below the outermost one enumerated
-        self._covers: dict[Letters, tuple[Letters, ...]] = {}
+        # per sphere k >= 1, every cover (w, s, w s, perm) from sphere k - 1,
+        # perm from the canonical sort of w + (s,)
+        self._edges: list[list[tuple[Letters, VertexId, Letters, tuple[int, ...]]]] = [[]]
+        self._table: Optional[CoverTable] = None
 
     # -- reduction, normal forms and weak order ----------------------------
 
@@ -228,12 +239,14 @@ class CoxeterGroup:
         while len(self._spheres) <= n:
             prev = self._spheres[-1]
             k = len(self._spheres)
-            nxt: set[Letters] = set()
+            edges = []
             for w in prev:
-                covers = [u for u in (self.mul_tuple(w, (s,)) for s in self.graph.vertices) if len(u) == k]
-                self._covers[w] = tuple(covers)
-                nxt.update(covers)
-            self._spheres.append(sorted(nxt))
+                for s in self.graph.vertices:
+                    reduced = self._reduce_word(w + (s,))
+                    if len(reduced) == k:  # w + (s,) itself: a cover
+                        edges.append((w, s, *self.sort_with_perm(tuple(reduced))))
+            self._edges.append(edges)
+            self._spheres.append(sorted({u for _, _, u, _ in edges}))
             if sum(len(s) for s in self._spheres) > BALL_SIZE_CAP:
                 raise ResourceLimitError(f"ball size exceeds {BALL_SIZE_CAP} elements")
         out: list[Letters] = []
@@ -245,20 +258,170 @@ class CoxeterGroup:
         self.ball_tuples(n)
         return [len(s) for s in self._spheres[: n + 1]]
 
-    def up_set(self, w: Letters, n: int) -> set[Letters]:
-        """All u >= w in the right weak order with |u| <= n, for a canonical w.
+    def cover_table(self, n: int) -> "CoverTable":
+        """The covers of the ball of radius n as integers (CoverTable), built
+        on first use from what the enumeration recorded, and again only for
+        a larger radius.  It holds every sphere enumerated so far, so it
+        serves every radius up to its own."""
+        if self._table is None or self._table.radius < n:
+            self.ball_tuples(n)
+            self._table = CoverTable(self)
+        return self._table
 
-        The right weak order is generated by its covers u < u s, |u s| = |u|
-        + 1, so the up-set is what the covers that the ball enumeration
-        records reach from w, one length at a time; no weak-order test runs.
-        """
-        self.ball_tuples(n)
-        out = {w} if len(w) <= n else set()
-        layer = out
-        for _ in range(len(w), n):
-            layer = {u for x in layer for u in self._covers[x]}
-            out |= layer
-        return out
+
+class CoverTable:
+    """The covers u -> u s of a ball, by ball id: ids follow the ball order
+    (by length, then lexicographic), and a letter is its position in
+    graph.vertices.
+
+    cover[u, s] is the id of u s where |u s| = |u| + 1, else -1, and -1 on
+    the outermost sphere, whose covers are not enumerated.  pred[w, s] is
+    the u with cover[u, s] = w, else -1: w ends in s exactly where it has
+    one.  For that cover, letter p of w is letter perm[w, s, p] of the
+    reduced word u + (s,), -1 past |w|.  Equal letters keep their order in
+    every reduced word of an element, so this position map is the only one.
+    """
+
+    def __init__(self, group: CoxeterGroup):
+        spheres = group._spheres
+        self.radius = len(spheres) - 1
+        self.graph = group.graph
+        ball = [w for sphere in spheres for w in sphere]
+        self.index = {w: i for i, w in enumerate(ball)}
+        self.starts = np.cumsum([0] + [len(sphere) for sphere in spheres])
+        self.lengths = np.repeat(np.arange(len(spheres)), np.diff(self.starts))
+        letter = {v: k for k, v in enumerate(self.graph.vertices)}
+        shape = (len(ball), len(letter))
+        self.cover = np.full(shape, -1, dtype=np.intp)
+        self.pred = np.full(shape, -1, dtype=np.intp)
+        self.perm = np.full(shape + (max(self.radius, 1),), -1, dtype=np.int8)  # one column at radius 0
+        for k, edges in enumerate(group._edges[1:], start=1):
+            if not edges:
+                continue
+            u = np.array([self.index[e[0]] for e in edges])
+            s = np.array([letter[e[1]] for e in edges])
+            w = np.array([self.index[e[2]] for e in edges])
+            self.cover[u, s] = w
+            self.pred[w, s] = u
+            self.perm[w, s, :k] = [e[3] for e in edges]
+        self._sides: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def side(self, left: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every word split along every single letter v at the front (left)
+        or the back: (head, tail, where), each indexed [w, v].  head is the
+        position in w of the v that comes to that end, -1 where none does;
+        tail the id of w with that v taken out, w itself where none; and
+        where[w, v, p] the position in the tail of w's letter p, -1 for the
+        head and past |w|.  Built once per side, one sphere at a time."""
+        got = self._sides.get(left)
+        if got is None:
+            got = self._sides[left] = self._front() if left else self._back()
+        return got
+
+    def _own(self) -> np.ndarray:
+        """Each word's letters in place, (words, radius): p, -1 past |w|."""
+        at = np.arange(self.perm.shape[2], dtype=np.int8)
+        return np.where(at < self.lengths[:, None], at, np.int8(-1))
+
+    def _back(self):
+        """w ends in v exactly where a cover u v = w exists (pred), and then
+        its tail is u and the v is the last letter of u + (v,)."""
+        ends = self.pred >= 0
+        last = (self.lengths - 1).astype(np.int8)[:, None, None]
+        head = np.where(ends, np.argmax(self.perm == last, axis=2), -1)
+        tail = np.where(ends, self.pred, np.arange(len(self.pred))[:, None])
+        where = np.where(ends[..., None], np.where(self.perm == last, np.int8(-1), self.perm),
+                         self._own()[:, None, :])
+        return head, tail, where
+
+    def _front(self):
+        """Through any cover u t = w: where v starts u, v starts w and the
+        tail of w is the cover tail(u) t, so both position maps compose;
+        where it does not, v starts w exactly when t = v and v commutes
+        with every letter of u, and then the tail is u."""
+        n_words, n_letters = self.pred.shape
+        head = np.full((n_words, n_letters), -1, dtype=np.intp)
+        tail = np.repeat(np.arange(n_words)[:, None], n_letters, axis=1)
+        where = np.repeat(self._own()[:, None, :], n_letters, axis=1)
+        verts = self.graph.vertices
+        star = np.array([[a == b or self.graph.adjacent(a, b) for b in verts] for a in verts])
+        letters = np.zeros((n_words, n_letters), dtype=bool)  # the letters of each word
+        for k in range(1, self.radius + 1):
+            ids = np.arange(self.starts[k], self.starts[k + 1])
+            t = np.argmax(self.pred[ids] >= 0, axis=1)  # the first cover into each word
+            u = self.pred[ids, t]
+            src = self.perm[ids, t, :k].astype(np.intp)  # w's letter p is letter src[p] of u + (t,)
+            at = np.argsort(src, axis=1)  # ... and letter i of u + (t,) is w's letter at[i]
+            letters[ids] = letters[u]
+            letters[ids, t] = True
+            # v starts u: peel it from u, then append t to u's tail
+            r, v = np.nonzero(head[u] >= 0)
+            if len(r):
+                uu, tt = u[r], t[r]
+                into = where[uu, v, :k].astype(np.intp)  # u's letters in tail(u), then t last
+                into[:, k - 1] = k - 2
+                tw = self.cover[tail[uu, v], tt]
+                back = np.argsort(self.perm[tw, tt, :k - 1], axis=1)
+                moved = np.take_along_axis(into, src[r], axis=1)
+                where[ids[r], v, :k] = np.where(moved >= 0, np.take_along_axis(back, np.maximum(moved, 0), axis=1), -1)
+                head[ids[r], v] = at[r, head[uu, v]]
+                tail[ids[r], v] = tw
+            # v does not start u: w = u v with v commuting with all of u
+            free = (head[u] < 0) & (t[:, None] == np.arange(n_letters))
+            free &= ~np.any(letters[u][:, None, :] & ~star, axis=2)
+            r, v = np.nonzero(free)
+            head[ids[r], v] = at[r, k - 1]
+            tail[ids[r], v] = u[r]
+            where[ids[r], v, :k] = np.where(src[r] < k - 1, src[r], -1)
+        return head, tail, where
+
+    def peel(self, ids: np.ndarray, letters: Sequence[int], left: bool):
+        """Split the words `ids` along the letters `letters` (positions in
+        graph.vertices, in peeling priority): at each step the first of
+        them that comes to the acting end is peeled off, until none does;
+        the back is split along one letter only.  Returns (head, head_src,
+        tail, where): the ids of the head and of the tail, the position in
+        w of the head's k-th letter (-1 past it), and the position in the
+        tail of w's letter p (-1 for a head letter and past |w|).  Peeled
+        off the front in priority order, the head letters come in canonical
+        order, so the head is a chain of covers from the empty word."""
+        if not left and len(letters) > 1:
+            raise ValueError("the back is split along one letter only")
+        head_at, tails, wheres = self.side(left)
+        letters = np.asarray(letters, dtype=np.intp)
+        cur = np.asarray(ids, dtype=np.intp).copy()
+        pos = self._own()[cur].astype(np.intp)  # where w's letter p sits in cur
+        head = np.zeros(len(cur), dtype=np.intp)
+        head_src = np.full(pos.shape, -1, dtype=np.intp)
+        for step in range(self.radius):
+            can = head_at[cur[:, None], letters] >= 0
+            r = np.flatnonzero(can.any(axis=1))
+            if not len(r):
+                break
+            s = letters[np.argmax(can[r], axis=1)]
+            c = cur[r]
+            head_src[r, step] = np.argmax(pos[r] == head_at[c, s][:, None], axis=1)
+            moved = np.take_along_axis(wheres[c, s], np.maximum(pos[r], 0), axis=1)
+            pos[r] = np.where(pos[r] >= 0, moved, -1)
+            head[r] = self.cover[head[r], s]
+            cur[r] = tails[c, s]
+        return head, head_src, cur, pos
+
+    def up_mask(self, w: Letters, n: int) -> np.ndarray:
+        """Which ball words of length <= n start with the canonical word w:
+        its up-set in the right weak order, which the covers generate, read
+        one length at a time by ball id; no weak-order test runs."""
+        starts = self.starts
+        mask = np.zeros(len(self.cover) + 1, dtype=bool)  # the last slot takes the -1s
+        i = self.index.get(w)
+        if i is None or len(w) > n:
+            return mask[:starts[n + 1]]
+        mask[i] = True
+        layer = np.array([i])
+        for k in range(len(w) + 1, n + 1):
+            mask[self.cover[layer]] = True
+            layer = starts[k] + np.flatnonzero(mask[starts[k]:starts[k + 1]])
+        return mask[:starts[n + 1]]
 
 
 _group_cache: dict[SimplicialGraph, CoxeterGroup] = {}

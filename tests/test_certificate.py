@@ -2,7 +2,8 @@
 tables against a dense oracle of the matrix units, the unit relations, and
 what the units do to letter counts and words, by dense oracles; faults that
 move one table entry, perturb the letter table, the word of one column or
-one GNS image entry, or flip one Q_w entry; and the pairing of every sampled
+one GNS image entry, flip one Q_w entry, swap two tails in the group's
+cover table or drop one of its covers; and the pairing of every sampled
 record of a row with exact records with its exact record."""
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from gplab import analysis as an
 from gplab import certificate as ct
-from gplab import fock
+from gplab import fock, lattice, words
 from gplab.config import load_config
 from gplab.system import GraphSystem
 from util import FREE3, PATH3, m2_site, mixed_system, naive_left_product, naive_unit_moves, naive_units
@@ -272,6 +273,61 @@ def test_a_column_in_the_wrong_word_fails_exactly_the_records_that_read_it(monke
     assert _failed_exact(records) == _readers(records, {"words"}) == {
         "signature.identity_terms_diagonal.exact", "signature.nontrivial_terms_offdiagonal.exact",
         "trace.vacuum_probe.exact"}
+
+
+def _broken(space) -> set[str]:
+    return {fact for fact in ct._FACTS if ct.breaks(space, fact, an.IDENTITY_TOL) > 0}
+
+
+def test_swapped_left_tails_in_the_cover_table_fail_the_records_that_read_them(monkeypatch, fresh_group):
+    """The cover table's split along vertex 0 at the front with the tails
+    of (0, 1) and (0, 2) swapped, before lambda_0 is compiled from it.  The
+    swap relabels columns consistently, so the tables still form matrix
+    units (lambda_units holds), but a unit that adds 0 to (1,) now lands in
+    the block of (0, 2): the words fact, whose v.w is reduce_tuple((v,) +
+    w), breaks, and exactly the exact records that read a broken fact
+    fail."""
+    sysm = SYSTEMS["m2"]()
+    space = sysm.space(DEPTH)
+    table = space.group.cover_table(space.n)
+    a, b = table.index[(0, 1)], table.index[(0, 2)]
+    side = words.CoverTable.side
+
+    def swapped(self, left):
+        head, tail, where = side(self, left)
+        if self is table and left:
+            tail = tail.copy()
+            tail[[a, b], 0] = tail[[b, a], 0]
+        return head, tail, where
+
+    monkeypatch.setattr(words.CoverTable, "side", swapped)
+    records = _records(sysm)
+    broken = _broken(space)
+    assert "words" in broken
+    assert _failed_exact(records) == _readers(records, broken)
+
+
+def test_a_dropped_cover_fails_the_projection_facts_and_the_identification(monkeypatch, fresh_group):
+    """The cover (0,) -> (0, 1) dropped from the table that Q_w reads, once
+    the lambda and rho tables are compiled: Q_(0) loses every word above
+    (0, 1), so the head and action facts break, exactly the exact records
+    that read a broken fact fail, and the identification with the lattice,
+    which decides w <= v by leq_tuple, finds mismatches."""
+    sysm = SYSTEMS["m2"]()
+    space = sysm.space(DEPTH)
+    for v in space.graph.vertices:
+        for left in (True, False):
+            ct.side_table(space, v, left)
+    table = space.group.cover_table(space.n)
+    cover = table.cover.copy()
+    assert cover[table.index[(0,)], 1] == table.index[(0, 1)]
+    cover[table.index[(0,)], 1] = -1
+    monkeypatch.setattr(table, "cover", cover)
+    records = _records(sysm)
+    broken = _broken(space)
+    assert {"head", "action"} <= broken
+    assert _failed_exact(records) == _readers(records, broken)
+    assert lattice.identification_check(space).mismatches > 0
 
 
 def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatch):

@@ -36,9 +36,11 @@ from gplab.fock import (
     word_projection,
     zero_op,
 )
+from gplab.graphs import SimplicialGraph
 from gplab.system import GraphSystem
-from gplab.words import CoxeterGroup
+from gplab.words import CoverTable, CoxeterGroup
 from util import (
+    CYC5,
     FREE2,
     FREE3,
     K2,
@@ -936,28 +938,29 @@ def test_q_projection_matches_oracle(mixed_path3, path):
             assert np.array_equal(got.toarray(), want)
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
+def _count_calls(monkeypatch, name: str, cls=CoxeterGroup) -> list[int]:
     count = [0]
-    fn = getattr(CoxeterGroup, name)
+    fn = getattr(cls, name)
 
     def counted(*args, **kwargs):
         count[0] += 1
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(CoxeterGroup, name, counted)
+    monkeypatch.setattr(cls, name, counted)
     return count
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_q_projection_cache_counts(mixed_path3, path, monkeypatch, fresh_group):
-    """Q_w is built from one up-set walk and a repeat walks nothing; neither
-    runs a weak-order test, the weak-order test runs no canonical sort, and
-    writing into a returned matrix does not reach the cache."""
+    """Q_w is built from one up-set read off the cover table and a repeat
+    reads nothing; neither runs a weak-order test, the weak-order test runs
+    no canonical sort, and writing into a returned matrix does not reach the
+    cache."""
     sysm, parent = _oracle_space(mixed_path3, path)
     space = TruncatedFock(sysm.graph, sysm.reps(), parent.n)  # empty caches
     leq = _count_calls(monkeypatch, "leq_tuple")
     sort = _count_calls(monkeypatch, "sort_with_perm")
-    up = _count_calls(monkeypatch, "up_set")
+    up = _count_calls(monkeypatch, "up_mask", CoverTable)
     w = (space.graph.vertices[1],)
     first = q_projection(space, w)
     assert (leq[0], up[0]) == (0, 1)
@@ -995,11 +998,23 @@ def test_q_projection_up_set_matches_oracle(graph, zero, depth, fresh_group):
     space = _zero_letter_system(graph, zero).space(depth)
     ball = space.group.ball_tuples(depth)
     assert (zero and depth > 0) == (len(space._spans) < len(ball))
+    table = space.group.cover_table(depth)
     for w in ball:
         got = q_projection(space, w)
         assert np.array_equal(got.toarray(), naive_q_projection(space, w).toarray())
         # the up-set itself: exactly the ball words that start with w
-        assert space.group.up_set(w, depth) == {u for u in ball if space.group.leq_tuple(w, u)}
+        up = table.up_mask(w, depth)
+        assert [u for u, keep in zip(ball, up) if keep] == [u for u in ball if space.group.leq_tuple(w, u)]
+
+
+def test_q_mask_matches_oracle_on_path3_depth_6(mixed_path3):
+    """On PATH3 at depth 6 (dim 208), where 0 and 2 do not commute and the
+    up-sets run five covers deep, the Q_w mask of every word of length <= 2
+    equals the word-by-word canonical-reduction oracle."""
+    space = mixed_path3.space(6)
+    for w in space.group.ball_tuples(2):
+        want = naive_q_projection(space, w).toarray().diagonal().real == 1.0
+        assert np.array_equal(fock.q_mask(space, w), want), w
 
 
 def _exact_zero_elements(site) -> list:
@@ -1082,9 +1097,9 @@ def test_compiled_side_ops_call_no_sort_and_no_group(mixed_path3, path, monkeypa
 
 def test_expectation_subgraph_factorisation_cached(mixed_path3, monkeypatch, fresh_group):
     """A second subgraph expectation on the same (space, subgraph) compiles
-    nothing again: the first compiles the factorisation along the subgraph,
-    which sorts, and the second runs no canonical sort and gives the same
-    matrix."""
+    nothing again: the first compiles the factorisation along the subgraph
+    from the group's cover table, with no canonical sort, and the second
+    calls no word-engine method and gives the same matrix."""
     space = TruncatedFock(PATH3, mixed_path3.reps(), 4)  # empty caches
     sub = PATH3.induced([0, 1])
     rng = np.random.default_rng(7)
@@ -1092,22 +1107,33 @@ def test_expectation_subgraph_factorisation_cached(mixed_path3, monkeypatch, fre
         space, 1, mixed_path3.sites[1].random_element(rng, center=False)
     )
     sort = _count_calls(monkeypatch, "sort_with_perm")
+    group = _count_group_calls(monkeypatch)
     first = expectation_subgraph(space, sub, x)
-    assert sort[0] > 0  # the tail maps of the factorisation
-    sort[0] = 0
+    assert sort[0] == 0 and group[0] > 0  # the cover table is read
+    group[0] = 0
     again = expectation_subgraph(space, sub, x)
-    assert sort[0] == 0
+    assert sort[0] == group[0] == 0
     assert np.array_equal(again.toarray(), first.toarray())
     assert np.array_equal(first.toarray(), naive_expectation_subgraph(space, sub, x).toarray())
 
 
-def test_factor_matches_per_vector_peel(mixed_path3, mixed_free3):
+def test_factor_matches_per_vector_peel(mixed_path3, mixed_free3, mixed_k3):
     """The (head, tail) columns compiled per word block equal the peel made
-    one basis vector at a time, at the front along every induced subgraph of
-    a PATH3 space (dim 64) and a FREE3 space (dim 64), and at the back
-    along every vertex; joining each column's head and tail gives the column
-    back."""
-    for sysm, n in ((mixed_path3, 4), (mixed_free3, 3)):
+    one basis vector at a time, at the front along every induced subgraph
+    and at the back along every vertex; joining each column's head and tail
+    gives the column back.  The spaces: PATH3 at depths 4 and 6 (dim 64 and
+    208) and at depth 0, FREE3 and K3 at depth 3, hecke_q1_edgeless3 at
+    depth 7 (dim 382, one vector per block), Hecke on the 5-cycle at depth
+    4, Hecke on a graph whose vertices are not listed in increasing order,
+    and PATH3 and FREE3 with a one-dimensional vertex, whose letter leaves
+    words with no block."""
+    hecke = load_config(Path(__file__).parent / "fixtures" / "hecke_q1_edgeless3.json").system
+    unsorted = SimplicialGraph.build([2, 0, 1], [(2, 0)])
+    spaces = [(mixed_path3, 4), (mixed_path3, 6), (mixed_path3, 0), (mixed_free3, 3), (mixed_k3, 3), (hecke, 7),
+              (GraphSystem(CYC5, {v: site_from_hecke(1.0) for v in CYC5.vertices}), 4),
+              (GraphSystem(unsorted, {v: site_from_hecke(2.0) for v in unsorted.vertices}), 4),
+              (_zero_letter_system(PATH3, True), 4), (_zero_letter_system(FREE3, True), 3)]
+    for sysm, n in spaces:
         space = sysm.space(n)
         verts = space.graph.vertices
         subs = [(sub, True) for k in range(len(verts) + 1) for sub in itertools.combinations(verts, k)]
@@ -1214,9 +1240,10 @@ def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
     """Compiling every lambda and rho plan and the factorisations of four
     subgraph expectations of M2 on FREE3 at depth 3 (dim 388, 22 word
     blocks), and the pair table of M2 on the join PATH3 = {1} * {0, 2} at
-    depth 3 (dim 154), runs at most one canonical sort per factorisation
-    and word block with a nonempty head, however many vectors the blocks
-    hold."""
+    depth 3 (dim 154), runs no canonical sort at all, so at most one per
+    factorisation and word block with a nonempty head, however many vectors
+    the blocks hold: the splits read the covers that the ball enumeration
+    recorded with their canonical sorts."""
     sysm = GraphSystem(FREE3, {v: m2_site() for v in FREE3.vertices})
     space = sysm.space(3)
     join_sys = GraphSystem(PATH3, {v: m2_site() for v in PATH3.vertices})
@@ -1234,7 +1261,7 @@ def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
     bound = sum(_blocks_with_head(space, (v,), left) for v in FREE3.vertices for left in (True, False))
     bound += sum(_blocks_with_head(space, sub.vertices, True) for sub in subs)
     bound += _blocks_with_head(join, (1,), True)
-    assert 0 < sort[0] <= bound
+    assert sort[0] == 0 < bound
     assert space.dim > len(space._spans) * len(FREE3.vertices) * 2
 
 
