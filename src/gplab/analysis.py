@@ -8,6 +8,7 @@ a negative structural claim.
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -41,8 +42,8 @@ CRIT_TENSOR_SPLIT = "decomposition: join split into tensor factors"
 # The one tolerance read by more than one check; every other check states
 # its own where it builds its record.  README's ledger lists them all.
 IDENTITY_TOL = 1e-9  # the product identities, their certificate's GNS facts, and the rewrite certificate
-# How many of each sampled row's draws are evaluated on the Fock space, in
-# the rows that have exact records; see main_identity_checks.
+# How many draws each sampled case of a row with exact records takes and
+# evaluates on the Fock space; see main_identity_checks.
 SMOKE_DRAWS = 2
 
 
@@ -444,13 +445,8 @@ def main_identity_checks(
     exact counterpart (_exact_record), which certifies the identity for every
     element at depth N from the compiled tables (certificate).  So the
     sampled records are smoke tests of the GNS matrices, `_mat.mul` and the
-    lazy cuts: each case evaluates only its first SMOKE_DRAWS draws on the
-    Fock space.  It still takes all 20 draws from the shared stream, in the
-    order it always has (and stops drawing where a draw is too shallow for
-    the depth), the others only advancing it by what their elements would
-    take (VertexSite.skip_element), so that every later row's samples stay
-    as they were; those draws can go once each row draws from a stream of
-    its own (ROADMAP, "One random stream per check group")."""
+    lazy cuts: each case takes SMOKE_DRAWS draws and evaluates them on the
+    Fock space, stopping at a draw too shallow for the depth."""
     space = sysm.space(depth)
     same, adj, non = _pairs_by_case(sysm.graph)
     sampled: list[CheckRecord] = []
@@ -458,24 +454,16 @@ def main_identity_checks(
     def rnd(v):
         return sysm.sites[v].random_element(rng)
 
-    def skip(v):
-        sysm.sites[v].skip_element(rng)
-
-    def run(name, pairs, deviation, draw=lambda u, v, element: (element(u), element(v)),
+    def run(name, pairs, deviation, draw=lambda u, v: (rnd(u), rnd(v)),
             reason="no vertex pair realizes this case"):
-        """draw(u, v, element) takes one draw's values from rng, each vertex
-        element from element(vertex): rnd for an evaluated draw, skip for
-        one that only advances the stream."""
+        """draw(u, v) takes one draw's values from rng."""
         if not pairs:
             sampled.append(CheckRecord(name, "n/a", IDENTITY_TOL, True, reason))
             return
         check = _Worst(name, IDENTITY_TOL)
-        for k in range(20):
+        for _ in range(SMOKE_DRAWS):
             u, v = pairs[int(rng.integers(0, len(pairs)))]
-            if k >= SMOKE_DRAWS:
-                draw(u, v, skip)
-                continue
-            drawn = draw(u, v, rnd)
+            drawn = draw(u, v)
             if not check.add(lambda: deviation(u, v, *drawn)):
                 break
         sampled.append(check.record(na_tol=IDENTITY_TOL))
@@ -543,7 +531,7 @@ def main_identity_checks(
         return max(fk.guarded_deviation(lhs, cr @ act), fk.guarded_deviation(lhs2, cr.adjoint() @ act))
 
     run("projection_action.creation", same if ball else [], d5,
-        lambda u, _v, element: (element(u), ball[int(rng.integers(0, len(ball)))]),
+        lambda u, _v: (rnd(u), ball[int(rng.integers(0, len(ball)))]),
         "no nontrivial word shorter than the depth")
     return sampled + [_exact_record(space, rec) for rec in sampled]
 
@@ -617,19 +605,28 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
     return [c.record() for c in (idem, contr, pos, faith, gauge)]
 
 
+def _require_term_guards(depth: int) -> None:
+    """The gauge and signature rows' rule: a term of a random word
+    (elementary.random_factors) can hold el.FACTOR_BUDGET creations, whose
+    guard N - FACTOR_BUDGET is negative below depth FACTOR_BUDGET, so there
+    both rows are n/a whatever they draw.  A rarer term, with one more
+    creation from two diagonals at one vertex, can still make a row n/a at
+    depth FACTOR_BUDGET through its draw."""
+    if depth < el.FACTOR_BUDGET:
+        raise ShallowTruncationError(f"no guarded column for a term of {el.FACTOR_BUDGET} creations: "
+                                     f"guard {depth - el.FACTOR_BUDGET} at truncation depth {depth}")
+
+
 def gauge_covariance_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
-    """U_z T U_z* = chi_z(T) T for the elementary terms T of 20 random words,
-    sampled and then exact (the `letters` fact), as main_identity_checks
-    does: the first SMOKE_DRAWS draws are evaluated, and the others only
-    advance the stream (_draw_terms)."""
+    """U_z T U_z* = chi_z(T) T for the elementary terms T of SMOKE_DRAWS
+    random words, sampled and then exact (the `letters` fact), as
+    main_identity_checks does; n/a below depth 2 (_require_term_guards)."""
+    _require_term_guards(depth)
     space = sysm.space(depth)
     check = _Worst("gauge.covariance_of_elementary_terms", 1e-12)
-    for k in range(20):
-        evaluate = k < SMOKE_DRAWS
-        terms = _draw_terms(sysm, depth, rng, evaluate)
+    for _ in range(SMOKE_DRAWS):
+        terms = el.rewrite_to_elementary(el.random_factors(sysm, rng), sysm)
         z = {v: np.exp(2j * np.pi * rng.random()) for v in sysm.graph.vertices}
-        if terms is None:
-            continue
         u = fk.gauge_unitary(space, z)
         for coeff, t in terms:
             m = el.term_matrix(t, space, coeff)
@@ -638,44 +635,23 @@ def gauge_covariance_checks(sysm: GraphSystem, depth: int, rng: np.random.Genera
                 char *= z[v]
             for v in t.annihilation_word():
                 char /= z[v]
-            lhs, rhs = u @ m @ u.adjoint(), char * m
-            if evaluate:
-                check.fold(fk.guarded_deviation(lhs, rhs))
-            else:
-                fk.check_guards(lhs, rhs)
+            check.fold(fk.guarded_deviation(u @ m @ u.adjoint(), char * m))
     sampled = check.record()
     return [sampled, _exact_record(space, sampled)]
 
 
-def _draw_terms(sysm: GraphSystem, depth: int, rng, evaluate: bool) -> Optional[el.Terms]:
-    """One draw of a random word's elementary terms (elementary.random_factors)
-    for the gauge and signature rows, or None for a skipped draw that only
-    advances the stream.  A term has at most two creations (the factor
-    budget), so its guard is at least N - 2: below depth 2 a skipped draw
-    still rewrites its word, and its row checks each term's guards
-    (fock.check_guards) in place of evaluating it."""
-    if evaluate or depth < 2:
-        return el.rewrite_to_elementary(el.random_factors(sysm, rng), sysm)
-    el.random_factors(sysm, rng, skip=True)
-    return None
-
-
 def diagonality_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
     """Elementary terms of trivial signature are block-diagonal, and those of
-    nontrivial signature lie off the diagonal, over 30 random words; sampled
-    and then exact (the `words` fact), as gauge_covariance_checks is."""
+    nontrivial signature lie off the diagonal, over SMOKE_DRAWS random words;
+    sampled and then exact (the `words` fact), as gauge_covariance_checks is."""
+    _require_term_guards(depth)
     space = sysm.space(depth)
     diag = _Worst("signature.identity_terms_diagonal", 1e-10)
     mismatches = 0
-    for k in range(30):
-        evaluate = k < SMOKE_DRAWS
-        for coeff, t in _draw_terms(sysm, depth, rng, evaluate) or ():
+    for _ in range(SMOKE_DRAWS):
+        for coeff, t in el.rewrite_to_elementary(el.random_factors(sysm, rng), sysm):
             sig = el.signature(t, sysm)
             m = el.term_matrix(t, space, coeff)
-            if not evaluate:
-                if sig:
-                    fk.check_guards(m)
-                continue
             off = fk.offdiagonal_mass(m)
             if not sig:
                 diag.fold(off)
@@ -700,24 +676,16 @@ def _positivity_violation(lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> flo
 
 def conjugation_positivity_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
     """a* Q_v^perp a <= omega(aa*) Q_v, and the shifted variant for words
-    outside the centralizer that v does not start, on 15 random draws;
-    sampled and then exact (the `head` and `shift` facts), as
-    main_identity_checks does: the first SMOKE_DRAWS draws are evaluated,
-    and the others only advance the stream.  No skipped draw is too
-    shallow: below depth 3 the first draw is (Q_v needs depth 1, and
-    lambda* Q lambda has guard N - 3), and at depth 3 and beyond none is."""
+    outside the centralizer that v does not start, on SMOKE_DRAWS random
+    draws; sampled and then exact (the `head` and `shift` facts), as
+    main_identity_checks does.  Below depth 3 the first draw is too shallow
+    (Q_v needs depth 1, and lambda* Q lambda has guard N - 3)."""
     space = sysm.space(depth)
     group = sysm.group
     dominated = _Worst("conjugation.qperp_dominated", 1e-9)
     shifted = _Worst("conjugation.shifted_dominated", 1e-9)
-    for k in range(15):
+    for _ in range(SMOKE_DRAWS):
         v = sysm.graph.vertices[int(rng.integers(0, len(sysm.graph.vertices)))]
-        if k >= SMOKE_DRAWS:
-            sysm.sites[v].skip_element(rng)
-            cands = ct.shift_words(space, v)
-            if cands:
-                rng.integers(0, len(cands))
-            continue
         a = sysm.sites[v].random_element(rng)
         lam = fk.lambda_op(space, v, a)
         qv = fk.q_projection(space, (v,))
@@ -755,21 +723,16 @@ def rewrite_certificate_checks(
 
 
 def rho_lambda_commutation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
-    """[lambda_u(x), rho_v(y)] = 0 for u != v, sampled and then exact, as
-    main_identity_checks does: the first SMOKE_DRAWS of 20 draws are
-    evaluated, and the others only advance the stream."""
+    """[lambda_u(x), rho_v(y)] = 0 for u != v on SMOKE_DRAWS random pairs,
+    sampled and then exact, as main_identity_checks does."""
     pairs = [(u, v) for u in sysm.graph.vertices for v in sysm.graph.vertices if u != v]
     if not pairs:
         return [CheckRecord(name, "n/a", None, True, "graph too small")
                 for name in ("rho_lambda.commutation", "rho_lambda.commutation.exact")]
     space = sysm.space(depth)
     check = _Worst("rho_lambda.commutation", 1e-9)
-    for k in range(20):
+    for _ in range(SMOKE_DRAWS):
         u, v = pairs[int(rng.integers(0, len(pairs)))]
-        if k >= SMOKE_DRAWS:
-            sysm.sites[u].skip_element(rng)
-            sysm.sites[v].skip_element(rng)
-            continue
         lam = fk.lambda_op(space, u, sysm.sites[u].random_element(rng, center=False))
         rho = fk.rho_op(space, v, sysm.sites[v].random_element(rng, center=False))
         check.fold(fk.guarded_deviation(lam @ rho, rho @ lam))
@@ -887,7 +850,9 @@ def traciality_probe_checks(sysm: GraphSystem, depth: int, seed: int) -> list[Ch
 
 
 class SuiteRun(NamedTuple):
-    """What the groups of one suite run read; they draw from rng in table order."""
+    """What one group of a suite run reads: rng is the group's own stream,
+    keyed by the seed and the group's name (identity_suite), so a group's
+    records do not depend on which groups run before it."""
 
     sysm: GraphSystem
     depth: int
@@ -944,7 +909,8 @@ def identity_suite(
     seed: int = 0,
     corrupt: Optional[str] = None,
 ) -> SuiteReport:
-    """Run the groups of SUITE in order, each check at its stated tolerance.
+    """Run the groups of SUITE in order, each check at its stated tolerance
+    and each group on a random stream of its own (SuiteRun).
 
     A group too shallow for the depth asked for reports its `shallow`
     checks n/a with the reason.  `corrupt` names one group of FAULTS whose
@@ -954,11 +920,11 @@ def identity_suite(
     if corrupt is not None and corrupt not in FAULTS:
         raise ValueError(f"no fault for {corrupt!r}; expected one of {FAULTS}")
     t0 = time.time()
-    run = SuiteRun(sysm, depth, seed, np.random.default_rng(seed))
     groups: dict[str, list[CheckRecord]] = {}
     seconds: dict[str, float] = {}
     for group in SUITE:
         start = time.perf_counter()
+        run = SuiteRun(sysm, depth, seed, np.random.default_rng([seed, zlib.crc32(group.name.encode())]))
         try:
             groups[group.name] = group.run(run, corrupt == group.name)
         except ShallowTruncationError as exc:

@@ -33,6 +33,10 @@ from .words import Letters
 
 EXPRESSION_LENGTH_CAP = 12
 TERM_COUNT_CAP = 4096
+# The moving factors (create, annih, elem) of a random word by default.  Each
+# adds at most one creation to a term, so a term can hold this many; two
+# diagonals at one vertex add one more (d(c) d(c') holds c^+ ((c'*)^+)*).
+FACTOR_BUDGET = 2
 
 ZERO_TOL = 1e-14
 
@@ -249,12 +253,10 @@ def rewrite_to_elementary(factors: Sequence[Factor], sys: GraphSystem) -> Terms:
 
 
 def random_factors(
-    sys: GraphSystem, rng, max_len: int = 4, budget: int = 2, scalar: bool = False, skip: bool = False,
+    sys: GraphSystem, rng, max_len: int = 4, budget: int = FACTOR_BUDGET, scalar: bool = False,
 ) -> list[Factor]:
     """A random word of at most `max_len` factors with at most `budget`
-    moving ones (create, annih, elem); `scalar` also draws scalar factors.
-    `skip` only advances rng past the same draws, building no element, and
-    returns no factor."""
+    moving ones (create, annih, elem); `scalar` also draws scalar factors."""
     n = int(rng.integers(1, max_len + 1))
     out = []
     moving = 0
@@ -271,11 +273,9 @@ def random_factors(
             moving += 1
         if k == "qproj":
             out.append(Factor("qproj", v))
-        elif skip:
-            sys.sites[v].skip_element(rng)
         else:
             out.append(Factor(k, v, sys.sites[v].random_element(rng, center=(k != "diag"))))
-    return [] if skip else out
+    return out
 
 
 def random_operator(sys: GraphSystem, space: TruncatedFock, rng) -> OperatorMatrix:

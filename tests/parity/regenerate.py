@@ -13,6 +13,9 @@ change of BLAS or summation order but no change of a decision.
     PYTHONPATH=src python tests/parity/regenerate.py          # rewrite all three seeds
     PYTHONPATH=src python tests/parity/regenerate.py --check  # compare, rewrite nothing
 
+`--check` prints each moved field, and ends with their count by kind
+(KINDS).
+
 The corpus is rewritten only by a change that means to move a report, and
 that change lists every record that moved.
 """
@@ -34,6 +37,11 @@ FIXTURES = HERE.parent / "fixtures"
 SEEDS = (1, 2, 3)
 DEPTHS = (0, 1, 2, 3, 4)
 FLOAT_ATOL = 1e-13
+# What a moved field is: an exit code, a `passed` flag, a record switching
+# between n/a and a number (its reason and tolerance go with it), an n/a
+# reason, a record's value, or anything else.
+KINDS = ("exit", "passed", "n/a<->number", "reason", "value", "other")
+_LEAF_KINDS = {"exit": "exit", "passed": "passed", "skipped": "reason", "value": "value"}
 
 
 def corpus_path(seed: int) -> Path:
@@ -97,58 +105,73 @@ def _is_records(obj) -> bool:
     return isinstance(obj, list) and all(isinstance(r, dict) and "name" in r for r in obj)
 
 
-def differences(want, got, path: str = "") -> list[str]:
-    """Where `got` departs from `want`: floats by more than FLOAT_ATOL,
-    anything else by any change, a change of type included.  Lists of check
-    records (`checks`, `evidence`) are matched by name and occurrence, so an
-    added or removed record is one line, and a moved field is named by its
-    record's name."""
+def moves(want, got, path: str = "") -> list[tuple[str, str]]:
+    """Where `got` departs from `want`, as (kind, line): floats by more than
+    FLOAT_ATOL, anything else by any change, a change of type included.
+    Lists of check records (`checks`, `evidence`) are matched by name and
+    occurrence, so an added or removed record is one line, and a moved field
+    is named by its record's name."""
     if (want or got) and _is_records(want) and _is_records(got):
         a, b = _by_name(want), _by_name(got)
-        out = [f"{path}: removed {k}" for k in a if k not in b] + [f"{path}: added {k}" for k in b if k not in a]
+        out = [("other", f"{path}: removed {k}") for k in a if k not in b]
+        out += [("other", f"{path}: added {k}") for k in b if k not in a]
         if [k for k in a if k in b] != [k for k in b if k in a]:
-            out.append(f"{path}: records reordered")
-        return out + [d for k in a if k in b for d in differences(a[k], b[k], f"{path}[{k}]")]
-    if isinstance(want, float) and isinstance(got, float):
-        return [] if abs(want - got) <= FLOAT_ATOL else [f"{path}: {want!r} -> {got!r}"]
-    if type(want) is not type(got):
-        return [f"{path}: {want!r} -> {got!r}"]
-    if isinstance(want, dict):
+            out.append(("other", f"{path}: records reordered"))
+        for k in [name for name in a if name in b]:
+            x, y = a[k], b[k]
+            if (x.get("value") == "n/a") != (y.get("value") == "n/a"):
+                out.append(("n/a<->number", f"{path}[{k}].value: {x['value']!r} -> {y['value']!r}"))
+                x, y = {"passed": x.get("passed")}, {"passed": y.get("passed")}
+            out += moves(x, y, f"{path}[{k}]")
+        return out
+    same_type = type(want) is type(got)
+    if same_type and isinstance(want, dict):
         if want.keys() != got.keys():
-            return [f"{path}: keys {sorted(want)} -> {sorted(got)}"]
-        return [d for k in want for d in differences(want[k], got[k], f"{path}.{k}")]
-    if isinstance(want, list):
+            return [("other", f"{path}: keys {sorted(want)} -> {sorted(got)}")]
+        return [d for k in want for d in moves(want[k], got[k], f"{path}.{k}")]
+    if same_type and isinstance(want, list):
         if len(want) != len(got):
-            return [f"{path}: length {len(want)} -> {len(got)}"]
-        return [d for i, (a, b) in enumerate(zip(want, got)) for d in differences(a, b, f"{path}[{i}]")]
-    return [] if want == got else [f"{path}: {want!r} -> {got!r}"]
+            return [("other", f"{path}: length {len(want)} -> {len(got)}")]
+        return [d for i, (a, b) in enumerate(zip(want, got)) for d in moves(a, b, f"{path}[{i}]")]
+    if same_type and (abs(want - got) <= FLOAT_ATOL if isinstance(want, float) else want == got):
+        return []
+    return [(_LEAF_KINDS.get(path.rsplit(".", 1)[-1], "other"), f"{path}: {want!r} -> {got!r}")]
 
 
-def check_seed(seed: int) -> list[str]:
+def differences(want, got, path: str = "") -> list[str]:
+    """The lines of moves(want, got, path)."""
+    return [line for _, line in moves(want, got, path)]
+
+
+def check_seed(seed: int) -> list[tuple[str, str]]:
+    """The moves of one seed's runs from its corpus, each line labelled by
+    its run."""
     want = json.loads(corpus_path(seed).read_text())
     got = run_seed(seed)
     labels = [f"seed{seed} {r['fixture']} {r['command']} depth={r['depth']}" for r in want]
     if len(want) != len(got):
-        return [f"seed{seed}: {len(want)} runs -> {len(got)}"]
-    return [f"{label}{d}" for label, a, b in zip(labels, want, got) for d in differences(a, b)]
+        return [("other", f"seed{seed}: {len(want)} runs -> {len(got)}")]
+    return [(kind, f"{label}{line}") for label, a, b in zip(labels, want, got) for kind, line in moves(a, b)]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="compare against the corpus, rewrite nothing")
     args = parser.parse_args(argv)
-    failed = False
+    counts = dict.fromkeys(KINDS, 0)
     for seed in SEEDS:
         if args.check:
             diffs = check_seed(seed)
-            for d in diffs:
-                print(d)
+            for kind, line in diffs:
+                print(line)
+                counts[kind] += 1
             print(f"seed {seed}: {'differs' if diffs else 'unchanged'}")
-            failed |= bool(diffs)
         else:
             corpus_path(seed).write_text(_format(run_seed(seed)) + "\n")
             print(f"wrote {corpus_path(seed)}")
-    return int(failed)
+    if args.check:
+        print("moved fields: " + ", ".join(f"{kind} {n}" for kind, n in counts.items()))
+    return int(any(counts.values()))
 
 
 if __name__ == "__main__":

@@ -155,7 +155,7 @@ def test_criterion_03_main_identities_suite():
     worst = 0.0
     ok = True
     for sysm in _identity_systems():
-        # three generators, each evaluating 2 of its 20 draws per case, and
+        # three generators, each taking and evaluating 2 draws per case, and
         # each case's exact record
         for seed in (2024, 2025, 2026):
             checks = main_identity_checks(sysm, depth=4, rng=np.random.default_rng(seed))

@@ -184,70 +184,23 @@ def test_identity_suite_detects_seeded_fault(fault):
     assert failed == {"rewrite": {"rewrite.certificate"}, "identities": {"annih_creation.same_vertex"}}[fault]
 
 
-# The rows with exact records that draw from the shared stream, in suite order.
-STREAM_ROWS = (an.main_identity_checks, an.gauge_covariance_checks, an.diagonality_checks,
-               an.conjugation_positivity_checks, an.rho_lambda_commutation_checks)
-
-
-def _stream_end(monkeypatch, sysm, depth: int, smoke: int, seed: int = 4):
-    """The generator state after the STREAM_ROWS, each evaluating `smoke`
-    draws, and each row's n/a reasons: its records' or, where the row is too
-    shallow as a whole, the error's."""
-    monkeypatch.setattr(an, "SMOKE_DRAWS", smoke)
-    rng = np.random.default_rng(seed)
-    reasons = []
-    for row in STREAM_ROWS:
-        try:
-            reasons.append([r.skipped_reason for r in row(sysm, depth, rng)])
-        except ShallowTruncationError as exc:
-            assert depth < 3
-            reasons.append(str(exc))
-    return rng.bit_generator.state, reasons
-
-
-@pytest.mark.parametrize("depth", [1, 3])
-def test_smoke_draws_leave_the_stream_where_full_draws_do(monkeypatch, depth):
-    """The identities, gauge, signature, conjugation and rho_lambda rows
-    evaluate SMOKE_DRAWS of their draws and only advance the stream past the
-    others: it ends where it ends when every draw is evaluated, and each row
-    reports the same n/a reasons, so no later row's samples move.  At depth
-    1 some cases stop drawing at their first, too shallow, draw, and the
-    conjugation and rho_lambda rows are n/a at theirs.  On the edgeless
-    graph the conjugation row draws from two shifted words."""
-    smoke_draws = an.SMOKE_DRAWS
+@pytest.mark.parametrize("row", [an.gauge_covariance_checks, an.diagonality_checks], ids=["gauge", "signature"])
+def test_term_rows_are_shallow_exactly_below_the_factor_budget(row):
+    """The gauge and signature rows are n/a by rule below depth 2, where a
+    term of a random word can hold two creations and so has no guarded
+    column, whatever the seed; at depths 2 and 3 these seeds' draws report
+    numbers (a rare term with three creations would not at depth 2)."""
+    assert an.el.FACTOR_BUDGET == 2
     for graph in (PATH3, FREE3):
         sysm = mixed_system(graph, hecke_q=2.0)
-        assert _stream_end(monkeypatch, sysm, depth, smoke_draws) == _stream_end(monkeypatch, sysm, depth, 30)
-
-
-@pytest.mark.parametrize("row", [an.gauge_covariance_checks, an.diagonality_checks], ids=["gauge", "signature"])
-def test_a_skipped_draw_is_as_shallow_as_its_evaluation(monkeypatch, row):
-    """At depth 1 an elementary term with two creations has guard -1.  Drawn
-    from seed 1, the row's first such term comes in a skipped draw, past the
-    first SMOKE_DRAWS: that draw raises ShallowTruncationError with the
-    reason and at the stream position at which evaluating it raises."""
-    sysm = mixed_system(PATH3, hecke_q=2.0)
-    random_factors = an.el.random_factors
-    draws = []
-
-    def counted(*args, **kwargs):
-        draws.append(True)
-        return random_factors(*args, **kwargs)
-
-    monkeypatch.setattr(an.el, "random_factors", counted)
-
-    def run(smoke):
-        monkeypatch.setattr(an, "SMOKE_DRAWS", smoke)
-        draws.clear()
-        rng = np.random.default_rng(1)
-        with pytest.raises(ShallowTruncationError) as exc:
-            row(sysm, 1, rng)
-        return str(exc.value), rng.bit_generator.state, len(draws)
-
-    smoke_draws = an.SMOKE_DRAWS
-    smoke = run(smoke_draws)
-    assert smoke == run(30)
-    assert smoke[2] > smoke_draws
+        for depth in range(4):
+            for seed in range(1, 6):
+                rng = np.random.default_rng(seed)
+                if depth < 2:
+                    with pytest.raises(ShallowTruncationError, match=f"guard {depth - 2} at truncation depth {depth}"):
+                        row(sysm, depth, rng)
+                else:
+                    assert all(r.value != "n/a" for r in row(sysm, depth, rng)), (graph, depth, seed)
 
 
 def test_identity_suite_rejects_a_fault_no_group_takes():
@@ -267,6 +220,32 @@ def test_identity_suite_deterministic():
 
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+
+
+def _row_records(sysm, depth: int) -> dict[str, list[tuple]]:
+    """Each SUITE row's records of one seed-2 suite run, as (name, value,
+    flag, n/a reason)."""
+    report = identity_suite(sysm, depth=depth, seed=2)
+    return {row: [(c.name, c.value, c.passed, c.skipped_reason) for c in records]
+            for row, records in report.groups.items()}
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
+def test_each_row_draws_from_a_stream_of_its_own(monkeypatch, fixture):
+    """A row reports the same records run alone as in the full suite, and
+    reversing the table moves no record, at depth 1 and at the fixture's
+    own truncation."""
+    cfg = load_config(fixture)
+    suite = an.SUITE
+    for depth in (1, cfg.truncation):
+        full = _row_records(cfg.system, depth)
+        assert list(full) == [g.name for g in suite]
+        monkeypatch.setattr(an, "SUITE", suite[::-1])
+        assert _row_records(cfg.system, depth) == full, depth
+        for group in suite:
+            monkeypatch.setattr(an, "SUITE", (group,))
+            assert _row_records(cfg.system, depth) == {group.name: full[group.name]}, (group.name, depth)
+        monkeypatch.setattr(an, "SUITE", suite)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])

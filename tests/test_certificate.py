@@ -133,7 +133,7 @@ def test_the_commutation_fact_can_fail():
         assert ct._commute_breaks(ta, tb) > 0
 
 
-# The rows with exact records, each reading the shared stream.
+# The rows with exact records, run here on one generator.
 ROWS = (an.main_identity_checks, an.rho_lambda_commutation_checks, an.gauge_covariance_checks,
         an.diagonality_checks, an.conjugation_positivity_checks)
 

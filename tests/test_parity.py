@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_seed_one_matches_parity_corpus():
     diffs = regenerate.check_seed(1)
-    assert not diffs, "\n".join(diffs[:20])
+    assert not diffs, "\n".join(line for _, line in diffs[:20])
 
 
 def test_differences_name_each_record():
