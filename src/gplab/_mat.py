@@ -18,19 +18,18 @@ without the expansion, keys already in order are not sorted, keys that do
 not repeat are not summed, and two operands with one pattern are added
 entry for entry.
 
-Spectra and norms come from one component split (`_split`): the entries
-are scattered into one dense block per connected component of their
-nonzero pattern, and each distinct block shape takes one batched LAPACK
-call.  `block_norms` splits along the row/column graph (row i joined to
-column j when a[i, j] != 0), and `norm2` is the largest of its block
-norms; `hermitian_min_eig` splits along the index graph, with rows and
-columns on the same nodes.  Trivial structure takes no LAPACK call and,
-where the whole matrix is trivial, no split: a matrix with at most one
-entry per row and per column is read as its moduli, a diagonal one as its
-real diagonal, a 1x1 block as its modulus or real part, and a one-row or
-one-column block as its Frobenius norm.  All three are exact, with no
-iteration and no size threshold; the cost grows with the largest
-component.
+Spectra and norms come from one kernel, `hermitian_eigs`: the entries are
+split along the index graph (i joined to j when a[i, j] != 0) into one
+dense block per connected component, every index a node, and each block
+size takes one batched eigvalsh.  It gives each block's least and largest
+eigenvalue of the Hermitian part, which the positivity and tail checks
+read, and `norm2` is the square root of the largest eigenvalue of a* a,
+formed only between columns that share a row (`gram_blocks`).  Trivial
+structure takes no LAPACK call and, where the whole matrix is trivial, no
+split: a matrix with at most one entry per row and per column has the norm
+of its largest modulus, a diagonal one is read as its real diagonal, and a
+1x1 block as its real part.  All are exact, with no iteration and no size
+threshold; the cost grows with the largest component.
 """
 from __future__ import annotations
 
@@ -265,9 +264,10 @@ def gram_blocks(a: CSR, labels: np.ndarray) -> CSR:
         return _empty((n, n))
     rows, cols, data = coo_parts(a)
     group = rows * (int(labels.max()) + 1) + labels[cols]
-    # CSR order is by row, then column: a stable sort keeps rows in order
-    order = np.argsort(group, kind="stable")
-    group, cols, data = group[order], cols[order], data[order]
+    if np.count_nonzero(group[1:] < group[:-1]):
+        # CSR order is by row, then column: a stable sort keeps rows in order
+        order = np.argsort(group, kind="stable")
+        group, cols, data = group[order], cols[order], data[order]
     head = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
     size = np.diff(np.append(head, len(group)))
     # entry e pairs with every entry of its group, which starts at head
@@ -309,125 +309,77 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             parent = up
 
 
-def _compress(labels: np.ndarray):
-    """The distinct labels in increasing order, and each item's position
-    among them: np.unique(labels, return_inverse=True) by counting, not by
-    sorting."""
-    seen = np.zeros(int(labels.max()) + 1, dtype=bool)
-    seen[labels] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[labels]
+def _split(ri, ci, data, comp):
+    """Scatter the entries (ri[e], ci[e]) -> data[e] into one dense square
+    block per connected component, and yield, for each distinct block size
+    h, the components of that size in increasing order and their blocks as
+    one (count, h, h) stack.
+
+    comp[i] is the component of index i, in range(k); an entry's row and
+    column lie in one component.  A block's rows and columns are its
+    component's indices in increasing order."""
+    loc, size = _rank_within(comp, int(comp.max()) + 1)
+    # a component's position among the components of its size
+    slot, _ = _rank_within(size, int(size.max()) + 1)
+    ec = comp[ri]
+    esize = size[ec]
+    for h in np.flatnonzero(np.bincount(size)).tolist():
+        comps = np.flatnonzero(size == h)
+        sel = esize == h
+        count = len(comps) * h * h
+        flat = (slot[ec[sel]] * h + loc[ri[sel]]) * h + loc[ci[sel]]
+        blocks = np.empty(count, dtype=complex)
+        blocks.real = np.bincount(flat, data[sel].real, count)
+        blocks.imag = np.bincount(flat, data[sel].imag, count)
+        yield comps, blocks.reshape(-1, h, h)
 
 
-def _split(ri, ci, data, rcomp, ccomp):
-    """Scatter the entries (ri[e], ci[e]) -> data[e] into one dense block per
-    connected component, and yield, for each distinct block shape (h, w),
-    the components of that shape in increasing order and their blocks as
-    one (count, h, w) stack.
+def hermitian_eigs(rows, cols, data, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least and the largest eigenvalue of the Hermitian part of each
+    block of the n x n matrix with the entries (rows[e], cols[e]) -> data[e],
+    and the smallest index of each block.
 
-    rcomp[i] is the component of row node i and ccomp[j] that of column node
-    j, in range(k); an entry's row and column lie in one component.  A
-    block's rows are its component's row nodes in increasing order, and its
-    columns likewise."""
-    k = int(max(rcomp.max(), ccomp.max())) + 1
-    rloc, nrows = _rank_within(rcomp, k)
-    cloc, ncols = (rloc, nrows) if ccomp is rcomp else _rank_within(ccomp, k)
-    wide = int(ncols.max()) + 1
-    shapes, shape_of = _compress(nrows * wide + ncols)
-    slot, per_shape = _rank_within(shape_of, len(shapes))
-    ec = rcomp[ri]
-    eshape = shape_of[ec]
-    for g, shape in enumerate(shapes):
-        sel = eshape == g
-        h, w = divmod(int(shape), wide)
-        size = int(per_shape[g]) * h * w
-        flat = (slot[ec[sel]] * h + rloc[ri[sel]]) * w + cloc[ci[sel]]
-        blocks = np.empty(size, dtype=complex)
-        blocks.real = np.bincount(flat, data[sel].real, size)
-        blocks.imag = np.bincount(flat, data[sel].imag, size)
-        yield np.flatnonzero(shape_of == g), blocks.reshape(-1, h, w)
-
-
-def _bipartite_split(rows, cols, data):
-    """The distinct rows, the component of each, and `_split` along the
-    row/column graph of the (nonempty) entries."""
-    urows, ri = _compress(rows)
-    ucols, ci = _compress(cols)
-    nr = len(urows)
-    comp = _components(ri, ci + nr, nr + len(ucols))
-    return urows, comp[:nr], _split(ri, ci, data, comp[:nr], comp[nr:])
-
-
-def norm2(a: CSR) -> float:
-    """Exact operator 2-norm, the largest singular value.
-
-    The matrix is a direct sum of the blocks that the connected components
-    of its row/column graph pick out, so its norm is the largest of its
-    `block_norms`."""
-    if not len(a.data):
-        return 0.0
-    return float(block_norms(*coo_parts(a))[0].max())
+    The blocks are the connected components of the index graph over all n
+    indices (i joined to j when entry (i, j) is stored), so the matrix is
+    their direct sum and its spectrum the union of theirs; an index with no
+    entry is a 1x1 zero block, through which 0 joins the spectrum.  A matrix
+    whose entries all lie on the diagonal is read without a split, each
+    index a block of its real diagonal entry; a 1x1 block is its real part,
+    read without LAPACK; larger blocks take one batched eigvalsh per block
+    size."""
+    if np.array_equal(rows, cols):
+        # repeated entries sum, and an index with no entry sums to 0
+        d = np.bincount(rows, np.real(data), n)
+        return d, d, np.arange(n)
+    comp = _components(rows, cols, n)
+    k = int(comp.max()) + 1
+    low, high = np.empty(k), np.empty(k)
+    for comps, blocks in _split(rows, cols, data, comp):
+        if blocks.shape[1] == 1:
+            low[comps] = high[comps] = blocks[:, 0, 0].real
+        else:
+            eigs = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+            low[comps], high[comps] = eigs[:, 0], eigs[:, -1]
+    # _components numbers the blocks by their smallest index, so the
+    # running maximum of the labels first reaches each block there
+    return low, high, np.searchsorted(np.maximum.accumulate(comp), np.arange(k))
 
 
 def _distinct(labels: np.ndarray) -> bool:
     return int(np.bincount(labels).max()) <= 1
 
 
-def block_norms(rows, cols, data) -> tuple[np.ndarray, np.ndarray]:
-    """The operator norm of each connected component of the row/column graph
-    of the entries (rows[e], cols[e]) -> data[e], and one row of each
-    component.
-
-    Only a component with two rows and two columns or more takes LAPACK,
-    its share of one batched SVD per block shape.  A matrix with at most
-    one entry per row and per column has 1x1 components only and is read
-    without a split: each entry is a component, its norm the modulus.  A
-    1x1 block is its modulus, and a one-row or one-column block its
-    Frobenius norm."""
-    if not len(data):
-        return np.zeros(0), np.zeros(0, dtype=np.intp)
-    if _distinct(rows) and _distinct(cols):
-        return np.abs(data), np.asarray(rows, dtype=np.intp)
-    urows, rcomp, stacks = _bipartite_split(rows, cols, data)
-    norms = np.zeros(int(rcomp.max()) + 1)
-    for comps, blocks in stacks:
-        if blocks.shape[1:] == (1, 1):
-            norms[comps] = np.abs(blocks[:, 0, 0])
-        elif 1 in blocks.shape[1:]:
-            norms[comps] = np.sqrt((blocks.real**2 + blocks.imag**2).sum(axis=(1, 2)))
-        else:
-            norms[comps] = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-    first = np.empty(len(norms), dtype=np.intp)
-    first[rcomp] = urows
-    return norms, first
-
-
-def hermitian_min_eig(rows, cols, data, n: int) -> float:
-    """Smallest eigenvalue of the Hermitian part of the n x n matrix with the
-    entries (rows[e], cols[e]) -> data[e].
-
-    The matrix is a direct sum over the connected components of its index
-    graph (i joined to j when entry (i, j) is stored), with rows and columns
-    on the same n nodes, so its spectrum is the union of the block spectra,
-    and 0 joins it exactly when some index carries no entry: the zero matrix
-    gives 0.0, and a positive definite matrix with an entry in every row
-    its positive minimum.  A matrix whose entries all lie on the diagonal is
-    read without a split, as the least of its real diagonal; a 1x1 block is
-    its real part, read without LAPACK; larger blocks take one batched
-    eigvalsh per block size."""
-    if not len(data):
+def norm2(a: CSR) -> float:
+    """Exact operator 2-norm, the largest singular value: the square root of
+    the largest eigenvalue of a* a, read by `hermitian_eigs`.  a* a is formed
+    only between columns that share a row (`gram_blocks`), so its blocks are
+    the column sets of the components of a's row/column graph.  A matrix
+    with at most one entry per row and per column is read without LAPACK,
+    as its largest modulus."""
+    if not len(a.data):
         return 0.0
-    if np.array_equal(rows, cols):
-        # an index with no entry sums to 0 here, as 0 joins the spectrum
-        return float(np.bincount(rows, np.real(data), n).min())
-    m = len(rows)
-    nodes, both = _compress(np.concatenate((rows, cols)))
-    ri, ci = both[:m], both[m:]
-    comp = _components(ri, ci, len(nodes))
-    low = 0.0 if len(nodes) < n else np.inf
-    for _, blocks in _split(ri, ci, data, comp, comp):
-        if blocks.shape[1] == 1:
-            low = min(low, float(blocks[:, 0, 0].real.min()))
-        else:
-            herm = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
-            low = min(low, float(np.linalg.eigvalsh(herm)[:, 0].min()))
-    return low
+    rows, cols = _rows(a), a.indices
+    if _distinct(rows) and _distinct(cols):
+        return float(np.abs(a.data).max())
+    gram = gram_blocks(a, np.zeros(a.shape[1], dtype=np.intp))
+    return float(np.sqrt(max(hermitian_eigs(*coo_parts(gram), a.shape[1])[1].max(), 0.0)))

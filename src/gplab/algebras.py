@@ -330,7 +330,14 @@ def commutant_is_trivial(rep: GnsRep) -> bool:
         # [X, m] = 0 as a linear condition on vec(X)
         rows.append(np.kron(eye, m) - np.kron(m.T, eye))
     stacked = np.vstack(rows)
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    # the Hermitian [[0, S], [S*, 0]] has the eigenvalues +-sigma_i of S and
+    # zeros, so its d * d largest eigenvalues are the singular values of S,
+    # each to within machine precision times the largest
+    m = len(stacked)
+    herm = np.zeros((m + d * d, m + d * d), dtype=complex)
+    herm[:m, m:] = stacked
+    herm[m:, :m] = stacked.conj().T
+    sv = np.linalg.eigvalsh(herm)[-d * d:]
     null_dim = int(np.sum(sv <= max(1e-9, sv.max() * 1e-12)))
     return null_dim == 1
 

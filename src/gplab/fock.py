@@ -777,36 +777,25 @@ def vacuum_vectors(
 
 def expectation_gram(x: OperatorMatrix) -> OperatorMatrix:
     """E(x* x) = expectation_diag(x.adjoint() @ x), forming only the entries
-    inside the word blocks; the guard is that of x.adjoint() @ x."""
+    inside the word blocks (`_mat.gram_blocks` with the word labels); the
+    guard is that of x.adjoint() @ x.  It is Hermitian and has no entry
+    outside the word blocks, so `_mat.hermitian_eigs` reads its norm and its
+    least eigenvalue off one split."""
     space = x.space
     return OperatorMatrix(space, _mat.gram_blocks(x.mat, space.word_ids), x.guard - x.reach, 0, 0)
-
-
-def expectation_min_eig(x: OperatorMatrix) -> float:
-    """Smallest eigenvalue of the Hermitian part of E(x) = expectation_diag(x).
-
-    E(x) keeps the entries of x inside the word blocks, so this drops the
-    others and reads the spectrum off the connected components of what is
-    left (`_mat.hermitian_min_eig`); it is exact for any x, block-diagonal
-    or not.  No word block is formed: the components of E(x* x) are mostly
-    far smaller (sizes 1 and 3 within the 81-vector word blocks of M2 at
-    depth 4).
-    """
-    wid = x.space.word_ids
-    rows, cols, data = _mat.coo_parts(x.mat)
-    inside = wid[rows] == wid[cols]
-    return _mat.hermitian_min_eig(rows[inside], cols[inside], data[inside], x.space.dim)
 
 
 def tail_profile(x: OperatorMatrix) -> list[float]:
     """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1.
 
-    E(x* x) is the direct sum of the connected components of its nonzero
-    pattern, and each lies inside one word block, so the norm for k is the
-    largest norm of a component whose word is longer than k."""
+    E(x* x) is the direct sum of the components of its index graph
+    (`_mat.hermitian_eigs`), and each lies inside one word block, so the
+    norm for k is the largest norm of a component whose word is longer than
+    k; a component's norm is its largest eigenvalue, or minus its least,
+    whichever is larger."""
     space = x.space
-    norms, rows = _mat.block_norms(*_mat.coo_parts(expectation_gram(x).mat))
-    lengths = space.lengths[rows]
+    low, high, first = _mat.hermitian_eigs(*_mat.coo_parts(expectation_gram(x).mat), space.dim)
+    norms, lengths = np.maximum(high, -low), space.lengths[first]
     return [float(norms[lengths > k].max(initial=0.0)) for k in range(space.n)]
 
 

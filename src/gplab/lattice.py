@@ -48,20 +48,17 @@ class LatticeCheck:
     w: Letters
     join: Optional[Letters]
     max_deviation: float
-    conclusive: bool
 
 
 def lattice_product(group: CoxeterGroup, u: Letters, w: Letters, depth: int) -> LatticeCheck:
     """Verify P_u P_w = P_{u v w} (or 0 without a common upper bound) on the
-    depth-ball, for canonical words u and w.  Marked inconclusive rather than
-    passed when the ball is too small to contain witnesses."""
-    conclusive = 2 * max(len(u), len(w)) <= depth
+    depth-ball, for canonical words u and w."""
     pu = lattice_projection(group, depth, u)
     pw = lattice_projection(group, depth, w)
     j = group.join_tuple(u, w)
     pj = lattice_projection(group, depth, j) if j is not None else np.zeros_like(pu)
     dev = float(np.max(np.abs(pu * pw - pj), initial=0.0))
-    return LatticeCheck(u, w, j, dev, conclusive)
+    return LatticeCheck(u, w, j, dev)
 
 
 def act_on_q(group: CoxeterGroup, v: VertexId, w: Letters) -> QSymbolic:

@@ -3,8 +3,8 @@
 Each seed 1-3 has one file, seed<k>.json, of 30 runs: per fixture,
 `check-identities` at depths 0-4 and `report-all` at the fixture's own
 truncation, each run in-process through `gplab.cli.main`.  A run keeps its
-exit code and its `results` block, less `identities.elapsed_seconds`; the
-config echo, versions and timing are dropped.
+exit code and its `results` block; the config echo, versions and timing are
+dropped.
 
 Two corpora agree when every name, flag, verdict, n/a reason, citation and
 exit code is equal and every float is within FLOAT_ATOL, which absorbs a
@@ -56,9 +56,7 @@ def _run(argv: list[str], out: Path) -> tuple[int, dict | None]:
     code = main(argv + ["--out", str(out)])
     if not out.exists():
         return code, None
-    results = json.loads(out.read_text())["results"]
-    results.get("identities", {}).pop("elapsed_seconds", None)
-    return code, results
+    return code, json.loads(out.read_text())["results"]
 
 
 def run_seed(seed: int) -> list[dict]:

@@ -19,7 +19,6 @@ from gplab.fock import (
     diagonal,
     expectation_diag,
     expectation_gram,
-    expectation_min_eig,
     expectation_subgraph,
     gauge_average,
     gauge_unitary,
@@ -449,10 +448,19 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
+def _least_eig(x: fock.OperatorMatrix) -> float:
+    """The least eigenvalue of the Hermitian part of x, as the expectation
+    row reads it off E(x* x): the least over the blocks of its index
+    graph."""
+    return float(_mat.hermitian_eigs(*_mat.coo_parts(x.mat), x.space.dim)[0].min())
+
+
 def test_operator_norm_matches_dense_svd_oracle():
     """norm2 of a CSR matrix is the exact largest singular value: a lambda
     product, matrices with no nonzero entry, one long connected component,
-    and direct sums of 1x1, kx1, 1xk and kxk blocks."""
+    direct sums of 1x1, kx1, 1xk and kxk blocks, the same with entries near
+    1e-15, which a* a squares to near 1e-30, and direct sums of wide 1xk
+    blocks alone."""
     site = m2_site()
     space = TruncatedFock(FREE3, {v: site.rep for v in FREE3.vertices}, 3)
     rng = np.random.default_rng(43)
@@ -473,6 +481,9 @@ def test_operator_norm_matches_dense_svd_oracle():
         blocks = [10.0 ** rng.uniform(-3, 1) * cplx(*shape)
                   for k in (2, 3, 5) for shape in [(1, 1), (k, 1), (1, k), (k, k)] for _ in range(2)]
         inputs.append(_shuffled_csr(_block_diag(blocks), rng))
+        inputs.append(_shuffled_csr(_block_diag([1e-15 * b for b in blocks]), rng))
+    for k in (2, 7, 40):
+        inputs.append(_shuffled_csr(_block_diag([10.0 ** rng.uniform(-3, 1) * cplx(1, k) for _ in range(6)]), rng))
     for m in inputs:
         want = naive_norm2(m)
         assert abs(_mat.norm2(m) - want) <= 1e-12 * want
@@ -688,15 +699,15 @@ def test_tensor_split_empty_part_is_identity_check():
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_expectation_min_eig_matches_dense_oracle(mixed_path3, path):
-    """The blockwise smallest eigenvalue equals that of the whole dense E(x),
-    for x that is not block-diagonal as well as for E(x* x)."""
+    """The blockwise smallest eigenvalue equals that of the whole dense E(y),
+    for y = E(x), which is not Hermitian, as well as for E(x* x)."""
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(67)
     for _ in range(6):
         x = random_operator(sysm, space, rng)
-        for y in (x, expectation_diag(x.adjoint() @ x)):
+        for y in (expectation_diag(x), expectation_gram(x)):
             want = naive_expectation_min_eig(y)
-            assert abs(expectation_min_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(_least_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -750,13 +761,14 @@ def test_unit_blocks_skip_lapack(lapack_calls):
     exx = expectation_gram(xs[0])
     off, _ = space._spans[last]
     bad = exx - (_mat.to_dense(exx.mat)[off, off].real + 1e-3) * word_projection(space, last)
-    want_eig = [naive_expectation_min_eig(x) for x in xs + [bad]]
+    ys = [expectation_diag(x) for x in xs] + [bad]
+    want_eig = [naive_expectation_min_eig(y) for y in ys]
     want_tail = []
     for x in xs:
         d = np.abs(naive_expectation_gram(x).toarray().diagonal())
         want_tail.append([max(d[space.lengths > k], default=0.0) for k in range(space.n)])
     lapack_calls.clear()
-    got_eig = [expectation_min_eig(x) for x in xs + [bad]]
+    got_eig = [_least_eig(y) for y in ys]
     got_tail = [tail_profile(x) for x in xs]
     assert len(lapack_calls) == 0
     assert np.allclose(got_eig, want_eig, rtol=0, atol=1e-13)
@@ -789,14 +801,14 @@ def test_expectation_min_eig_finds_negative_deepest_block(mixed_path3, path):
     rng = np.random.default_rng(71)
     x = random_operator(sysm, space, rng)
     exx = expectation_diag(x.adjoint() @ x)
-    assert expectation_min_eig(exx) >= -1e-10
+    assert _least_eig(exx) >= -1e-10
     last = list(space._spans)[-1]
     assert len(last) == space.n
     off, count = space._spans[last]
     block = exx.toarray()[off: off + count, off: off + count]
     shift = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min()) + 1e-3
     bad = exx - shift * word_projection(space, last)
-    got = expectation_min_eig(bad)
+    got = _least_eig(bad)
     assert abs(got - naive_expectation_min_eig(bad)) < 1e-12
     assert abs(got + 1e-3) < 1e-12
 
@@ -810,9 +822,9 @@ def test_expectation_min_eig_identity_zero_and_shifted_component(mixed_path3, pa
     sysm, space = _oracle_space(mixed_path3, path)
     one = identity_op(space)
     cut = one - word_projection(space, list(space._spans)[-1])
-    assert expectation_min_eig(one) == 1.0
-    assert expectation_min_eig(zero_op(space)) == 0.0
-    assert expectation_min_eig(cut) == 0.0
+    assert _least_eig(one) == 1.0
+    assert _least_eig(zero_op(space)) == 0.0
+    assert _least_eig(cut) == 0.0
     assert [naive_expectation_min_eig(y) for y in (one, zero_op(space), cut)] == [1.0, 0.0, 0.0]
     rng = np.random.default_rng(97)
     for _ in range(50):
@@ -821,13 +833,13 @@ def test_expectation_min_eig_identity_zero_and_shifted_component(mixed_path3, pa
         if idx is not None:
             break
     assert idx is not None
-    assert expectation_min_eig(exx) >= -1e-10
+    assert _least_eig(exx) >= -1e-10
     block = exx.toarray()[np.ix_(idx, idx)]
     shift = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min()) + 1e-3
     mask = np.zeros(space.dim)
     mask[idx] = 1.0
     bad = exx - shift * fock.OperatorMatrix(space, _mat.diag(mask), space.n, 0, 0)
-    got = expectation_min_eig(bad)
+    got = _least_eig(bad)
     assert abs(got - naive_expectation_min_eig(bad)) < 1e-12
     assert abs(got + 1e-3) < 1e-12
 
@@ -853,10 +865,10 @@ def _largest_side(a, square: bool) -> int:
 
 def test_lapack_sees_only_components(lapack_calls, monkeypatch):
     """expectation_checks and tail_profile on m2_trace_edgeless3 at depth 3
-    (dim 388) call LAPACK only from the component split, each time on
-    blocks no larger than the largest connected component of the matrix
-    the split was given (union-find oracle), never on a whole word block
-    that splits further."""
+    (dim 388) call LAPACK only from the component split, each time an
+    eigvalsh on blocks no larger than the largest connected component of the
+    matrix the split was given (union-find oracle), never on a whole word
+    block that splits further, and never an SVD."""
     sysm = load_config(str(Path(__file__).parent / "fixtures" / "m2_trace_edgeless3.json")).system
     space = sysm.space(3)
     seen = []  # (largest component side, LAPACK calls made inside the split)
@@ -873,13 +885,8 @@ def test_lapack_sees_only_components(lapack_calls, monkeypatch):
 
         monkeypatch.setattr(_mat, name, wrapped)
 
-    def from_parts(rows, cols, data, n=None):
-        n = n if n is not None else int(max(rows.max(initial=-1), cols.max(initial=-1))) + 1
-        return _mat.from_coo(rows, cols, data, n)
-
     split("norm2", lambda a: a, False)
-    split("block_norms", from_parts, False)
-    split("hermitian_min_eig", from_parts, True)
+    split("hermitian_eigs", _mat.from_coo, True)
     lapack_calls.clear()
     expectation_checks(sysm, 3, np.random.default_rng(3))
     rng = np.random.default_rng(5)
@@ -889,7 +896,7 @@ def test_lapack_sees_only_components(lapack_calls, monkeypatch):
     assert all(name == "norm" and len(shape) == 1 for name, shape in lapack_calls)
     assert any(calls for _, calls in seen)
     for largest, calls in seen:
-        assert all(max(shape[-2:]) <= largest for _, shape in calls)
+        assert all(name == "eigvalsh" and max(shape[-2:]) <= largest for name, shape in calls)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])

@@ -21,6 +21,7 @@ from util import (
     naive_from_coo,
     naive_gram_blocks,
     naive_hermitian_min_eig,
+    naive_hermitian_part,
     naive_mul,
     naive_norm2,
 )
@@ -250,49 +251,75 @@ def test_norm2(t):
     assert abs(_mat.norm2(sa) - want) <= 1e-12 * max(want, 1.0)
 
 
+def _eigs(rows, cols, vals, n):
+    """hermitian_eigs of the n x n matrix with the given entries, read off
+    its canonical CSR value."""
+    return _mat.hermitian_eigs(*_mat.coo_parts(_mat._csr(rows, cols, vals, (n, n))), n)
+
+
 @settings(deadline=None)
 @given(st.data())
-def test_hermitian_min_eig(data):
-    """Against eigvalsh of the whole dense Hermitian part: indices that carry
+def test_hermitian_eigs(data):
+    """The least of the least and the largest of the largest eigenvalues
+    against eigvalsh of the whole dense Hermitian part: indices that carry
     no entry add 0, and a matrix stored in full adds none."""
-    n = data.draw(st.integers(0, MAX_DIM))
+    n = data.draw(st.integers(1, MAX_DIM))
     rows, cols, vals, _ = data.draw(coo(n, n))
     shift = data.draw(st.sampled_from([0.0, 0.5, -0.5]))
     if data.draw(st.booleans()):  # every index carries an entry
         rows, cols, vals = rows + list(range(n)), cols + list(range(n)), vals + [shift] * n
-    a = naive_from_coo(rows, cols, vals, (n, n))
-    want = naive_hermitian_min_eig(a) if n else 0.0
-    r, c, d = _mat.coo_parts(_mat._csr(rows, cols, vals, (n, n)))
-    assert abs(_mat.hermitian_min_eig(r, c, d, n) - want) <= 1e-12 * max(1.0, abs(want))
+    want = np.linalg.eigvalsh(naive_hermitian_part(naive_from_coo(rows, cols, vals, (n, n))))
+    low, high, _ = _eigs(rows, cols, vals, n)
+    assert abs(low.min() - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+    assert abs(high.max() - want[-1]) <= 1e-12 * max(1.0, abs(want[-1]))
 
 
 def test_hermitian_min_eig_examples():
+    """The zero matrix, diagonal matrices with and without an index that
+    carries no entry, and a non-Hermitian 2x2 block beside an empty index."""
     eye = np.arange(4)
-    assert _mat.hermitian_min_eig(eye, eye, np.ones(4, dtype=complex), 4) == 1.0
-    assert _mat.hermitian_min_eig(eye, eye, np.ones(4, dtype=complex), 5) == 0.0
-    assert _mat.hermitian_min_eig(eye[:0], eye[:0], np.zeros(0, dtype=complex), 3) == 0.0
-    # a 2x2 component whose Hermitian part is [[1, 2], [2, 1]], eigenvalues -1 and 3
-    got = _mat.hermitian_min_eig(np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1, 4, 1], dtype=complex), 2)
-    assert abs(got + 1.0) < 1e-14
+    low, high, first = _eigs(eye[:0], eye[:0], [], 3)
+    assert low.tolist() == high.tolist() == [0.0] * 3 and first.tolist() == [0, 1, 2]
+    low, high, first = _eigs(eye, eye, [1.0, 2.5, -0.5j, 2.5], 5)
+    assert low.tolist() == high.tolist() == [1.0, 2.5, 0.0, 2.5, 0.0] and first.tolist() == [0, 1, 2, 3, 4]
+    # a 2x2 block whose Hermitian part is [[1, 2], [2, 1]], eigenvalues -1
+    # and 3, then index 2 with no entry
+    low, high, first = _eigs([0, 0, 1], [0, 1, 1], [1.0, 4.0, 1.0], 3)
+    assert np.allclose(low, [-1.0, 0.0], rtol=0, atol=1e-14)
+    assert np.allclose(high, [3.0, 0.0], rtol=0, atol=1e-14)
+    assert first.tolist() == [0, 2]
+
+
+def _check_components(dense: np.ndarray):
+    """hermitian_eigs of a square matrix's stored entries against eigvalsh
+    of the dense Hermitian part of each block that the union-find oracle
+    picks out over the index graph; an index with no entry is a block of
+    its own, with 0 as its only eigenvalue.  A block's norm is the larger of
+    its largest eigenvalue and minus its least."""
+    n = len(dense)
+    herm = naive_hermitian_part(dense)
+    blocks = [sorted(r | c) for r, c in ((set(r), set(c)) for r, c in naive_components(dense, square=True))]
+    blocks += [[i] for i in range(n) if not any(i in b for b in blocks)]
+    rows, cols = np.nonzero(dense)
+    low, high, first = _mat.hermitian_eigs(rows, cols, dense[rows, cols], n)
+    assert len(low) == len(high) == len(first) == len(blocks)
+    assert sorted(first.tolist()) == sorted(b[0] for b in blocks)
+    for lo, hi, i in zip(low, high, first):
+        b = next(b for b in blocks if b[0] == i)
+        want = np.linalg.eigvalsh(herm[np.ix_(b, b)])
+        scale = max(1.0, float(np.abs(want).max()))
+        assert abs(lo - want[0]) <= 1e-12 * scale and abs(hi - want[-1]) <= 1e-12 * scale
+        assert abs(max(hi, -lo) - naive_norm2(herm[np.ix_(b, b)])) <= 1e-12 * scale
 
 
 @settings(deadline=None)
-@given(coo())
+@given(st.integers(0, MAX_DIM).flatmap(lambda n: coo(n, n)))
 def test_block_norms(t):
-    """One norm per component of the row/column graph, with a row of it,
-    against SVDs of the dense blocks the union-find oracle picks out."""
-    da, sa = _kinds(*t)
-    rows, cols, vals = _mat.coo_parts(sa)
-    norms, first = _mat.block_norms(rows, cols, vals)
-    comps = naive_components(da, square=False)
-    assert len(norms) == len(first) == len(comps)
-    want = {
-        frozenset(r): float(np.linalg.svd(da[np.ix_(r, c)], compute_uv=False).max()) for r, c in comps
-    }
-    for nm, row in zip(norms, first):
-        block = next(r for r in want if row in r)
-        assert abs(nm - want[block]) <= 1e-12 * max(1.0, want[block])
-    assert {next(r for r in want if row in r) for row in first} == set(want)
+    """One least and one largest eigenvalue per component of the index
+    graph, with its smallest index, against the dense blocks the union-find
+    oracle picks out: the spectra the positivity checks read, and the block
+    norms the tail profile reads."""
+    _check_components(_kinds(*t)[0])
 
 
 # -- trivial structures read without LAPACK -------------------------------------------
@@ -328,79 +355,68 @@ def _direct_sum(shapes, dim: int, rng) -> _mat.CSR:
     return _mat._csr(rows, cols, out[rows, cols], out.shape)
 
 
-def _check_block_norms(m: _mat.CSR):
-    """block_norms of m's stored entries against SVDs of the dense blocks
-    that the union-find oracle picks out; a row that stores only zeros is a
-    component of norm 0."""
-    dense = _mat.to_dense(m)
-    want = {frozenset(r): naive_norm2(dense[np.ix_(r, c)]) for r, c in naive_components(dense, square=False)}
-    norms, first = _mat.block_norms(*_mat.coo_parts(m))
-    found = set()
-    for nm, row in zip(norms, first):
-        block = next((r for r in want if row in r), None)
-        if block is None:
-            assert nm == 0.0 and not dense[row].any()
-            continue
-        found.add(block)
-        assert abs(nm - want[block]) <= 1e-12 * want[block]
-    assert found == set(want)
-
-
-def _svd_calls(lapack_calls, fn, *args):
+def _lapack(lapack_calls, fn, *args):
     lapack_calls.clear()
     out = fn(*args)
-    return out, [shape for name, shape in lapack_calls if name == "svd"]
+    return out, list(lapack_calls)
+
+
+def _gram(m: _mat.CSR) -> _mat.CSR:
+    return _mat.gram_blocks(m, np.zeros(m.shape[1], dtype=np.intp))
 
 
 @pytest.mark.parametrize("dim", [1, 5, 256, 700])
 def test_monomial_norms_skip_lapack(dim, lapack_calls):
     """A matrix with at most one entry per row and per column, stored zeros
-    included, has the norm of its largest entry and one 1x1 component per
-    entry, read with no SVD."""
+    included, has the norm of its largest entry, read with no LAPACK call;
+    its Gram matrix is diagonal and its spectra are read with none either."""
     rng = np.random.default_rng(dim)
     for trial in range(6):
         m = _monomial(dim, rng, zeros=trial % 2 == 1)
         want = naive_norm2(m)
-        got, svd = _svd_calls(lapack_calls, _mat.norm2, m)
-        assert svd == []
+        got, calls = _lapack(lapack_calls, _mat.norm2, m)
+        assert calls == []
         assert abs(got - want) <= 1e-12 * want
-        _, svd = _svd_calls(lapack_calls, _mat.block_norms, *_mat.coo_parts(m))
-        assert svd == []
-        _check_block_norms(m)
+        _, calls = _lapack(lapack_calls, _mat.hermitian_eigs, *_mat.coo_parts(_gram(m)), dim)
+        assert calls == []
+        _check_components(_mat.to_dense(_gram(m)))
 
 
 @pytest.mark.parametrize("square_sides", [(), (2,), (2, 3, 5), (4, 4)])
-def test_direct_sum_norms_take_one_svd_per_square_shape(square_sides, lapack_calls):
+def test_direct_sum_norms_take_one_eigvalsh_per_block_size(square_sides, lapack_calls):
     """Direct sums of 1x1, kx1 and 1xk blocks, and of kxk blocks for the
-    given sides, inside a 300 x 300 matrix: norm2 and block_norms agree with
-    the dense oracle to 1e-12, read the 1x1 and vector blocks with no SVD,
-    and make one batched SVD per distinct square shape."""
+    given sides, inside a 300 x 300 matrix: norm2 agrees with the dense
+    oracle to 1e-12 and makes one batched eigvalsh per Gram block size of
+    two or more, the kxk Gram blocks of the 1xk and kxk blocks, and no SVD;
+    the 1x1 and kx1 blocks give 1x1 Gram blocks, read without LAPACK."""
     rng = np.random.default_rng(sum(square_sides) + 17)
     shapes = [s for k in (2, 3, 5) for s in [(1, 1), (k, 1), (1, k)] for _ in range(2)]
     shapes += [(k, k) for k in square_sides]
+    sides = [2, 2, 3, 3, 5, 5, *square_sides]
+    want_calls = sorted(("eigvalsh", (sides.count(k), k, k)) for k in set(sides))
     for _ in range(4):
         m = _direct_sum([shapes[i] for i in rng.permutation(len(shapes))], 300, rng)
         want = naive_norm2(m)
-        got, svd = _svd_calls(lapack_calls, _mat.norm2, m)
+        got, calls = _lapack(lapack_calls, _mat.norm2, m)
         assert abs(got - want) <= 1e-12 * want
-        assert sorted(svd) == sorted((square_sides.count(k), k, k) for k in set(square_sides))
-        _, svd = _svd_calls(lapack_calls, _mat.block_norms, *_mat.coo_parts(m))
-        assert len(svd) == len(set(square_sides))
-        _check_block_norms(m)
+        assert sorted(calls) == want_calls
+        _check_components(_mat.to_dense(_gram(m)))
 
 
 @pytest.mark.parametrize("n", [4, 300])
 def test_diagonal_min_eig_skips_lapack(n, lapack_calls):
-    """Entries all on the diagonal, repeated ones summed: the least real
-    part, 0 joining it where an index carries no entry, with no LAPACK
-    call."""
+    """Entries all on the diagonal, repeated ones summed: each index its own
+    block, with its real diagonal entry as least and largest eigenvalue, 0
+    where it carries no entry, with no LAPACK call."""
     rng = np.random.default_rng(n)
     for every in (True, False):
         idx = np.arange(n) if every else rng.choice(n, n // 2, replace=False)
         idx = np.concatenate((idx, idx[: len(idx) // 3]))
         vals = _cplx(rng, len(idx)) + 0.5
-        want = naive_hermitian_min_eig(naive_from_coo(idx, idx, vals, (n, n)))
+        want = np.bincount(idx, vals.real, n)
         lapack_calls.clear()
-        got = _mat.hermitian_min_eig(idx, idx, vals, n)
+        low, high, first = _mat.hermitian_eigs(idx, idx, vals, n)
         assert lapack_calls == []
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert np.allclose(low, want, rtol=1e-12, atol=0) and np.array_equal(low, high)
+        assert np.array_equal(first, np.arange(n))
+        assert abs(low.min() - naive_hermitian_min_eig(naive_from_coo(idx, idx, vals, (n, n)))) <= 1e-12

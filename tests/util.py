@@ -560,9 +560,14 @@ def naive_tail_profile(x) -> list[float]:
     return [max((nm for w, nm in norms.items() if len(w) > k), default=0.0) for k in range(space.n)]
 
 
+def naive_hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 of a dense square matrix."""
+    return 0.5 * (a + a.conj().T)
+
+
 def naive_hermitian_min_eig(a: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of a dense square matrix."""
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
+    return float(np.linalg.eigvalsh(naive_hermitian_part(a)).min())
 
 
 def naive_components(a, square: bool) -> list[tuple[list[int], list[int]]]:
