@@ -18,18 +18,21 @@ without the expansion, keys already in order are not sorted, keys that do
 not repeat are not summed, and two operands with one pattern are added
 entry for entry.
 
-Spectra and norms come from one kernel, `hermitian_eigs`: the entries are
-split along the index graph (i joined to j when a[i, j] != 0) into one
-dense block per connected component, every index a node, and each block
-size takes one batched eigvalsh.  It gives each block's least and largest
-eigenvalue of the Hermitian part, which the positivity and tail checks
-read, and `norm2` is the square root of the largest eigenvalue of a* a,
-formed only between columns that share a row (`gram_blocks`).  Trivial
+Spectra and norms come from one split: the entries are scattered into one
+dense block per connected component of an index graph, every index a node,
+and each block size takes one batched eigvalsh, which gives each block's
+least and largest eigenvalue of the Hermitian part.  `hermitian_eigs`
+splits a square matrix along its own index graph (i joined to j when
+a[i, j] != 0), for the positivity checks.  `gram_eigs` reads a* a, or its
+entries between equally labelled columns, straight from a's entries: the
+columns that share a row of a are joined, and the pair products land in
+the blocks, so a* a is never formed.  It serves the expectation and tail
+checks, and `norm2` is the square root of its largest eigenvalue.  Trivial
 structure takes no LAPACK call and, where the whole matrix is trivial, no
-split: a matrix with at most one entry per row and per column has the norm
-of its largest modulus, a diagonal one is read as its real diagonal, and a
-1x1 block as its real part.  All are exact, with no iteration and no size
-threshold; the cost grows with the largest component.
+split: a diagonal matrix is read as its real diagonal, an a whose rows
+meet no column twice as one 1x1 Gram block per column, and a 1x1 block as
+its real part.  All are exact, with no iteration and no size threshold;
+the cost grows with the largest component.
 """
 from __future__ import annotations
 
@@ -251,33 +254,6 @@ def vecmat(v: np.ndarray, a: CSR) -> np.ndarray:
     return _sum_by(a.indices, v.repeat(a.indptr[1:] - a.indptr[:-1]) * a.data, a.shape[1])
 
 
-def gram_blocks(a: CSR, labels: np.ndarray) -> CSR:
-    """a* a with only the entries (r, c) where labels[r] == labels[c].
-
-    Entry (r, c) of a* a sums conj(a[k, r]) a[k, c] over the rows k, so only
-    pairs of entries in one row of a with equally labelled columns are
-    multiplied, and the entries between differently labelled columns are
-    never formed.
-    """
-    n = a.shape[1]
-    if not len(a.data):
-        return _empty((n, n))
-    rows, cols, data = coo_parts(a)
-    group = rows * (int(labels.max()) + 1) + labels[cols]
-    if np.count_nonzero(group[1:] < group[:-1]):
-        # CSR order is by row, then column: a stable sort keeps rows in order
-        order = np.argsort(group, kind="stable")
-        group, cols, data = group[order], cols[order], data[order]
-    head = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    size = np.diff(np.append(head, len(group)))
-    # entry e pairs with every entry of its group, which starts at head
-    counts = np.repeat(size, size)
-    first = np.repeat(head, size) - (np.cumsum(counts) - counts)
-    left = np.repeat(np.arange(len(group)), counts)
-    right = np.arange(int(counts.sum())) + np.repeat(first, counts)
-    return _csr(cols[left], cols[right], data[left].conj() * data[right], (n, n))
-
-
 def _rank_within(labels: np.ndarray, n: int):
     """Each item's position among the items that share its label (labels in
     range(n)), and the number of items per label."""
@@ -309,29 +285,38 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             parent = up
 
 
-def _split(ri, ci, data, comp):
-    """Scatter the entries (ri[e], ci[e]) -> data[e] into one dense square
-    block per connected component, and yield, for each distinct block size
-    h, the components of that size in increasing order and their blocks as
-    one (count, h, h) stack.
-
-    comp[i] is the component of index i, in range(k); an entry's row and
-    column lie in one component.  A block's rows and columns are its
-    component's indices in increasing order."""
-    loc, size = _rank_within(comp, int(comp.max()) + 1)
+def _block_eigs(ri, ci, data, comp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least and the largest eigenvalue of the Hermitian part of each
+    block, and the smallest index of each block.  The entries (ri[e], ci[e])
+    -> data[e] are scattered into one dense square block per component,
+    repeated positions summed in input order; comp[i] is the component of
+    index i, in range(k), and a block's rows and columns are its indices in
+    increasing order.  A 1x1 block is its real part, read without LAPACK,
+    and each larger block size takes one batched eigvalsh."""
+    k = int(comp.max()) + 1
+    loc, size = _rank_within(comp, k)
     # a component's position among the components of its size
     slot, _ = _rank_within(size, int(size.max()) + 1)
     ec = comp[ri]
     esize = size[ec]
+    low, high = np.empty(k), np.empty(k)
     for h in np.flatnonzero(np.bincount(size)).tolist():
         comps = np.flatnonzero(size == h)
         sel = esize == h
         count = len(comps) * h * h
         flat = (slot[ec[sel]] * h + loc[ri[sel]]) * h + loc[ci[sel]]
+        if h == 1:
+            low[comps] = high[comps] = np.bincount(flat, data[sel].real, count)
+            continue
         blocks = np.empty(count, dtype=complex)
         blocks.real = np.bincount(flat, data[sel].real, count)
         blocks.imag = np.bincount(flat, data[sel].imag, count)
-        yield comps, blocks.reshape(-1, h, h)
+        blocks = blocks.reshape(-1, h, h)
+        eigs = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+        low[comps], high[comps] = eigs[:, 0], eigs[:, -1]
+    # _components numbers the blocks by their smallest index, so the
+    # running maximum of the labels first reaches each block there
+    return low, high, np.searchsorted(np.maximum.accumulate(comp), np.arange(k))
 
 
 def hermitian_eigs(rows, cols, data, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,42 +329,50 @@ def hermitian_eigs(rows, cols, data, n: int) -> tuple[np.ndarray, np.ndarray, np
     their direct sum and its spectrum the union of theirs; an index with no
     entry is a 1x1 zero block, through which 0 joins the spectrum.  A matrix
     whose entries all lie on the diagonal is read without a split, each
-    index a block of its real diagonal entry; a 1x1 block is its real part,
-    read without LAPACK; larger blocks take one batched eigvalsh per block
-    size."""
+    index a block of its real diagonal entry; any other is split by
+    _block_eigs."""
     if np.array_equal(rows, cols):
         # repeated entries sum, and an index with no entry sums to 0
         d = np.bincount(rows, np.real(data), n)
         return d, d, np.arange(n)
-    comp = _components(rows, cols, n)
-    k = int(comp.max()) + 1
-    low, high = np.empty(k), np.empty(k)
-    for comps, blocks in _split(rows, cols, data, comp):
-        if blocks.shape[1] == 1:
-            low[comps] = high[comps] = blocks[:, 0, 0].real
-        else:
-            eigs = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
-            low[comps], high[comps] = eigs[:, 0], eigs[:, -1]
-    # _components numbers the blocks by their smallest index, so the
-    # running maximum of the labels first reaches each block there
-    return low, high, np.searchsorted(np.maximum.accumulate(comp), np.arange(k))
+    return _block_eigs(rows, cols, data, _components(rows, cols, n))
 
 
-def _distinct(labels: np.ndarray) -> bool:
-    return int(np.bincount(labels).max()) <= 1
+def gram_eigs(a: CSR, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hermitian_eigs of a* a with only the entries (r, c) where labels[r] ==
+    labels[c], over all a.shape[1] indices, without forming that matrix.
+
+    Entry (r, c) of a* a sums conj(a[k, r]) a[k, c] over the rows k, so only
+    entries of one row of a with equally labelled columns meet: the blocks
+    are the components of the columns joined by each (row, label) group's
+    consecutive entries, and each group's pair products are scattered
+    straight into them.  Where an entry of a* a cancels to exactly 0, a
+    block may join two components of its index graph; its spectrum is
+    still the union of theirs.  With no group of two entries, every column
+    is a block of its own, its summed squared moduli, read with no split."""
+    n = a.shape[1]
+    rows, cols, data = coo_parts(a)
+    group = rows * (int(labels.max(initial=0)) + 1) + labels[cols]
+    if np.count_nonzero(group[1:] < group[:-1]):
+        # CSR order is by row, then column: a stable sort keeps rows in order
+        order = np.argsort(group, kind="stable")
+        group, cols, data = group[order], cols[order], data[order]
+    link = group[1:] == group[:-1]
+    if not np.count_nonzero(link):
+        d = np.bincount(cols, (data.conj() * data).real, n)
+        return d, d, np.arange(n)
+    head = np.flatnonzero(np.concatenate(([True], ~link)))
+    size = np.diff(np.append(head, len(group)))
+    # entry e pairs with every entry of its group, which starts at head
+    counts = np.repeat(size, size)
+    first = np.repeat(head, size) - (np.cumsum(counts) - counts)
+    left = np.repeat(np.arange(len(group)), counts)
+    right = np.arange(int(counts.sum())) + np.repeat(first, counts)
+    comp = _components(cols[:-1][link], cols[1:][link], n)
+    return _block_eigs(cols[left], cols[right], data[left].conj() * data[right], comp)
 
 
 def norm2(a: CSR) -> float:
     """Exact operator 2-norm, the largest singular value: the square root of
-    the largest eigenvalue of a* a, read by `hermitian_eigs`.  a* a is formed
-    only between columns that share a row (`gram_blocks`), so its blocks are
-    the column sets of the components of a's row/column graph.  A matrix
-    with at most one entry per row and per column is read without LAPACK,
-    as its largest modulus."""
-    if not len(a.data):
-        return 0.0
-    rows, cols = _rows(a), a.indices
-    if _distinct(rows) and _distinct(cols):
-        return float(np.abs(a.data).max())
-    gram = gram_blocks(a, np.zeros(a.shape[1], dtype=np.intp))
-    return float(np.sqrt(max(hermitian_eigs(*coo_parts(gram), a.shape[1])[1].max(), 0.0)))
+    the largest eigenvalue of a* a, read by `gram_eigs`."""
+    return float(np.sqrt(gram_eigs(a, np.zeros(a.shape[1], dtype=np.intp))[1].max(initial=0.0)))

@@ -580,7 +580,10 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
     at a depth too shallow for them they are n/a with the first shallow
     sample's reason, and no later sample builds them, while
     contractivity, positivity and the faithful kernel hold for any matrix,
-    truncated or not, and report numbers at every depth."""
+    truncated or not, and report numbers at every depth.  The gauge average
+    equals E(x) only because el.random_operator draws at most 3 factors: a
+    product of 4 can join distinct words with equal letter counts, whose
+    entries the average keeps and E drops (fk.gauge_average)."""
     space = sysm.space(depth)
     idem = _Worst("expectation.idempotent", 1e-10)
     contr = _Worst("expectation.contractive", 1e-10)
@@ -591,8 +594,9 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
         x = el.random_operator(sysm, space, rng)
         e = fk.expectation_diag(x)
         idem.add(lambda: fk.guarded_deviation(fk.expectation_diag(e), e))
-        # E(x*x) is Hermitian: its norm and least eigenvalue from one split
-        low, high, _ = _mat.hermitian_eigs(*_mat.coo_parts(fk.expectation_gram(x).mat), space.dim)
+        # E(x*x), the word blocks of x*x: its norm and least eigenvalue from
+        # one split, never forming it
+        low, high, _ = _mat.gram_eigs(x.mat, space.word_ids)
         least = float(low.min())
         nexx = max(float(high.max()), -least)
         # sqrt||E(x*x)|| = max_w ||x p_w|| <= ||x||, so ||E(x)|| below it

@@ -279,7 +279,12 @@ def random_factors(
 
 
 def random_operator(sys: GraphSystem, space: TruncatedFock, rng) -> OperatorMatrix:
-    """A random short product of lambda operators, creations and diagonals."""
+    """A random product of 1 to 3 lambda operators, creations and diagonals.
+
+    Each factor moves a word w to w or v w, so the product joins no two
+    distinct words with equal letter counts, and fk.gauge_average at m > 2N
+    equals fk.expectation_diag on it (expectation.gauge_average_match); on
+    a product of 4 factors it need not."""
     mats = []
     n = int(rng.integers(1, 4))
     for _ in range(n):

@@ -316,10 +316,6 @@ class OperatorMatrix:
             todo.extend((child, min(c + shift, n), False) for child, shift in reversed(op._eval[1]))
         return mats[0]
 
-    @property
-    def reach(self) -> int:
-        return self.up + self.down
-
     def _same_space(self, other: "OperatorMatrix"):
         if self.space is not other.space:
             raise ValueError("operators live on different truncated spaces")
@@ -688,8 +684,13 @@ def gauge_average(x: OperatorMatrix, m: int) -> OperatorMatrix:
     The grid average factorises over the vertices, and the average of z^d
     over the m-th roots of unity is 1 when m divides d and 0 otherwise; so
     the average keeps exactly the entries whose count differences m divides.
-    For m > 2N that leaves expectation_diag(x), because the differences are
-    bounded by the word length.
+    For m > 2N, since the differences are bounded by the word length, those
+    are the entries between words with equal letter counts.  That is
+    expectation_diag(x) only where x joins no two distinct such words: a
+    product of at most 3 factors, each moving a word w to w or v w, moves w
+    to g w with g at most 3 letters long, and a nontrivial g whose letter
+    counts are all even is at least 4 long.  A longer product can keep
+    more: lambda_v lambda_u lambda_v lambda_u joins w and vuvu w.
     """
     if m < 1:
         raise ValueError("grid order must be >= 1")
@@ -775,26 +776,16 @@ def vacuum_vectors(
     return row, col
 
 
-def expectation_gram(x: OperatorMatrix) -> OperatorMatrix:
-    """E(x* x) = expectation_diag(x.adjoint() @ x), forming only the entries
-    inside the word blocks (`_mat.gram_blocks` with the word labels); the
-    guard is that of x.adjoint() @ x.  It is Hermitian and has no entry
-    outside the word blocks, so `_mat.hermitian_eigs` reads its norm and its
-    least eigenvalue off one split."""
-    space = x.space
-    return OperatorMatrix(space, _mat.gram_blocks(x.mat, space.word_ids), x.guard - x.reach, 0, 0)
-
-
 def tail_profile(x: OperatorMatrix) -> list[float]:
     """Norms of E(x* x) restricted to word lengths in (k, N] for k = 0..N-1.
 
-    E(x* x) is the direct sum of the components of its index graph
-    (`_mat.hermitian_eigs`), and each lies inside one word block, so the
-    norm for k is the largest norm of a component whose word is longer than
-    k; a component's norm is its largest eigenvalue, or minus its least,
-    whichever is larger."""
+    E(x* x) is the word blocks of x* x, which `_mat.gram_eigs` reads with
+    the word labels, never forming it: a direct sum of blocks that each lie
+    inside one word block, so the norm for k is the largest norm of a block
+    whose word is longer than k; a block's norm is its largest eigenvalue,
+    or minus its least, whichever is larger."""
     space = x.space
-    low, high, first = _mat.hermitian_eigs(*_mat.coo_parts(expectation_gram(x).mat), space.dim)
+    low, high, first = _mat.gram_eigs(x.mat, space.word_ids)
     norms, lengths = np.maximum(high, -low), space.lengths[first]
     return [float(norms[lengths > k].max(initial=0.0)) for k in range(space.n)]
 

@@ -1,8 +1,12 @@
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gplab import _mat
 from gplab.algebras import hecke_vertex
+from gplab.config import load_config
 from gplab.elementary import (
     IDENTITY_TERM,
     ElementaryTerm,
@@ -10,6 +14,7 @@ from gplab.elementary import (
     _coalesce,
     expression_matrix,
     factor_matrix,
+    random_factors,
     rewrite_to_elementary,
     signature,
     term_matrix,
@@ -19,7 +24,7 @@ from gplab.errors import ResourceLimitError
 from gplab.fock import creation, diagonal, guarded_deviation, guarded_norm, identity_op, offdiagonal_mass
 from gplab.system import GraphSystem
 
-from util import FREE3, m2_site
+from util import FREE3, m2_site, naive_terms_matrix
 
 RNG = np.random.default_rng(101)
 
@@ -293,3 +298,22 @@ def test_operator_chains_start_from_first_factor(mixed_free3, path, monkeypatch)
             assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
             w = want.toarray()
             assert np.max(np.abs(got.toarray() - w), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(w), initial=0.0))
+
+
+@pytest.mark.parametrize("fixture, depth", [("join_path3_hecke", 4), ("m2_trace_edgeless3", 3)])
+def test_terms_matrix_matches_dense_oracle(fixture, depth):
+    """terms_matrix, the lazy sum of the term matrices, against the dense
+    sum naive_terms_matrix on the guarded columns, for each expression that
+    the rewrite row draws at seed 2 (on join_path3_hecke at depth 4, up to
+    20 terms)."""
+    sysm = load_config(Path(__file__).parent / "fixtures" / f"{fixture}.json").system
+    space = sysm.space(depth)
+    rng = np.random.default_rng([2, zlib.crc32(b"rewrite")])
+    for _ in range(40):
+        factors = random_factors(sysm, rng, 8, budget=max(1, depth - 1), scalar=True)
+        terms = rewrite_to_elementary(factors, sysm)
+        got = terms_matrix(terms, space)
+        idx = space.cols_upto(got.guard)
+        want = naive_terms_matrix(terms, space)[:, idx]
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.abs(got.toarray()[:, idx] - want).max(initial=0.0) <= 1e-12 * scale

@@ -18,7 +18,6 @@ from gplab.fock import (
     creation,
     diagonal,
     expectation_diag,
-    expectation_gram,
     expectation_subgraph,
     gauge_average,
     gauge_unitary,
@@ -280,6 +279,27 @@ def test_gauge_average_examples(mixed_free3):
     x = cr @ creation(space, 1, mixed_free3.sites[1].random_element(rng)).adjoint()
     assert guarded_deviation(gauge_average(x, 1), x) == 0.0
     assert guarded_deviation(gauge_average(x, 2 * space.n + 1), expectation_diag(x)) < 1e-13
+
+
+def test_gauge_average_is_the_expectation_only_on_short_products():
+    """At m > 2N the gauge average keeps the entries between words with
+    equal letter counts.  lambda_v lambda_u lambda_v lambda_u on
+    hecke_q1_edgeless3 at depth 6 moves a word w to vuvu w, whose letter
+    counts equal w's, so the average keeps entries that E(x) drops; its
+    3-factor prefix moves no word to another with equal letter counts, and
+    the two agree.  expectation.gauge_average_match holds on the products
+    of at most 3 factors that random_operator draws, not for every x."""
+    sysm = load_config(Path(__file__).parent / "fixtures" / "hecke_q1_edgeless3.json").system
+    space = sysm.space(6)
+    rng = np.random.default_rng(0)
+    u, v = sysm.graph.vertices[:2]
+    lam = [lambda_op(space, w, sysm.sites[w].random_element(rng, center=False)) for w in (v, u, v, u)]
+    prefix = lam[0] @ lam[1] @ lam[2]
+    x = prefix @ lam[3]
+    assert x.guard == 2
+    m = 2 * space.n + 1
+    assert guarded_deviation(gauge_average(x, m), expectation_diag(x)) > 1e-3
+    assert guarded_deviation(gauge_average(prefix, m), expectation_diag(prefix)) <= 1e-12
 
 
 def test_expectation_subgraph_examples(mixed_path3):
@@ -700,28 +720,37 @@ def test_tensor_split_empty_part_is_identity_check():
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_expectation_min_eig_matches_dense_oracle(mixed_path3, path):
     """The blockwise smallest eigenvalue equals that of the whole dense E(y),
-    for y = E(x), which is not Hermitian, as well as for E(x* x)."""
+    for y = E(x), which is not Hermitian, as well as for E(x* x), read off
+    x by gram_eigs."""
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(67)
     for _ in range(6):
         x = random_operator(sysm, space, rng)
-        for y in (expectation_diag(x), expectation_gram(x)):
-            want = naive_expectation_min_eig(y)
-            assert abs(_least_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
+        y = expectation_diag(x)
+        want = naive_expectation_min_eig(y)
+        assert abs(_least_eig(y) - want) <= 1e-12 * max(1.0, abs(want))
+        want = naive_expectation_min_eig(naive_expectation_gram(x))
+        got = float(_mat.gram_eigs(x.mat, space.word_ids)[0].min())
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
-def test_expectation_gram_matches_full_product_oracle(mixed_path3, path):
-    """E(x* x) formed block by block equals the word blocks of the whole
-    product x* x, with the same guard and movement bounds."""
+def test_gram_eigs_matches_full_product_oracle(mixed_path3, path):
+    """E(x* x) read off x by gram_eigs with the word labels, never formed:
+    over the blocks inside each word block, the least and the largest
+    eigenvalue equal those of that word block of the whole product x* x."""
     sysm, space = _oracle_space(mixed_path3, path)
     rng = np.random.default_rng(79)
     for _ in range(8):
         x = random_operator(sysm, space, rng)
-        got, want = expectation_gram(x), naive_expectation_gram(x)
-        assert (got.guard, got.up, got.down) == (want.guard, want.up, want.down)
-        w = want.toarray()
-        assert np.max(np.abs(got.toarray() - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
+        low, high, first = _mat.gram_eigs(x.mat, space.word_ids)
+        w = naive_expectation_gram(x).toarray()
+        scale = max(1.0, np.max(np.abs(w)))
+        for off, count in space._spans.values():
+            want = np.linalg.eigvalsh(w[off: off + count, off: off + count])
+            inside = (first >= off) & (first < off + count)
+            assert abs(low[inside].min() - want[0]) <= 1e-13 * scale
+            assert abs(high[inside].max() - want[-1]) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -758,20 +787,25 @@ def test_unit_blocks_skip_lapack(lapack_calls):
     rng = np.random.default_rng(89)
     xs = [random_operator(sysm, space, rng) for _ in range(6)]
     last = list(space._spans)[-1]
-    exx = expectation_gram(xs[0])
+    exx = naive_expectation_gram(xs[0])
     off, _ = space._spans[last]
     bad = exx - (_mat.to_dense(exx.mat)[off, off].real + 1e-3) * word_projection(space, last)
     ys = [expectation_diag(x) for x in xs] + [bad]
     want_eig = [naive_expectation_min_eig(y) for y in ys]
-    want_tail = []
+    want_gram, want_tail = [], []
     for x in xs:
-        d = np.abs(naive_expectation_gram(x).toarray().diagonal())
+        d = naive_expectation_gram(x).toarray().diagonal().real
+        want_gram.append(d)
         want_tail.append([max(d[space.lengths > k], default=0.0) for k in range(space.n)])
     lapack_calls.clear()
     got_eig = [_least_eig(y) for y in ys]
+    got_gram = [_mat.gram_eigs(x.mat, space.word_ids) for x in xs]
     got_tail = [tail_profile(x) for x in xs]
     assert len(lapack_calls) == 0
     assert np.allclose(got_eig, want_eig, rtol=0, atol=1e-13)
+    for (low, high, first), d in zip(got_gram, want_gram):
+        assert np.array_equal(low, high) and np.array_equal(first, np.arange(space.dim))
+        assert np.allclose(low, d, rtol=0, atol=1e-13)
     assert abs(got_eig[-1] + 1e-3) < 1e-13
     assert np.allclose(got_tail, want_tail, rtol=0, atol=1e-13)
 
@@ -828,12 +862,14 @@ def test_expectation_min_eig_identity_zero_and_shifted_component(mixed_path3, pa
     assert [naive_expectation_min_eig(y) for y in (one, zero_op(space), cut)] == [1.0, 0.0, 0.0]
     rng = np.random.default_rng(97)
     for _ in range(50):
-        exx = expectation_gram(random_operator(sysm, space, rng))
+        x = random_operator(sysm, space, rng)
+        exx = naive_expectation_gram(x)
         idx = next((r for r, _ in naive_components(exx.mat, square=True) if len(r) == 3), None)
         if idx is not None:
             break
     assert idx is not None
     assert _least_eig(exx) >= -1e-10
+    assert abs(float(_mat.gram_eigs(x.mat, space.word_ids)[0].min()) - _least_eig(exx)) < 1e-12
     block = exx.toarray()[np.ix_(idx, idx)]
     shift = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min()) + 1e-3
     mask = np.zeros(space.dim)
@@ -863,30 +899,40 @@ def _largest_side(a, square: bool) -> int:
     return max((max(len(r), len(c)) for r, c in naive_components(a, square)), default=0)
 
 
+def _largest_gram_block(a, labels) -> int:
+    """The most columns that the rows of a join within one label: the side
+    of the largest block gram_eigs forms (union-find oracle)."""
+    d = _mat.to_dense(a)
+    return max((len(c) for lab in set(labels.tolist())
+                for _, c in naive_components(np.where(labels == lab, d, 0), False)), default=0)
+
+
 def test_lapack_sees_only_components(lapack_calls, monkeypatch):
     """expectation_checks and tail_profile on m2_trace_edgeless3 at depth 3
     (dim 388) call LAPACK only from the component split, each time an
     eigvalsh on blocks no larger than the largest connected component of the
-    matrix the split was given (union-find oracle), never on a whole word
-    block that splits further, and never an SVD."""
+    matrix the split was given, or the largest block of the Gram matrix it
+    reads (union-find oracle), never on a whole word block that splits
+    further, and never an SVD."""
     sysm = load_config(str(Path(__file__).parent / "fixtures" / "m2_trace_edgeless3.json")).system
     space = sysm.space(3)
     seen = []  # (largest component side, LAPACK calls made inside the split)
 
-    def split(name, to_matrix, square):
+    def split(name, largest):
         fn = getattr(_mat, name)
 
         def wrapped(*args):
             start = len(lapack_calls)
             out = fn(*args)
-            seen.append((_largest_side(to_matrix(*args), square), lapack_calls[start:]))
+            seen.append((largest(*args), lapack_calls[start:]))
             del lapack_calls[start:]
             return out
 
         monkeypatch.setattr(_mat, name, wrapped)
 
-    split("norm2", lambda a: a, False)
-    split("hermitian_eigs", _mat.from_coo, True)
+    # norm2 reads its Gram matrix through gram_eigs
+    split("gram_eigs", _largest_gram_block)
+    split("hermitian_eigs", lambda *coo: _largest_side(_mat.from_coo(*coo), True))
     lapack_calls.clear()
     expectation_checks(sysm, 3, np.random.default_rng(3))
     rng = np.random.default_rng(5)

@@ -98,7 +98,6 @@ def test_builders_return_canonical_csr(dim):
     da = naive_from_coo(rows, cols, vals, (dim, dim))
     b = _mat.diag(vec)
     db = np.diag(vec).astype(complex)
-    labels = rng.integers(0, 3, dim)
     for got, want in (
         (a, da),
         (_mat.zeros(dim), np.zeros((dim, dim))),
@@ -113,7 +112,6 @@ def test_builders_return_canonical_csr(dim):
         (_mat.scale(a, 0), np.zeros((dim, dim))),
         (_mat.adjoint(a), da.conj().T),
         (_mat.cut(a, dim // 2), np.where(np.arange(dim) < dim // 2, da, 0)),
-        (_mat.gram_blocks(a, labels), np.where(labels[:, None] == labels, da.conj().T @ da, 0)),
     ):
         assert_canonical(got)
         assert np.array_equal(_mat.to_dense(got), want)
@@ -233,14 +231,67 @@ def test_matvec_vecmat(data):
     assert np.array_equal(_mat.vecmat(u, sa), naive_mul(u[None, :], da)[0])
 
 
+def _check_gram(a: _mat.CSR, labels, gram: np.ndarray) -> None:
+    """gram_eigs of a with the given column labels against eigvalsh of the
+    dense blocks of gram, its dense oracle.  The blocks join the columns
+    that meet in a row of a with equal labels, by union-find per label; a
+    column with no entry is a block of its own, with 0 as its only
+    eigenvalue.  An entry of a* a that cancels to exactly 0 leaves two
+    components of the Gram matrix's index graph in one such block, whose
+    spectrum is the union of theirs."""
+    da = _mat.to_dense(a)
+    labels = np.asarray(labels)
+    n = a.shape[1]
+    blocks = [c for lab in set(labels.tolist())
+              for _, c in naive_components(np.where(labels == lab, da, 0), square=False)]
+    blocks += [[i] for i in range(n) if not any(i in b for b in blocks)]
+    low, high, first = _mat.gram_eigs(a, labels)
+    assert len(low) == len(high) == len(blocks)
+    assert first.tolist() == sorted(b[0] for b in blocks)
+    for lo, hi, i in zip(low, high, first):
+        b = next(b for b in blocks if b[0] == i)
+        want = np.linalg.eigvalsh(gram[np.ix_(b, b)])
+        scale = max(1.0, float(np.abs(want).max()))
+        assert abs(lo - want[0]) <= 1e-12 * scale and abs(hi - want[-1]) <= 1e-12 * scale
+
+
 @settings(deadline=None)
 @given(st.data())
-def test_gram_blocks(data):
+def test_gram_eigs(data):
+    """Each block's least and largest eigenvalue of a* a, restricted to
+    equally labelled columns, and its smallest index, against the dense
+    oracle: mixed labels, empty, row-monomial and cancelling matrices."""
     t = data.draw(coo(nc=data.draw(st.integers(1, MAX_DIM))))
     nc = t[3][1]
-    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=nc, max_size=nc)))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=nc, max_size=nc))
     da, sa = _kinds(*t)
-    assert np.array_equal(_dense(_mat.gram_blocks(sa, labels)), naive_gram_blocks(da, labels))
+    _check_gram(sa, labels, naive_gram_blocks(da, labels))
+
+
+def test_gram_eigs_examples():
+    """An empty matrix, wide 1xk rows, and an entry of a* a that cancels to
+    exactly 0, which leaves one block where the Gram matrix's index graph
+    has two components."""
+    low, high, first = _mat.gram_eigs(_mat._csr([], [], [], (3, 4)), np.zeros(4, dtype=np.intp))
+    assert low.tolist() == high.tolist() == [0.0] * 4 and first.tolist() == [0, 1, 2, 3]
+    assert [len(e) for e in _mat.gram_eigs(_mat._csr([], [], [], (0, 0)), np.zeros(0, dtype=np.intp))] == [0] * 3
+    # two rows of one entry in each of columns 0-2: the rank-one 3x3 block
+    # [1, 2, -1]* [1, 2, -1], then columns 3 and 4 split by their labels
+    rows, cols, vals = [0, 0, 0, 1, 1], [0, 1, 2, 3, 4], [1.0, 2.0, -1.0, 1j, 2.0]
+    wide = _mat._csr(rows, cols, vals, (2, 5))
+    low, high, first = _mat.gram_eigs(wide, np.array([0, 0, 0, 1, 2]))
+    assert np.allclose(low, [0.0, 1.0, 4.0], rtol=0, atol=1e-14)
+    assert np.allclose(high, [6.0, 1.0, 4.0], rtol=0, atol=1e-14)
+    assert first.tolist() == [0, 3, 4]
+    _check_gram(wide, [0, 0, 0, 1, 2], naive_gram_blocks(_mat.to_dense(wide), [0, 0, 0, 1, 2]))
+    _check_gram(wide, [0, 1, 0, 1, 1], naive_gram_blocks(_mat.to_dense(wide), [0, 1, 0, 1, 1]))
+    # [[1, 1], [1, -1]]: a* a = 2 I, its off-diagonal entries cancel
+    cancel = _mat._csr([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, -1.0], (2, 2))
+    gram = naive_gram_blocks(_mat.to_dense(cancel), [0, 0])
+    assert sorted(naive_components(gram, square=True)) == [([0], [0]), ([1], [1])]
+    low, high, first = _mat.gram_eigs(cancel, np.zeros(2, dtype=np.intp))
+    assert low.tolist() == high.tolist() == [2.0] and first.tolist() == [0]
+    _check_gram(cancel, [0, 0], gram)
 
 
 @settings(deadline=None)
@@ -317,8 +368,7 @@ def _check_components(dense: np.ndarray):
 def test_block_norms(t):
     """One least and one largest eigenvalue per component of the index
     graph, with its smallest index, against the dense blocks the union-find
-    oracle picks out: the spectra the positivity checks read, and the block
-    norms the tail profile reads."""
+    oracle picks out: the spectra the positivity checks read."""
     _check_components(_kinds(*t)[0])
 
 
@@ -361,8 +411,15 @@ def _lapack(lapack_calls, fn, *args):
     return out, list(lapack_calls)
 
 
-def _gram(m: _mat.CSR) -> _mat.CSR:
-    return _mat.gram_blocks(m, np.zeros(m.shape[1], dtype=np.intp))
+def _gram(m: _mat.CSR):
+    return _mat.gram_eigs(m, np.zeros(m.shape[1], dtype=np.intp))
+
+
+def _dense_gram(m: _mat.CSR) -> np.ndarray:
+    """a* a by one dense product: the Gram oracle at sizes where the triple
+    sum of naive_gram_blocks takes too long."""
+    d = _mat.to_dense(m)
+    return d.conj().T @ d
 
 
 @pytest.mark.parametrize("dim", [1, 5, 256, 700])
@@ -377,9 +434,9 @@ def test_monomial_norms_skip_lapack(dim, lapack_calls):
         got, calls = _lapack(lapack_calls, _mat.norm2, m)
         assert calls == []
         assert abs(got - want) <= 1e-12 * want
-        _, calls = _lapack(lapack_calls, _mat.hermitian_eigs, *_mat.coo_parts(_gram(m)), dim)
+        _, calls = _lapack(lapack_calls, _gram, m)
         assert calls == []
-        _check_components(_mat.to_dense(_gram(m)))
+        _check_gram(m, np.zeros(dim, dtype=np.intp), _dense_gram(m))
 
 
 @pytest.mark.parametrize("square_sides", [(), (2,), (2, 3, 5), (4, 4)])
@@ -400,7 +457,7 @@ def test_direct_sum_norms_take_one_eigvalsh_per_block_size(square_sides, lapack_
         got, calls = _lapack(lapack_calls, _mat.norm2, m)
         assert abs(got - want) <= 1e-12 * want
         assert sorted(calls) == want_calls
-        _check_components(_mat.to_dense(_gram(m)))
+        _check_gram(m, np.zeros(300, dtype=np.intp), _dense_gram(m))
 
 
 @pytest.mark.parametrize("n", [4, 300])

@@ -261,6 +261,24 @@ def naive_annihilation(space, v, a):
     return out
 
 
+def naive_terms_matrix(terms, space) -> np.ndarray:
+    """The sum of coeff times each term's dense product: its creations, its
+    diagonals, then its annihilations in reverse order, each (b^+)* written
+    as naive_annihilation of b*."""
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for coeff, t in terms:
+        prod = np.eye(space.dim, dtype=complex)
+        factors = (
+            [naive_creation(space, v, a) for v, a in t.creation]
+            + [naive_diagonal(space, v, c) for v, c in t.diag]
+            + [naive_annihilation(space, v, b.star()) for v, b in reversed(t.annihilation)]
+        )
+        for f in factors:
+            prod = prod @ f.toarray()
+        out += coeff * prod
+    return out
+
+
 # -- basis oracle --------------------------------------------------------------------
 # The basis one vector at a time, enumerated as the space's definition reads.
 
