@@ -57,14 +57,6 @@ def _rows(a: CSR) -> np.ndarray:
     return np.arange(a.shape[0]).repeat(a.indptr[1:] - a.indptr[:-1])
 
 
-def _sum_by(labels: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """Complex sums of vals grouped by labels in range(n)."""
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(labels, vals.real, n)
-    out.imag = np.bincount(labels, vals.imag, n)
-    return out
-
-
 def _csr(rows, cols, data, shape) -> CSR:
     """CSR from coordinate triples: duplicates summed in input order, exact
     zeros dropped.  Keys already strictly increasing are taken as they are,
@@ -184,15 +176,6 @@ def to_dense(a: CSR) -> np.ndarray:
     return out
 
 
-def diagonal(a: CSR) -> np.ndarray:
-    """A new vector holding the main diagonal."""
-    rows = _rows(a)
-    on = rows == a.indices
-    out = np.zeros(min(a.shape), dtype=complex)
-    out[rows[on]] = a.data[on]
-    return out
-
-
 def same(a: CSR, b: CSR) -> bool:
     """Whether a and b are stored alike: the same shape and the same three
     arrays.  Matrices stored alike are equal; equal matrices are stored
@@ -242,16 +225,6 @@ def principal_parts(a: CSR, idx):
     r, c = pos[_rows(a)], pos[a.indices]
     keep = (r >= 0) & (c >= 0)
     return r[keep], c[keep], a.data[keep]
-
-
-def matvec(a: CSR, v: np.ndarray) -> np.ndarray:
-    """a @ v for a vector v."""
-    return _sum_by(_rows(a), a.data * v[a.indices], a.shape[0])
-
-
-def vecmat(v: np.ndarray, a: CSR) -> np.ndarray:
-    """v @ a for a vector v."""
-    return _sum_by(a.indices, v.repeat(a.indptr[1:] - a.indptr[:-1]) * a.data, a.shape[1])
 
 
 def _rank_within(labels: np.ndarray, n: int):

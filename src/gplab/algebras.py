@@ -222,7 +222,6 @@ class GnsRep:
         self.algebra = algebra
         self.state = state
         self.dim = dim
-        self.cyclic_index = 0
         self._images = images
         self._coords = coords
 

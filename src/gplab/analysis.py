@@ -312,7 +312,9 @@ def traciality_probe(sysm: GraphSystem, depth: int = 4, seed: int = 0) -> float:
     vanishes unless w_y = w_x^-1 and is then prod_i omega(a_i b_pi(i)) (see
     gplab.certificate).  So that the pair can show a violation, x runs along
     a word with a letter whose state is not tracial, when there is one.
-    Below depth 2 no pair fits."""
+    Below depth 2 no pair fits.  The pair's vacuum entries are entry (0, 0)
+    of the cut at 0 of the commutator xy - yx, whose guard N - 2|w_x| is
+    checked before it is read."""
     if depth < 2:
         raise ShallowTruncationError(f"no probe pair fits depth {depth}: each has word length at least 2")
     rng = np.random.default_rng(seed)
@@ -325,10 +327,12 @@ def traciality_probe(sysm: GraphSystem, depth: int = 4, seed: int = 0) -> float:
     for _ in range(SMOKE_DRAWS):
         wx = words[int(rng.integers(0, len(words)))]
         wy = group.inv_tuple(wx)
-        x_row, x_col = fk.vacuum_vectors(space, wx, [sysm.sites[v].random_element(rng) for v in wx])
-        y_row, y_col = fk.vacuum_vectors(space, wy, [sysm.sites[v].random_element(rng) for v in wy])
-        val = abs(x_row @ y_col - y_row @ x_col)
-        worst = max(worst, val)
+        x = el.expression_matrix([el.Factor("elem", v, sysm.sites[v].random_element(rng)) for v in wx], space)
+        y = el.expression_matrix([el.Factor("elem", v, sysm.sites[v].random_element(rng)) for v in wy], space)
+        commutator = x @ y - y @ x
+        fk.check_guards(commutator)
+        _, _, vacuum = _mat.principal_parts(commutator.cols(0), [0])
+        worst = max(worst, float(np.abs(vacuum.sum())))
     return worst
 
 

@@ -70,8 +70,9 @@ columns the compositions it reads do.
   mixed        lambda_u and rho_v, u != v: the same
   disjoint     u and v not adjacent: slot_u = 0 on v's creation targets
   action       Q_w E_t0 = E_t0 A and Q_w E_0t = E_0t A for t >= 1, A the
-      generator action act_on_q(v, w) realised as lattice.apply_symbolic
-      does, for every vertex v and every w of action_words
+      generator action act_on_q(v, w) read as the diagonal that
+      lattice.apply_symbolic realises (lattice.symbolic_diagonal), for
+      every vertex v and every w of action_words
   letters      each existing target k = targets_v[j, t] of lambda_v has the
       letter counts of j plus ([t >= 1] - [slot[j] >= 1]) e_v, in the
       space's letter table (fock._letter_table)
@@ -170,16 +171,8 @@ def _disjoint_breaks(u: SideTable, v: SideTable) -> int:
     return int(np.count_nonzero(u.slot[v.targets[_creates(v) & (v.targets >= 0)]] != 0))
 
 
-def _q_diagonal(space: fk.TruncatedFock, w: Letters) -> np.ndarray:
-    """The diagonal of Q_w as a read-only 0/1 mask (fock.q_mask), or all
-    ones for the empty word, as apply_symbolic realises it."""
-    if w == ():
-        return np.ones(space.dim, dtype=bool)
-    return fk.q_mask(space, w)
-
-
 def _head_breaks(space: fk.TruncatedFock, v) -> int:
-    return int(np.count_nonzero(_q_diagonal(space, (v,)) != (side_table(space, v, True).slot >= 1)))
+    return int(np.count_nonzero(fk.q_mask(space, (v,)) != (side_table(space, v, True).slot >= 1)))
 
 
 def action_words(space: fk.TruncatedFock) -> list[Letters]:
@@ -190,14 +183,6 @@ def action_words(space: fk.TruncatedFock) -> list[Letters]:
 
 
 def _action_breaks(space: fk.TruncatedFock) -> int:
-    masks: dict[Letters, np.ndarray] = {}
-
-    def q(w: Letters) -> np.ndarray:
-        got = masks.get(w)
-        if got is None:
-            got = masks[w] = _q_diagonal(space, w)
-        return got
-
     bad = 0
     for v in space.graph.vertices:
         tab = side_table(space, v, True)
@@ -206,8 +191,9 @@ def _action_breaks(space: fk.TruncatedFock) -> int:
         down_cols = np.flatnonzero(tab.slot >= 1)
         down_rows = tab.targets[down_cols, 0]
         for w in action_words(space):
-            act = sum(coef * q(word) for coef, word in lat.act_on_q(space.group, v, w).terms)
-            bad += np.count_nonzero(q(w)[up_rows] != act[up_cols]) + np.count_nonzero(q(w)[down_rows] != act[down_cols])
+            act = lat.symbolic_diagonal(space, lat.act_on_q(space.group, v, w))
+            qw = fk.q_mask(space, w)
+            bad += np.count_nonzero(qw[up_rows] != act[up_cols]) + np.count_nonzero(qw[down_rows] != act[down_cols])
     return int(bad)
 
 
@@ -265,8 +251,8 @@ def _shift_breaks(space: fk.TruncatedFock, v) -> int:
     bad = 0
     for w in shift_words(space, v):
         if len(w) < space.n:
-            qw = _q_diagonal(space, w)
-            qvw = _q_diagonal(space, space.group.mul_tuple((v,), w))
+            qw = fk.q_mask(space, w)
+            qvw = fk.q_mask(space, space.group.mul_tuple((v,), w))
             bad += np.count_nonzero(qw & starts) + np.count_nonzero(qvw != (starts & qw[tab.targets[:, 0]]))
     return int(bad)
 

@@ -188,12 +188,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--depth", type=int, default=None, help="override the truncation depth")
     parser.add_argument("--out", default=None, help="write the JSON report here (default stdout)")
     parser.add_argument("--strict", action="store_true", help="Inconclusive or HypothesesFail verdicts exit nonzero")
-    parser.add_argument("--csv", default=None, help="also write growth coefficients as CSV (growth command)")
+    parser.add_argument("--csv", default=None, help="also write growth coefficients as CSV (growth and report-all only)")
     args = parser.parse_args(argv)
 
     t0 = time.time()
     timing: dict = {}
     try:
+        if args.csv is not None and args.command not in ("growth", "report-all"):
+            raise ConfigError(f"--csv: only growth and report-all write a CSV, not {args.command}")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
         depth = args.depth if args.depth is not None else cfg.truncation

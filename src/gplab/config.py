@@ -134,7 +134,7 @@ def _parse_topofree(given: Any, vnames: list[str], group: CoxeterGroup) -> dict:
     return {
         "w": word(spec["w"], "topofree.w"),
         "exclusions": [word(x, f"topofree.exclusions[{i}]") for i, x in enumerate(spec["exclusions"])],
-        "L_max": _nonnegative_int(spec["L_max"], "topofree.L_max"),
+        "L_max": _nonnegative_int(spec["L_max"], "topofree.L_max", positive=True),
         "search_radius": _nonnegative_int(spec["search_radius"], "topofree.search_radius"),
     }
 

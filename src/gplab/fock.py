@@ -18,10 +18,11 @@ of word length <= k and, like the operator, zero outside its word-length
 band (see OperatorMatrix); products, sums, scalars and adjoints are
 evaluated lazily, each reading its operands at the cuts that their bands
 reach, and `.mat` is the cut at N.  The guarded readers (guarded_deviation,
-guarded_norm, the positivity check's guarded block and the vacuum vector
-chains) ask for cuts; every other reader reads `.mat`.  The basis lists
-words by length, so the columns of word length <= k are the first ones
-(TruncatedFock.width), and a cut at k holds no entry past them:
+guarded_norm, the positivity check's guarded block and the vacuum probe,
+which reads <Omega, x Omega> off the cut at 0) ask for cuts; every other
+reader reads `.mat`.  The basis lists words by length, so the columns of
+word length <= k are the first ones (TruncatedFock.width), and a cut at k
+holds no entry past them:
 guarded_deviation and guarded_norm read a cut whole, with no column
 re-indexing, and guarded_deviation returns 0.0 with no subtraction when
 both cuts are stored alike.  Every matrix is a `_mat.CSR` value.
@@ -60,7 +61,7 @@ lattice.identification_check decides w <= v with leq_tuple.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -744,36 +745,6 @@ def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: Operator
 
 
 # -- functionals ---------------------------------------------------------------
-
-
-def vacuum_vectors(
-    space: TruncatedFock, letters: Sequence[VertexId], elements: Sequence[Element]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The vacuum row <Omega| x and column x |Omega> of the compressed
-    product x = lambda_{v1}(a1) ... lambda_{vn}(an).
-
-    Each is a chain of vector products through the factors, so x is never
-    formed; the vacuum entry of a product xy is row(x) @ column(y).  A
-    vector that has passed j factors lies in word length <= j, so the next
-    factor is read at the cut the chain has reached: its columns up to j
-    for the column chain, and up to j + down, which holds the whole rows up
-    to j, for the row chain.
-    """
-    if len(letters) != len(elements):
-        raise ValueError("one element per letter")
-    factors = [lambda_op(space, v, a) for v, a in zip(letters, elements)]
-    row = np.zeros(space.dim, dtype=complex)
-    row[0] = 1.0
-    col = row.copy()
-    reach = 0
-    for f in factors:
-        row = _mat.vecmat(row, f.cols(reach + f.down))
-        reach += f.down
-    reach = 0
-    for f in reversed(factors):
-        col = _mat.matvec(f.cols(reach), col)
-        reach += f.up
-    return row, col
 
 
 def tail_profile(x: OperatorMatrix) -> list[float]:

@@ -5,7 +5,8 @@ non-fixed-prefix witness used by the simplicity machinery.
 Here P_w is the diagonal projection selecting the basis words that start
 with w, realized on a finite ball.  Unlike the Fock-side convention, P_e is
 the identity: the lattice sums over every group element, the vacuum line
-included.
+included.  On a Fock truncation this lattice convention is written once,
+in lattice_mask: Q_e realizes as the identity, every other Q_w as itself.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _mat
-from .fock import TruncatedFock, identity_op, q_projection, zero_op
+from .fock import OperatorMatrix, TruncatedFock, q_mask
 from .graphs import VertexId, Walk
 from .words import CoxeterGroup, Letters
 
@@ -76,21 +77,28 @@ def act_on_q(group: CoxeterGroup, v: VertexId, w: Letters) -> QSymbolic:
     return QSymbolic(((1, w),))
 
 
-def apply_symbolic(space: TruncatedFock, sym: QSymbolic):
-    """Realize a formal combination of word projections on a Fock truncation.
+def lattice_mask(space: TruncatedFock, w: Letters) -> np.ndarray:
+    """The 0/1 diagonal of Q_w in the lattice convention, as a bool mask:
+    all ones for the empty word, the vacuum line included (the trivial
+    filter holds every element), and q_mask for a nontrivial canonical w."""
+    if w == ():
+        return np.ones(space.dim, dtype=bool)
+    return q_mask(space, w)
 
-    The empty-word symbol realizes as the identity (the lattice convention,
-    where the vacuum line is part of the trivial filter), not as the
-    vacuum-excluding Fock projection.
-    """
-    out = None
-    for coef, letters in sym.terms:
-        base = identity_op(space) if letters == () else q_projection(space, letters)
-        m = base * complex(coef)
-        out = m if out is None else out + m
-    if out is None:
-        return zero_op(space)
+
+def symbolic_diagonal(space: TruncatedFock, sym: QSymbolic) -> np.ndarray:
+    """The diagonal of a formal combination of word projections: the sum of
+    coef * lattice_mask(w) over its terms."""
+    out = np.zeros(space.dim)
+    for coef, w in sym.terms:
+        out += coef * lattice_mask(space, w)
     return out
+
+
+def apply_symbolic(space: TruncatedFock, sym: QSymbolic) -> OperatorMatrix:
+    """Realize a formal combination of word projections on a Fock truncation,
+    as the diagonal operator of symbolic_diagonal."""
+    return OperatorMatrix(space, _mat.diag(symbolic_diagonal(space, sym)), space.n, 0, 0)
 
 
 @dataclass
@@ -104,37 +112,27 @@ def identification_check(space: TruncatedFock) -> IdentificationRecord:
     eta_v built from a fixed slot choice, <P_w delta_v, delta_v> equals
     <Q_w eta_v, eta_v> for all ball words v, w.
 
-    P_e maps to the identity (the unital extension), all other P_w to Q_w.
+    The Fock side reads each Q_w once, in the lattice convention of
+    lattice_mask: P_e maps to the identity (the unital extension), every
+    other P_w to Q_w.
 
     The lattice side keeps one leq_tuple per pair on purpose: it is the
-    oracle of the cover table.  q_projection reads Q_w off the table's
-    up-sets (CoverTable.up_mask), so a lattice side read off the table as
-    well would compare the table with itself and could not catch a cover
-    it lacks.
+    oracle of the cover table.  q_mask reads Q_w off the table's up-sets
+    (CoverTable.up_mask), so a lattice side read off the table as well
+    would compare the table with itself and could not catch a cover it
+    lacks.
     """
     group = space.group
     ball = group.ball_tuples(space.n)
     for v in space.graph.vertices:
         if space.reps[v].dim < 2:
             raise ValueError("identification needs nontrivial vertex spaces")
+    etas = np.array([space.index_of(v, tuple(1 for _ in v)) for v in ball])
     mism = 0
-    checked = 0
-    qcache: dict[Letters, np.ndarray] = {}
     for w in ball:
-        if w == ():
-            diag = np.ones(space.dim)
-        else:
-            diag = _mat.diagonal(q_projection(space, w).mat).real
-        qcache[w] = diag
-    for v in ball:
-        eta_idx = space.index_of(v, tuple(1 for _ in v))
-        for w in ball:
-            lattice_val = 1.0 if group.leq_tuple(w, v) else 0.0
-            fock_val = float(qcache[w][eta_idx])
-            checked += 1
-            if lattice_val != fock_val:
-                mism += 1
-    return IdentificationRecord(checked, mism)
+        lattice_side = [group.leq_tuple(w, v) for v in ball]
+        mism += int(np.count_nonzero(lattice_mask(space, w)[etas] != lattice_side))
+    return IdentificationRecord(len(ball) ** 2, mism)
 
 
 @dataclass

@@ -61,7 +61,7 @@ def test_gns_dimension_and_cyclic_examples():
     alg = FiniteDimAlgebra((1, 1))
     st = StateSpec.build(alg, [np.array([[0.5]]), np.array([[0.5]])])
     rep = gns(alg, st)
-    assert rep.dim == 2 and rep.cyclic_index == 0
+    assert rep.dim == 2
     xi = rep.matrix(alg.one())[:, 0]
     assert np.allclose(xi, np.array([1.0, 0.0]))
 

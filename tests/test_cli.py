@@ -144,8 +144,9 @@ def test_tensor_split_without_guarded_column_is_na(tmp_path, command):
         ([{"w": []}], r"topofree"),
         ({"L_max": "x"}, r"topofree\.L_max"),
         ({"Lmax": 9}, r"topofree\.Lmax"),
+        ({"L_max": 0}, r"topofree\.L_max"),  # a search with no walk power checks nothing
     ],
-    ids=["unknown_vertex", "list_block", "string_L_max", "misspelt_key"],
+    ids=["unknown_vertex", "list_block", "string_L_max", "misspelt_key", "zero_L_max"],
 )
 def test_malformed_topofree_block_exits_two(tmp_path, patch, path):
     cfg = json.loads((FIXTURES / "hecke_q1_edgeless3.json").read_text())
@@ -155,6 +156,18 @@ def test_malformed_topofree_block_exits_two(tmp_path, patch, path):
     f = tmp_path / "topofree.json"
     f.write_text(json.dumps(cfg))
     assert main(["witness-topofree", "--config", str(f)]) == 2
+
+
+@pytest.mark.parametrize("command", ["check-identities", "witness-topofree"])
+def test_csv_without_growth_block_exits_two(tmp_path, command, capsys):
+    """Only growth and report-all write the CSV: any other command given
+    --csv exits 2, naming both, and writes neither the CSV nor the report."""
+    csv, out = tmp_path / "x.csv", tmp_path / "r.json"
+    cfg = str(FIXTURES / "hecke_q1_edgeless3.json")
+    assert main([command, "--config", cfg, "--depth", "2", "--csv", str(csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "growth" in err and "report-all" in err
+    assert not csv.exists() and not out.exists()
 
 
 def test_topofree_block_parsed_to_canonical_words():

@@ -6,7 +6,7 @@ import pytest
 
 from gplab import _mat, fock
 from gplab.algebras import FiniteDimAlgebra, StateSpec, hecke_parameter, hecke_vertex, site_from_hecke, site_from_state
-from gplab.analysis import expectation_checks
+from gplab.analysis import SMOKE_DRAWS, expectation_checks, traciality_probe
 from gplab.config import load_config
 from gplab.elementary import random_operator
 from gplab.errors import ResourceLimitError, ShallowTruncationError
@@ -30,7 +30,6 @@ from gplab.fock import (
     rho_op,
     tail_profile,
     tensor_split_check,
-    vacuum_vectors,
     word_projection,
     zero_op,
 )
@@ -754,27 +753,34 @@ def test_gram_eigs_matches_full_product_oracle(mixed_path3, path):
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
-def test_vacuum_vectors_match_reduced_operator_oracle(mixed_path3, path):
-    """The vacuum row and column chains equal row and column 0 of the formed
-    reduced operator, and row(x) @ column(y) is omega(xy) read off x @ y."""
-    sysm, space = _oracle_space(mixed_path3, path)
-    rng = np.random.default_rng(83)
-    words = [w for w in space.group.ball_tuples(space.n) if w]
-    for _ in range(12):
-        wx = words[int(rng.integers(0, len(words)))]
-        wy = words[int(rng.integers(0, len(words)))]
-        ax = [sysm.sites[v].random_element(rng, center=bool(rng.integers(0, 2))) for v in wx]
-        ay = [sysm.sites[v].random_element(rng) for v in wy]
-        x, y = naive_reduced_operator(space, wx, ax), naive_reduced_operator(space, wy, ay)
-        x_row, x_col = vacuum_vectors(space, wx, ax)
-        y_row, y_col = vacuum_vectors(space, wy, ay)
-        dx = x.toarray()
-        assert np.max(np.abs(x_row - dx[0])) < 1e-13
-        assert np.max(np.abs(x_col - dx[:, 0])) < 1e-13
-        assert abs(x_row @ y_col - _mat.to_dense((x @ y).mat)[0, 0]) < 1e-13
-        assert abs(y_row @ x_col - _mat.to_dense((y @ x).mat)[0, 0]) < 1e-13
-    with pytest.raises(ValueError):
-        vacuum_vectors(space, (0, 1), ax[:1])
+def test_vacuum_probe_matches_reduced_operator_oracle(mixed_path3, path):
+    """traciality_probe, which reads <Omega, (xy - yx) Omega> off the cut at 0
+    of the lazy commutator, equals the largest |omega(xy) - omega(yx)| over
+    its draws, replayed from the same default_rng(seed) and read off dense
+    products of the formed reduced operators.  In both systems one vertex
+    state, the M2 density [[0.6, 0.1], [0.1, 0.4]], is not tracial, so the
+    probe draws words through that letter; depth 4 draws words of two
+    letters."""
+    sysm, _ = _oracle_space(mixed_path3, path)
+    group = sysm.group
+    showing = {v for v in sysm.graph.vertices if not sysm.sites[v].state.is_tracial()}
+    largest = 0.0
+    for depth in (3, 4) if path == "dense" else (3,):
+        space = sysm.space(depth)
+        words = [w for w in group.ball_tuples(depth // 2) if w and showing & set(w)]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            want = 0.0
+            for _ in range(SMOKE_DRAWS):
+                wx = words[int(rng.integers(0, len(words)))]
+                wy = group.inv_tuple(wx)
+                ax = [sysm.sites[v].random_element(rng) for v in wx]
+                ay = [sysm.sites[v].random_element(rng) for v in wy]
+                x, y = naive_reduced_operator(space, wx, ax).toarray(), naive_reduced_operator(space, wy, ay).toarray()
+                want = max(want, abs((x @ y)[0, 0] - (y @ x)[0, 0]))
+            assert abs(traciality_probe(sysm, depth, seed) - want) < 1e-13
+            largest = max(largest, want)
+    assert largest > 1e-3  # the draws show the violation
 
 
 def test_unit_blocks_skip_lapack(lapack_calls):

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from gplab.algebras import hecke_vertex, site_from_hecke
-from gplab.fock import TruncatedFock, guarded_deviation, lambda_op, q_projection
+from gplab.fock import TruncatedFock, guarded_deviation, lambda_op, q_mask, q_projection
 from gplab.lattice import (
     act_on_q,
     apply_symbolic,
     identification_check,
+    lattice_mask,
     lattice_product,
     lattice_projection,
     topofree_witness,
 )
 from gplab.words import coxeter_group
 
-from util import CYC4, FREE3, K2, K3, PATH3
+from util import CYC4, FREE3, K2, K3, PATH3, naive_q_projection
 
 
 def test_lattice_p_e_is_identity():
@@ -101,6 +102,24 @@ def test_act_on_q_matches_hecke_conjugation_at_q_one():
             lhs = lam @ q_projection(space, w) @ lam
             rhs = apply_symbolic(space, act_on_q(g, v, w))
             assert guarded_deviation(lhs, rhs) < 1e-12
+
+
+def test_apply_symbolic_realizes_the_lattice_convention():
+    """apply_symbolic of every generator action on a word of the 3-ball is
+    the dense sum of coef times Q_w, with Q_e the identity (the lattice
+    convention) and every other Q_w the oracle projection.  The symbol of
+    w = (v,) holds the empty word."""
+    site = site_from_hecke(2.0)
+    space = TruncatedFock(PATH3, {v: site.rep for v in PATH3.vertices}, 4)
+    g = space.group
+    for v in PATH3.vertices:
+        for w in g.ball_tuples(3):
+            sym = act_on_q(g, v, w)
+            want = sum(
+                c * (np.eye(space.dim) if lw == () else naive_q_projection(space, lw).toarray()) for c, lw in sym.terms
+            )
+            assert np.array_equal(apply_symbolic(space, sym).toarray(), want), (v, w)
+    assert lattice_mask(space, ()).all() and not q_mask(space, ())[0]
 
 
 def test_identification_check():

@@ -3,7 +3,8 @@ CoxeterGroup, of the graph classes (SimplicialGraph, Walk), of the
 vertex-algebra classes (FiniteDimAlgebra, Element, StateSpec, GnsRep,
 VertexSite), of OperatorMatrix and of ElementaryTerm, is reached from the
 package itself, not only from tests, or is one of the few named entry
-points below.  And every defaulted parameter of a gplab function is
+points below; every public method of any other class of gplab is reached,
+with no entry point.  And every defaulted parameter of a gplab function is
 set by some call in the package, or is one of the few named below: a
 default that no caller overrides is a constant.
 
@@ -143,6 +144,22 @@ def test_operator_matrix_methods_are_reached_from_the_package():
 
 def test_elementary_term_methods_are_reached_from_the_package():
     _assert_unreached_are(_unreached_methods("elementary", "ElementaryTerm"), set())
+
+
+# The classes whose methods the tests above check, with their entry points.
+NAMED_CLASSES = {("words", "CoxeterGroup"), ("fock", "OperatorMatrix"), ("elementary", "ElementaryTerm")}
+NAMED_CLASSES |= {("graphs", name) for name in GRAPH_ENTRY_POINTS} | {("algebras", name) for name in VERTEX_CLASSES}
+OTHER_CLASSES = sorted(
+    (home, node.name)
+    for home, tree in _trees().items()
+    for node in tree.body
+    if isinstance(node, ast.ClassDef) and (home, node.name) not in NAMED_CLASSES
+)
+
+
+@pytest.mark.parametrize("home,name", OTHER_CLASSES, ids=[f"{home}.{name}" for home, name in OTHER_CLASSES])
+def test_other_class_methods_are_reached_from_the_package(home, name):
+    _assert_unreached_are(_unreached_methods(home, name), set())
 
 
 def _functions(node: ast.AST, cls: Optional[ast.ClassDef] = None):
