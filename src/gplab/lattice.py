@@ -160,6 +160,8 @@ def topofree_witness(
     canonical closed covering walk of the complement, rotated so its final
     letter ends w v whenever such a rotation exists.
     """
+    if l_max < 1:
+        raise ValueError(f"l_max must be at least 1, got {l_max}")
     graph = group.graph
     if len(graph.vertices) < 3:
         raise ValueError("witness search requires at least 3 vertices")

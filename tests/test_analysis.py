@@ -24,6 +24,7 @@ from gplab import analysis as an
 from gplab import fock as fk
 from gplab.config import load_config
 from gplab.errors import ShallowTruncationError
+from gplab.records import RECORDS
 from gplab.system import GraphSystem
 
 from util import FREE3, PATH3, hecke_system, m2_site, mixed_system, naive_hermitian_min_eig
@@ -248,11 +249,16 @@ def test_each_row_draws_from_a_stream_of_its_own(monkeypatch, fixture):
         monkeypatch.setattr(an, "SUITE", suite)
 
 
+def _table_names(row: str) -> list[str]:
+    """The records that RECORDS gives a SUITE row, in table order."""
+    return [name for name, spec in RECORDS.items() if spec.row == row]
+
+
 @pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
 def test_suite_table_names_what_each_group_reports(monkeypatch, fixture):
-    """Each SUITE row with n/a names reports exactly those checks, in table
-    order: all n/a at depth 0, where no operator has a guarded column, and
-    the same names at the fixture's own truncation."""
+    """Each `shallow` SUITE row reports exactly the records that RECORDS
+    gives it, in table order: all n/a at depth 0, where no operator has a
+    guarded column, and the same names at the fixture's own truncation."""
     cfg = load_config(fixture)
     rows = [g for g in an.SUITE if g.shallow]
     assert rows
@@ -260,9 +266,30 @@ def test_suite_table_names_what_each_group_reports(monkeypatch, fixture):
         monkeypatch.setattr(an, "SUITE", (group,))
         for depth in (0, cfg.truncation):
             checks = identity_suite(cfg.system, depth=depth, seed=1).checks
-            assert [c.name for c in checks] == list(group.shallow), (group.name, depth)
+            assert [c.name for c in checks] == _table_names(group.name), (group.name, depth)
             if depth == 0:
                 assert all(c.value == "n/a" and c.passed for c in checks), group.name
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
+def test_each_row_emits_exactly_its_table_records(fixture):
+    """At the fixture's own truncation every SUITE row reports exactly the
+    records that RECORDS gives it, in table order, each with its table
+    tolerance unless n/a; the trace row reports one of its two variants,
+    the probe and its exact record.  Every table record but critical_t
+    belongs to a row, so no record is declared or reported in one place
+    only."""
+    cfg = load_config(fixture)
+    report = identity_suite(cfg.system, depth=cfg.truncation, seed=1)
+    assert list(report.groups) == [g.name for g in an.SUITE]
+    for row, records in report.groups.items():
+        names = [c.name for c in records]
+        table = _table_names(row)
+        assert names in ([table[:2], table[2:]] if row == "trace" else [table]), row
+        for c in records:
+            assert c.value == "n/a" or c.tolerance == RECORDS[c.name].tolerance, c
+    assert {spec.row for spec in RECORDS.values()} == {g.name for g in an.SUITE} | {None}
+    assert [name for name, spec in RECORDS.items() if spec.row is None] == ["critical_t"]
 
 
 def test_lattice_checks_in_suite():

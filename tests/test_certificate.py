@@ -14,6 +14,7 @@ from gplab import analysis as an
 from gplab import certificate as ct
 from gplab import fock, lattice, words
 from gplab.config import load_config
+from gplab.records import RECORDS
 from gplab.system import GraphSystem
 from util import FREE3, PATH3, m2_site, mixed_system, naive_left_product, naive_unit_moves, naive_units
 
@@ -149,7 +150,7 @@ def _failed_exact(records) -> set[str]:
 
 def _readers(records, facts: set[str]) -> set[str]:
     """The exact records, not n/a, that read one of the facts."""
-    return {r.name for r in records if r.value != "n/a" and facts & set(an.EXACT.get(r.name, ()))}
+    return {r.name for r in records if r.value != "n/a" and facts & set(RECORDS[r.name].facts)}
 
 
 @pytest.mark.parametrize("left", [True, False], ids=["lambda", "rho"])
@@ -350,10 +351,10 @@ def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatc
 def test_every_sampled_identity_has_its_exact_record(fixture, depth):
     """Each sampled record of a row with exact records is followed, in the
     same row and order, by its exact counterpart, n/a with its reason
-    exactly where it is n/a; every exact record is in EXACT, and every
-    certificate fact is read by one.  Every fixture's vertex states are
-    tracial, so the probe of a non-tracial one is left to
-    test_a_non_tracial_probe_certifies_its_violation."""
+    exactly where it is n/a; the exact records are those that RECORDS gives
+    certificate facts, and every certificate fact is read by one.  Every
+    fixture's vertex states are tracial, so the probe of a non-tracial one
+    is left to test_a_non_tracial_probe_certifies_its_violation."""
     cfg = load_config(fixture)
     suite = an.identity_suite(cfg.system, depth=depth, seed=1)
     emitted = set()
@@ -365,8 +366,10 @@ def test_every_sampled_identity_has_its_exact_record(fixture, depth):
         for s, e in zip(sampled, exact):
             assert (e.value == "n/a") == (s.value == "n/a") and e.skipped_reason == s.skipped_reason
         emitted |= {r.name for r in exact}
-    assert emitted == set(an.EXACT) - {"trace.vacuum_probe_detects_violation.exact"}
-    assert {fact for reads in an.EXACT.values() for fact in reads} == set(ct._FACTS)
+    exact = {name for name, spec in RECORDS.items() if spec.facts}
+    assert exact == {name for name in RECORDS if name.endswith(".exact")}
+    assert emitted == exact - {"trace.vacuum_probe_detects_violation.exact"}
+    assert {fact for spec in RECORDS.values() for fact in spec.facts} == set(ct._FACTS)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])

@@ -174,3 +174,7 @@ def test_topofree_hypothesis_errors():
     g2 = coxeter_group(K2)
     with pytest.raises(ValueError):
         topofree_witness(g2, (), [g2.reduce_tuple([0])], 2)
+    g = coxeter_group(FREE3)  # hypotheses met, yet no power to check
+    for l_max in (0, -1):
+        with pytest.raises(ValueError, match="l_max must be at least 1"):
+            topofree_witness(g, (), [g.reduce_tuple([0])], l_max)

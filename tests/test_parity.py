@@ -1,10 +1,12 @@
 """The parity corpus (tests/parity): seed 1's 30 runs of the command line
-against their committed reports, and the README's ledger of checks
-against the check records in the corpus."""
+against their committed reports, and the declared table of records
+(records.RECORDS) against the README's ledger of checks, the check records
+in the corpus and the benchmark's reference outcomes."""
 import json
 import re
 from pathlib import Path
 
+from gplab.records import RECORDS
 from parity import regenerate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,10 +48,11 @@ def _ledger() -> dict[str, float | None]:
 
 
 def test_readme_ledger_matches_corpus_checks():
-    """Every check record of the corpus, suite and verdict evidence alike,
-    has a ledger row with its tolerance (an n/a record may omit it), every
-    suite record has a row, and every row names a check of analysis.py."""
-    ledger = _ledger()
+    """README's ledger lists exactly the records of RECORDS, each with its
+    tolerance, in table order; and every check record of the corpus, suite
+    and verdict evidence with a tolerance alike, has a table entry with its
+    tolerance (an n/a record may omit it)."""
+    assert list(_ledger().items()) == [(name, spec.tolerance) for name, spec in RECORDS.items()]
     seen = set()
     for seed in regenerate.SEEDS:
         for run in json.loads(regenerate.corpus_path(seed).read_text()):
@@ -57,28 +60,37 @@ def test_readme_ledger_matches_corpus_checks():
             suite = results.get("identities", {}).get("checks", [])
             evidence = [e for v in results.get("verdicts", []) for e in v["evidence"] if "tolerance" in e]
             for rec in suite + evidence:
-                assert rec["name"] in ledger, rec["name"]
+                assert rec["name"] in RECORDS, rec["name"]
                 if rec["value"] != "n/a" or "tolerance" in rec:
-                    assert rec.get("tolerance") == ledger[rec["name"]], rec
+                    assert rec.get("tolerance") == RECORDS[rec["name"]].tolerance, rec
                 seen.add(rec["name"])
-    source = (ROOT / "src" / "gplab" / "analysis.py").read_text()
-    for name in ledger:
-        assert f'"{name}"' in source, name
-    # the corpus shows every row but the probe of a non-tracial state
-    assert set(ledger) - seen <= {"trace.vacuum_probe_detects_violation", "trace.vacuum_probe_detects_violation.exact"}
+    # the corpus shows every record but the probe of a non-tracial state
+    assert set(RECORDS) - seen <= {"trace.vacuum_probe_detects_violation", "trace.vacuum_probe_detects_violation.exact"}
 
 
 def test_readme_exact_section_matches_the_exact_records():
     """README's "What is exact and what is sampled" names every exact record
-    of analysis.EXACT, and no record it calls sampled only has one."""
-    from gplab import analysis
-
+    of RECORDS, those with certificate facts, and no record it calls
+    sampled only has one."""
+    exact = [name for name, spec in RECORDS.items() if spec.facts]
     text = (ROOT / "README.md").read_text()
     section = text.split("### What is exact and what is sampled", 1)[1].split("\n### ", 1)[0]
     names = set(re.findall(r"`([a-z_.*]+)`", section))
-    assert set(analysis.EXACT) <= names
+    assert set(exact) <= names
     sampled = re.findall(r"`([a-z_.*]+)`", section.split("Sampled only, with no exact record:", 1)[1].split("\n\n")[0])
     assert {"rewrite.certificate", "subgraph.expectation", "expectation.*", "ideal.*"} <= set(sampled)
     for name in sampled:
         prefix = name[:-1] if name.endswith(".*") else name + "."
-        assert not [e for e in analysis.EXACT if e.startswith(prefix)], name
+        assert not [e for e in exact if e.startswith(prefix)], name
+
+
+def test_benchmark_reference_names_only_table_records():
+    """Every `check:<name>#k` outcome that the benchmark gates on, in
+    perfbench/reference.json, names a record of RECORDS; the file is read,
+    never written."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    keys = [key for workload in reference.values() for outcomes in workload.values() for key in outcomes
+            if key.startswith("check:")]
+    assert keys
+    for key in keys:
+        assert re.fullmatch(r"check:(.+)#\d+", key).group(1) in RECORDS, key
