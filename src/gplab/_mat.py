@@ -163,11 +163,7 @@ def scale(a: CSR, scalar: complex) -> CSR:
 
 
 def adjoint(a: CSR) -> CSR:
-    # a stable sort by column keeps the rows of each column in order
-    order = np.argsort(a.indices, kind="stable")
-    indptr = np.zeros(a.shape[1] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(a.indices, minlength=a.shape[1]), out=indptr[1:])
-    return CSR(indptr, _rows(a)[order], a.data[order].conj(), (a.shape[1], a.shape[0]))
+    return _csr(a.indices, _rows(a), a.data.conj(), a.shape[::-1])
 
 
 def to_dense(a: CSR) -> np.ndarray:

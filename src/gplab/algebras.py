@@ -150,7 +150,8 @@ class StateSpec:
 
     omega(x) = sum_b tr(rho_b x_b) is compiled once into `_weights`, the
     entries of the transposed densities in matrix-unit order, so that a
-    call is one dot product with x.coeffs().
+    call is one dot product with x.coeffs(); and the densities into
+    `_density`, one block-diagonal D x D matrix, which is_central reads.
     """
 
     algebra: FiniteDimAlgebra
@@ -171,6 +172,11 @@ class StateSpec:
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"densities must have total trace 1, got {total}")
         object.__setattr__(self, "_weights", np.concatenate([rho.T.ravel() for rho in self.densities]))
+        density = np.zeros(self.algebra._one.shape, dtype=complex)
+        for sl, rho in zip(self.algebra._slices, self.densities):
+            density[sl, sl] = rho
+        density.flags.writeable = False
+        object.__setattr__(self, "_density", density)
 
     @staticmethod
     def build(algebra: FiniteDimAlgebra, densities: Sequence[np.ndarray]) -> "StateSpec":
@@ -186,8 +192,10 @@ class StateSpec:
         return [i for i, rho in enumerate(self.densities) if np.linalg.eigvalsh(rho).min() <= PSD_TOL]
 
     def is_central(self, x: Element) -> bool:
-        """Whether omega(x b) = omega(b x) for every matrix unit b."""
-        return all(abs(self.omega(x @ b) - self.omega(b @ x)) <= 1e-10 for b in self.algebra.basis())
+        """Whether omega(x b) = omega(b x) for every matrix unit b: the
+        entry (j, i) of the commutator rho x - x rho is omega(x e_ij) -
+        omega(e_ij x), and the entries off the blocks are zeros."""
+        return bool(np.abs(self._density @ x.mat - x.mat @ self._density).max() <= 1e-10)
 
     def is_tracial(self) -> bool:
         return all(self.is_central(a) for a in self.algebra.basis())
@@ -320,25 +328,11 @@ def centered_unitary_search(alg: FiniteDimAlgebra, st: StateSpec) -> Optional[tu
 
 
 def commutant_is_trivial(rep: GnsRep) -> bool:
-    """True iff only scalars commute with the represented algebra."""
-    d = rep.dim
-    eye = np.eye(d)
-    rows = []
-    for b in rep.algebra.basis():
-        m = rep.matrix(b)
-        # [X, m] = 0 as a linear condition on vec(X)
-        rows.append(np.kron(eye, m) - np.kron(m.T, eye))
-    stacked = np.vstack(rows)
-    # the Hermitian [[0, S], [S*, 0]] has the eigenvalues +-sigma_i of S and
-    # zeros, so its d * d largest eigenvalues are the singular values of S,
-    # each to within machine precision times the largest
-    m = len(stacked)
-    herm = np.zeros((m + d * d, m + d * d), dtype=complex)
-    herm[:m, m:] = stacked
-    herm[m:, :m] = stacked.conj().T
-    sv = np.linalg.eigvalsh(herm)[-d * d:]
-    null_dim = int(np.sum(sv <= max(1e-9, sv.max() * 1e-12)))
-    return null_dim == 1
+    """True iff only scalars commute with the represented algebra.  A GNS
+    representation of a faithful state, as every vertex's is, has the
+    algebra's right action as its commutant, which is trivial exactly when
+    the algebra is C."""
+    return rep.algebra.dim == 1
 
 
 def hecke_parameter(q: float) -> float:

@@ -657,11 +657,11 @@ def diagonality_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
 def _positivity_violation(lhs: fk.OperatorMatrix, rhs: fk.OperatorMatrix) -> float:
     """How far rhs - lhs is from positive on the common guarded block: minus
     the smallest eigenvalue of its Hermitian part there, or 0.  The block is
-    read off the difference's cut at the guard."""
-    guard = min(lhs.guard, rhs.guard)
-    idx = lhs.space.cols_upto(guard)
-    rows, cols, data = _mat.principal_parts((rhs - lhs).cols(guard), idx)
-    return max(0.0, -float(_mat.hermitian_eigs(rows, cols, data, len(idx))[0].min()))
+    read off the difference's cut at the guard, as its leading block."""
+    guard = fk.check_guards(lhs, rhs)
+    width = lhs.space.width(guard)
+    rows, cols, data = _mat.principal_parts((rhs - lhs).cols(guard), np.arange(width))
+    return max(0.0, -float(_mat.hermitian_eigs(rows, cols, data, width)[0].min()))
 
 
 def conjugation_positivity_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
@@ -786,7 +786,7 @@ def tensor_split_checks(sysm: GraphSystem, depth: int) -> list[CheckRecord]:
         return _na_records("tensor", "complement connected; no join to split")
     space = sysm.space(depth)
     check = _Worst("tensor.split")
-    check.add(lambda: fk.tensor_split_check(space, parts[0].vertices).max_deviation)
+    check.add(lambda: fk.tensor_split_check(space, parts[0].vertices))
     return [check.record()]
 
 

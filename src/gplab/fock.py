@@ -27,28 +27,30 @@ guarded_deviation and guarded_norm read a cut whole, with no column
 re-indexing, and guarded_deviation returns 0.0 with no subtraction when
 both cuts are stored alike.  Every matrix is a `_mat.CSR` value.
 
-lambda_v and rho_v act on one leg.  The space is H_v, with the cyclic
-vector as slot 0, tensored with the words that cannot take v at the acting
-end (the front for lambda, the back for rho), and x acts on the v-leg by
-its GNS matrix m: the column whose v-leg is in slot s has, for each slot t,
-the entry m[t, s] in the row with its other legs and slot t (_side_table).
-So lambda_v(x) is sum_{t,s} m[t, s] E_ts with 0/1 matrices E_ts, the units
-e_t e_s* of H_v tensored with 1; gplab.certificate reads the table back
-from the compiled pattern and proves the product identities from it.
+lambda_v and rho_v, the subgraph expectation and the join split are one
+construction.  Each column splits along a set of letters into its head, the
+letters peeled off the acting end, followed by its tail (_factor), and an
+operator on the head leg, given by its entries between the tail-free
+columns, is tensored with 1 on the tail (_amplify).  lambda_v and rho_v
+split along v at the front and at the back: the space is H_v, with the
+cyclic vector as slot 0, tensored with the words that cannot take v at the
+acting end, and x acts on the v-leg by its GNS matrix m.  So lambda_v(x) is
+sum_{t,s} m[t, s] E_ts with 0/1 matrices E_ts, the units e_t e_s* of H_v
+tensored with 1; gplab.certificate reads the table back from the compiled
+pattern and proves the product identities from it.  The subgraph
+expectation tensors the compression to the subgraph's vectors with 1, and
+the join split each factor's operators, along that factor's letters.
 
 What an operator's matrix depends on only through the space is compiled
-once per space, on first use, and cached in space._plans: each column split
-along a set of letters as its head, the letters peeled off the acting end,
-followed by its tail (_factor), which lambda_v and rho_v read along v, the
-subgraph expectation along the subgraph and the join split along one
-factor; the sparsity pattern of each part of lambda_v and rho_v on the
+once per space, on first use, and cached in space._plans: each split
+(_factor); the sparsity pattern of each part of lambda_v and rho_v on the
 columns of each cut, whose entries each name the entry of m their value is
 read from (_side_pattern); the 0/1 diagonal of each Q_w, read off the
 up-set of w in the weak order and kept as a bool mask (q_mask); each word
 block's letters and letter counts, which the gauge unitary and the gauge
-average read (_letter_table); and the join split's report for each first
-factor (tensor_split_check).  Evaluating an operator on a cut is then a
-gather.  The certificate keeps its tables and facts there too.
+average read (_letter_table); and the join split's worst deviation for
+each first factor (tensor_split_check).  Evaluating an operator on a cut
+is then a gather.  The certificate keeps its tables and facts there too.
 
 The word maps are defined by the group's cover table (words.CoverTable),
 the covers u -> u s that the ball enumeration records with their canonical
@@ -134,7 +136,6 @@ class TruncatedFock:
         self._block_strides = strides.reshape(per_word)
         self._digits = local[:, None] // self._block_strides[blocks] % sizes.reshape(per_word)[blocks]
         self._plans: dict = {}
-        self._cols_upto: dict[int, np.ndarray] = {}
 
     def index_of(self, word: Letters, slots: tuple[int, ...]) -> Optional[int]:
         """Flat index of the basis vector (word, slots), or None if there is
@@ -146,21 +147,10 @@ class TruncatedFock:
             return None
         return span[0] + sum((s - 1) * st for s, st in zip(slots, self._strides[word]))
 
-    def cols_upto(self, k: int) -> np.ndarray:
-        """The columns of word length <= k, the guarded columns of guard k.
-        A negative guard has none: ShallowTruncationError, so that no check
-        reads a number off an empty set of columns."""
-        if k < 0:
-            raise ShallowTruncationError(f"no guarded column: guard {k} at truncation depth {self.n}")
-        got = self._cols_upto.get(k)
-        if got is None:
-            got = np.where(self.lengths <= k)[0]
-            self._cols_upto[k] = got
-        return got
-
     def width(self, k: int) -> int:
-        """How many columns have word length <= k: the basis lists words by
-        length, so they are the first ones."""
+        """How many columns have word length <= k, the guarded columns of
+        guard k: the basis lists words by length, so they are the first
+        ones."""
         return int(self.lengths.searchsorted(k, side="right"))
 
     def subspace(self, sub: SimplicialGraph) -> "TruncatedFock":
@@ -222,6 +212,25 @@ def _join(head: np.ndarray, tail: np.ndarray, at_head, at_tail) -> np.ndarray:
     want = np.asarray(at_head) * dim + at_tail
     found = order[np.minimum(np.searchsorted(keys, want, sorter=order), dim - 1)]
     return np.where(keys[found] == want, found, -1)
+
+
+def _amplify(head: np.ndarray, tail: np.ndarray, rows, cols, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An operator on the head leg of the factorisation (head, tail) of
+    _factor, tensored with 1 on the tail.  Its entries (rows, cols, data)
+    lie between tail-free columns, and each entry (r0, c0) goes to every
+    column j whose head is c0, in the row that joins r0 with j's tail
+    (_join), and is left out where that word is longer than N.  Returns the
+    (rows, cols, data) of the entries kept: entry by entry, each one's
+    columns ascending."""
+    order = np.argsort(head, kind="stable")
+    per_head = np.bincount(head, minlength=len(head))
+    counts = per_head[cols]
+    # entry e's columns: counts[e] of order, from the first whose head is cols[e]
+    first = (np.cumsum(per_head) - per_head)[cols] - (np.cumsum(counts) - counts)
+    out_cols = order[np.arange(int(counts.sum())) + np.repeat(first, counts)]
+    out_rows = _join(head, tail, np.repeat(rows, counts), tail[out_cols])
+    keep = out_rows >= 0
+    return out_rows[keep], out_cols[keep], np.repeat(data, counts)[keep]
 
 
 class OperatorMatrix:
@@ -392,7 +401,8 @@ def check_guards(*ops: OperatorMatrix) -> int:
     when it is negative.  It evaluates nothing, so a check can ask it of
     operators it does not read."""
     guard = min(op.guard for op in ops)
-    ops[0].space.cols_upto(guard)  # raises on a negative guard
+    if guard < 0:  # no guarded column: no check reads a number off none
+        raise ShallowTruncationError(f"no guarded column: guard {guard} at truncation depth {ops[0].space.n}")
     return guard
 
 
@@ -431,25 +441,6 @@ def offdiagonal_mass(a: OperatorMatrix) -> float:
 # -- lambda and rho ---------------------------------------------------------
 
 
-def _side_table(space: TruncatedFock, v: VertexId, left: bool) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_v (left) or rho_v (right) on the basis, as the v-leg of each
-    column: the space is H_v, slot 0 its cyclic vector, tensored with the
-    words that cannot take v at the acting end, which is _factor along v.
-
-    slot[j] is the slot of column j's head, the v at the acting end of its
-    word, or 0 when there is none.  targets[j, t] joins the head of slot t,
-    the vacuum for t = 0, with column j's tail (_join): the row with column
-    j's other legs and slot t there, -1 when that word is longer than N.
-    """
-    head, tail = _factor(space, (v,), left)
-    off, count = space._spans.get((v,), (0, 0))  # no block at depth 0
-    slot = np.where(head > 0, head - off + 1, 0)
-    at = np.full(space.reps[v].dim, -1, dtype=np.intp)  # the head of each slot
-    at[0] = 0
-    at[1:1 + count] = off + np.arange(count)
-    return _join(head, tail, at, tail[:, None]), slot
-
-
 class _SidePattern(NamedTuple):
     """The stored entries of lambda_v or rho_v, for every x at once; see
     _side_pattern.  Read-only: every operator built from it shares indptr
@@ -475,15 +466,16 @@ def _side_pattern(space: TruncatedFock, v: VertexId, left: bool, part: str, cut:
     the columns of word length <= cut (cut <= N), compiled once per (space,
     vertex, side, part, cut) and cached in space._plans.
 
-    Column j's v-leg in slot s = slot[j] goes to slot t with amplitude
-    m[t, s], m the GNS matrix of x, so entry e of the operator of x holds
-    m.ravel()[src[e]]: the whole pattern puts src = t*dv + s in row
-    targets[j, t] of column j, for every slot t (_side_table).  An entry's
-    part is the quadrant of m that src points into.  Targets beyond N are
-    left out, and the entries are sorted once, by (row, column); the
-    positions are distinct, since a column's targets are different basis
-    vectors.  A part or a cut keeps a subset of the whole pattern's
-    entries, still in CSR order.
+    The operator of x is m, the GNS matrix of x, on the v-leg, tensored
+    with 1: along v (_factor), a column's head is its v-leg, slot 0 the
+    vacuum and slot t >= 1 the t-th vector of the block of (v,), so the
+    whole pattern is the amplification (_amplify) of the matrix units
+    e_t e_s* of H_v, each carrying src = t*dv + s, and entry e of the
+    operator of x holds m.ravel()[src[e]].  An entry's part is the quadrant
+    of m that src points into.  The entries are sorted once, by (row,
+    column); the positions are distinct, since a column's targets are
+    different basis vectors.  A part or a cut keeps a subset of the whole
+    pattern's entries, still in CSR order.
     """
     key = ("lambda" if left else "rho", v, part, cut)
     got = space._plans.get(key)
@@ -491,12 +483,11 @@ def _side_pattern(space: TruncatedFock, v: VertexId, left: bool, part: str, cut:
         return got
     dv = space.reps[v].dim
     if part == "all" and cut == space.n:
-        targets, slot = _side_table(space, v, left)
-        rows = targets.ravel()
-        cols = np.arange(space.dim).repeat(dv)
-        src = (np.arange(dv) * dv + slot[:, None]).ravel()
-        inside = rows >= 0
-        rows, cols, src = rows[inside], cols[inside], src[inside]
+        head, tail = _factor(space, (v,), left)
+        off, count = space._spans.get((v,), (0, 0))  # no block at depth 0
+        at = np.concatenate(([0], off + np.arange(count)))  # the head of each slot
+        t, s = np.divmod(np.arange(len(at) ** 2), len(at))
+        rows, cols, src = _amplify(head, tail, at[t], at[s], t * dv + s)
         order = np.argsort(rows * space.dim + cols)
         indptr = np.zeros(space.dim + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
@@ -715,33 +706,20 @@ def _check_induced(graph: SimplicialGraph, sub: SimplicialGraph):
 
 def expectation_subgraph(space: TruncatedFock, sub: SimplicialGraph, x: OperatorMatrix) -> OperatorMatrix:
     """Conditional expectation onto the operators of an induced subgraph:
-    compress to the subgraph's vectors, then act on the head legs only.
-
-    Along the subgraph each column is its head followed by its tail
-    (_factor), and the subgraph's vectors are the columns with no tail.
-    Entry (r0, c0) of the compression y goes to every column j whose head
-    is c0, in the row that joins r0 with j's tail (_join); it has none
-    where that word is longer than N.
+    the compression of x to the subgraph's vectors, tensored with 1.  Along
+    the subgraph each column is its head followed by its tail (_factor),
+    the subgraph's vectors are the columns with no tail, and the
+    compression acts on the head legs only (_amplify).
     """
     if x.space is not space:
         raise ValueError("operator lives on a different space")
     _check_induced(space.graph, sub)
     head, tail = _factor(space, sub.vertices, True)
     emb = np.flatnonzero(tail == 0)
-    y_rows, y_cols, y_data = _mat.principal_parts(x.mat, emb)
-
-    # the columns with head emb[c0], ascending, for each entry of y in turn
-    order = np.argsort(head, kind="stable")
-    per_head = np.bincount(head, minlength=space.dim)[emb]
-    counts = per_head[y_cols]
-    first = (np.cumsum(per_head) - per_head)[y_cols] - (np.cumsum(counts) - counts)
-    cols = order[np.arange(int(counts.sum())) + np.repeat(first, counts)]
-    rows = _join(head, tail, emb[np.repeat(y_rows, counts)], tail[cols])
-    data = np.repeat(y_data, counts)
-    keep = rows >= 0
+    rows, cols, data = _mat.principal_parts(x.mat, emb)
+    rows, cols, data = _amplify(head, tail, emb[rows], emb[cols], data)
     guard = min(x.guard, space.n - x.up)
-    mat = _mat.from_coo(rows[keep], cols[keep], data[keep], space.dim)
-    return OperatorMatrix(space, mat, guard, x.up, x.down)
+    return OperatorMatrix(space, _mat.from_coo(rows, cols, data, space.dim), guard, x.up, x.down)
 
 
 # -- functionals ---------------------------------------------------------------
@@ -764,31 +742,20 @@ def tail_profile(x: OperatorMatrix) -> list[float]:
 # -- tensor split ---------------------------------------------------------------
 
 
-def _tensor_pairs(space: TruncatedFock, f1: TruncatedFock, f2: TruncatedFock) -> np.ndarray:
-    """The join-decomposition unitary as a (f1.dim, f2.dim) table: entry
-    (i1, i2) is the column whose letters in f1's graph, in order, give the
-    vector i1 of f1 and whose other letters give i2 of f2, or -1 where no
-    column does.  In a join every letter of f1's graph can come first, so
-    those letters are a column's head along it (_factor) and the others its
-    tail; f1's vectors are the columns with no tail, and f2's those with no
-    head, in order."""
-    head, tail = _factor(space, f1.graph.vertices, True)
-    table = np.full((f1.dim, f2.dim), -1, dtype=np.intp)
-    table[np.cumsum(tail == 0)[head] - 1, np.cumsum(head == 0)[tail] - 1] = np.arange(space.dim)
-    return table
+def tensor_split_check(space: TruncatedFock, part1: Iterable[VertexId]) -> float:
+    """The worst deviation of the generators of `space` from their
+    Kronecker picture under the join decomposition between the subgraph on
+    part1 and the one on the other vertices.  Computed once per (space,
+    part1) and cached in space._plans.
 
-
-class TensorSplitReport(NamedTuple):
-    max_deviation: float
-    pair_count: int
-
-
-def tensor_split_check(space: TruncatedFock, part1: Iterable[VertexId]) -> TensorSplitReport:
-    """Verify the join-decomposition unitary of `space` between the
-    subgraph on part1 and the one on the other vertices: the basis is a
-    permutation of pairs of factor bases with total length <= N, and the
-    generators act in Kronecker form through it.  Computed once per (space,
-    part1) and cached in space._plans."""
+    In a join every letter of either factor can come first, so along one
+    factor's letters (_factor) a column is its vector of that factor, its
+    head, followed by its vector of the other, its tail; the tail-free
+    columns are the factor's vectors, in order.  The basis is a permutation
+    of the pairs of factor vectors with total length <= N: each column's
+    (head, tail) key is distinct, and there are as many such pairs as
+    columns.  A factor's operator, amplified along its own split
+    (_amplify), is then its Kronecker picture."""
     p1 = tuple(part1)
     key = ("split", p1)
     got = space._plans.get(key)
@@ -800,32 +767,31 @@ def tensor_split_check(space: TruncatedFock, part1: Iterable[VertexId]) -> Tenso
         for v in p2:
             if not graph.adjacent(u, v):
                 raise ValueError(f"({u},{v}) missing: not a join decomposition")
-    space.cols_upto(n - 1)  # lambda_v's guard: nothing to compare at depth 0
+    if n == 0:  # lambda_v's guard is -1: nothing to compare
+        raise ShallowTruncationError("no guarded column: guard -1 at truncation depth 0")
     f1 = space.subspace(graph.induced(p1))
     f2 = space.subspace(graph.induced(p2))
-    pairs = _tensor_pairs(space, f1, f2)
-    expected_pairs = np.count_nonzero(f1.lengths[:, None] + f2.lengths[None, :] <= n)
-    if np.count_nonzero(pairs >= 0) != space.dim or expected_pairs != space.dim:
+    head, tail = _factor(space, p1, True)
+    at1, at2 = np.cumsum(tail == 0), np.cumsum(head == 0)  # f1's and f2's vectors
+    keys = (at1[head] - 1) * f2.dim + at2[tail] - 1
+    pairs = np.count_nonzero(f1.lengths[:, None] + f2.lengths[None, :] <= n)
+    if (at1[-1], at2[-1], pairs) != (f1.dim, f2.dim, space.dim) or np.bincount(keys).max() > 1:
         raise ValueError("basis does not biject onto restricted pairs")
 
-    def kron_expected(a: OperatorMatrix, on_first: bool) -> OperatorMatrix:
+    def kron_expected(a: OperatorMatrix) -> OperatorMatrix:
+        head, tail = _factor(space, a.space.graph.vertices, True)
+        emb = np.flatnonzero(tail == 0)
         rows, cols, data = _mat.coo_parts(a.mat)
-        table = pairs if on_first else pairs.T
-        src, dst = table[cols], table[rows]
-        keep = (src >= 0) & (dst >= 0)
-        vals = np.broadcast_to(data[:, None], keep.shape)[keep]
-        return OperatorMatrix(space, _mat.from_coo(dst[keep], src[keep], vals, space.dim), a.guard, a.up, a.down)
+        rows, cols, data = _amplify(head, tail, emb[rows], emb[cols], data)
+        return OperatorMatrix(space, _mat.from_coo(rows, cols, data, space.dim), a.guard, a.up, a.down)
 
     worst = 0.0
     for v in graph.vertices:
-        on_first = v in p1
-        fsub = f1 if on_first else f2
+        fsub = f1 if v in p1 else f2
         one = reps[v].algebra.one()
         elems = [one] + [b - one * (1.0 / reps[v].algebra.dim) for b in reps[v].algebra.basis()]
         for a in elems:
-            expected = kron_expected(lambda_op(fsub, v, a), on_first)
-            worst = max(worst, guarded_deviation(lambda_op(space, v, a), expected))
-        expq = kron_expected(q_projection(fsub, (v,)), on_first)
-        worst = max(worst, guarded_deviation(q_projection(space, (v,)), expq))
-    got = space._plans[key] = TensorSplitReport(worst, space.dim)
-    return got
+            worst = max(worst, guarded_deviation(lambda_op(space, v, a), kron_expected(lambda_op(fsub, v, a))))
+        worst = max(worst, guarded_deviation(q_projection(space, (v,)), kron_expected(q_projection(fsub, (v,)))))
+    space._plans[key] = worst
+    return worst

@@ -331,8 +331,8 @@ def test_criterion_09_tensor_decomposition():
     star = SimplicialGraph.build([0, 1, 2], [(0, 1), (0, 2)])
     m2 = m2_site()
     r2 = tensor_split_check(TruncatedFock(star, {0: site.rep, 1: m2.rep, 2: site.rep}, 4), [0])
-    ok = r1.max_deviation <= 1e-12 and r2.max_deviation <= 1e-12
-    report(9, "tensor decomposition", ok, f"K2 dev {r1.max_deviation:.2e}, join dev {r2.max_deviation:.2e}")
+    ok = r1 <= 1e-12 and r2 <= 1e-12
+    report(9, "tensor decomposition", ok, f"K2 dev {r1:.2e}, join dev {r2:.2e}")
 
 
 def test_criterion_10_convergence_classification():

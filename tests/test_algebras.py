@@ -24,6 +24,7 @@ from util import (
     c2_site,
     m2_site,
     naive_add,
+    naive_commutant_dim,
     naive_blocks,
     naive_centered,
     naive_gns_matrix,
@@ -188,6 +189,28 @@ def test_commutant_examples():
     c1 = FiniteDimAlgebra((1,))
     rep = gns(c1, StateSpec.build(c1, [np.array([[1.0]])]))
     assert commutant_is_trivial(rep)
+
+
+def _gns_of(blocks, *density):
+    alg = FiniteDimAlgebra(blocks)
+    return gns(alg, StateSpec.build(alg, [np.asarray(r) for r in density]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _gns_of((1,), [[1.0]]),
+    lambda: hecke_gns(1.0),
+    lambda: hecke_gns(2.0),
+    lambda: m2_site().rep,
+    lambda: m2_site([[0.7, 0.1j], [-0.1j, 0.3]]).rep,
+    lambda: _gns_of((2, 1), [[0.4, 0.1j], [-0.1j, 0.3]], [[0.3]]),
+], ids=["C", "hecke_q1", "hecke_q2", "M2_trace", "M2_skew", "M2+C"])
+def test_commutant_is_the_right_action(make):
+    """The Kronecker oracle finds the commutant of a faithful state's GNS
+    representation as large as the algebra, the right action's closed
+    form, so it is trivial exactly on C, as commutant_is_trivial decides."""
+    rep = make()
+    assert naive_commutant_dim(rep) == rep.algebra.dim
+    assert commutant_is_trivial(rep) == (naive_commutant_dim(rep) == 1)
 
 
 @pytest.mark.parametrize("q,p_expected", [(1.0, 0.0), (4.0, 1.5), (0.25, -1.5)])

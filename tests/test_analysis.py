@@ -333,7 +333,7 @@ def test_positivity_violation_matches_guarded_block_oracle(depth):
         lhs = lam.adjoint() @ qperp @ lam
         omega = sysm.sites[v].state.omega(a @ a.star()).real
         for rhs in (omega * fk.q_projection(space, (v,)), 0.25 * omega * fk.q_projection(space, (v,)), fk.zero_op(space)):
-            idx = space.cols_upto(min(lhs.guard, rhs.guard))
+            idx = np.arange(space.width(min(lhs.guard, rhs.guard)))
             block = (rhs - lhs).toarray()[np.ix_(idx, idx)]
             want = max(0.0, -naive_hermitian_min_eig(block))
             got = _positivity_violation(lhs, rhs)

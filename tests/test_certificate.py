@@ -61,7 +61,7 @@ def _commute(a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> bool:
 
 def _guarded(space) -> np.ndarray:
     """The columns of word length <= N - 2, the guard of a product of two."""
-    return space.cols_upto(space.n - 2)
+    return np.arange(space.width(space.n - 2))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -155,7 +155,8 @@ def _readers(records, facts: set[str]) -> set[str]:
 
 @pytest.mark.parametrize("left", [True, False], ids=["lambda", "rho"])
 def test_a_moved_target_fails_exactly_the_records_that_read_it(monkeypatch, left):
-    """Move the vacuum's slot-1 target of vertex 0 on one side to the
+    """Move the vacuum's slot-1 target of vertex 0 on one side, the entry
+    of the whole compiled pattern in column 0 that reads m[1, 0], to the
     vector of the word (1,) in slot 1: the certificate and the dense
     relations of the recovered table both break, and the exact records that
     read that side's table fail, and no other.  Vertex 0's table on the
@@ -163,16 +164,19 @@ def test_a_moved_target_fails_exactly_the_records_that_read_it(monkeypatch, left
     sysm = SYSTEMS["m2"]()
     space = sysm.space(DEPTH)
     moved_to = space.index_of((1,), (1,))
-    table = fock._side_table
+    pattern = fock._side_pattern
 
-    def moved(sp, v, side):
-        targets, slot = table(sp, v, side)
-        if sp is space and (v, side) == (0, left):
-            targets = targets.copy()
-            targets[0, 1] = moved_to
-        return targets, slot
+    def moved(sp, v, side, part, cut):
+        got = pattern(sp, v, side, part, cut)
+        if sp is space and (v, side, part, cut) == (0, left, "all", sp.n):
+            rows = np.repeat(np.arange(sp.dim), np.diff(got.indptr))
+            rows[(got.indices == 0) & (got.src == sp.reps[v].dim)] = moved_to
+            order = np.lexsort((got.indices, rows))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=sp.dim))))
+            got = fock._SidePattern(indptr, got.indices[order], got.src[order])
+        return got
 
-    monkeypatch.setattr(fock, "_side_table", moved)
+    monkeypatch.setattr(fock, "_side_pattern", moved)
     records = _records(sysm)
     assert not _are_units(_dense(ct.side_table(space, 0, left)), _guarded(space))
     reading = {"lambda_units", "commute", "mixed", "disjoint", "action", "head", "letters", "words", "shift"} \
@@ -188,9 +192,9 @@ def test_a_moved_target_fails_exactly_the_records_that_read_it(monkeypatch, left
 
 
 def test_a_pattern_entry_reading_the_wrong_slot_breaks_the_units(monkeypatch):
-    """The tables are read off the compiled pattern, not off _side_table:
-    one entry of lambda_0's pattern that reads another column of m than its
-    column's slot breaks the lambda units."""
+    """The tables are read off the compiled pattern's sources as well as
+    its positions: one entry of lambda_0's pattern that reads another column
+    of m than its column's slot breaks the lambda units."""
     sysm = SYSTEMS["m2"]()
     space = sysm.space(DEPTH)
     pattern = fock._side_pattern

@@ -391,6 +391,31 @@ def test_report_all_loads_no_scipy(tmp_path):
     assert "scipy" not in json.loads(out.read_text())["versions"]
 
 
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_report_all_loads_no_lazy_numpy_module(tmp_path, fixture):
+    """A cold report-all loads no numpy module after `import numpy` but
+    numpy.random's: np.unique, for one, loads numpy.ma on its first call,
+    which a cold process pays for."""
+    code = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from gplab.cli import main\n"
+        "main(['report-all', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(FIXTURES / fixture), str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        cwd=Path(gplab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "numpy.random" in loaded
+    assert [m for m in loaded if m.split(".")[:2] != ["numpy", "random"]] == []
+
+
 def test_negative_seed_override_exits_two():
     cfg = str(FIXTURES / "hecke_q1_edgeless3.json")
     assert main(["check-identities", "--config", cfg, "--depth", "3", "--seed", "-1"]) == 2

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gplab import _mat, fock
+from gplab import _mat, certificate, fock
 from gplab.algebras import FiniteDimAlgebra, StateSpec, hecke_parameter, hecke_vertex, site_from_hecke, site_from_state
 from gplab.analysis import SMOKE_DRAWS, expectation_checks, traciality_probe
 from gplab.config import load_config
@@ -408,24 +408,21 @@ def test_rho_lambda_commute(mixed_free3, mixed_path3):
 def test_tensor_split_examples():
     site = site_from_hecke(2.0)
     rep = site.rep
-    r = tensor_split_check(TruncatedFock(K2, {0: rep, 1: rep}, 4), [0])
-    assert r.max_deviation <= 1e-12
-    r2 = tensor_split_check(TruncatedFock(K3, {v: rep for v in K3.vertices}, 4), [0])
-    assert r2.max_deviation <= 1e-12
+    assert tensor_split_check(TruncatedFock(K2, {0: rep, 1: rep}, 4), [0]) <= 1e-12
+    assert tensor_split_check(TruncatedFock(K3, {v: rep for v in K3.vertices}, 4), [0]) <= 1e-12
     with pytest.raises(ValueError):
         tensor_split_check(TruncatedFock(FREE2, {0: rep, 1: rep}, 3), [0])
 
 
 def test_tensor_split_is_computed_once_per_space(monkeypatch):
     """The split of a space is cached with it: a second call returns the
-    same report and builds no factor space."""
+    same deviation and builds no factor space."""
     rep = site_from_hecke(2.0).rep
     space = TruncatedFock(K3, {v: rep for v in K3.vertices}, 3)
     first = tensor_split_check(space, [0])
     built = []
     monkeypatch.setattr(TruncatedFock, "subspace", lambda self, sub: built.append(sub))
     assert tensor_split_check(space, [0]) is first and built == []
-    assert first.pair_count == space.dim
 
 
 def test_guard_arithmetic(mixed_free3):
@@ -533,7 +530,7 @@ def test_conjugation_domination(mixed_free3):
         lhs = lam.adjoint() @ (identity_op(space) - qv) @ lam
         rhs = mixed_free3.sites[v].state.omega(a @ a.star()).real * qv
         g = min(lhs.guard, rhs.guard)
-        idx = space.cols_upto(g)
+        idx = np.arange(space.width(g))
         m = (rhs - lhs).toarray()[np.ix_(idx, idx)]
         assert np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -1e-9
 
@@ -711,9 +708,7 @@ def test_expectation_subgraph_module_property(mixed_path3):
 def test_tensor_split_empty_part_is_identity_check():
     site = site_from_hecke(2.0)
     space = TruncatedFock(FREE2, {0: site.rep, 1: site.rep}, 3)
-    r = tensor_split_check(space, [])
-    assert r.max_deviation <= 1e-12
-    assert r.pair_count == space.dim
+    assert tensor_split_check(space, []) <= 1e-12
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
@@ -1227,7 +1222,7 @@ def test_word_blocks_match_naive_basis(mixed_path3, path):
 
 
 def _plan_table(plan: list, dv: int) -> tuple:
-    """naive_plan_side's list plan as fock._side_table's (targets, slot):
+    """naive_plan_side's list plan as certificate.side_table's (targets, slot):
     a column of case A is slot 0 with its own row as target 0, a column of
     case B has its dropped-letter row as target 0."""
     targets, slot = [], []
@@ -1244,13 +1239,14 @@ def _plan_table(plan: list, dv: int) -> tuple:
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_word_maps_match_per_vector_oracles(mixed_path3, path):
     """The maps compiled per word block equal their per-vector oracles
-    exactly: the lambda/rho slot tables, the gauge unitary, the gauge average's
-    letter counts and the subgraph expectation."""
+    exactly: the lambda/rho slot tables read back from the compiled
+    patterns, the gauge unitary, the gauge average's letter counts and the
+    subgraph expectation."""
     sysm, space = _oracle_space(mixed_path3, path)
     verts = space.graph.vertices
     for v in verts:
         for left in (True, False):
-            got = fock._side_table(space, v, left)
+            got = certificate.side_table(space, v, left)[:2]
             want = _plan_table(naive_plan_side(space, v, left), space.reps[v].dim)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and np.array_equal(g, w)
@@ -1274,8 +1270,9 @@ def test_word_maps_match_per_vector_oracles(mixed_path3, path):
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_tensor_pairs_match_per_vector_oracle(path):
-    """The pair table of a join, compiled per word block, equals the
-    per-vector one, and the split check passes on it, for a small join space
+    """The pair table of a join, read off each column's (head, tail) key
+    along the first factor as the split check reads it, equals the
+    per-vector one, and the split check passes, for a small join space
     (Hecke and M2 on PATH3 = {1} * {0, 2}, dim 34 at depth 3) and a large
     one (M2 on PATH3, dim 478 at depth 4)."""
     if path == "dense":
@@ -1284,9 +1281,11 @@ def test_tensor_pairs_match_per_vector_oracle(path):
         sysm, n = GraphSystem(PATH3, {v: m2_site() for v in PATH3.vertices}), 4
     space = sysm.space(n)
     f1, f2 = space.subspace(PATH3.induced([1])), space.subspace(PATH3.induced([0, 2]))
-    got = fock._tensor_pairs(space, f1, f2)
+    head, tail = fock._factor(space, (1,), True)
+    got = np.full((f1.dim, f2.dim), -1, dtype=np.intp)
+    got[np.cumsum(tail == 0)[head] - 1, np.cumsum(head == 0)[tail] - 1] = np.arange(space.dim)
     assert np.array_equal(got, naive_tensor_pairs(space, f1, f2))
-    assert tensor_split_check(space, [1]).max_deviation <= 1e-12
+    assert tensor_split_check(space, [1]) <= 1e-12
 
 
 def _blocks_with_head(space, sub, left: bool) -> int:
@@ -1298,7 +1297,7 @@ def _blocks_with_head(space, sub, left: bool) -> int:
 def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
     """Compiling every lambda and rho plan and the factorisations of four
     subgraph expectations of M2 on FREE3 at depth 3 (dim 388, 22 word
-    blocks), and the pair table of M2 on the join PATH3 = {1} * {0, 2} at
+    blocks), and the split check of M2 on the join PATH3 = {1} * {0, 2} at
     depth 3 (dim 154), runs no canonical sort at all, so at most one per
     factorisation and word block with a nonempty head, however many vectors
     the blocks hold: the splits read the covers that the ball enumeration
@@ -1307,19 +1306,20 @@ def test_plans_compile_one_sort_per_word_block(monkeypatch, fresh_group):
     space = sysm.space(3)
     join_sys = GraphSystem(PATH3, {v: m2_site() for v in PATH3.vertices})
     join = join_sys.space(3)
-    f1, f2 = join.subspace(PATH3.induced([1])), join.subspace(PATH3.induced([0, 2]))
+    # the factor spaces the split check builds, whose ball enumerations sort
+    join.subspace(PATH3.induced([1])), join.subspace(PATH3.induced([0, 2]))
     x = lambda_op(space, 0, sysm.sites[0].random_element(np.random.default_rng(3)))
     subs = [FREE3.induced(s) for s in ([0], [0, 1], [1, 2], [0, 1, 2])]
     sort = _count_calls(monkeypatch, "sort_with_perm")
     for v in FREE3.vertices:
         for left in (True, False):
-            fock._side_table(space, v, left)
+            fock._side_pattern(space, v, left, "all", space.n)
     for sub in subs:
         expectation_subgraph(space, sub, x)
-    fock._tensor_pairs(join, f1, f2)
+    tensor_split_check(join, [1])
     bound = sum(_blocks_with_head(space, (v,), left) for v in FREE3.vertices for left in (True, False))
     bound += sum(_blocks_with_head(space, sub.vertices, True) for sub in subs)
-    bound += _blocks_with_head(join, (1,), True)
+    bound += _blocks_with_head(join, (1,), True) + _blocks_with_head(join, (0, 2), True)
     assert sort[0] == 0 < bound
     assert space.dim > len(space._spans) * len(FREE3.vertices) * 2
 
@@ -1418,7 +1418,7 @@ def test_cuts_equal_the_matrix_on_their_columns(mixed_path3, path):
         full = _random_expression(sysm, space, seed, n)
         assert _outside_band(space, full.mat, full.up, full.down) == 0
         for k in range(n + 1):
-            idx = space.cols_upto(k)
+            idx = np.arange(space.width(k))
             cut = _random_expression(sysm, space, seed, n).cols(k)
             assert_canonical(cut)
             assert _columns_bits(cut, idx) == _columns_bits(full.mat, idx), (seed, k)
@@ -1447,7 +1447,7 @@ def test_guarded_columns_survive_a_depth_lift(fixture, depth):
         big = _random_expression(sysm, deep, seed, depth)
         if small.guard < 0:
             continue
-        idx = shallow.cols_upto(small.guard)
+        idx = np.arange(shallow.width(small.guard))
         want = big.toarray()[:, idx]
         assert not np.any(want[shallow.dim:]), seed
         got = small.toarray()[:, idx]
@@ -1460,14 +1460,13 @@ def test_guarded_columns_survive_a_depth_lift(fixture, depth):
 @pytest.mark.parametrize("path", ["dense", "csr"])
 def test_guarded_cuts_need_no_reindex(mixed_path3, path):
     """What lets a guarded cut be read whole: the guarded columns of every
-    guard k are the first ones, cols_upto(k) == arange(m), and a cut at k,
+    guard k are the first width(k), and a cut at k,
     evaluated from nothing memoized, stores no entry, not even a zero, in a
     column of word length > k."""
     sysm, space = _oracle_space(mixed_path3, path)
     n = space.n
     for k in range(n + 1):
-        idx = space.cols_upto(k)
-        assert np.array_equal(idx, np.arange(len(idx)))
+        assert np.array_equal(np.flatnonzero(space.lengths <= k), np.arange(space.width(k)))
     for seed in range(40):
         for k in range(n + 1):
             cut = _random_expression(sysm, space, seed, n).cols(k)
@@ -1501,7 +1500,7 @@ def test_guarded_deviation_and_norm_against_oracle(mixed_path3, path, monkeypatc
             want = naive_guarded_deviation(x, y)
             assert abs(guarded_deviation(x, y) - want) <= 1e-12 * want
         assert guarded_deviation(x * 0.0, zero_op(space)) == 0.0
-        j = int(space.cols_upto(x.guard)[-1])
+        j = space.width(x.guard) - 1
         bump = fock.OperatorMatrix(space, _mat.from_coo([j], [j], [1e-13], space.dim), n, 0, 0)
         got = guarded_deviation(x, x + bump)
         assert got > 0.0
@@ -1530,6 +1529,6 @@ def test_long_chains_evaluate_without_recursion(mixed_path3):
     for _ in range(3000):
         total, power = total + q, power @ q
     assert np.array_equal(total.toarray(), 3000 * q.toarray())
-    idx = space.cols_upto(1)
+    idx = np.arange(space.width(1))
     assert np.array_equal(_mat.to_dense(power.cols(1))[:, idx], q.toarray()[:, idx])
     assert np.array_equal(power.toarray(), q.toarray())

@@ -231,6 +231,24 @@ def naive_hecke_matrix(q: float, x) -> np.ndarray:
     return np.array([[alpha, beta], [beta, alpha + beta * hecke_parameter(q)]], dtype=complex)
 
 
+def naive_commutant_dim(rep) -> int:
+    """The dimension of the commutant of the represented algebra, the null
+    space of the stacked linear conditions [X, m] = 0 on vec(X), one per
+    matrix unit.  The Hermitian dilation [[0, S], [S*, 0]] has the
+    eigenvalues +-sigma_i of S and zeros, so its d * d largest eigenvalues
+    are the singular values of S, each to within machine precision times
+    the largest."""
+    d = rep.dim
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(eye, m) - np.kron(m.T, eye) for m in map(rep.matrix, rep.algebra.basis())])
+    m = len(stacked)
+    herm = np.zeros((m + d * d, m + d * d), dtype=complex)
+    herm[:m, m:] = stacked
+    herm[m:, :m] = stacked.conj().T
+    sv = np.linalg.eigvalsh(herm)[-d * d:]
+    return int(np.sum(sv <= max(1e-9, sv.max() * 1e-12)))
+
+
 # -- operator-part oracles --------------------------------------------------------
 # creation, diagonal and annihilation by their definitions as triple products
 # around Q_v, with the movement bounds each part is known to obey.
@@ -547,7 +565,7 @@ def naive_norm2(a) -> float:
 def naive_guarded_deviation(a, b) -> float:
     """||a - b|| on the columns of the common guard: both densified, the
     guarded columns selected, subtracted, then one dense 2-norm."""
-    idx = a.space.cols_upto(min(a.guard, b.guard))
+    idx = np.arange(a.space.width(min(a.guard, b.guard)))
     diff = a.toarray()[:, idx] - b.toarray()[:, idx]
     return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
 
