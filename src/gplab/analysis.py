@@ -560,23 +560,32 @@ def _exact_record(space: fk.TruncatedFock, sampled: CheckRecord) -> CheckRecord:
 
 
 def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:
-    """Properties of the conditional expectation E on 20 random operators.
+    """Idempotence, contractivity, positivity and the faithful kernel of the
+    conditional expectation E, and its match with the gauge average, on
+    SMOKE_DRAWS random operators, sampled and then exact (the `blocks` and
+    `gauge` facts), as main_identity_checks does.
 
-    Only idempotence and the gauge-average match compare guarded columns;
-    at a depth too shallow for them they are n/a with the first shallow
-    sample's reason, and no later sample builds them, while
-    contractivity, positivity and the faithful kernel hold for any matrix,
-    truncated or not, and report numbers at every depth.  The gauge average
-    equals E(x) only because el.random_operator draws at most 3 factors: a
-    product of 4 can join distinct words with equal letter counts, whose
-    entries the average keeps and E drops (fk.gauge_average)."""
+    Only idempotence and the gauge-average match compare guarded columns,
+    and they are n/a below depth el.OPERATOR_FACTORS by rule: a factor of
+    el.random_operator has guard at least N - 1 and raises word length by
+    at most 1, and A @ B has guard min(B.guard, A.guard - B.up), so a
+    product of k factors has guard at least N - k, and of
+    el.OPERATOR_FACTORS lambdas exactly that.  Contractivity, positivity
+    and the faithful kernel hold for any matrix, truncated or not, and
+    report numbers at every depth.  The gauge average equals E(x) only
+    because a draw has at most 3 factors: a product of 4 can join distinct
+    words with equal letter counts, whose entries the average keeps and E
+    drops (fk.gauge_average)."""
     space = sysm.space(depth)
     idem = _Worst("expectation.idempotent")
     contr = _Worst("expectation.contractive")
     pos = _Worst("expectation.positive")
     faith = _Worst("expectation.faithful_kernel")
     gauge = _Worst("expectation.gauge_average_match")
-    for _ in range(20):
+    guard = depth - el.OPERATOR_FACTORS  # the least guard of a draw
+    if guard < 0:
+        idem.reason = gauge.reason = f"no guarded column: guard {guard} at truncation depth {depth}"
+    for _ in range(SMOKE_DRAWS):
         x = el.random_operator(sysm, space, rng)
         e = fk.expectation_diag(x)
         idem.add(lambda: fk.guarded_deviation(fk.expectation_diag(e), e))
@@ -592,7 +601,8 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
         fro = float(np.linalg.norm(_mat.coo_parts(x.mat)[2]))
         faith.add(lambda: fro if fro > 1e-8 and nexx <= 1e-12 else 0.0)
         gauge.add(lambda: fk.guarded_deviation(fk.gauge_average(x, 2 * depth + 1), e))
-    return [c.record() for c in (idem, contr, pos, faith, gauge)]
+    sampled = [c.record() for c in (idem, contr, pos, faith, gauge)]
+    return sampled + [_exact_record(space, rec) for rec in sampled]
 
 
 def _require_term_guards(depth: int) -> None:

@@ -38,6 +38,17 @@ the rows whose identities are quadratic or word-level:
       state is tracial exactly when every vertex state is (`tracial`), and
       a pair of units breaking a vertex trace (trace_gap) is a pair of
       length-one operators breaking the vacuum trace by as much
+  expectation  E = sum_w p_w . p_w keeps the entries inside the word blocks,
+      a partition of the basis into coordinate blocks, with their values
+      (`blocks`).  So E is idempotent, positive and faithful, as E(x*x) is
+      the sum of the (x p_w)* (x p_w), and contractive by Kadison-Schwarz,
+      E(x)* E(x) <= E(x*x), for every x.  A product of at most 3 sums of
+      lambda units joins block w only to block g.w with |g| <= 3
+      (`lambda_units`, `words`).  Where w and g.w have equal letter counts
+      (`letters`), g has trivial image in (Z/2)^V, and a reduced word of
+      length at most 3 with that image is e; the gauge average at
+      m = 2N+1 keeps exactly the entries between blocks of equal letter
+      counts (`gauge`), so it equals E on every draw of the row
 
 The tables are compiled from the group's cover table (words.CoverTable),
 which defines the word maps: fock._factor splits each word along its
@@ -85,6 +96,14 @@ columns the compositions it reads do.
   tracial      for every vertex, the pairs of matrix units a, b with
       |omega(ab) - omega(ba)| above the tolerance, omega(ab) read as
       (m_a m_b)[0, 0]
+  blocks       fk.expectation_diag keeps exactly the probe's entries inside
+      a word block (space.word_ids), with their values; the probe (_probe)
+      has, for every word block, one entry inside it, from its last vector
+      to its first, and one to each neighbouring block in basis order, each
+      with a value of its own
+  gauge        fk.gauge_average at m = 2N+1 keeps exactly the probe's
+      entries between blocks with equal counts in the space's letter table
+      (fk._letter_table), with their values
 """
 from __future__ import annotations
 
@@ -92,6 +111,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _mat
 from . import fock as fk
 from . import lattice as lat
 from .algebras import GnsRep, centered
@@ -288,6 +308,40 @@ def _gns_breaks(rep: GnsRep, tol: float) -> int:
     return bad
 
 
+def _probe(space: fk.TruncatedFock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probe's entries (rows, cols, values): for every word block, one
+    from its last vector to its first, and one from it to the first vector
+    of each neighbouring block in basis order, the values 1, 2, 3, ..."""
+    first = space._offsets
+    last = first + space._counts - 1
+    rows = np.concatenate((first, first[1:], first[:-1]))
+    cols = np.concatenate((last, last[:-1], last[1:]))
+    return rows, cols, np.arange(1.0, len(rows) + 1)
+
+
+def _pinch_breaks(space: fk.TruncatedFock, pinch, same) -> int:
+    """How far pinch(probe) is from the probe's entries (r, c) with
+    same(r, c): entries dropped or added, and values changed."""
+    rows, cols, values = _probe(space)
+    probe = fk.OperatorMatrix(space, _mat.from_coo(rows, cols, values, space.dim), space.n, 1, 1)
+    got_rows, got_cols, got = _mat.coo_parts(pinch(probe).mat)
+    keep = same(rows, cols)
+    want = rows[keep] * space.dim + cols[keep]
+    _, i, j = np.intersect1d(want, got_rows * space.dim + got_cols, return_indices=True)
+    return len(want) + len(got) - 2 * len(i) + int(np.count_nonzero(values[keep][i] != got[j]))
+
+
+def _block_breaks(space: fk.TruncatedFock) -> int:
+    wid = space.word_ids
+    return _pinch_breaks(space, fk.expectation_diag, lambda r, c: wid[r] == wid[c])
+
+
+def _gauge_breaks(space: fk.TruncatedFock) -> int:
+    counts = fk._letter_table(space)[1][space.word_ids]  # per column
+    return _pinch_breaks(space, lambda x: fk.gauge_average(x, 2 * space.n + 1),
+                         lambda r, c: np.all(counts[r] == counts[c], axis=1))
+
+
 def _pairs(space: fk.TruncatedFock) -> list:
     """(u, v, whether u and v are adjacent) for the ordered pairs of
     distinct vertices."""
@@ -315,6 +369,8 @@ _FACTS = {
     "shift": lambda space, _: sum(_shift_breaks(space, v) for v in space.graph.vertices),
     "tracial": lambda space, tol: sum(
         int(np.count_nonzero(_unit_traces(space.reps[v]) > tol)) for v in space.graph.vertices),
+    "blocks": lambda space, _: _block_breaks(space),
+    "gauge": lambda space, _: _gauge_breaks(space),
 }
 
 

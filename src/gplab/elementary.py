@@ -37,6 +37,9 @@ TERM_COUNT_CAP = 4096
 # adds at most one creation to a term, so a term can hold this many; two
 # diagonals at one vertex add one more (d(c) d(c') holds c^+ ((c'*)^+)*).
 FACTOR_BUDGET = 2
+# The most factors of a random operator (random_operator).  Each costs at
+# most one guard level, so a product has guard at least N - OPERATOR_FACTORS.
+OPERATOR_FACTORS = 3
 
 ZERO_TOL = 1e-14
 
@@ -279,14 +282,15 @@ def random_factors(
 
 
 def random_operator(sys: GraphSystem, space: TruncatedFock, rng) -> OperatorMatrix:
-    """A random product of 1 to 3 lambda operators, creations and diagonals.
+    """A random product of 1 to OPERATOR_FACTORS lambda operators, creations
+    and diagonals.
 
     Each factor moves a word w to w or v w, so the product joins no two
     distinct words with equal letter counts, and fk.gauge_average at m > 2N
     equals fk.expectation_diag on it (expectation.gauge_average_match); on
     a product of 4 factors it need not."""
     mats = []
-    n = int(rng.integers(1, 4))
+    n = int(rng.integers(1, OPERATOR_FACTORS + 1))
     for _ in range(n):
         v = sys.graph.vertices[int(rng.integers(0, len(sys.graph.vertices)))]
         kind = int(rng.integers(0, 3))

@@ -62,6 +62,12 @@ RECORDS: dict[str, RecordSpec] = {
     "expectation.positive": RecordSpec("expectation", 1e-10),
     "expectation.faithful_kernel": RecordSpec("expectation", 1e-12),
     "expectation.gauge_average_match": RecordSpec("expectation", 1e-12),
+    "expectation.idempotent.exact": RecordSpec("expectation", None, ("blocks",)),
+    "expectation.contractive.exact": RecordSpec("expectation", None, ("blocks",)),
+    "expectation.positive.exact": RecordSpec("expectation", None, ("blocks",)),
+    "expectation.faithful_kernel.exact": RecordSpec("expectation", None, ("blocks",)),
+    "expectation.gauge_average_match.exact": RecordSpec(
+        "expectation", None, ("lambda_units", "words", "letters", "blocks", "gauge")),
     "gauge.covariance_of_elementary_terms": RecordSpec("gauge", 1e-12),
     "gauge.covariance_of_elementary_terms.exact": RecordSpec("gauge", None, ("lambda_units", "letters")),
     "signature.identity_terms_diagonal": RecordSpec("signature", 1e-10),

@@ -204,6 +204,36 @@ def test_term_rows_are_shallow_exactly_below_the_factor_budget(row):
                     assert all(r.value != "n/a" for r in row(sysm, depth, rng)), (graph, depth, seed)
 
 
+def _counting(monkeypatch, name: str) -> list:
+    """Replace elementary's drawer `name` with one that records each call."""
+    calls = []
+    draw = getattr(an.el, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(an.el, name, counted)
+    return calls
+
+
+def test_draw_counts_of_the_expectation_and_rewrite_rows(monkeypatch):
+    """The expectation row draws SMOKE_DRAWS random operators at every
+    depth, those where its guarded records are n/a by rule included; the
+    rewrite row, which has no exact tier, draws 40 random words."""
+    sysm = load_config(Path(__file__).parent / "fixtures" / "m2_trace_edgeless3.json").system
+    operators = _counting(monkeypatch, "random_operator")
+    words = _counting(monkeypatch, "random_factors")
+    for depth in range(5):
+        operators.clear()
+        an.expectation_checks(sysm, depth, np.random.default_rng(depth))
+        assert len(operators) == an.SMOKE_DRAWS, depth
+    for depth in (3, 4):
+        words.clear()
+        an.rewrite_certificate_checks(sysm, depth, np.random.default_rng(depth))
+        assert len(words) == 40, depth
+
+
 def test_identity_suite_rejects_a_fault_no_group_takes():
     sysm = hecke_system(FREE3, 2.0)
     for fault in ("expectation", "nonsense"):

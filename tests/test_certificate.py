@@ -3,8 +3,10 @@ tables against a dense oracle of the matrix units, the unit relations, and
 what the units do to letter counts and words, by dense oracles; faults that
 move one table entry, perturb the letter table, the word of one column or
 one GNS image entry, flip one Q_w entry, swap two tails in the group's
-cover table or drop one of its covers; and the pairing of every sampled
-record of a row with exact records with its exact record."""
+cover table or drop one of its covers, or make the conditional
+expectation or the gauge average keep the wrong entries; and the pairing
+of every sampled record of a row with exact records with its exact
+record."""
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from gplab import analysis as an
 from gplab import certificate as ct
-from gplab import fock, lattice, words
+from gplab import _mat, fock, lattice, words
 from gplab.config import load_config
 from gplab.records import RECORDS
 from gplab.system import GraphSystem
@@ -136,7 +138,7 @@ def test_the_commutation_fact_can_fail():
 
 # The rows with exact records, run here on one generator.
 ROWS = (an.main_identity_checks, an.rho_lambda_commutation_checks, an.gauge_covariance_checks,
-        an.diagonality_checks, an.conjugation_positivity_checks)
+        an.diagonality_checks, an.conjugation_positivity_checks, an.expectation_checks)
 
 
 def _records(sysm) -> list[an.CheckRecord]:
@@ -240,7 +242,8 @@ def test_a_wrong_projection_entry_fails_exactly_the_records_that_read_it(monkeyp
 
 def test_a_perturbed_letter_table_fails_exactly_the_records_that_read_it(monkeypatch):
     """One word block's count of vertex 0 off by one in the letter table:
-    the letters fact breaks, and only the gauge row's exact record fails."""
+    the letters fact breaks, and only the exact records of the gauge row and
+    of the gauge average's match with E fail."""
     sysm = SYSTEMS["m2"]()
     space = sysm.space(DEPTH)
     table = fock._letter_table
@@ -256,14 +259,15 @@ def test_a_perturbed_letter_table_fails_exactly_the_records_that_read_it(monkeyp
     monkeypatch.setattr(fock, "_letter_table", perturbed)
     records = _records(sysm)
     assert ct.breaks(space, "letters", an.IDENTITY_TOL) > 0
-    assert _failed_exact(records) == _readers(records, {"letters"}) == {"gauge.covariance_of_elementary_terms.exact"}
+    assert _failed_exact(records) == _readers(records, {"letters"}) == {
+        "gauge.covariance_of_elementary_terms.exact", "expectation.gauge_average_match.exact"}
 
 
 def test_a_column_in_the_wrong_word_fails_exactly_the_records_that_read_it(monkeypatch):
     """One column of the word (0, 1, 2) filed under (0, 2, 1), which has the
     same letter counts, once the tables are compiled: the words fact breaks
-    and the letters fact does not, so exactly the signature and vacuum-trace
-    exact records fail."""
+    and the letters fact does not, so exactly the signature, vacuum-trace
+    and gauge-average exact records fail."""
     sysm = SYSTEMS["m2"]()
     space = sysm.space(DEPTH)
     for v in space.graph.vertices:
@@ -277,7 +281,7 @@ def test_a_column_in_the_wrong_word_fails_exactly_the_records_that_read_it(monke
     assert ct.breaks(space, "letters", an.IDENTITY_TOL) == 0
     assert _failed_exact(records) == _readers(records, {"words"}) == {
         "signature.identity_terms_diagonal.exact", "signature.nontrivial_terms_offdiagonal.exact",
-        "trace.vacuum_probe.exact"}
+        "trace.vacuum_probe.exact", "expectation.gauge_average_match.exact"}
 
 
 def _broken(space) -> set[str]:
@@ -350,6 +354,50 @@ def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatc
         "conjugation.shifted_dominated.exact", "trace.vacuum_probe.exact"}
 
 
+def _by_lengths(x):
+    """expectation_diag keeping the entries between words of one length."""
+    rows, cols, _ = _mat.coo_parts(x.mat)
+    lengths = x.space.lengths
+    return fock.OperatorMatrix(x.space, _mat.subset(x.mat, lengths[rows] == lengths[cols]), x.guard, 0, 0)
+
+
+def _diagonal_only(x):
+    """expectation_diag keeping the diagonal entries only."""
+    rows, cols, _ = _mat.coo_parts(x.mat)
+    return fock.OperatorMatrix(x.space, _mat.subset(x.mat, rows == cols), x.guard, 0, 0)
+
+
+def _gauge_by_total(x, m):
+    """gauge_average reading the total letter count instead of each
+    vertex's."""
+    space = x.space
+    total = fock._letter_table(space)[1].sum(axis=1)[space.word_ids]
+    rows, cols, _ = _mat.coo_parts(x.mat)
+    return fock.OperatorMatrix(space, _mat.subset(x.mat, (total[rows] - total[cols]) % m == 0), x.guard, x.up, x.down)
+
+
+@pytest.mark.parametrize("target, mutant, fact", [
+    ("expectation_diag", _by_lengths, "blocks"),
+    ("expectation_diag", _diagonal_only, "blocks"),
+    ("gauge_average", _gauge_by_total, "gauge"),
+], ids=["lengths", "diagonal", "total_count"])
+def test_a_wrong_pinching_fails_exactly_the_records_that_read_it(monkeypatch, target, mutant, fact):
+    """E keeping the entries between words of one length, or only the
+    diagonal, breaks the blocks fact, and the gauge average reading the
+    total letter count breaks the gauge fact: exactly the exact records
+    that read the broken fact fail.  The system is M2, whose non-empty
+    words' blocks hold several vectors; where each holds one, as on a
+    Hecke vertex, a diagonal-only E is E."""
+    sysm = SYSTEMS["m2"]()
+    space = sysm.space(DEPTH)
+    monkeypatch.setattr(fock, target, mutant)
+    records = _records(sysm)
+    assert _broken(space) == {fact}
+    readers = {"gauge_average_match"} | ({"idempotent", "contractive", "positive", "faithful_kernel"}
+                                         if fact == "blocks" else set())
+    assert _failed_exact(records) == _readers(records, {fact}) == {f"expectation.{r}.exact" for r in readers}
+
+
 @pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
 @pytest.mark.parametrize("depth", [0, 1, 3])
 def test_every_sampled_identity_has_its_exact_record(fixture, depth):
@@ -362,7 +410,7 @@ def test_every_sampled_identity_has_its_exact_record(fixture, depth):
     cfg = load_config(fixture)
     suite = an.identity_suite(cfg.system, depth=depth, seed=1)
     emitted = set()
-    for row in ("identities", "rho_lambda", "gauge", "signature", "conjugation", "trace"):
+    for row in ("identities", "expectation", "rho_lambda", "gauge", "signature", "conjugation", "trace"):
         records = suite.groups[row]
         sampled = [r for r in records if not r.name.endswith(".exact")]
         exact = records[len(sampled):]

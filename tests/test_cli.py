@@ -553,23 +553,25 @@ def test_shallow_depths_report_without_guard_as_na(tmp_path, fixture, depth):
 
 def test_expectation_checks_without_guard_report_numbers_at_depth_two(tmp_path):
     """At depth 2 only the expectation checks that compare guarded columns
-    are n/a; contractivity, positivity and the faithful kernel hold for any
-    matrix and report numbers."""
+    are n/a, with their exact records; contractivity, positivity and the
+    faithful kernel hold for any matrix and report numbers, and their exact
+    records counts."""
     out = tmp_path / "r.json"
     code, report = run_cli(["check-identities", "--config", str(FIXTURES / "m2_trace_edgeless3.json"), "--depth", "2"], out)
     checks = {c["name"]: c for c in report["results"]["identities"]["checks"] if c["name"].startswith("expectation.")}
     assert code == 0
-    assert sorted(checks) == sorted(
-        ["expectation.idempotent", "expectation.contractive", "expectation.positive",
-         "expectation.faithful_kernel", "expectation.gauge_average_match"]
-    )
+    sampled = ["expectation.idempotent", "expectation.contractive", "expectation.positive",
+               "expectation.faithful_kernel", "expectation.gauge_average_match"]
+    assert sorted(checks) == sorted(sampled + [f"{name}.exact" for name in sampled])
     for name in ("expectation.idempotent", "expectation.gauge_average_match"):
-        assert checks[name]["value"] == "n/a" and checks[name]["passed"]
-        assert "no guarded column" in checks[name]["skipped"]
+        for rec in (checks[name], checks[f"{name}.exact"]):
+            assert rec["value"] == "n/a" and rec["passed"]
+            assert "no guarded column" in rec["skipped"]
     for name in ("expectation.contractive", "expectation.positive", "expectation.faithful_kernel"):
         assert isinstance(checks[name]["value"], float) and checks[name]["passed"]
         assert "skipped" not in checks[name]
         assert checks[name]["value"] <= checks[name]["tolerance"]
+        assert checks[f"{name}.exact"]["value"] == 0 and checks[f"{name}.exact"]["passed"]
 
 
 # -- one rule and one computation per check ----------------------------------------

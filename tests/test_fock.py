@@ -51,6 +51,7 @@ from util import (
     naive_components,
     naive_creation,
     naive_diagonal,
+    naive_expectation,
     naive_expectation_subgraph,
     naive_expectation_gram,
     naive_expectation_min_eig,
@@ -944,6 +945,24 @@ def test_lapack_sees_only_components(lapack_calls, monkeypatch):
     assert any(calls for _, calls in seen)
     for largest, calls in seen:
         assert all(name == "eigvalsh" and max(shape[-2:]) <= largest for name, shape in calls)
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_expectation_and_short_gauge_average_match_the_pinching_oracle(mixed_path3, path):
+    """expectation_diag is the dense pinching onto the word blocks of
+    naive_basis, entry for entry, on whole matrices; so is gauge_average at
+    m = 2N+1 on products of at most 3 factors: random_operator's draws and
+    lambda_0 lambda_1 lambda_0."""
+    sysm, space = _oracle_space(mixed_path3, path)
+    rng = np.random.default_rng(83)
+    xs = [random_operator(sysm, space, rng) for _ in range(6)]
+    u, v = space.graph.vertices[:2]
+    a, b, c = (lambda_op(space, w, sysm.sites[w].random_element(rng, center=False)) for w in (u, v, u))
+    xs.append(a @ b @ c)
+    for x in xs:
+        want = naive_expectation(x)
+        assert np.array_equal(expectation_diag(x).toarray(), want)
+        assert np.array_equal(gauge_average(x, 2 * space.n + 1).toarray(), want)
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])

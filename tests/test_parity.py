@@ -78,7 +78,7 @@ def test_readme_exact_section_matches_the_exact_records():
     names = set(re.findall(r"`([a-z_.*]+)`", section))
     assert set(exact) <= names
     sampled = re.findall(r"`([a-z_.*]+)`", section.split("Sampled only, with no exact record:", 1)[1].split("\n\n")[0])
-    assert {"rewrite.certificate", "subgraph.expectation", "expectation.*", "ideal.*"} <= set(sampled)
+    assert {"rewrite.certificate", "subgraph.expectation", "ideal.*"} <= set(sampled)
     for name in sampled:
         prefix = name[:-1] if name.endswith(".*") else name + "."
         assert not [e for e in exact if e.startswith(prefix)], name

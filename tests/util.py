@@ -573,6 +573,15 @@ def naive_guarded_deviation(a, b) -> float:
 # -- conditional-expectation oracles ------------------------------------------------
 
 
+def naive_expectation(x) -> np.ndarray:
+    """The dense pinching sum_w p_w x p_w: the entries of x between basis
+    vectors of one word, the words read off naive_basis, not off the
+    space's word labels."""
+    ids: dict = {}
+    words = np.array([ids.setdefault(w, len(ids)) for w, _ in naive_basis(x.space)])
+    return np.where(words[:, None] == words[None, :], x.toarray(), 0)
+
+
 def naive_expectation_gram(x):
     """E(x* x) from the whole product x* x, then its word blocks."""
     return expectation_diag(x.adjoint() @ x)
