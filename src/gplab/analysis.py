@@ -606,12 +606,15 @@ def expectation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) 
 
 
 def _require_term_guards(depth: int) -> None:
-    """The gauge and signature rows' rule: a term of a random word
-    (elementary.random_factors) can hold el.FACTOR_BUDGET creations, whose
-    guard N - FACTOR_BUDGET is negative below depth FACTOR_BUDGET, so there
-    both rows are n/a whatever they draw.  A rarer term, with one more
-    creation from two diagonals at one vertex, can still make a row n/a at
-    depth FACTOR_BUDGET through its draw."""
+    """The gauge, signature and rewrite rows' rule: a term of their random
+    words (elementary.random_factors) can hold el.FACTOR_BUDGET creations,
+    whose guard N - FACTOR_BUDGET is negative below depth FACTOR_BUDGET, so
+    there these rows are n/a whatever they draw.  (The rewrite row's budget
+    of moving factors is 1 at depth 1; two diagonals at one vertex add a
+    creation.)  A rarer term, with more creations from such pairs of
+    diagonals, can still make a row n/a at depth FACTOR_BUDGET and above
+    through its draw; in the rewrite row, whose budget is N - 1, only on a
+    graph with edges, where two pairs at adjacent vertices add two."""
     if depth < el.FACTOR_BUDGET:
         raise ShallowTruncationError(f"no guarded column for a term of {el.FACTOR_BUDGET} creations: "
                                      f"guard {depth - el.FACTOR_BUDGET} at truncation depth {depth}")
@@ -707,19 +710,24 @@ def conjugation_positivity_checks(sysm: GraphSystem, depth: int, rng: np.random.
 def rewrite_certificate_checks(
     sysm: GraphSystem, depth: int, rng: np.random.Generator, corrupt: bool = False,
 ) -> list[CheckRecord]:
-    """Each of 40 random expressions against the sum of its elementary
-    terms."""
+    """Random expressions of up to 8 factors, with scalars and a budget of
+    N - 1 moving factors, against the sum of their elementary terms, on
+    SMOKE_DRAWS draws; sampled and then exact (the `rules` fact and the
+    facts of the product identities, by the argument in elementary's
+    docstring), as main_identity_checks does.  Both records are n/a below
+    depth 2 by rule (_require_term_guards), and at depth 2 and above the
+    exact record holds wherever the sampled one reads a number.  The fault
+    adds 1e-3 of the identity term to every draw's terms, which every draw
+    with a guarded column shows."""
+    _require_term_guards(depth)
     space = sysm.space(depth)
     check = _Worst("rewrite.certificate")
-    for _ in range(40):
-        factors = el.random_factors(sysm, rng, 8, budget=max(1, depth - 1), scalar=True)
-        terms = el.rewrite_to_elementary(factors, sysm)
-        lhs = el.expression_matrix(factors, space)
-        rhs = el.terms_matrix(terms, space)
-        if corrupt and terms:
-            rhs = rhs + 1e-3 * el.term_matrix(terms[0][1], space, terms[0][0])
-        check.fold(fk.guarded_deviation(lhs, rhs))
-    return [check.record()]
+    for _ in range(SMOKE_DRAWS):
+        factors = el.random_factors(sysm, rng, 8, budget=depth - 1, scalar=True)
+        terms = el.rewrite_to_elementary(factors, sysm) + ([(1e-3, el.IDENTITY_TERM)] if corrupt else [])
+        check.fold(fk.guarded_deviation(el.expression_matrix(factors, space), el.terms_matrix(terms, space)))
+    sampled = check.record()
+    return [sampled, _exact_record(space, sampled)]
 
 
 def rho_lambda_commutation_checks(sysm: GraphSystem, depth: int, rng: np.random.Generator) -> list[CheckRecord]:

@@ -49,6 +49,11 @@ the rows whose identities are quadratic or word-level:
       length at most 3 with that image is e; the gauge average at
       m = 2N+1 keeps exactly the entries between blocks of equal letter
       counts (`gauge`), so it equals E on every draw of the row
+  rewrite      the engine (gplab.elementary) applies one local rule per
+      factor and term; each rule is a product identity of the `identities`
+      row's, which the facts of its exact records certify, and the `rules`
+      fact checks each rule's algebra at one vertex; the argument is in
+      elementary's docstring
 
 The tables are compiled from the group's cover table (words.CoverTable),
 which defines the word maps: fock._factor splits each word along its
@@ -104,6 +109,13 @@ columns the compositions it reads do.
   gauge        fk.gauge_average at m = 2N+1 keeps exactly the probe's
       entries between blocks with equal counts in the space's letter table
       (fk._letter_table), with their values
+  rules        for every vertex v, each same-vertex branch of the rewrite
+      engine (_RULES), applied to every basis element of A_v, or every pair
+      of them, gives terms that sum to the product it replaces on H_v,
+      within the given tolerance; on H_v (_on_leg) a creation of x is the
+      quadrant m[1:, 0] of m = pi(x), an annihilation its adjoint, a
+      diagonal m[1:, 1:], lambda_v(x) all of m and Q_v the diagonal of 1;
+      it reads no table, only A_v and its GNS map
 """
 from __future__ import annotations
 
@@ -112,9 +124,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _mat
+from . import elementary as el
 from . import fock as fk
 from . import lattice as lat
-from .algebras import GnsRep, centered
+from .algebras import GnsRep, VertexSite, centered
+from .system import GraphSystem
 from .words import Letters
 
 
@@ -342,6 +356,80 @@ def _gauge_breaks(space: fk.TruncatedFock) -> int:
                          lambda r, c: np.all(counts[r] == counts[c], axis=1))
 
 
+# The same-vertex branches of the rewrite engine that the `rules` fact
+# applies: the kind of the factor (elementary.Factor), and of the one entry
+# of the term it multiplies, None for the identity term.  The linear ones
+# come first, then the bilinear: C(c) C(a) = 0, D(c) C(a) = C((ca)°),
+# D(c) D(d) = D(cd) - C(c°) C((d*)°)*, C(c)* C(a) = omega(c*a) (1 - D(1)),
+# C(c)* D(d) = C((d*c)°)* and C(c)* C(b)* = 0.
+_RULES = (
+    ("elem", None), ("create", None), ("annih", None), ("diag", None), ("qproj", None),
+    ("create", "create"), ("diag", "create"), ("diag", "diag"),
+    ("annih", "create"), ("annih", "diag"), ("annih", "annih"),
+)
+# The kinds of a term's entries, in elementary.ElementaryTerm's field order.
+_ENTRIES = ("create", "diag", "annih")
+
+
+def _on_leg(m: np.ndarray, kind: str) -> np.ndarray:
+    """A factor or entry of the kind on H_v, from the GNS matrix m of its
+    element: the creation quadrant m[1:, 0], its adjoint for an
+    annihilation, the diagonal quadrant m[1:, 1:], or m whole for elem."""
+    if kind == "elem":
+        return m
+    out = np.zeros_like(m)
+    if kind == "diag":
+        out[1:, 1:] = m[1:, 1:]
+        return out
+    out[1:, 0] = m[1:, 0]
+    return out if kind == "create" else out.conj().T
+
+
+def _term_on_leg(rep: GnsRep, term: el.ElementaryTerm) -> np.ndarray:
+    """A term at one vertex on H_v, its entries in elementary.term_matrix's
+    order."""
+    out = None
+    for kind, entries in zip(_ENTRIES, (term.creation, term.diag, term.annihilation[::-1])):
+        for _, x in entries:
+            part = _on_leg(rep.matrix(x), kind)
+            out = part if out is None else out @ part
+    return np.eye(rep.dim, dtype=complex) if out is None else out
+
+
+def _rule_breaks(sysm: GraphSystem, v, tol: float) -> int:
+    """The branches of _RULES at v that miss the product they replace on
+    H_v by more than tol: each linear one on every basis element of A_v,
+    each bilinear one on every pair, with creation and annihilation entries
+    centred, as the engine keeps them."""
+    rep = sysm.sites[v].rep
+    basis = rep.algebra.basis()
+    mats = [rep.matrix(b) for b in basis]
+    centred = [sysm.centered(v, b) for b in basis]
+    bad = 0
+    for kind, inner in _RULES:
+        if kind == "qproj":  # Q_v = D(1_v)
+            factors = [(el.Factor("qproj", v), _on_leg(np.eye(rep.dim, dtype=complex), "diag"))]
+        else:
+            factors = [(el.Factor(kind, v, b), _on_leg(m, kind)) for b, m in zip(basis, mats)]
+        terms = [el.IDENTITY_TERM] if inner is None else [
+            el.ElementaryTerm(*(((v, x),) if part == inner else () for part in _ENTRIES))
+            for x in (basis if inner == "diag" else centred)]
+        for t in terms:
+            on_leg = _term_on_leg(rep, t)
+            for factor, want in factors:
+                got = want @ on_leg
+                for c, u in el._mul_factor(sysm, factor, [(1.0, t)]):
+                    got -= c * _term_on_leg(rep, u)
+                bad += int(np.abs(got).max() > tol)
+    return bad
+
+
+def _rules_breaks(space: fk.TruncatedFock, tol: float) -> int:
+    """The `rules` fact over the vertices, on the space's vertex algebras."""
+    sysm = GraphSystem(space.graph, {v: VertexSite(r.algebra, r.state, r) for v, r in space.reps.items()})
+    return sum(_rule_breaks(sysm, v, tol) for v in space.graph.vertices)
+
+
 def _pairs(space: fk.TruncatedFock) -> list:
     """(u, v, whether u and v are adjacent) for the ordered pairs of
     distinct vertices."""
@@ -371,6 +459,7 @@ _FACTS = {
         int(np.count_nonzero(_unit_traces(space.reps[v]) > tol)) for v in space.graph.vertices),
     "blocks": lambda space, _: _block_breaks(space),
     "gauge": lambda space, _: _gauge_breaks(space),
+    "rules": _rules_breaks,
 }
 
 

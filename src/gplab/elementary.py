@@ -3,10 +3,61 @@ word)*, their signatures, and the rewriting of generator products into sums
 of elementary terms; and the random generator words and operator products
 that the identity suite samples.
 
-The rewriting rules are exactly the product identities of the creation,
-diagonal, and annihilation operators; every rewrite comes with a numerical
-certificate (term matrices summing to the input's matrix on the guarded
-subspace), which the test suite exercises heavily.
+Why the rewrite is exact.  Write C(a) and D(c) for the creation and
+diagonal parts of lambda_v(a) and lambda_v(c), the quadrants m[1:, 0] and
+m[1:, 1:] of the element's GNS matrix m on the v-leg (fock._side_op), so
+that C(b)* is the annihilation part, m[0, 1:], of lambda_v(b*); and write
+a° = a - omega(a) 1.  rewrite_to_elementary multiplies its terms by the
+factors from the right, one rule per factor and term, and each rule is a
+product identity that the `identities` row certifies for every element from
+the certificate facts `lambda_units`, `gns`, `head`, `commute` and
+`disjoint` (gplab.certificate):
+  _mul_factor  scalar: linearity.  create and annih: C(a) = C(a°), as
+      centring changes only the diagonal of m.  qproj: Q_v = D(1_v), the
+      projection onto slot_v >= 1 (`head`, and pi(1) = 1 by `gns`).  elem:
+      lambda_v(a) = D(a) + C(a°) + C((a°)*)* + omega(a) (1 - D(1_v)), its
+      four quadrants, with m[0, 0] = omega(a) (`gns`) and E_00 = 1 - Q_v
+  _mul_create  C(c) C(a) = 0 at one vertex (`lambda_units`), where c meets
+      an entry at v past entries at adjacent vertices, which commute with
+      it (`commute`); otherwise c is prepended, and _canon_entries sorts
+      the creation word by commuting adjacent entries (`commute`)
+  _mul_diag    D(c) passes entries at adjacent vertices (`commute`), and
+      D(c) C(a) = D(c) D(d) = 0 where the first entry it meets is at a
+      vertex that is not adjacent (`disjoint`).  At v: D(c) C(a) = C((ca)°)
+      for a centred a, and D(c) D(d) = D(cd) - C(c°) C((d*)°)*, as
+      (m_c m_d)[1:, 1:] = m_c[1:, 1:] m_d[1:, 1:] + m_c[1:, 0] m_d[0, 1:]
+      (`lambda_units`, `gns`); the second term is rewritten by the rules
+      again, from the annihilation inwards
+  _mul_annih   passes and vanishes as _mul_diag does, C(c)* being the
+      adjoint of a creation.  At v: C(c)* C(a) = omega(c* a) (1 - D(1_v))
+      for centred c and a (`lambda_units`, `gns`, `head`), where D(1_v)
+      commutes with the creations passed, so it is applied at the front;
+      C(c)* D(d) = C((d* c)°)*; and C(c)* C(b)* = (C(b) C(c))* = 0 where v
+      is the last letter of the annihilation word up to commuting letters
+The same-vertex rules, the linear ones on every basis element of A_v and
+the bilinear ones on every pair, are checked against the quadrants of m on
+H_v by the `rules` fact.  Each side of a rule is linear or conjugate-linear
+in each element, the same on both sides, so the basis covers every element,
+and `lambda_units` makes the quadrants, tensored with 1, the operators on
+the Fock space.
+
+The word decisions (`lift`, `commutes_tuple` and `sort_with_perm`) rest on
+the word engine, as the `words` fact does, and tests/test_words.py holds
+them to oracles.  A runtime fact for them would not be independent: the
+oracle of the `words` fact, reduce_tuple, itself calls lift
+(words._reduce_word).  It would be slow as well: reduce_tuple on both sides
+of every pair of a ball word and a vertex took 16-27 ms on the Hecke q = 1
+fixture at depth 7 (382 words), about what the random draws it would
+replace there cost.
+
+The induction.  After the k rightmost factors, the terms sum to their
+product as operators on the whole Fock space: each rule replaces a factor
+times a term by terms summing to it, and _coalesce adds the coefficients of
+equal terms.  An OperatorMatrix equals its operator on its guarded columns,
+so expression_matrix and terms_matrix agree on their common guarded
+columns, which is what the `rewrite` row reads.  Rules drop an entry or a
+coefficient at most ZERO_TOL, 1e-14, which moves the sum by that much times
+the rest of its term: far below the row's tolerance on its draws.
 """
 from __future__ import annotations
 

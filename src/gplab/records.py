@@ -79,6 +79,8 @@ RECORDS: dict[str, RecordSpec] = {
     "conjugation.qperp_dominated.exact": RecordSpec("conjugation", None, ("lambda_units", "head", "gns")),
     "conjugation.shifted_dominated.exact": RecordSpec("conjugation", None, ("lambda_units", "gns", "shift")),
     "rewrite.certificate": RecordSpec("rewrite", IDENTITY_TOL),
+    "rewrite.certificate.exact": RecordSpec(
+        "rewrite", None, ("rules", "lambda_units", "gns", "head", "commute", "disjoint")),
     "rho_lambda.commutation": RecordSpec("rho_lambda", 1e-9),
     "rho_lambda.commutation.exact": RecordSpec("rho_lambda", None, ("lambda_units", "rho_units", "mixed")),
     "subgraph.expectation": RecordSpec("subgraph", 1e-10),

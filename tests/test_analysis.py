@@ -1,3 +1,4 @@
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +186,14 @@ def test_identity_suite_detects_seeded_fault(fault):
     assert failed == {"rewrite": {"rewrite.certificate"}, "identities": {"annih_creation.same_vertex"}}[fault]
 
 
-@pytest.mark.parametrize("row", [an.gauge_covariance_checks, an.diagonality_checks], ids=["gauge", "signature"])
+@pytest.mark.parametrize("row", [an.gauge_covariance_checks, an.diagonality_checks, an.rewrite_certificate_checks],
+                         ids=["gauge", "signature", "rewrite"])
 def test_term_rows_are_shallow_exactly_below_the_factor_budget(row):
-    """The gauge and signature rows are n/a by rule below depth 2, where a
-    term of a random word can hold two creations and so has no guarded
-    column, whatever the seed; at depths 2 and 3 these seeds' draws report
-    numbers (a rare term with three creations would not at depth 2)."""
+    """The gauge, signature and rewrite rows are n/a by rule below depth 2,
+    where a term of a random word can hold two creations and so has no
+    guarded column, whatever the seed; at depths 2 and 3 these seeds' draws
+    report numbers (a rare term with three creations would not at depth
+    2)."""
     assert an.el.FACTOR_BUDGET == 2
     for graph in (PATH3, FREE3):
         sysm = mixed_system(graph, hecke_q=2.0)
@@ -219,8 +222,9 @@ def _counting(monkeypatch, name: str) -> list:
 
 def test_draw_counts_of_the_expectation_and_rewrite_rows(monkeypatch):
     """The expectation row draws SMOKE_DRAWS random operators at every
-    depth, those where its guarded records are n/a by rule included; the
-    rewrite row, which has no exact tier, draws 40 random words."""
+    depth, those where its guarded records are n/a by rule included, and
+    the rewrite row SMOKE_DRAWS random words at the depths where it is not
+    n/a by rule."""
     sysm = load_config(Path(__file__).parent / "fixtures" / "m2_trace_edgeless3.json").system
     operators = _counting(monkeypatch, "random_operator")
     words = _counting(monkeypatch, "random_factors")
@@ -231,7 +235,20 @@ def test_draw_counts_of_the_expectation_and_rewrite_rows(monkeypatch):
     for depth in (3, 4):
         words.clear()
         an.rewrite_certificate_checks(sysm, depth, np.random.default_rng(depth))
-        assert len(words) == 40, depth
+        assert len(words) == an.SMOKE_DRAWS, depth
+
+
+def test_every_draw_of_the_rewrite_row_shows_its_fault():
+    """The rewrite row's fault adds 1e-3 of the identity term to every
+    draw's terms, so rewrite.certificate fails on fault_rewrite at every
+    seed 0-199 and depth 2-4, each on the row's own stream, and its exact
+    record, which reads no draw, passes."""
+    sysm = load_config(Path(__file__).parent / "fixtures" / "fault_rewrite.json").system
+    for depth in (2, 3, 4):
+        for seed in range(200):
+            rng = np.random.default_rng([seed, zlib.crc32(b"rewrite")])
+            sampled, exact = an.rewrite_certificate_checks(sysm, depth, rng, corrupt=True)
+            assert not sampled.passed and exact.passed, (depth, seed)
 
 
 def test_identity_suite_rejects_a_fault_no_group_takes():

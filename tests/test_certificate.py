@@ -4,9 +4,11 @@ what the units do to letter counts and words, by dense oracles; faults that
 move one table entry, perturb the letter table, the word of one column or
 one GNS image entry, flip one Q_w entry, swap two tails in the group's
 cover table or drop one of its covers, or make the conditional
-expectation or the gauge average keep the wrong entries; and the pairing
-of every sampled record of a row with exact records with its exact
-record."""
+expectation or the gauge average keep the wrong entries; faults in the
+rewrite engine's same-vertex rules; and the pairing of every sampled record
+of a row with exact records with its exact record."""
+import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from gplab import analysis as an
 from gplab import certificate as ct
-from gplab import _mat, fock, lattice, words
+from gplab import _mat, elementary, fock, lattice, words
 from gplab.config import load_config
 from gplab.records import RECORDS
 from gplab.system import GraphSystem
@@ -138,7 +140,8 @@ def test_the_commutation_fact_can_fail():
 
 # The rows with exact records, run here on one generator.
 ROWS = (an.main_identity_checks, an.rho_lambda_commutation_checks, an.gauge_covariance_checks,
-        an.diagonality_checks, an.conjugation_positivity_checks, an.expectation_checks)
+        an.diagonality_checks, an.conjugation_positivity_checks, an.expectation_checks,
+        an.rewrite_certificate_checks)
 
 
 def _records(sysm) -> list[an.CheckRecord]:
@@ -341,7 +344,7 @@ def test_a_dropped_cover_fails_the_projection_facts_and_the_identification(monke
 
 def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatch):
     """One entry of vertex 0's compiled GNS images, off by 1e-6, breaks pi
-    on the matrix units: the five exact records that read the gns fact fail,
+    on the matrix units: the six exact records that read the gns fact fail,
     and no other exact record does."""
     sysm = SYSTEMS["m2"]()
     rep = sysm.sites[0].rep
@@ -351,7 +354,7 @@ def test_a_perturbed_gns_entry_fails_exactly_the_records_that_read_it(monkeypatc
     records = _records(sysm)
     assert _failed_exact(records) == _readers(records, {"gns"}) == {
         "diag_creation.same_vertex.exact", "annih_creation.same_vertex.exact", "conjugation.qperp_dominated.exact",
-        "conjugation.shifted_dominated.exact", "trace.vacuum_probe.exact"}
+        "conjugation.shifted_dominated.exact", "trace.vacuum_probe.exact", "rewrite.certificate.exact"}
 
 
 def _by_lengths(x):
@@ -398,6 +401,38 @@ def test_a_wrong_pinching_fails_exactly_the_records_that_read_it(monkeypatch, ta
     assert _failed_exact(records) == _readers(records, {fact}) == {f"expectation.{r}.exact" for r in readers}
 
 
+def _engine_mutant(monkeypatch, fn, old: str, new: str) -> None:
+    """Replace elementary's fn with a copy whose source has old, which it
+    holds once, replaced by new; the copy's own calls reach the engine's
+    other functions, and the engine's calls reach the copy."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(elementary))
+    exec(compile(source.replace(old, new), elementary.__file__, "exec"), namespace)
+    monkeypatch.setattr(elementary, fn.__name__, namespace[fn.__name__])
+
+
+@pytest.mark.parametrize("fn, old, new", [
+    (elementary._mul_diag, "sys.centered(v, cj.star()), -coeff, base)", "sys.centered(v, cj.star()), coeff, base)"),
+    (elementary._mul_annih, "return [(coeff * s, rest)] + _mul_diag(sys, v, one, -coeff * s, rest)",
+     "return [(coeff * s, rest)]"),
+    (elementary._mul_annih, "s = sys.omega(v, c.star() @ t.creation[i][1])",
+     "s = (1 + 1e-3) * sys.omega(v, c.star() @ t.creation[i][1])"),
+], ids=["diag_split_sign", "dropped_d1", "omega_shift"])
+def test_a_wrong_rewrite_rule_fails_exactly_the_rewrite_exact_record(monkeypatch, fn, old, new):
+    """The d(c) d(cj) split with the sign of its creation-annihilation term
+    flipped, the contraction (c^+)* a^+ = omega(c* a) (1 - d(1_v)) without
+    its - d(1_v), or with omega(c* a) shifted by 1e-3 of itself: the rules
+    fact breaks, no other fact does, and of the exact records exactly
+    rewrite.certificate.exact fails."""
+    sysm = SYSTEMS["m2"]()
+    space = sysm.space(DEPTH)
+    _engine_mutant(monkeypatch, fn, old, new)
+    records = _records(sysm)
+    assert _broken(space) == {"rules"}
+    assert _failed_exact(records) == _readers(records, {"rules"}) == {"rewrite.certificate.exact"}
+
+
 @pytest.mark.parametrize("fixture", FIXTURES, ids=[p.stem for p in FIXTURES])
 @pytest.mark.parametrize("depth", [0, 1, 3])
 def test_every_sampled_identity_has_its_exact_record(fixture, depth):
@@ -410,7 +445,7 @@ def test_every_sampled_identity_has_its_exact_record(fixture, depth):
     cfg = load_config(fixture)
     suite = an.identity_suite(cfg.system, depth=depth, seed=1)
     emitted = set()
-    for row in ("identities", "expectation", "rho_lambda", "gauge", "signature", "conjugation", "trace"):
+    for row in ("identities", "expectation", "rho_lambda", "gauge", "signature", "conjugation", "rewrite", "trace"):
         records = suite.groups[row]
         sampled = [r for r in records if not r.name.endswith(".exact")]
         exact = records[len(sampled):]
